@@ -22,6 +22,7 @@ from .graph import (
     EdgeListError,
     SeedDescriptor,
     corona_iterate,
+    edge_list_chunks,
     write_edge_list,
 )
 
@@ -130,6 +131,19 @@ def _plan(cfg: RunConfig) -> CoronaPlan:
     return CoronaPlan(seed=seed, m=cfg.m, node_cap=cfg.node_cap)
 
 
+def _guard(plan: CoronaPlan, cap: int, work: str, hint: str = "") -> None:
+    """Refuse ``work`` on more than ``cap`` nodes, judged on the plan's count.
+
+    Runs before anything is materialized, so a refusal costs no build or
+    analysis time.  The node cap is checked first and wins when both apply.
+    """
+    plan.check_cap()
+    if plan.predicted_nodes > cap:
+        raise CapExceededError(
+            f"{work} on {plan.predicted_nodes} nodes exceeds the guard of "
+            f"{cap}{hint}")
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     plan = _plan(cfg)
     g = corona_iterate(plan)
@@ -139,14 +153,15 @@ def cmd_generate(cfg: RunConfig) -> int:
     if cfg.out is not None:
         write_edge_list(g, cfg.out)
     else:
-        lines = [f"# n={g.node_count}"]
-        lines += [f"{u} {v}" for u, v in g.edge_array()]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.writelines(edge_list_chunks(g))
     return EXIT_OK
 
 
 def cmd_stats(cfg: RunConfig) -> int:
     plan = _plan(cfg)
+    if cfg.betweenness and not cfg.force:
+        _guard(plan, BETWEENNESS_CAP, "betweenness",
+               "; pass --force to run anyway")
     g = corona_iterate(plan)
     seed_g = plan.seed.graph
 
@@ -180,10 +195,6 @@ def cmd_stats(cfg: RunConfig) -> int:
 
     b = None
     if cfg.betweenness:
-        if g.node_count > BETWEENNESS_CAP and not cfg.force:
-            raise CapExceededError(
-                f"betweenness on {g.node_count} nodes exceeds the guard of "
-                f"{BETWEENNESS_CAP}; pass --force to run anyway")
         b = structural.betweenness_exact(g)
         series = structural.betweenness_series(b)
         fit = fit_power_law(series)
@@ -225,11 +236,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if notice is None:
             notice = (f"no closed form for kind={cfg.kind} with seed "
                       f"{cfg.seed}; falling back to the dense eigensolver")
-        g = corona_iterate(plan)
-        if g.node_count > oracle.DEFAULT_ORACLE_CAP:
-            raise CapExceededError(
-                f"oracle fallback needs <= {oracle.DEFAULT_ORACLE_CAP} nodes")
-        s = _oracle_spectrum(g, cfg.kind)
+        _guard(plan, oracle.DEFAULT_ORACLE_CAP, "oracle fallback")
+        s = _oracle_spectrum(corona_iterate(plan), cfg.kind)
         spectrum = spectral.Spectrum(kind=s.kind, entries=s.entries, level=cfg.m,
                                      provenance="oracle")
     payload = {
@@ -254,6 +262,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     plan = _plan(cfg)
+    _guard(plan, oracle.DEFAULT_ORACLE_CAP, "verification")
     discrepancies: list[spectral.CubicDiscrepancy] = []
     closed = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
                                            discrepancies)
@@ -262,10 +271,6 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"seed {cfg.seed}", file=sys.stderr)
         return EXIT_CONFIG
     g = corona_iterate(plan)
-    if g.node_count > oracle.DEFAULT_ORACLE_CAP:
-        raise CapExceededError(
-            f"verification needs <= {oracle.DEFAULT_ORACLE_CAP} nodes, "
-            f"got {g.node_count}")
     numeric = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
     match = oracle.compare_spectra(closed, numeric, tol=cfg.tolerance)
 

@@ -8,6 +8,7 @@ while the count formulas stay exact at any depth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -259,24 +260,34 @@ def corona_product(g: Graph, seed: Graph) -> Graph:
     to g-node i occupies the contiguous block N+i*n .. N+(i+1)*n-1 in seed
     order.  Downstream eigenvector constructions and step-of-addition
     bookkeeping rely on this.
+
+    The contract gives every CSR row in closed form, already sorted: host
+    row i is its old row followed by its copy block, and copy row (i, j) is
+    host i followed by seed row j shifted by N+i*n.  So the rows are filled
+    directly, with no edge list to sort or validate.
     """
     n = seed.node_count
     if n < 1:
         raise ValueError("seed must be nonempty")
     N = g.node_count
     new_n = _checked(N * (1 + n), "node count")
+    hosts = np.arange(N, dtype=np.int64)
 
-    base = g.edge_array()
-    seed_e = seed.edge_array()
-    e_s = len(seed_e)
-    copies = np.tile(seed_e, (N, 1))
-    shift = (N + np.repeat(np.arange(N, dtype=np.int64), e_s) * n)[:, None]
-    copies = copies + shift
-    joins = np.column_stack((
-        np.repeat(np.arange(N, dtype=np.int64), n),
-        N + np.arange(N * n, dtype=np.int64),
-    ))
-    return Graph.from_edges(new_n, np.concatenate((base, copies, joins), axis=0))
+    # host rows: each copy block goes in right after its host's old row
+    host_rows = np.insert(g.targets, np.repeat(g.offsets[1:], n),
+                          N + np.arange(N * n, dtype=np.int64))
+    # copy rows: one block template with a host slot ahead of each seed row,
+    # tiled over the hosts and shifted into place
+    host_slot = seed.offsets[:-1] + np.arange(n)
+    template = np.insert(seed.targets, seed.offsets[:-1], 0)
+    copy_rows = template + (N + hosts * n)[:, None]
+    copy_rows[:, host_slot] = hosts[:, None]
+
+    degrees = np.concatenate((g.degrees + n, np.tile(seed.degrees + 1, N)))
+    offsets = np.zeros(new_n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return Graph(offsets=offsets,
+                 targets=np.concatenate((host_rows, copy_rows.ravel())))
 
 
 def corona_iterate(plan: CoronaPlan) -> Graph:
@@ -285,8 +296,10 @@ def corona_iterate(plan: CoronaPlan) -> Graph:
     g = plan.seed.graph
     for _ in range(plan.m):
         g = corona_product(g, plan.seed.graph)
-    assert g.node_count == plan.predicted_nodes
-    assert g.edge_count == plan.predicted_edges
+    if (g.node_count, g.edge_count) != (plan.predicted_nodes, plan.predicted_edges):
+        raise RuntimeError(
+            f"corona build gave {g.node_count} nodes and {g.edge_count} edges; "
+            f"the plan predicts {plan.predicted_nodes} and {plan.predicted_edges}")
     return g
 
 
@@ -393,9 +406,61 @@ def read_edge_list(path) -> Graph:
         raise EdgeListError(str(exc)) from exc
 
 
+EDGE_CHUNK_ROWS = 1 << 16
+_GROUP = 10_000  # endpoints are printed 4 decimal digits at a time
+
+
+@functools.cache
+def _group_ascii() -> np.ndarray:
+    """The 4 ASCII bytes of every 4-digit group, one uint32 per group value.
+
+    Rows 0-9999 are zero-padded ("0042"), for groups below a number's
+    leading group.  A leading group is NUL-padded instead, and the NULs are
+    deleted once a chunk is laid out: rows 10000-19999 serve groups above
+    the units (value 0 is all NUL, a group wholly above the number) and
+    rows 20000-29999 the units group (value 0 prints as "0").
+    """
+    text = [f"{i:04d}" for i in range(_GROUP)]
+    text += [str(i).rjust(4, "\0") if i else "\0" * 4 for i in range(_GROUP)]
+    text += [str(i).rjust(4, "\0") for i in range(_GROUP)]
+    return np.frombuffer("".join(text).encode("ascii"), dtype=np.uint32)
+
+
+_SEPARATORS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)
+
+
+def _edge_lines(uv: np.ndarray) -> str:
+    """``u v`` lines for a nonempty (k, 2) block of nonnegative endpoints.
+
+    Each endpoint becomes a row of NUL-padded 4-digit groups in one uint32
+    matrix, followed by its separator; one ``translate`` then deletes the
+    padding.
+    """
+    table = _group_ascii()
+    groups = -(-len(str(int(uv.max()))) // 4)
+    cells = np.empty(uv.shape + (groups + 1,), dtype=np.uint32)
+    rest = uv
+    for i in range(groups - 1, -1, -1):  # the units group first
+        rest, low = np.divmod(rest, _GROUP)
+        leading = (rest == 0) * (2 if i == groups - 1 else 1)
+        cells[:, :, i] = table[low + _GROUP * leading]
+    cells[:, :, groups] = _SEPARATORS
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def edge_list_chunks(g: Graph):
+    """The edge-list text of g in pieces: the ``# n=`` header, then sorted edges.
+
+    Edges are formatted ``EDGE_CHUNK_ROWS`` at a time, so the digit matrix
+    and the text held at once stay one chunk in size whatever the graph's.
+    """
+    yield f"# n={g.node_count}\n"
+    edges = g.edge_array()
+    for start in range(0, len(edges), EDGE_CHUNK_ROWS):
+        yield _edge_lines(edges[start:start + EDGE_CHUNK_ROWS])
+
+
 def write_edge_list(g: Graph, path) -> None:
     """Write the same format back: n header plus lexicographically sorted edges."""
-    lines = [f"# n={g.node_count}"]
-    for u, v in g.edge_array():
-        lines.append(f"{u} {v}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(edge_list_chunks(g))

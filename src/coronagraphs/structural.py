@@ -54,7 +54,9 @@ def degree_distribution_formula(seed: Graph, m: int) -> DistributionSeries:
             deg = d + 1 + (m - t) * n
             weights[deg] = weights.get(deg, 0) + n * (n + 1) ** (t - 1)
     population = _checked(n * (n + 1) ** m, "node count")
-    assert sum(weights.values()) == population
+    if sum(weights.values()) != population:
+        raise RuntimeError(f"degree weights sum to {sum(weights.values())}, "
+                           f"not the node count {population}")
     return DistributionSeries.from_counts(list(weights), list(weights.values()),
                                           population=population)
 

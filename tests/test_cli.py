@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,33 @@ class TestGenerate:
                               "--m", "1")
         assert code == EXIT_OK
         assert "actual_nodes=12" in stdout
+
+
+class TestGoldenGenerate:
+    # sha256 of the --out payloads, pinned from the per-edge f-string writer
+    # and the edge-list corona builder that the direct builder replaced
+    GOLDEN = {
+        "complete:3 5": "8eec636271a77627375784590b818133abf1f3b6f29e7579e092addb0b65b49c",
+        "star:4 3": "10fa4d4e66b2e21d58ca4410c3e988b89d5f42e2fb744baa4581d19921ad9fb0",
+        "isolated 2": "5e62744a20ae2e4c1d67d52aa02cb6611a8a5f18ce9af4478b03c7a6d0d70b0a",
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_payload_sha256_and_stdout_form(self, case, capsys, tmp_path):
+        seed, m = case.split()
+        if seed == "isolated":
+            seed_file = tmp_path / "iso.edges"
+            seed_file.write_text("# n=5\n0 1\n1 2\n0 2\n2 3\n")
+            seed = f"file:{seed_file}"
+        out = tmp_path / "g.edges"
+        code, counts, _ = run(capsys, "generate", "--seed", seed, "--m", m,
+                              "--out", str(out))
+        assert code == EXIT_OK
+        payload = out.read_bytes()
+        assert hashlib.sha256(payload).hexdigest() == self.GOLDEN[case]
+        code, stdout, _ = run(capsys, "generate", "--seed", seed, "--m", m)
+        assert code == EXIT_OK
+        assert stdout.encode("utf-8") == counts.encode("utf-8") + payload
 
 
 class TestStats:

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from coronagraphs import graph as graph_module
 from coronagraphs.graph import (
     CapExceededError,
     CoronaPlan,
@@ -191,6 +192,16 @@ class TestCoronaIterate:
         sd = SeedDescriptor(kind="file", param="-", graph=two_edges, connected=False)
         g1 = corona_iterate(CoronaPlan(seed=sd, m=1))
         assert connected_component_count(g1) == 2
+
+    def test_wrong_size_from_a_step_is_an_error(self, monkeypatch):
+        # an explicit raise, so python -O keeps the check on the direct builder
+        def short_by_one_node(g, seed):
+            return Graph.from_edges(g.node_count * (seed.node_count + 1) - 1,
+                                    g.edge_array())
+
+        monkeypatch.setattr(graph_module, "corona_product", short_by_one_node)
+        with pytest.raises(RuntimeError, match="the plan predicts"):
+            corona_iterate(plan_for("complete:3", 2))
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):

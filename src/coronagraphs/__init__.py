@@ -40,16 +40,12 @@ from .spectral import (
     CubicDiscrepancy,
     EigenPair,
     Spectrum,
-    SpectralStepParams,
-    adjacency_spectrum_regular,
-    adjacency_step_regular,
     algebraic_connectivity,
     build_one_step_eigenpairs,
     closed_form_spectrum,
     laplacian_spectrum,
-    laplacian_step,
-    signless_spectrum_regular,
-    signless_step_regular,
+    quadratic_spectrum,
+    quadratic_step,
     spectral_radius,
     star_adjacency_spectrum,
     star_cubic_roots,

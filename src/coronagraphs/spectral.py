@@ -6,6 +6,18 @@ appends the seed eigenvalues whose eigenvectors are orthogonal to the
 all-ones vector.  Iterating the step enumerates exactly the branch
 combinations of the unrolled closed forms, without their sign-placement
 ambiguity.
+
+The quadratic is one step for all three matrix kinds (``quadratic_step``):
+an entry x spawns (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2, and the seed
+spectrum, less one copy of ``drop``, is appended shifted by ``shift``:
+
+    kind       alpha       beta        drop  shift
+    adjacency  r           r           r     0
+    laplacian  n+1         1-n         0     1
+    signless   n+2r+1      2r+1-n      2r    1
+
+for a seed on n nodes, r-regular for the adjacency and signless kinds; the
+Laplacian step holds for any seed.
 """
 
 from __future__ import annotations
@@ -78,16 +90,6 @@ def make_spectrum(kind: str, pairs, level: int,
     return Spectrum(kind=kind, entries=entries, level=level, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class SpectralStepParams:
-    """Seed data a step needs: size, regularity degree or star size, spectrum."""
-
-    n: int
-    seed_spectrum: Spectrum
-    r: int | None = None
-    k: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # seed helpers
 
@@ -142,81 +144,50 @@ def _drop_one(entries, value: float) -> list[tuple[float, int]]:
 
 
 # ---------------------------------------------------------------------------
-# regular-seed and any-seed steps
+# the quadratic step: regular seeds for every kind, any seed for L
 
 
-def adjacency_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spectrum:
-    """One corona step for the adjacency spectrum, r-regular seed on n nodes.
+def _quadratic_coefficients(kind: str, n: int, r: int | None):
+    """(alpha, beta, drop, shift) of the kind's step, as in the module table."""
+    if kind == LAPLACIAN:
+        return n + 1, 1 - n, 0, 1.0
+    if r is None:
+        raise ValueError(f"the {kind} step needs a regular seed's degree r")
+    if kind == ADJACENCY:
+        return r, r, r, 0.0
+    return n + 2 * r + 1, 2 * r + 1 - n, 2 * r, 1.0
 
-    Every entry lam (mult w) spawns (lam + r +- sqrt((r-lam)^2 + 4n))/2 with
-    mult w; every seed eigenvalue except one copy of r is appended with the
-    input's total multiplicity.
+
+def quadratic_step(s: Spectrum, seed: Spectrum, n: int, r: int | None = None) -> Spectrum:
+    """One corona step of an A, L or Q spectrum; the seed has n nodes.
+
+    Every entry x (mult w) spawns its two quadratic roots with mult w; the
+    appended seed values carry the input's total multiplicity.  The
+    adjacency and signless kinds need the seed's regularity degree r.
     """
-    if s.kind != ADJACENCY or seed.kind != ADJACENCY:
-        raise ValueError("adjacency step needs adjacency spectra")
+    if s.kind != seed.kind:
+        raise ValueError(f"kind mismatch: {s.kind} spectrum, {seed.kind} seed")
+    alpha, beta, drop, shift = _quadratic_coefficients(s.kind, n, r)
     total = s.total_multiplicity
     pairs = []
-    for lam, w in s.entries:
-        disc = math.sqrt((r - lam) ** 2 + 4 * n)
-        pairs.append(((lam + r + disc) / 2.0, w))
-        pairs.append(((lam + r - disc) / 2.0, w))
-    for mu, w in _drop_one(seed.entries, float(r)):
-        pairs.append((mu, w * total))
-    return make_spectrum(ADJACENCY, pairs, level=s.level + 1)
+    for x, w in s.entries:
+        if s.kind == LAPLACIAN and x < -1e-9:
+            raise ValueError(f"negative Laplacian input eigenvalue {x}")
+        disc = math.sqrt((x - beta) ** 2 + 4 * n)
+        pairs.append(((x + alpha + disc) / 2.0, w))
+        pairs.append(((x + alpha - disc) / 2.0, w))
+    for mu, w in _drop_one(seed.entries, float(drop)):
+        pairs.append((mu + shift, w * total))
+    return make_spectrum(s.kind, pairs, level=s.level + 1)
 
 
-def laplacian_step(s: Spectrum, seed: Spectrum, n: int) -> Spectrum:
-    """One corona step for the Laplacian spectrum, any seed on n nodes.
-
-    nu spawns (nu + n + 1 +- sqrt((nu+n+1)^2 - 4nu))/2; nu=0 maps exactly to
-    {0, n+1}.  Every nonzero seed value nu_i appends nu_i + 1.
-    """
-    if s.kind != LAPLACIAN or seed.kind != LAPLACIAN:
-        raise ValueError("laplacian step needs laplacian spectra")
-    total = s.total_multiplicity
-    pairs = []
-    for nu, w in s.entries:
-        if nu < -1e-9:
-            raise ValueError(f"negative Laplacian input eigenvalue {nu}")
-        disc = math.sqrt(max((nu + n + 1) ** 2 - 4 * nu, 0.0))
-        pairs.append(((nu + n + 1 + disc) / 2.0, w))
-        pairs.append(((nu + n + 1 - disc) / 2.0, w))
-    for nu, w in _drop_one(seed.entries, 0.0):
-        pairs.append((nu + 1.0, w * total))
-    return make_spectrum(LAPLACIAN, pairs, level=s.level + 1)
-
-
-def signless_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spectrum:
-    """One corona step for the signless Laplacian, r-regular seed on n nodes."""
-    if s.kind != SIGNLESS or seed.kind != SIGNLESS:
-        raise ValueError("signless step needs signless spectra")
-    total = s.total_multiplicity
-    pairs = []
-    for q, w in s.entries:
-        disc = math.sqrt(((q + n) - (2 * r + 1)) ** 2 + 4 * n)
-        pairs.append(((q + n + 2 * r + 1 + disc) / 2.0, w))
-        pairs.append(((q + n + 2 * r + 1 - disc) / 2.0, w))
-    for q, w in _drop_one(seed.entries, float(2 * r)):
-        pairs.append((q + 1.0, w * total))
-    return make_spectrum(SIGNLESS, pairs, level=s.level + 1)
-
-
-def adjacency_spectrum_regular(p: SpectralStepParams, m: int) -> Spectrum:
-    """m-fold adjacency step; each +- branch sequence is one closed-form line."""
-    if p.r is None:
-        raise ValueError("regular mode needs the seed degree r")
-    s = p.seed_spectrum
+def quadratic_spectrum(seed_graph: Graph, kind: str, m: int) -> Spectrum:
+    """m-fold quadratic step; each +- branch sequence is one closed-form line."""
+    seed = seed_spectrum(seed_graph, kind)
+    r = regular_degree(seed_graph)
+    s = seed
     for _ in range(m):
-        s = adjacency_step_regular(s, p.seed_spectrum, p.n, p.r)
-    return s
-
-
-def signless_spectrum_regular(p: SpectralStepParams, m: int) -> Spectrum:
-    if p.r is None:
-        raise ValueError("regular mode needs the seed degree r")
-    s = p.seed_spectrum
-    for _ in range(m):
-        s = signless_step_regular(s, p.seed_spectrum, p.n, p.r)
+        s = quadratic_step(s, seed, seed_graph.node_count, r)
     return s
 
 
@@ -226,11 +197,7 @@ def laplacian_spectrum(seed_graph: Graph, m: int) -> Spectrum:
 
     if connected_component_count(seed_graph) != 1:
         raise ValueError("Laplacian closed form needs a connected seed")
-    seed = seed_spectrum(seed_graph, LAPLACIAN)
-    s = seed
-    for _ in range(m):
-        s = laplacian_step(s, seed, seed_graph.node_count)
-    return s
+    return quadratic_spectrum(seed_graph, LAPLACIAN, m)
 
 
 def spectral_radius(s: Spectrum) -> float:
@@ -478,14 +445,8 @@ def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
     """
     if kind == LAPLACIAN:
         return laplacian_spectrum(seed_graph, m)
-    r = regular_degree(seed_graph)
-    if r is not None:
-        params = SpectralStepParams(n=seed_graph.node_count,
-                                    seed_spectrum=seed_spectrum(seed_graph, kind),
-                                    r=r)
-        if kind == ADJACENCY:
-            return adjacency_spectrum_regular(params, m)
-        return signless_spectrum_regular(params, m)
+    if regular_degree(seed_graph) is not None:
+        return quadratic_spectrum(seed_graph, kind, m)
     k = star_size(seed_graph)
     if k is not None:
         if kind == ADJACENCY:

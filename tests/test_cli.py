@@ -183,6 +183,7 @@ class TestVerify:
         ("star:3", 1, "adjacency"),
         ("complete:3", 2, "signless"),
         ("complete:3", 1, "laplacian"),
+        ("cycle:4", 3, "laplacian"),  # 500 nodes
     ])
     def test_passes(self, capsys, tmp_path, seed, m, kind):
         out = tmp_path / "v.json"

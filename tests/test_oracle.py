@@ -1,4 +1,4 @@
-"""Oracle checks: matrix assembly, the Jacobi solver, and brute-force paths."""
+"""Oracle checks: matrix assembly, the LAPACK eigensolver, and brute-force paths."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from coronagraphs.graph import (
     star_graph,
 )
 from coronagraphs.oracle import (
-    JacobiConvergenceError,
     brute_betweenness,
     brute_diameter,
     build_matrix,
@@ -100,10 +99,11 @@ class TestJacobi:
         with pytest.raises(ValueError):
             sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_convergence_cap_reported(self):
-        a = build_matrix(k3_level1(), "adjacency")
-        with pytest.raises(JacobiConvergenceError):
-            sym_eigenvalues(a, max_sweeps=1)
+    def test_nonsquare_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            sym_eigenvalues(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            sym_eigensystem(np.zeros(3))
 
     def test_trivial_sizes(self):
         assert sym_eigenvalues(np.array([[5.0]])) == np.array([5.0])

@@ -23,21 +23,17 @@ from coronagraphs.spectral import (
     LAPLACIAN,
     SIGNLESS,
     CubicDiscrepancy,
-    SpectralStepParams,
     Spectrum,
-    adjacency_spectrum_regular,
-    adjacency_step_regular,
     algebraic_connectivity,
     build_one_step_eigenpairs,
     closed_form_spectrum,
     eigenpair_residual_max,
     laplacian_spectrum,
-    laplacian_step,
     make_spectrum,
+    quadratic_spectrum,
+    quadratic_step,
     regular_degree,
     seed_spectrum,
-    signless_spectrum_regular,
-    signless_step_regular,
     spectral_radius,
     spectrum_to_json,
     star_adjacency_spectrum,
@@ -58,11 +54,6 @@ def level(spec: str, m: int) -> Graph:
 
 def oracle_values(g: Graph, kind: str) -> np.ndarray:
     return oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
-
-
-def regular_params(g: Graph, kind: str) -> SpectralStepParams:
-    return SpectralStepParams(n=g.node_count, seed_spectrum=seed_spectrum(g, kind),
-                              r=regular_degree(g))
 
 
 class TestSpectrumType:
@@ -114,7 +105,7 @@ class TestSeedHelpers:
 class TestAdjacencyStep:
     def test_k3_level1_frozen(self):
         s0 = seed_spectrum(complete_graph(3), ADJACENCY)
-        s1 = adjacency_step_regular(s0, s0, 3, 2)
+        s1 = quadratic_step(s0, s0, 3, 2)
         expected = sorted([
             (2 - SQ3, 1), ((1 - SQ21) / 2, 2), (-1.0, 6),
             ((1 + SQ21) / 2, 2), (2 + SQ3, 1),
@@ -126,34 +117,34 @@ class TestAdjacencyStep:
 
     def test_single_node_seed_gives_k2(self):
         s0 = make_spectrum(ADJACENCY, [(0.0, 1)], level=0)
-        s1 = adjacency_step_regular(s0, s0, 1, 0)
+        s1 = quadratic_step(s0, s0, 1, 0)
         assert [(round(v, 12), w) for v, w in s1.entries] == [(-1.0, 1), (1.0, 1)]
 
     def test_trace_stays_zero(self):
         s0 = seed_spectrum(cycle_graph(4), ADJACENCY)
-        s1 = adjacency_step_regular(s0, s0, 4, 2)
+        s1 = quadratic_step(s0, s0, 4, 2)
         assert s1.moment(1) == pytest.approx(0.0, abs=1e-9)
 
     def test_kind_mismatch(self):
         lap = seed_spectrum(complete_graph(3), LAPLACIAN)
         adj = seed_spectrum(complete_graph(3), ADJACENCY)
         with pytest.raises(ValueError, match="adjacency"):
-            adjacency_step_regular(lap, adj, 3, 2)
+            quadratic_step(lap, adj, 3, 2)
 
     def test_branch_family_sizes(self):
         # each entry spawns exactly two branch values, the appended family
         # carries (n-1) * input total, so the output total is (n+1) * input
         s0 = seed_spectrum(complete_graph(3), ADJACENCY)
-        s1 = adjacency_step_regular(s0, s0, 3, 2)
-        s2 = adjacency_step_regular(s1, s0, 3, 2)
+        s1 = quadratic_step(s0, s0, 3, 2)
+        s2 = quadratic_step(s1, s0, 3, 2)
         assert s1.total_multiplicity == 4 * s0.total_multiplicity
         assert s2.total_multiplicity == 4 * s1.total_multiplicity
 
 
 class TestAdjacencySpectrumRegular:
     def test_m0_identity(self):
-        p = regular_params(complete_graph(3), ADJACENCY)
-        assert adjacency_spectrum_regular(p, 0) is p.seed_spectrum
+        g = complete_graph(3)
+        assert quadratic_spectrum(g, ADJACENCY, 0) == seed_spectrum(g, ADJACENCY)
 
     @pytest.mark.parametrize("spec,m", [
         ("complete:3", 1), ("complete:3", 2), ("cycle:4", 1), ("cycle:4", 2),
@@ -161,32 +152,32 @@ class TestAdjacencySpectrumRegular:
     ])
     def test_matches_oracle(self, spec, m):
         seed = SeedDescriptor.from_spec(spec).graph
-        closed = adjacency_spectrum_regular(regular_params(seed, ADJACENCY), m)
+        closed = quadratic_spectrum(seed, ADJACENCY, m)
         rep = oracle.compare_spectra(closed, oracle_values(level(spec, m), ADJACENCY),
                                      tol=1e-8)
         assert rep.passed, rep
 
     def test_c4_level1_sums_to_zero(self):
-        closed = adjacency_spectrum_regular(regular_params(cycle_graph(4), ADJACENCY), 1)
+        closed = quadratic_spectrum(cycle_graph(4), ADJACENCY, 1)
         assert closed.total_multiplicity == 20
         assert closed.moment(1) == pytest.approx(0.0, abs=1e-9)
 
     def test_spectral_radius(self):
         seed = complete_graph(3)
-        s1 = adjacency_spectrum_regular(regular_params(seed, ADJACENCY), 1)
+        s1 = quadratic_spectrum(seed, ADJACENCY, 1)
         assert spectral_radius(s1) == pytest.approx(2 + SQ3, abs=1e-12)
         assert spectral_radius(seed_spectrum(seed, ADJACENCY)) == 2.0
 
     def test_radius_nondecreasing_in_m(self):
-        p = regular_params(complete_graph(3), ADJACENCY)
-        radii = [spectral_radius(adjacency_spectrum_regular(p, m)) for m in range(5)]
+        seed = complete_graph(3)
+        radii = [spectral_radius(quadratic_spectrum(seed, ADJACENCY, m)) for m in range(5)]
         assert all(b >= a for a, b in zip(radii, radii[1:]))
 
 
 class TestLaplacian:
     def test_k3_step_frozen(self):
         s0 = seed_spectrum(complete_graph(3), LAPLACIAN)
-        s1 = laplacian_step(s0, s0, 3)
+        s1 = quadratic_step(s0, s0, 3)
         table = {round(v, 9): w for v, w in s1.entries}
         assert table[0.0] == 1
         assert table[4.0] == 7
@@ -196,7 +187,7 @@ class TestLaplacian:
 
     def test_zero_maps_to_zero_and_n_plus_one(self):
         s0 = make_spectrum(LAPLACIAN, [(0.0, 1)], level=0)
-        s1 = laplacian_step(s0, make_spectrum(LAPLACIAN, [(0.0, 1)], level=0), 1)
+        s1 = quadratic_step(s0, make_spectrum(LAPLACIAN, [(0.0, 1)], level=0), 1)
         assert s1.entries == ((0.0, 1), (2.0, 1))
 
     def test_p3_seed_exactly_one_zero(self):
@@ -240,8 +231,10 @@ class TestLaplacian:
 class TestSignless:
     def test_k3_step_frozen(self):
         s0 = seed_spectrum(complete_graph(3), SIGNLESS)
-        assert s0.entries == ((1.0, 2), (4.0, 1))
-        s1 = signless_step_regular(s0, s0, 3, 2)
+        assert [w for _, w in s0.entries] == [2, 1]
+        assert s0.entries[-1] == (4.0, 1)
+        assert abs(s0.entries[0][0] - 1.0) <= 1e-15
+        s1 = quadratic_step(s0, s0, 3, 2)
         table = {round(v, 9): w for v, w in s1.entries}
         assert table[8.0] == 1
         assert table[4.0] == 1
@@ -262,7 +255,7 @@ class TestSignless:
     ])
     def test_matches_oracle(self, spec, m):
         seed = SeedDescriptor.from_spec(spec).graph
-        closed = signless_spectrum_regular(regular_params(seed, SIGNLESS), m)
+        closed = quadratic_spectrum(seed, SIGNLESS, m)
         rep = oracle.compare_spectra(closed, oracle_values(level(spec, m), SIGNLESS),
                                      tol=1e-8)
         assert rep.passed, rep

@@ -1,0 +1,63 @@
+"""The one quadratic step against the three per-kind steps it replaces."""
+
+import random
+
+import pytest
+
+from coronagraphs.graph import Graph, SeedDescriptor
+from coronagraphs.spectral import (
+    ADJACENCY,
+    LAPLACIAN,
+    SIGNLESS,
+    Spectrum,
+    quadratic_step,
+    regular_degree,
+    seed_spectrum,
+)
+
+import reference
+from conftest import random_connected_graph
+
+REGULAR_SEEDS = ["complete:3", "complete:4", "complete:5",
+                 "cycle:4", "cycle:5", "cycle:6"]
+
+
+def assert_same_spectrum(got: Spectrum, want: Spectrum) -> None:
+    assert got.kind == want.kind
+    assert got.level == want.level
+    assert [w for _, w in got.entries] == [w for _, w in want.entries]
+    for (v, _), (ref, _) in zip(got.entries, want.entries):
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (v, ref)
+
+
+def assert_steps_agree(g: Graph, kind: str, m: int) -> None:
+    """At every level up to m, the new step agrees with the old one on the
+    same input, and the new recursion with the old recursion."""
+    n, r = g.node_count, regular_degree(g)
+    seed = seed_spectrum(g, kind)
+    got = want = seed
+    for _ in range(m):
+        step = quadratic_step(got, seed, n, r)
+        assert_same_spectrum(step, reference.quadratic_step(got, seed, n, r))
+        want = reference.quadratic_step(want, seed, n, r)
+        assert_same_spectrum(step, want)
+        got = step
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, SIGNLESS])
+@pytest.mark.parametrize("spec", REGULAR_SEEDS)
+def test_regular_seeds_every_kind(spec, kind):
+    assert_steps_agree(SeedDescriptor.from_spec(spec).graph, kind, 6)
+
+
+@pytest.mark.parametrize("spec", ["path:4", "star:5"])
+def test_laplacian_irregular_builtin_seeds(spec):
+    assert_steps_agree(SeedDescriptor.from_spec(spec).graph, LAPLACIAN, 4)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_laplacian_random_connected_seeds(seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng.randrange(4, 10), rng)
+    assert_steps_agree(g, LAPLACIAN, 4)
+

@@ -193,9 +193,12 @@ def cmd_stats(cfg: RunConfig) -> int:
     report["degree_distribution"] = [[v, p] for v, p in degrees.points]
     report["cumulative_degree_distribution"] = [[v, p] for v, p in cumulative.points]
 
-    b = None
     if cfg.betweenness:
         b = structural.betweenness_exact(g)
+        if cfg.format == "csv":
+            # the per-node values are the whole csv payload: no fit to refuse
+            _emit(cfg, structural.betweenness_to_csv(b))
+            return EXIT_OK
         series = structural.betweenness_series(b)
         fit = fit_power_law(series)
         report["betweenness"] = {
@@ -207,10 +210,7 @@ def cmd_stats(cfg: RunConfig) -> int:
         }
 
     if cfg.format == "csv":
-        if b is not None:
-            _emit(cfg, structural.betweenness_to_csv(b))
-        else:
-            _emit(cfg, series_to_csv(degrees))
+        _emit(cfg, series_to_csv(degrees))
     else:
         _emit(cfg, json.dumps(report, indent=2) + "\n")
     return EXIT_OK

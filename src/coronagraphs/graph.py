@@ -326,27 +326,14 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All CSR rows of ``frontier`` at once: (sources repeated, their targets)."""
-    offsets, targets = g.offsets, g.targets
-    counts = offsets[frontier + 1] - offsets[frontier]
-    nz = counts > 0
-    if not nz.all():
-        frontier = frontier[nz]
-        counts = counts[nz]
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    # cumsum-of-ones trick: seed each segment start so the running sum jumps
-    # to that row's offset
-    idx = np.ones(total, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    idx[starts[0]] = offsets[frontier[0]]
-    if len(frontier) > 1:
-        idx[starts[1:]] = offsets[frontier[1:]] - (
-            offsets[frontier[:-1]] + counts[:-1] - 1
-        )
-    idx = np.cumsum(idx)
-    return np.repeat(frontier, counts), targets[idx]
+    first = g.offsets[frontier]
+    counts = g.offsets[frontier + 1] - first
+    ends = np.cumsum(counts)
+    # edge i of the output sits at position i - (row start in the output)
+    # of its row, which begins at ``first`` in ``targets``
+    total = ends[-1] if len(ends) else 0
+    idx = np.arange(total) + np.repeat(first - (ends - counts), counts)
+    return np.repeat(frontier, counts), g.targets[idx]
 
 
 def connected_component_count(g: Graph) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import DistributionSeries
-from .graph import Graph, _checked, bfs_distances, expand_frontier
+from .graph import Graph, _checked, expand_frontier
 
 
 class DisconnectedGraphError(ValueError):
@@ -98,13 +98,39 @@ def density(g: Graph) -> float:
 
 
 def diameter_measured(g: Graph) -> int:
-    """Exact diameter via all-source BFS."""
+    """Exact diameter via all-source BFS, 64 sources per machine word.
+
+    Multi-source bit-parallel BFS (Then et al. 2014): bit j of node v's word
+    says whether source j of the chunk has reached v.  One level ORs each
+    node's neighbour words together; the level at which a chunk stops
+    growing is the largest eccentricity among its sources.
+    """
+    n = g.node_count
+    if n <= 1:
+        return 0
+    # reduceat reads one element even from an empty row, so an isolated
+    # node would look adjacent to something
+    if not g.degrees.all():
+        raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
+    starts, targets = g.offsets[:-1], g.targets
     best = 0
-    for s in range(g.node_count):
-        dist = bfs_distances(g, s)
-        if dist.min() < 0:
+    for first in range(0, n, 64):
+        width = min(64, n - first)
+        frontier = np.zeros(n, dtype=np.uint64)
+        frontier[first:first + width] = np.left_shift(np.uint64(1),
+                                                      np.arange(width, dtype=np.uint64))
+        unseen = ~frontier
+        level = 0
+        while True:
+            frontier = np.bitwise_or.reduceat(frontier[targets], starts)
+            frontier &= unseen
+            if not frontier.any():
+                break
+            unseen ^= frontier
+            level += 1
+        if (unseen & np.uint64((1 << width) - 1)).any():
             raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
-        best = max(best, int(dist.max()))
+        best = max(best, level)
     return best
 
 
@@ -118,55 +144,68 @@ def diameter_formula(d0: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # betweenness
 
+SOURCE_BATCH = 4   # Brandes sources laid side by side per DAG build
 
-def _shortest_path_dag(g: Graph, source: int):
-    """Level-synchronous BFS returning per-level tree edges and path counts.
 
-    Returns (dist, sigma, levels) where levels is a list of (srcs, dsts)
-    arrays; a tree edge goes from depth d to depth d+1 and sigma is final
-    for a depth before its edges are emitted.
+def _dependencies(g: Graph):
+    """Brandes dependencies, SOURCE_BATCH sources at a time.
+
+    Yields (sigma, delta), each of shape (sources in the batch, N): the path
+    counts from each source and its dependency on every node.  Node v of the
+    batch's i-th source has flat index i*N + v, so one level-synchronous BFS
+    builds all the batch's shortest-path DAGs, and each source meets its
+    edges in the order a BFS of its own would.
     """
     n = g.node_count
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    levels = []
-    d = 0
-    while len(frontier):
-        srcs, dsts = expand_frontier(g, frontier)
-        if len(dsts) == 0:
-            break
-        fresh = dsts[dist[dsts] < 0]
-        if len(fresh):
-            dist[fresh] = d + 1
-        tree = dist[dsts] == d + 1
-        srcs, dsts = srcs[tree], dsts[tree]
-        np.add.at(sigma, dsts, sigma[srcs])
-        levels.append((srcs, dsts))
-        frontier = np.unique(dsts)
-        d += 1
-    return dist, sigma, levels
+    degrees = g.degrees
+    for first in range(0, n, SOURCE_BATCH):
+        sources = np.arange(first, min(first + SOURCE_BATCH, n))
+        size = len(sources) * n
+        roots = np.arange(len(sources)) * n + sources
+        dist = np.full(size, -1, dtype=np.int32)
+        sigma = np.zeros(size, dtype=np.float64)
+        dist[roots] = 0
+        sigma[roots] = 1.0
+        frontier = roots
+        levels = []
+        d = 0
+        while len(frontier):
+            local = frontier % n
+            srcs, dsts = expand_frontier(g, local)
+            if len(dsts) == 0:
+                break
+            base = np.repeat(frontier - local, degrees[local])
+            srcs += base
+            dsts += base
+            # every node first reached at this level is still unvisited, so
+            # the DAG's edges are exactly the ones into unvisited nodes
+            tree = dist[dsts] < 0
+            srcs, dsts = srcs[tree], dsts[tree]
+            dist[dsts] = d + 1
+            sigma += np.bincount(dsts, weights=sigma[srcs], minlength=size)
+            levels.append((srcs, dsts))
+            frontier = np.flatnonzero(dist == d + 1)
+            d += 1
+        if dist.min() < 0:
+            raise DisconnectedGraphError("betweenness needs a connected graph")
+        delta = np.zeros(size, dtype=np.float64)
+        for srcs, dsts in reversed(levels):
+            share = sigma[srcs] / sigma[dsts] * (1.0 + delta[dsts])
+            delta += np.bincount(srcs, weights=share, minlength=size)
+        delta[roots] = 0.0
+        yield sigma.reshape(-1, n), delta.reshape(-1, n)
 
 
 def betweenness_exact(g: Graph, ordered: bool = False) -> np.ndarray:
-    """Exact betweenness by dependency accumulation over BFS DAGs.
+    """Exact betweenness by dependency accumulation over BFS DAGs (Brandes).
 
     Unordered pairs are counted once by default; ordered=True doubles every
     value (the other summation convention).
     """
-    n = g.node_count
-    b = np.zeros(n, dtype=np.float64)
-    for s in range(n):
-        dist, sigma, levels = _shortest_path_dag(g, s)
-        if dist.min() < 0:
-            raise DisconnectedGraphError("betweenness needs a connected graph")
-        delta = np.zeros(n, dtype=np.float64)
-        for srcs, dsts in reversed(levels):
-            np.add.at(delta, srcs, sigma[srcs] / sigma[dsts] * (1.0 + delta[dsts]))
-        delta[s] = 0.0
-        b += delta
+    b = np.zeros(g.node_count, dtype=np.float64)
+    for _, delta in _dependencies(g):
+        for row in delta:   # one source at a time keeps the summation order
+            b += row
     return b if ordered else b / 2.0
 
 
@@ -177,21 +216,15 @@ def betweenness_clique_pathcount(g: Graph, ordered: bool = False) -> np.ndarray:
     one shortest path, so counting paths equals the fractional accumulation.
     A sigma above 1 anywhere means the seed was not a clique and raises.
     """
-    n = g.node_count
-    b = np.zeros(n, dtype=np.int64)
-    for s in range(n):
-        dist, sigma, levels = _shortest_path_dag(g, s)
-        if dist.min() < 0:
-            raise DisconnectedGraphError("betweenness needs a connected graph")
+    b = np.zeros(g.node_count, dtype=np.int64)
+    for sigma, delta in _dependencies(g):
         if np.any(sigma > 1.5):
             raise NonUniqueShortestPathError(
                 "tied shortest paths found; integer path counting is invalid"
             )
-        delta = np.zeros(n, dtype=np.int64)
-        for srcs, dsts in reversed(levels):
-            np.add.at(delta, srcs, 1 + delta[dsts])
-        delta[s] = 0
-        b += delta
+        # with every sigma 1 each dependency is a whole number of nodes,
+        # exact in float64
+        b += delta.sum(axis=0).astype(np.int64)
     return b if ordered else b // 2
 
 

@@ -10,6 +10,13 @@ The package also runs one quadratic step for all three spectrum kinds.  The
 three per-kind steps it replaces are kept below, each with its own
 discriminant as first written; the tests assert that both give the same
 multiplicities and values to rounding.
+
+The package runs its all-source BFS in batches: the diameter 64 sources per
+machine word, betweenness a few sources side by side.  The one-source-at-a-
+time diameter, Brandes betweenness and clique path count it replaces are
+kept below, with the cumulative-sum frontier expansion they ran on; the
+tests assert the same expansions, the same diameters, the same path counts
+and betweenness equal to rounding.
 """
 
 import math
@@ -25,6 +32,7 @@ from coronagraphs.spectral import (
     _drop_one,
     make_spectrum,
 )
+from coronagraphs.structural import DisconnectedGraphError, NonUniqueShortestPathError
 
 
 def corona_product(g: Graph, seed: Graph) -> Graph:
@@ -102,3 +110,106 @@ def quadratic_step(s: Spectrum, seed: Spectrum, n: int, r: int | None) -> Spectr
     if s.kind == LAPLACIAN:
         return laplacian_step(s, seed, n)
     return signless_step_regular(s, seed, n, r)
+
+
+def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All CSR rows of ``frontier`` at once: (sources repeated, their targets)."""
+    offsets, targets = g.offsets, g.targets
+    counts = offsets[frontier + 1] - offsets[frontier]
+    nz = counts > 0
+    if not nz.all():
+        frontier = frontier[nz]
+        counts = counts[nz]
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # cumsum-of-ones trick: seed each segment start so the running sum jumps
+    # to that row's offset
+    idx = np.ones(total, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    idx[starts[0]] = offsets[frontier[0]]
+    if len(frontier) > 1:
+        idx[starts[1:]] = offsets[frontier[1:]] - (
+            offsets[frontier[:-1]] + counts[:-1] - 1
+        )
+    idx = np.cumsum(idx)
+    return np.repeat(frontier, counts), targets[idx]
+
+
+def diameter_measured(g: Graph) -> int:
+    """Exact diameter via one BFS per source."""
+    best = 0
+    for s in range(g.node_count):
+        dist = _shortest_path_dag(g, s)[0]
+        if dist.min() < 0:
+            raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
+        best = max(best, int(dist.max()))
+    return best
+
+
+def _shortest_path_dag(g: Graph, source: int):
+    """Level-synchronous BFS returning per-level tree edges and path counts.
+
+    Returns (dist, sigma, levels) where levels is a list of (srcs, dsts)
+    arrays; a tree edge goes from depth d to depth d+1 and sigma is final
+    for a depth before its edges are emitted.
+    """
+    n = g.node_count
+    dist = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n, dtype=np.float64)
+    dist[source] = 0
+    sigma[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    levels = []
+    d = 0
+    while len(frontier):
+        srcs, dsts = expand_frontier(g, frontier)
+        if len(dsts) == 0:
+            break
+        fresh = dsts[dist[dsts] < 0]
+        if len(fresh):
+            dist[fresh] = d + 1
+        tree = dist[dsts] == d + 1
+        srcs, dsts = srcs[tree], dsts[tree]
+        np.add.at(sigma, dsts, sigma[srcs])
+        levels.append((srcs, dsts))
+        frontier = np.unique(dsts)
+        d += 1
+    return dist, sigma, levels
+
+
+def betweenness_exact(g: Graph, ordered: bool = False) -> np.ndarray:
+    """Brandes dependency accumulation, one source at a time."""
+    n = g.node_count
+    b = np.zeros(n, dtype=np.float64)
+    for s in range(n):
+        dist, sigma, levels = _shortest_path_dag(g, s)
+        if dist.min() < 0:
+            raise DisconnectedGraphError("betweenness needs a connected graph")
+        delta = np.zeros(n, dtype=np.float64)
+        for srcs, dsts in reversed(levels):
+            np.add.at(delta, srcs, sigma[srcs] / sigma[dsts] * (1.0 + delta[dsts]))
+        delta[s] = 0.0
+        b += delta
+    return b if ordered else b / 2.0
+
+
+def betweenness_clique_pathcount(g: Graph, ordered: bool = False) -> np.ndarray:
+    """Integer path counts through each node, one source at a time."""
+    n = g.node_count
+    b = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        dist, sigma, levels = _shortest_path_dag(g, s)
+        if dist.min() < 0:
+            raise DisconnectedGraphError("betweenness needs a connected graph")
+        if np.any(sigma > 1.5):
+            raise NonUniqueShortestPathError(
+                "tied shortest paths found; integer path counting is invalid"
+            )
+        delta = np.zeros(n, dtype=np.int64)
+        for srcs, dsts in reversed(levels):
+            np.add.at(delta, srcs, 1 + delta[dsts])
+        delta[s] = 0
+        b += delta
+    return b if ordered else b // 2

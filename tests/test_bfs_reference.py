@@ -1,0 +1,164 @@
+"""The batched diameter and betweenness kernels against the per-source ones."""
+
+import random
+
+import numpy as np
+import pytest
+
+from coronagraphs.graph import (
+    CoronaPlan,
+    Graph,
+    SeedDescriptor,
+    complete_graph,
+    corona_iterate,
+    expand_frontier,
+    path_graph,
+)
+from coronagraphs.structural import (
+    DisconnectedGraphError,
+    NonUniqueShortestPathError,
+    SOURCE_BATCH,
+    betweenness_clique_pathcount,
+    betweenness_exact,
+    diameter_measured,
+)
+
+import reference
+from conftest import random_connected_graph
+
+BUILTIN_SEEDS = ["complete:1", "complete:2", "complete:3", "complete:4",
+                 "path:2", "path:3", "path:4", "cycle:3", "cycle:4", "star:4"]
+
+# around the betweenness batch and the 64-source diameter chunk
+NODE_COUNTS = sorted({1, 2, SOURCE_BATCH - 1, SOURCE_BATCH, SOURCE_BATCH + 1,
+                      63, 64, 65, 127, 128, 129})
+
+
+def outcome(fn, g, **kwargs):
+    """fn's result, or the type of the graph error it raised."""
+    try:
+        return fn(g, **kwargs)
+    except (DisconnectedGraphError, NonUniqueShortestPathError) as exc:
+        return type(exc)
+
+
+def assert_kernels_agree(g: Graph) -> None:
+    assert diameter_measured(g) == reference.diameter_measured(g)
+    # the reference halves its ordered sums, exactly, for the unordered ones
+    want = reference.betweenness_exact(g, ordered=True)
+    want_counts = outcome(reference.betweenness_clique_pathcount, g, ordered=True)
+    for ordered in (False, True):
+        got = betweenness_exact(g, ordered=ordered)
+        ref = want if ordered else want / 2.0
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        got = outcome(betweenness_clique_pathcount, g, ordered=ordered)
+        if isinstance(want_counts, type):
+            assert got is want_counts
+        else:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want_counts if ordered else want_counts // 2)
+
+
+def level(spec: str, m: int) -> Graph:
+    return corona_iterate(CoronaPlan(seed=SeedDescriptor.from_spec(spec), m=m))
+
+
+def split_off_pair(n: int, first: int, rng: random.Random) -> Graph:
+    """n nodes: the edge (first, first+1) apart from a connected rest."""
+    rest = [v for v in range(n) if v not in (first, first + 1)]
+    edges = [(first, first + 1)]
+    for i in range(1, len(rest)):
+        edges.append((rest[rng.randrange(i)], rest[i]))
+    return Graph.from_edges(n, edges)
+
+
+def with_isolated(n: int, node: int, rng: random.Random) -> Graph:
+    """n nodes: ``node`` alone, a random spanning tree on the rest."""
+    rest = [v for v in range(n) if v != node]
+    return Graph.from_edges(n, [(rest[rng.randrange(i)], rest[i])
+                                for i in range(1, len(rest))])
+
+
+class TestExpandFrontier:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(5)
+        graphs = [level("complete:3", 3), level("path:3", 2),
+                  Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3)])]
+        for g in graphs:
+            n = g.node_count
+            # [n - 1] is the isolated node 4 of the last graph: no rows at all
+            frontiers = [np.arange(n), np.array([n - 1]), np.empty(0, dtype=np.int64),
+                         np.sort(rng.choice(n, n // 2, replace=False)),
+                         rng.integers(0, n, 2 * n)]
+            for frontier in frontiers:
+                got = expand_frontier(g, frontier)
+                want = reference.expand_frontier(g, frontier)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SEEDS)
+@pytest.mark.parametrize("m", range(4))
+def test_builtin_seeds(spec, m):
+    assert_kernels_agree(level(spec, m))
+
+
+@pytest.mark.parametrize("n", NODE_COUNTS)
+def test_node_counts_around_batch_and_chunk_sizes(n):
+    assert_kernels_agree(random_connected_graph(n, random.Random(n)))
+
+
+@pytest.mark.parametrize("n", [3, 63, 64, 65])
+def test_paths_one_level_per_node(n):
+    assert_kernels_agree(path_graph(n))
+
+
+@pytest.mark.parametrize("ends", [(0, 64), (63, 127), (64, 129)])
+def test_only_diameter_endpoints_at_chunk_edges(ends):
+    # a path over 130 nodes whose two ends, the only nodes of eccentricity
+    # 129, sit at the first or last source of a 64-source chunk
+    a, b = ends
+    order = [a] + [v for v in range(130) if v not in ends] + [b]
+    g = Graph.from_edges(130, list(zip(order, order[1:])))
+    assert diameter_measured(g) == 129
+
+
+def test_k1_k2_and_empty():
+    assert diameter_measured(complete_graph(1)) == 0
+    assert diameter_measured(complete_graph(2)) == 1
+    assert np.array_equal(betweenness_exact(complete_graph(2)), [0.0, 0.0])
+    empty = Graph.from_edges(0, [])
+    assert diameter_measured(empty) == 0
+    assert len(betweenness_exact(empty)) == 0
+    for g in (complete_graph(1), complete_graph(2), empty):
+        assert_kernels_agree(g)
+
+
+# 150 nodes: three diameter chunks (0-63, 64-127, 128-149) and batches of
+# SOURCE_BATCH sources; 0, 70 and 148 sit in the first, a middle and the last
+@pytest.mark.parametrize("first", [0, 70, 148])
+def test_disconnected_in_first_middle_last_batch(first):
+    g = split_off_pair(150, first, random.Random(first))
+    assert g.degrees.all()
+    with pytest.raises(DisconnectedGraphError):
+        reference.diameter_measured(g)
+    with pytest.raises(DisconnectedGraphError):
+        diameter_measured(g)
+    for ordered in (False, True):
+        with pytest.raises(DisconnectedGraphError):
+            betweenness_exact(g, ordered=ordered)
+        with pytest.raises(DisconnectedGraphError):
+            betweenness_clique_pathcount(g, ordered=ordered)
+
+
+@pytest.mark.parametrize("node", [0, 70, 149])
+def test_isolated_node(node):
+    g = with_isolated(150, node, random.Random(node))
+    with pytest.raises(DisconnectedGraphError):
+        diameter_measured(g)
+    with pytest.raises(DisconnectedGraphError):
+        betweenness_exact(g)
+    with pytest.raises(DisconnectedGraphError):
+        betweenness_clique_pathcount(g)

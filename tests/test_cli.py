@@ -138,6 +138,35 @@ class TestStats:
         assert json.loads(out.read_text())["diameter"]["measured"] is None
 
 
+class TestGoldenStats:
+    # sha256 of stdout, pinned from the per-source BFS kernels; every pair
+    # has one shortest path on a complete:k corona, so betweenness is whole
+    # numbers whatever the summation order
+    GOLDEN = {
+        "json": "4714718b26c2da75092469846a41f61fe67c28da47cf02d5208cefb86cb21d62",
+        "csv": "0a8e156188dde17437247c3f56dbef081b6fe0bd836436e1ca69c3a1bf3647d0",
+    }
+
+    @pytest.mark.parametrize("fmt", list(GOLDEN))
+    def test_unique_path_payload_sha256(self, fmt, capsys):
+        code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "4",
+                              "--betweenness", "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN[fmt]
+
+    def test_csv_needs_no_fit(self, capsys):
+        # every betweenness value of K3 is 0, one value, too few for the
+        # json report's power-law fit; the csv payload is the values alone
+        code, stdout, err = run(capsys, "stats", "--seed", "complete:3", "--m", "0",
+                                "--betweenness")
+        assert code == EXIT_CONFIG
+        assert "3 distinct values" in err
+        code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "0",
+                              "--betweenness", "--format", "csv")
+        assert code == EXIT_OK
+        assert stdout.splitlines() == ["node,b", "0,0.0", "1,0.0", "2,0.0"]
+
+
 class TestSpectrum:
     def test_closed_form_laplacian(self, capsys, tmp_path):
         out = tmp_path / "spec.json"

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from conftest import random_connected_graph
 from coronagraphs.distributions import cumulative_series, fit_exponential
 from coronagraphs.graph import (
@@ -209,12 +210,34 @@ class TestBetweenness:
             betweenness_exact(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+class TestNetworkxCrossCheck:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_diameter_and_betweenness(self, seed):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(seed)
+        seed_graph = random_connected_graph(rng.randrange(3, 7), rng)
+        graphs = [seed_graph]
+        for _ in range(2):
+            graphs.append(corona_product(graphs[-1], seed_graph))
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.node_count))
+            h.add_edges_from(g.edge_array().tolist())
+            assert diameter_measured(g) == nx.diameter(h)
+            want = nx.betweenness_centrality(h, normalized=False)
+            b = betweenness_exact(g)
+            assert np.allclose(b, [want[v] for v in range(g.node_count)],
+                               rtol=1e-12, atol=1e-12)
+
+
 class TestCliquePathCounting:
     @pytest.mark.parametrize("spec,m", [("complete:3", 2), ("complete:4", 1)])
     def test_equals_accumulation(self, spec, m):
         g = level(spec, m)
         counts = betweenness_clique_pathcount(g)
         assert np.max(np.abs(counts - betweenness_exact(g))) < 1e-9
+        # the per-source integer count, independent of the float dependencies
+        assert np.array_equal(counts, reference.betweenness_clique_pathcount(g))
 
     def test_non_clique_seed_detected(self):
         with pytest.raises(NonUniqueShortestPathError):

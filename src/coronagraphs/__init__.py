@@ -43,13 +43,10 @@ from .spectral import (
     algebraic_connectivity,
     build_one_step_eigenpairs,
     closed_form_spectrum,
-    laplacian_spectrum,
-    quadratic_spectrum,
-    quadratic_step,
+    corona_step,
     spectral_radius,
-    star_adjacency_spectrum,
     star_cubic_roots,
-    star_signless_spectrum,
+    step_rule,
 )
 from .structural import (
     average_degree,

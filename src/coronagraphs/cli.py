@@ -59,19 +59,17 @@ class RunConfig:
             parts += ["--out", self.out]
         if self.betweenness:
             parts.append("--betweenness")
-        parts += ["--tolerance", repr(self.tolerance),
-                  "--node-cap", str(self.node_cap)]
+        if self.command == "verify":
+            parts += ["--tolerance", repr(self.tolerance)]
+        parts += ["--node-cap", str(self.node_cap)]
         if self.force:
             parts.append("--force")
         return " ".join(parts)
 
     @classmethod
     def from_argv(cls, argv) -> "RunConfig":
-        ns = _build_parser().parse_args(argv)
-        return cls(command=ns.command, seed=ns.seed, m=ns.m, format=ns.format,
-                   kind=getattr(ns, "kind", None), out=ns.out,
-                   betweenness=getattr(ns, "betweenness", False),
-                   tolerance=ns.tolerance, node_cap=ns.node_cap, force=ns.force)
+        # every parser dest is a field; a command's absent flags keep the defaults
+        return cls(**vars(_build_parser().parse_args(argv)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,11 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True,
                        help="number of corona iterations")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--tolerance", type=float, default=1e-8)
         p.add_argument("--node-cap", dest="node_cap", type=int,
                        default=DEFAULT_NODE_CAP)
-        p.add_argument("--force", action="store_true",
-                       help="override the betweenness size guard")
 
     p = sub.add_parser("generate", help="materialize the edge list of G^(m)")
     common(p)
@@ -101,6 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--betweenness", action="store_true",
                    help="include exact betweenness and its power-law fit")
+    p.add_argument("--force", action="store_true",
+                   help="override the betweenness size guard")
 
     p = sub.add_parser("spectrum", help="closed-form spectrum where supported")
     common(p)
@@ -111,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", choices=list(KINDS), required=True)
     p.add_argument("--format", choices=["json"], default="json")
+    p.add_argument("--tolerance", type=float, default=1e-8)
 
     return parser
 
@@ -216,12 +214,6 @@ def cmd_stats(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _oracle_spectrum(g, kind: str) -> spectral.Spectrum:
-    vals = oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
-    return spectral.make_spectrum(kind, [(float(v), 1) for v in vals],
-                                  level=0, provenance="oracle")
-
-
 def cmd_spectrum(cfg: RunConfig) -> int:
     plan = _plan(cfg)
     discrepancies: list[spectral.CubicDiscrepancy] = []
@@ -237,9 +229,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             notice = (f"no closed form for kind={cfg.kind} with seed "
                       f"{cfg.seed}; falling back to the dense eigensolver")
         _guard(plan, oracle.DEFAULT_ORACLE_CAP, "oracle fallback")
-        s = _oracle_spectrum(corona_iterate(plan), cfg.kind)
-        spectrum = spectral.Spectrum(kind=s.kind, entries=s.entries, level=cfg.m,
-                                     provenance="oracle")
+        g = corona_iterate(plan)
+        vals = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
+        spectrum = spectral.make_spectrum(cfg.kind, [(float(v), 1) for v in vals],
+                                          level=cfg.m, provenance="oracle")
     payload = {
         "schema": 1,
         "command": "spectrum",

@@ -1,23 +1,27 @@
-"""Closed-form corona spectra via per-step recursions.
+"""Closed-form corona spectra via one per-step recursion.
 
-One corona step maps every eigenvalue of the current graph through a secular
-equation of the seed (quadratic for regular seeds, cubic for stars) and
-appends the seed eigenvalues whose eigenvectors are orthogonal to the
-all-ones vector.  Iterating the step enumerates exactly the branch
-combinations of the unrolled closed forms, without their sign-placement
-ambiguity.
+One corona step maps every eigenvalue x of the current graph through the
+seed's secular equation and appends the seed eigenvalues whose eigenvectors
+are orthogonal to the all-ones vector.  Iterating the step enumerates exactly
+the branch combinations of the unrolled closed forms, without their
+sign-placement ambiguity.  ``closed_form_spectrum`` is the one driver:
+``step_rule`` picks the seed's rule and ``corona_step`` applies it.
 
-The quadratic is one step for all three matrix kinds (``quadratic_step``):
-an entry x spawns (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2, and the seed
-spectrum, less one copy of ``drop``, is appended shifted by ``shift``:
+An entry x spawns the quadratic roots (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2
+for a seed on n nodes, or the three roots of the secular cubic of the star on
+k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
+``drop`` value, is appended shifted by ``shift``:
 
-    kind       alpha       beta        drop  shift
-    adjacency  r           r           r     0
-    laplacian  n+1         1-n         0     1
-    signless   n+2r+1      2r+1-n      2r    1
+    seed      kind       roots                           drop          shift
+    regular   adjacency  quadratic, alpha=beta=r         r             0
+    any       laplacian  quadratic, n+1, 1-n             0             1
+    regular   signless   quadratic, n+2r+1, 2r+1-n       2r            1
+    star      adjacency  cubic                           -+sqrt(k-1)   0
+    star      signless   cubic                           0, k          1
 
-for a seed on n nodes, r-regular for the adjacency and signless kinds; the
-Laplacian step holds for any seed.
+The regular seeds are r-regular, and the Laplacian rule holds for any
+connected seed.  The shift depends on the kind alone: the host edge adds 1
+to the degree of every copy vertex in L and Q.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .graph import Graph, corona_product
+from .graph import Graph, connected_component_count, corona_product
 
 ADJACENCY = "adjacency"
 LAPLACIAN = "laplacian"
@@ -143,63 +147,6 @@ def _drop_one(entries, value: float) -> list[tuple[float, int]]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# the quadratic step: regular seeds for every kind, any seed for L
-
-
-def _quadratic_coefficients(kind: str, n: int, r: int | None):
-    """(alpha, beta, drop, shift) of the kind's step, as in the module table."""
-    if kind == LAPLACIAN:
-        return n + 1, 1 - n, 0, 1.0
-    if r is None:
-        raise ValueError(f"the {kind} step needs a regular seed's degree r")
-    if kind == ADJACENCY:
-        return r, r, r, 0.0
-    return n + 2 * r + 1, 2 * r + 1 - n, 2 * r, 1.0
-
-
-def quadratic_step(s: Spectrum, seed: Spectrum, n: int, r: int | None = None) -> Spectrum:
-    """One corona step of an A, L or Q spectrum; the seed has n nodes.
-
-    Every entry x (mult w) spawns its two quadratic roots with mult w; the
-    appended seed values carry the input's total multiplicity.  The
-    adjacency and signless kinds need the seed's regularity degree r.
-    """
-    if s.kind != seed.kind:
-        raise ValueError(f"kind mismatch: {s.kind} spectrum, {seed.kind} seed")
-    alpha, beta, drop, shift = _quadratic_coefficients(s.kind, n, r)
-    total = s.total_multiplicity
-    pairs = []
-    for x, w in s.entries:
-        if s.kind == LAPLACIAN and x < -1e-9:
-            raise ValueError(f"negative Laplacian input eigenvalue {x}")
-        disc = math.sqrt((x - beta) ** 2 + 4 * n)
-        pairs.append(((x + alpha + disc) / 2.0, w))
-        pairs.append(((x + alpha - disc) / 2.0, w))
-    for mu, w in _drop_one(seed.entries, float(drop)):
-        pairs.append((mu + shift, w * total))
-    return make_spectrum(s.kind, pairs, level=s.level + 1)
-
-
-def quadratic_spectrum(seed_graph: Graph, kind: str, m: int) -> Spectrum:
-    """m-fold quadratic step; each +- branch sequence is one closed-form line."""
-    seed = seed_spectrum(seed_graph, kind)
-    r = regular_degree(seed_graph)
-    s = seed
-    for _ in range(m):
-        s = quadratic_step(s, seed, seed_graph.node_count, r)
-    return s
-
-
-def laplacian_spectrum(seed_graph: Graph, m: int) -> Spectrum:
-    """Level-m Laplacian spectrum for any connected seed."""
-    from .graph import connected_component_count
-
-    if connected_component_count(seed_graph) != 1:
-        raise ValueError("Laplacian closed form needs a connected seed")
-    return quadratic_spectrum(seed_graph, LAPLACIAN, m)
-
-
 def spectral_radius(s: Spectrum) -> float:
     if not s.entries:
         raise ValueError("empty spectrum")
@@ -234,16 +181,7 @@ class CubicDiscrepancy:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "level": self.level,
-            "mu": self.mu,
-            "printed_roots": list(self.printed_roots),
-            "secular_roots": list(self.secular_roots),
-            "max_delta": self.max_delta,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
 def _real_cubic_roots(b: float, c: float, d: float,
@@ -325,53 +263,76 @@ def star_cubic_roots(mu: float, k: int, kind: str, *,
     return secular
 
 
-def star_adjacency_seed_spectrum(k: int) -> Spectrum:
-    if k < 3:
-        raise ValueError("star seeds need k >= 3")
-    root = math.sqrt(k - 1.0)
-    return make_spectrum(ADJACENCY, [(-root, 1), (0.0, k - 2), (root, 1)], level=0)
+# ---------------------------------------------------------------------------
+# the corona step
 
 
-def star_signless_seed_spectrum(k: int) -> Spectrum:
-    if k < 3:
-        raise ValueError("star seeds need k >= 3")
-    return make_spectrum(SIGNLESS, [(0.0, 1), (1.0, k - 2), (float(k), 1)], level=0)
+def _quadratic_roots(n: int, alpha: int, beta: int):
+    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2; the level is unused."""
+    def roots(x: float, level: int = 0) -> tuple[float, float]:
+        disc = math.sqrt((x - beta) ** 2 + 4 * n)
+        return (x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0
+    return roots
 
 
-def _star_spectrum(k: int, m: int, kind: str, seed: Spectrum, appended: float,
-                   discrepancies: list | None) -> Spectrum:
-    s = seed
-    total = k
-    for level in range(1, m + 1):
-        pairs = []
-        for mu, w in s.entries:
-            for root in star_cubic_roots(mu, k, kind,
-                                         discrepancies=discrepancies,
-                                         level=level):
-                pairs.append((root, w))
-        pairs.append((appended, (k - 2) * total))
-        s = make_spectrum(kind, pairs, level=level)
-        total *= k + 1
-    return s
+def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
+    """(level-0 spectrum, roots, drop) of the seed's step, as in the module table.
 
-
-def star_adjacency_spectrum(k: int, m: int,
-                            discrepancies: list | None = None) -> Spectrum:
-    """Adjacency spectrum of the level-m corona graph of the star on k nodes.
-
-    Each level feeds every previous eigenvalue through the cubic and appends
-    zero with multiplicity (k-2) times the previous node count, so the zero
-    multiplicity at level m is k*(k-2)*(k+1)**(m-1).
+    ``roots(x, level)`` gives the values an entry x spawns at ``level``.
+    None when the (seed, kind) pair has no closed form.  The star cubics
+    record their printed-form discrepancies in ``discrepancies``.
     """
-    return _star_spectrum(k, m, ADJACENCY, star_adjacency_seed_spectrum(k),
-                          appended=0.0, discrepancies=discrepancies)
+    n, r = seed_graph.node_count, regular_degree(seed_graph)
+    if kind == LAPLACIAN:
+        if connected_component_count(seed_graph) != 1:
+            raise ValueError("Laplacian closed form needs a connected seed")
+        alpha, beta, drop = n + 1, 1 - n, 0
+    elif r is not None:
+        alpha, beta, drop = ((r, r, r) if kind == ADJACENCY
+                             else (n + 2 * r + 1, 2 * r + 1 - n, 2 * r))
+    else:
+        k = star_size(seed_graph)
+        if k is None:
+            return None
+        if kind == ADJACENCY:
+            root = math.sqrt(k - 1.0)
+            seed = make_spectrum(kind, [(-root, 1), (0.0, k - 2), (root, 1)], level=0)
+            dropped = (-root, root)
+        else:
+            seed = make_spectrum(kind, [(0.0, 1), (1.0, k - 2), (float(k), 1)], level=0)
+            dropped = (0.0, float(k))
+
+        # star_cubic_roots is looked up at each call, so a patched module
+        # attribute (the bench tracer's) sees every cubic
+        def cubic(x: float, level: int) -> tuple[float, float, float]:
+            return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
+                                    level=level)
+        return seed, cubic, dropped
+    return (seed_spectrum(seed_graph, kind), _quadratic_roots(n, alpha, beta),
+            (float(drop),))
 
 
-def star_signless_spectrum(k: int, m: int,
-                           discrepancies: list | None = None) -> Spectrum:
-    """Signless Laplacian counterpart; the appended line is q=1 shifted to 2."""
-    return _star_spectrum(k, m, SIGNLESS, star_signless_seed_spectrum(k),
-                          appended=2.0, discrepancies=discrepancies)
+def corona_step(s: Spectrum, seed: Spectrum, roots, drop) -> Spectrum:
+    """One corona step of an A, L or Q spectrum under a ``step_rule``.
+
+    Every entry x (mult w) spawns ``roots(x, level)`` with mult w; the seed
+    values, less one copy of each ``drop`` value and shifted, carry the
+    input's total multiplicity.
+    """
+    if s.kind != seed.kind:
+        raise ValueError(f"kind mismatch: {s.kind} spectrum, {seed.kind} seed")
+    low = min(s.values, default=0.0)
+    if s.kind == LAPLACIAN and low < -1e-9:
+        raise ValueError(f"negative Laplacian input eigenvalue {low}")
+    level = s.level + 1
+    total = s.total_multiplicity
+    pairs = [(lam, w) for x, w in s.entries for lam in roots(x, level)]
+    appended = seed.entries
+    for value in drop:
+        appended = _drop_one(appended, value)
+    shift = 0.0 if s.kind == ADJACENCY else 1.0
+    pairs.extend((mu + shift, w * total) for mu, w in appended)
+    return make_spectrum(s.kind, pairs, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +362,12 @@ def build_one_step_eigenpairs(seed_graph: Graph, r: int | None = None) -> list[E
     n = seed_graph.node_count
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
     perron = int(np.argmax(vals))
+    roots = _quadratic_roots(n, r, r)
     pairs: list[EigenPair] = []
     for i in range(n):
         mu = float(vals[i])
         z = vecs[:, i]
-        disc = math.sqrt((r - mu) ** 2 + 4 * n)
-        for lam in ((mu + r + disc) / 2.0, (mu + r - disc) / 2.0):
+        for lam in roots(mu):
             if abs(lam - r) <= 1e-12:
                 raise ValueError("degenerate denominator: eigenvalue equals r")
             vec = np.concatenate((z, np.repeat(z, n) / (lam - r)))
@@ -441,18 +402,16 @@ def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
 
     Regular seeds support all three kinds; star seeds support adjacency and
     signless via the cubic recursion; any connected seed supports the
-    Laplacian.
+    Laplacian.  Every closed form is m ``corona_step``s of the seed's
+    ``step_rule``.
     """
-    if kind == LAPLACIAN:
-        return laplacian_spectrum(seed_graph, m)
-    if regular_degree(seed_graph) is not None:
-        return quadratic_spectrum(seed_graph, kind, m)
-    k = star_size(seed_graph)
-    if k is not None:
-        if kind == ADJACENCY:
-            return star_adjacency_spectrum(k, m, discrepancies)
-        return star_signless_spectrum(k, m, discrepancies)
-    return None
+    rule = step_rule(seed_graph, kind, discrepancies)
+    if rule is None:
+        return None
+    s = rule[0]
+    for _ in range(m):
+        s = corona_step(s, *rule)
+    return s
 
 
 def spectrum_to_json(s: Spectrum, n: int) -> dict:

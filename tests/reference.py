@@ -9,7 +9,9 @@ The tests assert that both paths give identical arrays and identical bytes.
 The package also runs one quadratic step for all three spectrum kinds.  The
 three per-kind steps it replaces are kept below, each with its own
 discriminant as first written; the tests assert that both give the same
-multiplicities and values to rounding.
+multiplicities and values to rounding.  The star seeds ran on a driver of
+their own, with their own exact seed spectra; it is kept below too, and the
+tests assert the same entries and the same discrepancy records.
 
 The package runs its all-source BFS in batches: the diameter 64 sources per
 machine word, betweenness a few sources side by side.  The one-source-at-a-
@@ -31,6 +33,7 @@ from coronagraphs.spectral import (
     Spectrum,
     _drop_one,
     make_spectrum,
+    star_cubic_roots,
 )
 from coronagraphs.structural import DisconnectedGraphError, NonUniqueShortestPathError
 
@@ -110,6 +113,48 @@ def quadratic_step(s: Spectrum, seed: Spectrum, n: int, r: int | None) -> Spectr
     if s.kind == LAPLACIAN:
         return laplacian_step(s, seed, n)
     return signless_step_regular(s, seed, n, r)
+
+
+def star_adjacency_seed_spectrum(k: int) -> Spectrum:
+    if k < 3:
+        raise ValueError("star seeds need k >= 3")
+    root = math.sqrt(k - 1.0)
+    return make_spectrum(ADJACENCY, [(-root, 1), (0.0, k - 2), (root, 1)], level=0)
+
+
+def star_signless_seed_spectrum(k: int) -> Spectrum:
+    if k < 3:
+        raise ValueError("star seeds need k >= 3")
+    return make_spectrum(SIGNLESS, [(0.0, 1), (1.0, k - 2), (float(k), 1)], level=0)
+
+
+def _star_spectrum(k: int, m: int, kind: str, seed: Spectrum, appended: float,
+                   discrepancies: list | None) -> Spectrum:
+    s = seed
+    total = k
+    for level in range(1, m + 1):
+        pairs = []
+        for mu, w in s.entries:
+            for root in star_cubic_roots(mu, k, kind,
+                                         discrepancies=discrepancies,
+                                         level=level):
+                pairs.append((root, w))
+        pairs.append((appended, (k - 2) * total))
+        s = make_spectrum(kind, pairs, level=level)
+        total *= k + 1
+    return s
+
+
+def star_spectrum(k: int, m: int, kind: str,
+                  discrepancies: list | None = None) -> Spectrum:
+    """Level-m A or Q spectrum of the star seed on k nodes: every eigenvalue
+    through the cubic, then zero (A) or q=1 shifted to 2 (Q) appended with
+    multiplicity (k-2) times the previous node count."""
+    if kind == ADJACENCY:
+        return _star_spectrum(k, m, ADJACENCY, star_adjacency_seed_spectrum(k),
+                              appended=0.0, discrepancies=discrepancies)
+    return _star_spectrum(k, m, SIGNLESS, star_signless_seed_spectrum(k),
+                          appended=2.0, discrepancies=discrepancies)
 
 
 def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

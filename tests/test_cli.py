@@ -207,6 +207,35 @@ class TestSpectrum:
         assert payload["discrepancies"][0]["max_delta"] > 1e-3
 
 
+class TestGoldenSpectrum:
+    # sha256 of stdout, pinned from the separate star driver and quadratic
+    # spectrum wrappers that the one corona step replaced; the verify case
+    # covers the eigenpair residual path
+    GOLDEN = {
+        "spectrum star:4 3 signless":
+            "ca95143c795e0b9b1cbc42ea0caeacf58557d2d6ab1ca43f310f460ec1c16504",
+        "spectrum star:5 2 adjacency":
+            "710f1bcb426eb8ceaaf391df45ef3c9fb2236617cf0288db6476d91423e0275f",
+        "spectrum complete:3 6 laplacian":
+            "ec8a58e2e24263440d1964c8849ec19eac51c8af2a384e4f17dfe409d5c26e1f",
+        "verify complete:3 1 adjacency":
+            "78c64b9b1ef008b173b172e284fdc9dc1dc117eb3f70aec1aedf994b25f9546a",
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN))
+    def test_payload_sha256(self, case, capsys):
+        command, seed, m, kind = case.split()
+        code, stdout, err = run(capsys, command, "--seed", seed, "--m", m,
+                                "--kind", kind)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN[case]
+
+    def test_star_discrepancy_records_in_the_pinned_payload(self, capsys):
+        _, stdout, _ = run(capsys, "spectrum", "--seed", "star:4", "--m", "3",
+                           "--kind", "signless")
+        assert len(json.loads(stdout)["discrepancies"]) == 44
+
+
 class TestVerify:
     @pytest.mark.parametrize("seed,m,kind", [
         ("star:3", 1, "adjacency"),
@@ -264,6 +293,21 @@ class TestConfig:
                                    "--betweenness", "--force"])
         again = RunConfig.from_argv(cfg.canonical().split())
         assert again.canonical() == cfg.canonical()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--seed", "complete:3", "--m", "1", "--kind", "adjacency",
+         "--force"],
+        ["generate", "--seed", "complete:3", "--m", "1", "--tolerance", "1e-9"],
+    ])
+    def test_flags_belong_to_their_one_command(self, capsys, argv):
+        # --force only guards stats' betweenness, --tolerance only verify
+        assert main(argv) == EXIT_CONFIG
+
+    def test_canonical_tolerance_for_verify_only(self):
+        cfg = RunConfig.from_argv(["spectrum", "--seed", "complete:3", "--m", "1",
+                                   "--kind", "adjacency"])
+        assert "--tolerance" not in cfg.canonical()
+        assert RunConfig.from_argv(cfg.canonical().split()) == cfg
 
     def test_unknown_flag_rejected(self, capsys):
         assert main(["stats", "--seed", "path:3", "--m", "1", "--bogus"]) == EXIT_CONFIG

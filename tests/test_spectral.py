@@ -27,19 +27,16 @@ from coronagraphs.spectral import (
     algebraic_connectivity,
     build_one_step_eigenpairs,
     closed_form_spectrum,
+    corona_step,
     eigenpair_residual_max,
-    laplacian_spectrum,
     make_spectrum,
-    quadratic_spectrum,
-    quadratic_step,
     regular_degree,
     seed_spectrum,
     spectral_radius,
     spectrum_to_json,
-    star_adjacency_spectrum,
     star_cubic_roots,
-    star_signless_spectrum,
     star_size,
+    step_rule,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -54,6 +51,11 @@ def level(spec: str, m: int) -> Graph:
 
 def oracle_values(g: Graph, kind: str) -> np.ndarray:
     return oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
+
+
+def step(s: Spectrum, g: Graph) -> Spectrum:
+    """One corona step of s under seed g's rule for s's kind."""
+    return corona_step(s, *step_rule(g, s.kind))
 
 
 class TestSpectrumType:
@@ -105,7 +107,7 @@ class TestSeedHelpers:
 class TestAdjacencyStep:
     def test_k3_level1_frozen(self):
         s0 = seed_spectrum(complete_graph(3), ADJACENCY)
-        s1 = quadratic_step(s0, s0, 3, 2)
+        s1 = step(s0, complete_graph(3))
         expected = sorted([
             (2 - SQ3, 1), ((1 - SQ21) / 2, 2), (-1.0, 6),
             ((1 + SQ21) / 2, 2), (2 + SQ3, 1),
@@ -117,26 +119,26 @@ class TestAdjacencyStep:
 
     def test_single_node_seed_gives_k2(self):
         s0 = make_spectrum(ADJACENCY, [(0.0, 1)], level=0)
-        s1 = quadratic_step(s0, s0, 1, 0)
+        s1 = step(s0, complete_graph(1))
         assert [(round(v, 12), w) for v, w in s1.entries] == [(-1.0, 1), (1.0, 1)]
 
     def test_trace_stays_zero(self):
         s0 = seed_spectrum(cycle_graph(4), ADJACENCY)
-        s1 = quadratic_step(s0, s0, 4, 2)
+        s1 = step(s0, cycle_graph(4))
         assert s1.moment(1) == pytest.approx(0.0, abs=1e-9)
 
     def test_kind_mismatch(self):
         lap = seed_spectrum(complete_graph(3), LAPLACIAN)
         adj = seed_spectrum(complete_graph(3), ADJACENCY)
         with pytest.raises(ValueError, match="adjacency"):
-            quadratic_step(lap, adj, 3, 2)
+            corona_step(lap, *step_rule(complete_graph(3), ADJACENCY))
 
     def test_branch_family_sizes(self):
         # each entry spawns exactly two branch values, the appended family
         # carries (n-1) * input total, so the output total is (n+1) * input
         s0 = seed_spectrum(complete_graph(3), ADJACENCY)
-        s1 = quadratic_step(s0, s0, 3, 2)
-        s2 = quadratic_step(s1, s0, 3, 2)
+        s1 = step(s0, complete_graph(3))
+        s2 = step(s1, complete_graph(3))
         assert s1.total_multiplicity == 4 * s0.total_multiplicity
         assert s2.total_multiplicity == 4 * s1.total_multiplicity
 
@@ -144,7 +146,7 @@ class TestAdjacencyStep:
 class TestAdjacencySpectrumRegular:
     def test_m0_identity(self):
         g = complete_graph(3)
-        assert quadratic_spectrum(g, ADJACENCY, 0) == seed_spectrum(g, ADJACENCY)
+        assert closed_form_spectrum(g, ADJACENCY, 0) == seed_spectrum(g, ADJACENCY)
 
     @pytest.mark.parametrize("spec,m", [
         ("complete:3", 1), ("complete:3", 2), ("cycle:4", 1), ("cycle:4", 2),
@@ -152,32 +154,33 @@ class TestAdjacencySpectrumRegular:
     ])
     def test_matches_oracle(self, spec, m):
         seed = SeedDescriptor.from_spec(spec).graph
-        closed = quadratic_spectrum(seed, ADJACENCY, m)
+        closed = closed_form_spectrum(seed, ADJACENCY, m)
         rep = oracle.compare_spectra(closed, oracle_values(level(spec, m), ADJACENCY),
                                      tol=1e-8)
         assert rep.passed, rep
 
     def test_c4_level1_sums_to_zero(self):
-        closed = quadratic_spectrum(cycle_graph(4), ADJACENCY, 1)
+        closed = closed_form_spectrum(cycle_graph(4), ADJACENCY, 1)
         assert closed.total_multiplicity == 20
         assert closed.moment(1) == pytest.approx(0.0, abs=1e-9)
 
     def test_spectral_radius(self):
         seed = complete_graph(3)
-        s1 = quadratic_spectrum(seed, ADJACENCY, 1)
+        s1 = closed_form_spectrum(seed, ADJACENCY, 1)
         assert spectral_radius(s1) == pytest.approx(2 + SQ3, abs=1e-12)
         assert spectral_radius(seed_spectrum(seed, ADJACENCY)) == 2.0
 
     def test_radius_nondecreasing_in_m(self):
         seed = complete_graph(3)
-        radii = [spectral_radius(quadratic_spectrum(seed, ADJACENCY, m)) for m in range(5)]
+        radii = [spectral_radius(closed_form_spectrum(seed, ADJACENCY, m))
+                 for m in range(5)]
         assert all(b >= a for a, b in zip(radii, radii[1:]))
 
 
 class TestLaplacian:
     def test_k3_step_frozen(self):
         s0 = seed_spectrum(complete_graph(3), LAPLACIAN)
-        s1 = quadratic_step(s0, s0, 3)
+        s1 = step(s0, complete_graph(3))
         table = {round(v, 9): w for v, w in s1.entries}
         assert table[0.0] == 1
         assert table[4.0] == 7
@@ -187,11 +190,11 @@ class TestLaplacian:
 
     def test_zero_maps_to_zero_and_n_plus_one(self):
         s0 = make_spectrum(LAPLACIAN, [(0.0, 1)], level=0)
-        s1 = quadratic_step(s0, make_spectrum(LAPLACIAN, [(0.0, 1)], level=0), 1)
+        s1 = step(s0, complete_graph(1))
         assert s1.entries == ((0.0, 1), (2.0, 1))
 
     def test_p3_seed_exactly_one_zero(self):
-        closed = laplacian_spectrum(path_graph(3), 1)
+        closed = closed_form_spectrum(path_graph(3), LAPLACIAN, 1)
         assert closed.total_multiplicity == 12
         assert closed.zero_count() == 1
 
@@ -201,7 +204,7 @@ class TestLaplacian:
     ])
     def test_matches_oracle(self, spec, m):
         seed = SeedDescriptor.from_spec(spec).graph
-        closed = laplacian_spectrum(seed, m)
+        closed = closed_form_spectrum(seed, LAPLACIAN, m)
         rep = oracle.compare_spectra(closed, oracle_values(level(spec, m), LAPLACIAN),
                                      tol=1e-8)
         assert rep.passed, rep
@@ -209,19 +212,20 @@ class TestLaplacian:
 
     def test_disconnected_seed_rejected(self):
         with pytest.raises(ValueError, match="connected"):
-            laplacian_spectrum(Graph.from_edges(4, [(0, 1), (2, 3)]), 1)
+            closed_form_spectrum(Graph.from_edges(4, [(0, 1), (2, 3)]), LAPLACIAN, 1)
 
     def test_algebraic_connectivity(self):
         assert algebraic_connectivity(
             seed_spectrum(complete_graph(3), LAPLACIAN)) == pytest.approx(3.0)
-        s1 = laplacian_spectrum(complete_graph(3), 1)
+        s1 = closed_form_spectrum(complete_graph(3), LAPLACIAN, 1)
         assert algebraic_connectivity(s1) == pytest.approx((7 - SQ37) / 2, abs=1e-12)
 
     def test_connectivity_below_one_for_all_seeds(self):
         for spec in ["complete:3", "path:3", "cycle:4", "star:4", "complete:4"]:
             seed = SeedDescriptor.from_spec(spec).graph
             for m in range(1, 5):
-                assert algebraic_connectivity(laplacian_spectrum(seed, m)) < 1.0
+                s = closed_form_spectrum(seed, LAPLACIAN, m)
+                assert algebraic_connectivity(s) < 1.0
 
     def test_kind_check(self):
         with pytest.raises(ValueError):
@@ -234,7 +238,7 @@ class TestSignless:
         assert [w for _, w in s0.entries] == [2, 1]
         assert s0.entries[-1] == (4.0, 1)
         assert abs(s0.entries[0][0] - 1.0) <= 1e-15
-        s1 = quadratic_step(s0, s0, 3, 2)
+        s1 = step(s0, complete_graph(3))
         table = {round(v, 9): w for v, w in s1.entries}
         assert table[8.0] == 1
         assert table[4.0] == 1
@@ -255,7 +259,7 @@ class TestSignless:
     ])
     def test_matches_oracle(self, spec, m):
         seed = SeedDescriptor.from_spec(spec).graph
-        closed = quadratic_spectrum(seed, SIGNLESS, m)
+        closed = closed_form_spectrum(seed, SIGNLESS, m)
         rep = oracle.compare_spectra(closed, oracle_values(level(spec, m), SIGNLESS),
                                      tol=1e-8)
         assert rep.passed, rep
@@ -305,46 +309,51 @@ class TestStarCubics:
 
 class TestStarSpectra:
     def test_s3_level1_structure(self):
-        s = star_adjacency_spectrum(3, 1)
+        s = closed_form_spectrum(star_graph(3), ADJACENCY, 1)
         assert s.total_multiplicity == 12
         assert s.zero_count(tol=1e-9) == 3  # k(k-2) appended zeros
 
-    @pytest.mark.parametrize("k,m", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    # star:6 at m=2 is 294 nodes
+    STAR_CASES = [(k, m) for k in (3, 4, 5, 6) for m in (1, 2)]
+
+    @pytest.mark.parametrize("k,m", STAR_CASES)
     def test_adjacency_matches_oracle(self, k, m):
         sink: list[CubicDiscrepancy] = []
-        closed = star_adjacency_spectrum(k, m, sink)
+        closed = closed_form_spectrum(star_graph(k), ADJACENCY, m, sink)
         rep = oracle.compare_spectra(closed, oracle_values(level(f"star:{k}", m),
                                                            ADJACENCY), tol=1e-8)
         assert rep.passed, rep
+        assert rep.count_mismatched == 0
         assert sink == []
 
     def test_zero_multiplicity_formula(self):
         k, m = 4, 2
-        closed = star_adjacency_spectrum(k, m)
+        closed = closed_form_spectrum(star_graph(k), ADJACENCY, m)
         expected = k * (k - 2) * (k + 1) ** (m - 1)
         assert closed.zero_count(tol=1e-8) == expected
         numeric = oracle_values(level("star:4", 2), ADJACENCY)
         assert int(np.sum(np.abs(numeric) < 1e-8)) == expected
 
-    @pytest.mark.parametrize("k,m", [(3, 1), (3, 2), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("k,m", STAR_CASES)
     def test_signless_matches_oracle_with_discrepancies(self, k, m):
         sink: list[CubicDiscrepancy] = []
-        closed = star_signless_spectrum(k, m, sink)
+        closed = closed_form_spectrum(star_graph(k), SIGNLESS, m, sink)
         rep = oracle.compare_spectra(closed, oracle_values(level(f"star:{k}", m),
                                                            SIGNLESS), tol=1e-8)
         assert rep.passed, rep
+        assert rep.count_mismatched == 0
         # the printed signless trig constant is off for every k, so the
         # verbatim formula must be flagged at each level
         assert len(sink) > 0
 
     def test_signless_trace_identity(self):
         for k, m in [(3, 1), (4, 1), (4, 2)]:
-            closed = star_signless_spectrum(k, m)
+            closed = closed_form_spectrum(star_graph(k), SIGNLESS, m)
             e = edge_count_formula(k, k - 1, m)
             assert closed.moment(1) == pytest.approx(2.0 * e, rel=1e-9)
 
     def test_m0_is_seed(self):
-        assert star_adjacency_spectrum(4, 0).entries == (
+        assert closed_form_spectrum(star_graph(4), ADJACENCY, 0).entries == (
             (-math.sqrt(3.0), 1), (0.0, 2), (math.sqrt(3.0), 1))
 
 

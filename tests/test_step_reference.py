@@ -1,4 +1,4 @@
-"""The one quadratic step against the three per-kind steps it replaces."""
+"""The one corona step against the per-kind steps and the star driver it replaces."""
 
 import random
 
@@ -10,9 +10,10 @@ from coronagraphs.spectral import (
     LAPLACIAN,
     SIGNLESS,
     Spectrum,
-    quadratic_step,
+    closed_form_spectrum,
+    corona_step,
     regular_degree,
-    seed_spectrum,
+    step_rule,
 )
 
 import reference
@@ -34,10 +35,10 @@ def assert_steps_agree(g: Graph, kind: str, m: int) -> None:
     """At every level up to m, the new step agrees with the old one on the
     same input, and the new recursion with the old recursion."""
     n, r = g.node_count, regular_degree(g)
-    seed = seed_spectrum(g, kind)
+    seed, roots, drop = step_rule(g, kind)
     got = want = seed
     for _ in range(m):
-        step = quadratic_step(got, seed, n, r)
+        step = corona_step(got, seed, roots, drop)
         assert_same_spectrum(step, reference.quadratic_step(got, seed, n, r))
         want = reference.quadratic_step(want, seed, n, r)
         assert_same_spectrum(step, want)
@@ -61,3 +62,15 @@ def test_laplacian_random_connected_seeds(seed):
     g = random_connected_graph(rng.randrange(4, 10), rng)
     assert_steps_agree(g, LAPLACIAN, 4)
 
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, SIGNLESS])
+@pytest.mark.parametrize("k", range(3, 8))
+def test_star_seeds_match_the_star_driver(k, kind):
+    g = SeedDescriptor.from_spec(f"star:{k}").graph
+    for m in range(6):
+        got_records, want_records = [], []
+        got = closed_form_spectrum(g, kind, m, got_records)
+        want = reference.star_spectrum(k, m, kind, want_records)
+        assert got == want
+        assert got_records == want_records

@@ -15,7 +15,6 @@ from .graph import (
     EdgeListError,
     Graph,
     SeedDescriptor,
-    build_seed,
     complete_graph,
     corona_iterate,
     corona_product,
@@ -44,7 +43,6 @@ from .spectral import (
     build_one_step_eigenpairs,
     closed_form_spectrum,
     corona_step,
-    spectral_radius,
     star_cubic_roots,
     step_rule,
 )
@@ -53,7 +51,6 @@ from .structural import (
     average_degree_limit,
     betweenness_clique_pathcount,
     betweenness_exact,
-    betweenness_step_approx,
     cumulative_degree_formula_regular,
     degree_distribution_formula,
     degree_histogram,

@@ -49,23 +49,6 @@ class RunConfig:
     node_cap: int = DEFAULT_NODE_CAP
     force: bool = False
 
-    def canonical(self) -> str:
-        """Normalized flag string; parsing it reproduces this config."""
-        parts = [self.command, "--seed", self.seed, "--m", str(self.m)]
-        if self.kind is not None:
-            parts += ["--kind", self.kind]
-        parts += ["--format", self.format]
-        if self.out is not None:
-            parts += ["--out", self.out]
-        if self.betweenness:
-            parts.append("--betweenness")
-        if self.command == "verify":
-            parts += ["--tolerance", repr(self.tolerance)]
-        parts += ["--node-cap", str(self.node_cap)]
-        if self.force:
-            parts.append("--force")
-        return " ".join(parts)
-
     @classmethod
     def from_argv(cls, argv) -> "RunConfig":
         # every parser dest is a field; a command's absent flags keep the defaults
@@ -122,11 +105,13 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _plan(cfg: RunConfig) -> CoronaPlan:
-    seed = SeedDescriptor.from_spec(cfg.seed)
-    if not seed.connected:
+    # the plan validates the seed, so an invalid one gets no warning first
+    plan = CoronaPlan(seed=SeedDescriptor.from_spec(cfg.seed), m=cfg.m,
+                      node_cap=cfg.node_cap)
+    if not plan.seed.connected:
         print(f"warning: seed {cfg.seed} is disconnected; "
               "the corona graphs will be disconnected too", file=sys.stderr)
-    return CoronaPlan(seed=seed, m=cfg.m, node_cap=cfg.node_cap)
+    return plan
 
 
 def _guard(plan: CoronaPlan, cap: int, work: str, hint: str = "") -> None:
@@ -233,6 +218,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         vals = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
         spectrum = spectral.make_spectrum(cfg.kind, [(float(v), 1) for v in vals],
                                           level=cfg.m, provenance="oracle")
+    if cfg.format == "csv":
+        lines = ["value,multiplicity"]
+        lines += [f"{v!r},{w}" for v, w in spectrum.entries]
+        _emit(cfg, "\n".join(lines) + "\n")
+        return EXIT_OK
     payload = {
         "schema": 1,
         "command": "spectrum",
@@ -244,12 +234,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "spectrum": spectral.spectrum_to_json(spectrum, plan.n),
         "discrepancies": [d.to_dict() for d in discrepancies],
     }
-    if cfg.format == "csv":
-        lines = ["value,multiplicity"]
-        lines += [f"{v!r},{w}" for v, w in spectrum.entries]
-        _emit(cfg, "\n".join(lines) + "\n")
-    else:
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
+    _emit(cfg, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

@@ -43,33 +43,27 @@ class DistributionSeries:
         return list(zip(self.values, self.probabilities))
 
     @classmethod
-    def from_counts(cls, values, counts, population: int | None = None,
-                    cumulative: bool = False) -> "DistributionSeries":
+    def from_counts(cls, values, counts) -> "DistributionSeries":
         pairs = sorted(zip(values, counts))
         vals = tuple(float(v) for v, _ in pairs)
         cnts = tuple(int(c) for _, c in pairs)
-        pop = int(population) if population is not None else sum(cnts)
+        pop = sum(cnts)
         probs = tuple(c / pop for c in cnts)
-        return cls(values=vals, probabilities=probs, cumulative=cumulative,
+        return cls(values=vals, probabilities=probs, cumulative=False,
                    population=pop, counts=cnts)
 
 
 def cumulative_series(d: DistributionSeries) -> DistributionSeries:
-    """Suffix-sum a plain series into P(value >= v)."""
+    """Suffix-sum a plain series of exact counts into P(value >= v)."""
     if d.cumulative:
         return d
-    if d.counts is not None:
-        suffix = np.cumsum(d.counts[::-1])[::-1]
-        probs = tuple(int(c) / d.population for c in suffix)
-        return DistributionSeries(values=d.values, probabilities=probs,
-                                  cumulative=True, population=d.population,
-                                  counts=tuple(int(c) for c in suffix))
-    suffix = np.cumsum(d.probabilities[::-1])[::-1]
-    # guard the head against rounding drift so the invariant p[0] == 1 holds
-    probs = tuple(min(float(p), 1.0) for p in suffix)
-    probs = (1.0,) + probs[1:]
+    if d.counts is None:
+        raise ValueError("a plain series needs its counts to be cumulated")
+    suffix = np.cumsum(d.counts[::-1])[::-1]
+    probs = tuple(int(c) / d.population for c in suffix)
     return DistributionSeries(values=d.values, probabilities=probs,
-                              cumulative=True, population=d.population)
+                              cumulative=True, population=d.population,
+                              counts=tuple(int(c) for c in suffix))
 
 
 @dataclass(frozen=True)
@@ -86,20 +80,12 @@ class PowerLawFit:
     fit_range: tuple[float, float]
 
 
-def _select(d: DistributionSeries, fit_range, positive_values: bool):
+def _select(d: DistributionSeries, positive_values: bool):
     vals = np.asarray(d.values)
     probs = np.asarray(d.probabilities)
-    if fit_range is not None:
-        lo, hi = fit_range
-        keep = (vals >= lo) & (vals <= hi)
-        if np.any(probs[keep] <= 0):
-            raise ValueError("nonpositive probability in fit range")
-        if positive_values and np.any(vals[keep] <= 0):
-            raise ValueError("nonpositive value in log-log fit range")
-    else:
-        keep = probs > 0
-        if positive_values:
-            keep &= vals > 0
+    keep = probs > 0
+    if positive_values:
+        keep &= vals > 0
     vals, probs = vals[keep], probs[keep]
     if len(np.unique(vals)) < 3:
         raise ValueError("need at least 3 distinct values in the fit range")
@@ -115,19 +101,19 @@ def _least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def fit_power_law(d: DistributionSeries, fit_range=None) -> PowerLawFit:
+def fit_power_law(d: DistributionSeries) -> PowerLawFit:
     """log p vs log value regression on the cumulative series."""
     series = cumulative_series(d)
-    vals, probs = _select(series, fit_range, positive_values=True)
+    vals, probs = _select(series, positive_values=True)
     slope, intercept, r2 = _least_squares(np.log(vals), np.log(probs))
     return PowerLawFit(gamma=abs(slope) + 1.0, intercept=intercept, r_squared=r2,
                        fit_range=(float(vals.min()), float(vals.max())))
 
 
-def fit_exponential(d: DistributionSeries, fit_range=None) -> tuple[float, float]:
+def fit_exponential(d: DistributionSeries) -> tuple[float, float]:
     """log p vs value regression; returns (decay rate, r_squared)."""
     series = cumulative_series(d)
-    vals, probs = _select(series, fit_range, positive_values=False)
+    vals, probs = _select(series, positive_values=False)
     slope, _, r2 = _least_squares(vals.astype(float), np.log(probs))
     return -slope, r2
 

@@ -68,9 +68,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.targets[self.offsets[u]:self.offsets[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.offsets[u + 1] - self.offsets[u])
-
     def edge_array(self) -> np.ndarray:
         """(edge_count, 2) array with u < v, sorted lexicographically."""
         if self.edge_count == 0:
@@ -163,10 +160,6 @@ class SeedDescriptor:
     graph: Graph
     connected: bool
 
-    @property
-    def label(self) -> str:
-        return f"{self.kind}:{self.param}"
-
     @classmethod
     def from_spec(cls, spec: str) -> "SeedDescriptor":
         """Parse a ``kind:param`` seed spec, e.g. ``complete:3`` or ``file:g.edges``."""
@@ -188,13 +181,6 @@ class SeedDescriptor:
             )
         return cls(kind=kind, param=param, graph=g,
                    connected=connected_component_count(g) == 1)
-
-
-def build_seed(spec) -> Graph:
-    """Resolve a seed spec string or descriptor to its Graph."""
-    if isinstance(spec, SeedDescriptor):
-        return spec.graph
-    return SeedDescriptor.from_spec(spec).graph
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +323,24 @@ def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def connected_component_count(g: Graph) -> int:
-    n = g.node_count
-    seen = np.zeros(n, dtype=bool)
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        dist = bfs_distances(g, start)
-        seen |= dist >= 0
-    return comps
+    """Component count by min-label hooking with pointer jumping.
+
+    Each round hooks every tree root to the smallest root across an edge,
+    then jumps pointers until each node points at its root.  Once no edge
+    joins two trees, each tree is one component.
+    """
+    nodes = np.arange(g.node_count)
+    src, dst = np.repeat(nodes, g.degrees), g.targets
+    parent = nodes.copy()
+    while True:
+        ru, rv = parent[src], parent[dst]
+        cross = ru != rv
+        if not cross.any():
+            return int(np.count_nonzero(parent == nodes))
+        np.minimum.at(parent, rv[cross], ru[cross])
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
 
 
 # ---------------------------------------------------------------------------

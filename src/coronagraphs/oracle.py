@@ -23,7 +23,7 @@ DEFAULT_ORACLE_CAP = 5000
 MATRIX_KINDS = ("adjacency", "laplacian", "signless")
 
 
-def build_matrix(g: Graph, kind: str, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarray:
+def build_matrix(g: Graph, kind: str) -> np.ndarray:
     """Dense symmetric matrix of the requested kind.
 
     adjacency: A, laplacian: D - A, signless: D + A.
@@ -31,8 +31,8 @@ def build_matrix(g: Graph, kind: str, cap: int = DEFAULT_ORACLE_CAP) -> np.ndarr
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
     n = g.node_count
-    if n > cap:
-        raise ValueError(f"graph has {n} nodes, over the oracle cap {cap}")
+    if n > DEFAULT_ORACLE_CAP:
+        raise ValueError(f"graph has {n} nodes, over the oracle cap {DEFAULT_ORACLE_CAP}")
     a = np.zeros((n, n), dtype=np.float64)
     src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     a[src, g.targets] = 1.0

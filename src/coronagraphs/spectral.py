@@ -64,12 +64,6 @@ class Spectrum:
         return np.repeat([v for v, _ in self.entries],
                          [w for _, w in self.entries]).astype(np.float64)
 
-    def moment(self, power: int = 1) -> float:
-        return float(sum((v ** power) * w for v, w in self.entries))
-
-    def zero_count(self, tol: float = 1e-9) -> int:
-        return sum(w for v, w in self.entries if abs(v) <= tol)
-
 
 def _coalesce(pairs) -> tuple[tuple[float, int], ...]:
     """Merge values within the relative tolerance, multiplicity-weighted."""
@@ -147,12 +141,6 @@ def _drop_one(entries, value: float) -> list[tuple[float, int]]:
     return out
 
 
-def spectral_radius(s: Spectrum) -> float:
-    if not s.entries:
-        raise ValueError("empty spectrum")
-    return max(abs(v) for v, _ in s.entries)
-
-
 def algebraic_connectivity(s: Spectrum) -> float:
     """Second-smallest Laplacian eigenvalue, counting multiplicity."""
     if s.kind != LAPLACIAN:
@@ -184,19 +172,18 @@ class CubicDiscrepancy:
         return dict(vars(self))
 
 
-def _real_cubic_roots(b: float, c: float, d: float,
-                      slack: float = 1e-9) -> tuple[float, float, float]:
+def _real_cubic_roots(b: float, c: float, d: float) -> tuple[float, float, float]:
     """Trigonometric solution of x^3 + b x^2 + c x + d with three real roots."""
     p = c - b * b / 3.0
     q = (2.0 * b ** 3 - 9.0 * b * c + 27.0 * d) / 27.0
     if p >= 0.0:
-        if p <= slack and abs(q) <= slack:
+        if p <= 1e-9 and abs(q) <= 1e-9:
             t = -b / 3.0
             return (t, t, t)
         raise ValueError("cubic does not have three real roots")
     half = 2.0 * math.sqrt(-p / 3.0)
     arg = -q / (2.0 * (-p / 3.0) ** 1.5)
-    if abs(arg) > 1.0 + slack:
+    if abs(arg) > 1.0 + 1e-9:
         raise ValueError(f"arccos argument {arg} out of range")
     arg = min(1.0, max(-1.0, arg))
     phi = math.acos(arg) / 3.0
@@ -236,7 +223,7 @@ def star_cubic_roots(mu: float, k: int, kind: str, *,
     Returns the roots of the secular cubic (always consistent with the
     oracle).  The printed trig expression is evaluated verbatim alongside;
     when it strays beyond tolerance, or its arccos argument leaves [-1, 1]
-    by more than the slack, a CubicDiscrepancy is appended to
+    by more than 1e-9, a CubicDiscrepancy is appended to
     ``discrepancies`` instead of silently clamping.
     """
     if k < 3:
@@ -345,7 +332,7 @@ class EigenPair:
     vector: np.ndarray
 
 
-def build_one_step_eigenpairs(seed_graph: Graph, r: int | None = None) -> list[EigenPair]:
+def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
     """All n(n+1) adjacency eigenpairs of seed∘seed for a regular seed.
 
     Quadratic-family vectors put 1/(lam - r) times the host's coordinate on
@@ -353,12 +340,9 @@ def build_one_step_eigenpairs(seed_graph: Graph, r: int | None = None) -> list[E
     inside a single copy and vanish elsewhere.  Layout matches
     corona_product's copy-major index contract.
     """
-    actual = regular_degree(seed_graph)
-    if actual is None:
+    r = regular_degree(seed_graph)
+    if r is None:
         raise ValueError("eigenpair construction needs a regular seed")
-    if r is not None and r != actual:
-        raise ValueError(f"seed is {actual}-regular, not {r}-regular")
-    r = actual
     n = seed_graph.node_count
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
     perron = int(np.argmax(vals))

@@ -31,8 +31,7 @@ def degree_histogram(g: Graph) -> DistributionSeries:
         raise ValueError("graph must be nonempty")
     counts = np.bincount(g.degrees)
     degs = np.nonzero(counts)[0]
-    return DistributionSeries.from_counts(degs.tolist(), counts[degs].tolist(),
-                                          population=g.node_count)
+    return DistributionSeries.from_counts(degs.tolist(), counts[degs].tolist())
 
 
 def degree_distribution_formula(seed: Graph, m: int) -> DistributionSeries:
@@ -57,8 +56,7 @@ def degree_distribution_formula(seed: Graph, m: int) -> DistributionSeries:
     if sum(weights.values()) != population:
         raise RuntimeError(f"degree weights sum to {sum(weights.values())}, "
                            f"not the node count {population}")
-    return DistributionSeries.from_counts(list(weights), list(weights.values()),
-                                          population=population)
+    return DistributionSeries.from_counts(list(weights), list(weights.values()))
 
 
 def cumulative_degree_formula_regular(n: int, r: int, k: float) -> float:
@@ -196,20 +194,19 @@ def _dependencies(g: Graph):
         yield sigma.reshape(-1, n), delta.reshape(-1, n)
 
 
-def betweenness_exact(g: Graph, ordered: bool = False) -> np.ndarray:
+def betweenness_exact(g: Graph) -> np.ndarray:
     """Exact betweenness by dependency accumulation over BFS DAGs (Brandes).
 
-    Unordered pairs are counted once by default; ordered=True doubles every
-    value (the other summation convention).
+    Unordered pairs are counted once.
     """
     b = np.zeros(g.node_count, dtype=np.float64)
     for _, delta in _dependencies(g):
         for row in delta:   # one source at a time keeps the summation order
             b += row
-    return b if ordered else b / 2.0
+    return b / 2.0
 
 
-def betweenness_clique_pathcount(g: Graph, ordered: bool = False) -> np.ndarray:
+def betweenness_clique_pathcount(g: Graph) -> np.ndarray:
     """Integer path counts through each node, valid only for unique paths.
 
     On corona graphs grown from a complete seed every vertex pair has exactly
@@ -225,29 +222,13 @@ def betweenness_clique_pathcount(g: Graph, ordered: bool = False) -> np.ndarray:
         # with every sigma 1 each dependency is a whole number of nodes,
         # exact in float64
         b += delta.sum(axis=0).astype(np.int64)
-    return b if ordered else b // 2
+    return b // 2
 
 
-def betweenness_step_approx(n: int, t: int, tau: int) -> int:
-    """Scaling estimate n*(n+1)**(t+tau-1) for a node tau steps old.
-
-    tau counts corona steps the node has lived through (originals have
-    tau = t).  The estimate tracks the exact value to within a factor of
-    about n+1.
-    """
-    if not 1 <= tau <= t:
-        raise ValueError("need 1 <= tau <= t")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _checked(n * (n + 1) ** (t + tau - 1), "betweenness estimate")
-
-
-def betweenness_series(b: np.ndarray, population: int | None = None) -> DistributionSeries:
+def betweenness_series(b: np.ndarray) -> DistributionSeries:
     """Plain distribution over distinct betweenness values."""
     vals, counts = np.unique(np.asarray(b, dtype=np.float64), return_counts=True)
-    return DistributionSeries.from_counts(
-        vals.tolist(), counts.tolist(),
-        population=population if population is not None else len(b))
+    return DistributionSeries.from_counts(vals.tolist(), counts.tolist())
 
 
 def betweenness_to_csv(b: np.ndarray) -> str:

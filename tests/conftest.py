@@ -15,3 +15,13 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def moment(s, power: int = 1) -> float:
+    """Sum of value**power over a spectrum's entries, counting multiplicity."""
+    return float(sum(v ** power * w for v, w in s.entries))
+
+
+def zero_count(s, tol: float = 1e-9) -> int:
+    """Multiplicity of a spectrum's values within tol of 0."""
+    return sum(w for v, w in s.entries if abs(v) <= tol)

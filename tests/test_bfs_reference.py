@@ -34,30 +34,27 @@ NODE_COUNTS = sorted({1, 2, SOURCE_BATCH - 1, SOURCE_BATCH, SOURCE_BATCH + 1,
                       63, 64, 65, 127, 128, 129})
 
 
-def outcome(fn, g, **kwargs):
+def outcome(fn, g):
     """fn's result, or the type of the graph error it raised."""
     try:
-        return fn(g, **kwargs)
+        return fn(g)
     except (DisconnectedGraphError, NonUniqueShortestPathError) as exc:
         return type(exc)
 
 
 def assert_kernels_agree(g: Graph) -> None:
     assert diameter_measured(g) == reference.diameter_measured(g)
-    # the reference halves its ordered sums, exactly, for the unordered ones
-    want = reference.betweenness_exact(g, ordered=True)
-    want_counts = outcome(reference.betweenness_clique_pathcount, g, ordered=True)
-    for ordered in (False, True):
-        got = betweenness_exact(g, ordered=ordered)
-        ref = want if ordered else want / 2.0
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-        got = outcome(betweenness_clique_pathcount, g, ordered=ordered)
-        if isinstance(want_counts, type):
-            assert got is want_counts
-        else:
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want_counts if ordered else want_counts // 2)
+    ref = reference.betweenness_exact(g)
+    got = betweenness_exact(g)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    want_counts = outcome(reference.betweenness_clique_pathcount, g)
+    got = outcome(betweenness_clique_pathcount, g)
+    if isinstance(want_counts, type):
+        assert got is want_counts
+    else:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want_counts)
 
 
 def level(spec: str, m: int) -> Graph:
@@ -146,11 +143,10 @@ def test_disconnected_in_first_middle_last_batch(first):
         reference.diameter_measured(g)
     with pytest.raises(DisconnectedGraphError):
         diameter_measured(g)
-    for ordered in (False, True):
-        with pytest.raises(DisconnectedGraphError):
-            betweenness_exact(g, ordered=ordered)
-        with pytest.raises(DisconnectedGraphError):
-            betweenness_clique_pathcount(g, ordered=ordered)
+    with pytest.raises(DisconnectedGraphError):
+        betweenness_exact(g)
+    with pytest.raises(DisconnectedGraphError):
+        betweenness_clique_pathcount(g)
 
 
 @pytest.mark.parametrize("node", [0, 70, 149])

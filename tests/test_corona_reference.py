@@ -9,7 +9,6 @@ from coronagraphs import graph
 from coronagraphs.graph import (
     Graph,
     SeedDescriptor,
-    build_seed,
     complete_graph,
     corona_product,
     path_graph,
@@ -55,7 +54,7 @@ def random_pairs():
 class TestBuilderMatchesReference:
     @pytest.mark.parametrize("spec", BUILTIN_SEEDS)
     def test_builtin_seeds_up_to_m4(self, spec, tmp_path):
-        seed = build_seed(spec)
+        seed = SeedDescriptor.from_spec(spec).graph
         g = want = seed
         for _ in range(4):
             g = corona_product(g, seed)
@@ -114,7 +113,7 @@ class TestWriterMatchesReference:
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_chunk_boundaries(self, rows, monkeypatch, tmp_path):
         monkeypatch.setattr(graph, "EDGE_CHUNK_ROWS", rows)
-        seed = build_seed("star:4")
+        seed = SeedDescriptor.from_spec("star:4").graph
         for g in (seed, reference.corona_iterate(seed, 2)):
             assert_same_bytes(g, tmp_path / "g.edges")
 

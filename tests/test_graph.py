@@ -27,6 +27,7 @@ from coronagraphs.graph import (
     write_edge_list,
 )
 
+import reference
 from conftest import random_connected_graph
 
 SEED_SPECS = ["complete:3", "path:3", "cycle:4", "star:4", "complete:5"]
@@ -50,8 +51,8 @@ class TestBuilders:
     def test_star(self):
         g = star_graph(4)
         assert (g.node_count, g.edge_count) == (4, 3)
-        assert g.degree(0) == 3
-        assert all(g.degree(i) == 1 for i in range(1, 4))
+        assert g.degrees[0] == 3
+        assert all(g.degrees[i] == 1 for i in range(1, 4))
 
     def test_cycle(self):
         g = cycle_graph(4)
@@ -210,6 +211,34 @@ class TestCoronaIterate:
         assert node_count_formula(3, 40) == 3 * 4 ** 40
 
 
+class TestComponentCount:
+    """The vectorized component count against the per-component BFS loop."""
+
+    def test_random_graphs_with_isolated_nodes(self):
+        rng = random.Random(11)
+        for _ in range(100):
+            n = rng.randrange(0, 40)
+            pairs = {tuple(sorted(rng.sample(range(n), 2)))
+                     for _ in range(rng.randrange(0, n + 1))} if n >= 2 else set()
+            g = Graph.from_edges(n, sorted(pairs))
+            assert connected_component_count(g) == reference.connected_component_count(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 500])
+    def test_disjoint_edges(self, n):
+        g = Graph.from_edges(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
+        assert connected_component_count(g) == reference.connected_component_count(g) == n
+
+    def test_shuffled_label_path(self):
+        order = list(range(2000))
+        random.Random(5).shuffle(order)
+        g = Graph.from_edges(2000, list(zip(order, order[1:])))
+        assert connected_component_count(g) == reference.connected_component_count(g) == 1
+
+    def test_isolated_nodes_only(self):
+        g = Graph.from_edges(300, [])
+        assert connected_component_count(g) == reference.connected_component_count(g) == 300
+
+
 class TestCountFormulas:
     def test_node_counts(self):
         assert node_count_formula(3, 6) == 12288
@@ -239,7 +268,7 @@ class TestSeedDescriptor:
     def test_parse(self):
         sd = SeedDescriptor.from_spec("complete:3")
         assert sd.kind == "complete"
-        assert sd.label == "complete:3"
+        assert f"{sd.kind}:{sd.param}" == "complete:3"
         assert sd.connected
 
     def test_bad_specs(self):

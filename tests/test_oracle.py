@@ -15,6 +15,7 @@ from coronagraphs.graph import (
     star_graph,
 )
 from coronagraphs.oracle import (
+    DEFAULT_ORACLE_CAP,
     brute_betweenness,
     brute_diameter,
     build_matrix,
@@ -43,7 +44,7 @@ class TestBuildMatrix:
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            build_matrix(complete_graph(30), "adjacency", cap=10)
+            build_matrix(path_graph(DEFAULT_ORACLE_CAP + 1), "adjacency")
 
     def test_block_pattern(self):
         # corona block structure: seed block top-left, copy blocks on the

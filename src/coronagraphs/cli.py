@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import oracle, spectral, structural
 from .distributions import cumulative_series, fit_power_law, series_to_csv
@@ -102,6 +104,55 @@ def _emit(cfg: RunConfig, text: str) -> None:
     else:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+# json.dumps(..., indent=2) layout of a spectrum entry and a discrepancy record
+_ENTRY = '      {\n        "value": %r,\n        "multiplicity": %d\n      }'
+_RECORD = ('    {\n      "kind": %s,\n      "k": %d,\n      "level": %d,\n'
+           '      "mu": %r,\n      "printed_roots": [\n        %r,\n        %r,\n'
+           '        %r\n      ],\n      "secular_roots": [\n        %r,\n        %r,\n'
+           '        %r\n      ],\n      "max_delta": %r,\n      "note": %s\n    }')
+# where the two lists sit in the indented outer text: a raw newline only ever
+# separates json.dumps's own lines, so each marker occurs once
+_ENTRIES_AT = '\n    "entries": '
+_RECORDS_AT = '\n  "discrepancies": '
+
+
+def _listing(template: str, rows, count: int, indent: str) -> str:
+    """``count`` rows of ``template`` arguments laid out as a json.dumps list.
+
+    One ``%`` over every row's arguments at once: no string per row.
+    """
+    if not count:
+        return "[]"
+    return ("[\n" + ",\n".join([template] * count) + "\n" + indent + "]") % tuple(
+        chain.from_iterable(rows))
+
+
+def _record_row(d: spectral.CubicDiscrepancy) -> tuple:
+    return (encode_basestring_ascii(d.kind), d.k, d.level, d.mu, *d.printed_roots,
+            *d.secular_roots, d.max_delta, encode_basestring_ascii(d.note))
+
+
+def _spectrum_text(payload: dict, spectrum: spectral.Spectrum,
+                   discrepancies: list) -> str:
+    """``json.dumps(payload, indent=2)`` once the spectrum's entries and the
+    records' ``to_dict()`` fill its empty "entries" and "discrepancies" lists.
+
+    The outer fields go through json.dumps.  The entries and the records,
+    nearly all of the bytes, are written from the templates above, straight
+    from the spectrum's arrays and the record objects: floats by
+    ``float.__repr__`` as json does (a spectrum holds no NaN or infinity),
+    strings by json's own ASCII encoder.
+    """
+    head, _, rest = json.dumps(payload, indent=2).partition(_ENTRIES_AT + "[]")
+    middle, _, tail = rest.partition(_RECORDS_AT + "[]")
+    entries = zip(spectrum.values.tolist(), spectrum.multiplicities.tolist())
+    return "".join((
+        head, _ENTRIES_AT, _listing(_ENTRY, entries, len(spectrum.values), "    "),
+        middle, _RECORDS_AT,
+        _listing(_RECORD, map(_record_row, discrepancies), len(discrepancies), "  "),
+        tail))
 
 
 def _plan(cfg: RunConfig) -> CoronaPlan:
@@ -231,10 +282,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "m": cfg.m,
         "closed_form": spectrum.provenance == "closed_form",
         "notice": notice,
-        "spectrum": spectral.spectrum_to_json(spectrum, plan.n),
-        "discrepancies": [d.to_dict() for d in discrepancies],
+        # the wire form of spectral.spectrum_to_json, with its entries
+        # written by _spectrum_text
+        "spectrum": {"kind": spectrum.kind, "m": spectrum.level, "n": plan.n,
+                     "entries": [], "provenance": spectrum.provenance},
+        "discrepancies": [],
     }
-    _emit(cfg, json.dumps(payload, indent=2) + "\n")
+    _emit(cfg, _spectrum_text(payload, spectrum, discrepancies) + "\n")
     return EXIT_OK
 
 

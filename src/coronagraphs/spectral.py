@@ -22,12 +22,23 @@ k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
 The regular seeds are r-regular, and the Laplacian rule holds for any
 connected seed.  The shift depends on the kind alone: the host edge adds 1
 to the degree of every copy vertex in L and Q.
+
+A level is a float64 value array and a multiplicity array, and the step runs
+over whole arrays: every entry's roots in one pass, one star cubic call per
+level.  Multiplicities are int64 while the level's total n(n+1)^m is below
+2**63 and exact Python ints (object dtype) above it.  The arrays give the
+same bits as evaluating the formulas one entry at a time: +, -, *, / and
+sqrt round the same in numpy as in Python, while every power, arccos and
+cosine goes through the same libm routine as Python's ``**``, ``math.acos``
+and ``math.cos`` (``_libm``), since numpy's own differ from them in the last
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,50 +53,127 @@ COALESCE_REL_TOL = 1e-9
 FORMULA_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalue multiset tagged with its matrix kind and corona level."""
+    """Eigenvalue multiset tagged with its matrix kind and corona level.
+
+    ``values`` ascend; ``multiplicities`` is int64, or object (Python ints)
+    once the total reaches 2**63.
+    """
 
     kind: str
-    entries: tuple[tuple[float, int], ...]
+    values: np.ndarray
+    multiplicities: np.ndarray
     level: int
     provenance: str = "closed_form"
 
     @property
-    def total_multiplicity(self) -> int:
-        return sum(w for _, w in self.entries)
+    def entries(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(self.values.tolist(), self.multiplicities.tolist()))
 
     @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.entries)
+    def total_multiplicity(self) -> int:
+        return int(self.multiplicities.sum())
 
     def expand(self) -> np.ndarray:
         """Eigenvalues repeated by multiplicity, ascending."""
-        return np.repeat([v for v, _ in self.entries],
-                         [w for _, w in self.entries]).astype(np.float64)
+        return np.repeat(self.values, self.multiplicities.astype(np.int64))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return ((self.kind, self.level, self.provenance, self.entries)
+                == (other.kind, other.level, other.provenance, other.entries))
 
 
-def _coalesce(pairs) -> tuple[tuple[float, int], ...]:
-    """Merge values within the relative tolerance, multiplicity-weighted."""
-    out: list[list] = []
-    for v, w in sorted(pairs):
+@dataclass(frozen=True)
+class Pairs:
+    """(value, multiplicity) pairs as two parallel arrays; len() counts pairs."""
+
+    values: np.ndarray
+    multiplicities: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @classmethod
+    def of(cls, pairs) -> "Pairs":
+        """From Pairs, or from any sequence of (value, multiplicity) pairs."""
+        if isinstance(pairs, cls):
+            return pairs
+        values = [float(v) for v, _ in pairs]
+        mults = [int(w) for _, w in pairs]
+        return cls(np.array(values, dtype=np.float64),
+                   np.array(mults, dtype=_mult_dtype(sum(mults))))
+
+
+def _mult_dtype(total: int):
+    """int64 while every multiplicity (each at most ``total``) fits, else object."""
+    return np.int64 if total < 2 ** 63 else object
+
+
+def _libm(fn, *args) -> np.ndarray:
+    """fn over float64 arrays element by element, as scalar Python code calls it.
+
+    A scalar argument is repeated; the first argument sets the length.
+    """
+    n = len(args[0])
+    lists = [a.tolist() if isinstance(a, np.ndarray) else repeat(a, n) for a in args]
+    return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
+
+
+def _merge_run(values: list, mults: list) -> list:
+    """The scalar merge rule over one sorted run: each value joins the running
+    multiplicity-weighted mean when within the relative tolerance of it."""
+    out: list = []
+    for v, w in zip(values, mults):
         if out:
             pv, pw = out[-1]
             if abs(v - pv) <= COALESCE_REL_TOL * max(1.0, abs(v), abs(pv)):
-                out[-1] = [(pv * pw + v * w) / (pw + w), pw + w]
+                out[-1] = ((pv * pw + v * w) / (pw + w), pw + w)
                 continue
-        out.append([float(v), int(w)])
-    return tuple((float(v), int(w)) for v, w in out)
+        out.append((v, w))
+    return out
+
+
+def _coalesce(values: np.ndarray, mults: np.ndarray):
+    """Sort by (value, multiplicity); merge values within the relative tolerance.
+
+    A gap wider than twice the tolerance can never be bridged, whatever the
+    running mean on its left, so the scalar merge rule runs only on the runs
+    of sorted values that no such gap separates and that hold two or more.
+    """
+    order = np.lexsort((mults, values))
+    values, mults = values[order], mults[order]
+    a, b = values[:-1], values[1:]
+    near = b - a <= 2.0 * COALESCE_REL_TOL * np.maximum(
+        1.0, np.maximum(np.abs(a), np.abs(b)))
+    if not near.any():
+        return values, mults
+    # +1 at the first element of each run of near gaps, -1 at its last
+    edges = np.diff(near.astype(np.int8), prepend=np.int8(0), append=np.int8(0))
+    keep = np.ones(len(values), dtype=bool)
+    for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
+                           (np.flatnonzero(edges == -1) + 1).tolist()):
+        merged = _merge_run(values[start:stop].tolist(), mults[start:stop].tolist())
+        end = start + len(merged)
+        values[start:end] = [v for v, _ in merged]
+        mults[start:end] = [w for _, w in merged]
+        keep[end:stop] = False
+    return values[keep], mults[keep]
 
 
 def make_spectrum(kind: str, pairs, level: int,
                   provenance: str = "closed_form") -> Spectrum:
+    """Spectrum of ``pairs`` (Pairs, or (value, multiplicity) pairs), coalesced."""
     if kind not in (ADJACENCY, LAPLACIAN, SIGNLESS):
         raise ValueError(f"unknown spectrum kind {kind!r}")
-    entries = _coalesce(pairs)
-    if kind == LAPLACIAN and entries and entries[0][0] < -1e-9:
-        raise ValueError(f"negative Laplacian eigenvalue {entries[0][0]}")
-    return Spectrum(kind=kind, entries=entries, level=level, provenance=provenance)
+    pairs = Pairs.of(pairs)
+    values, mults = _coalesce(pairs.values, pairs.multiplicities)
+    if kind == LAPLACIAN and len(values) and values[0] < -1e-9:
+        raise ValueError(f"negative Laplacian eigenvalue {float(values[0])}")
+    return Spectrum(kind=kind, values=values, multiplicities=mults, level=level,
+                    provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +216,15 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     return make_spectrum(kind, [(v, 1) for v in vals], level=0)
 
 
-def _drop_one(entries, value: float) -> list[tuple[float, int]]:
+def _drop_one(values: np.ndarray, mults: np.ndarray, value: float):
     """Remove a single copy of the entry nearest ``value``."""
-    best = min(range(len(entries)), key=lambda i: abs(entries[i][0] - value))
-    if abs(entries[best][0] - value) > 1e-6 * max(1.0, abs(value)):
+    best = int(np.argmin(np.abs(values - value)))
+    if abs(values[best] - value) > 1e-6 * max(1.0, abs(value)):
         raise ValueError(f"seed spectrum is missing the expected value {value}")
-    out = []
-    for i, (v, w) in enumerate(entries):
-        w = w - 1 if i == best else w
-        if w:
-            out.append((v, w))
-    return out
+    mults = mults.copy()
+    mults[best] -= 1
+    keep = mults != 0
+    return values[keep], mults[keep]
 
 
 def algebraic_connectivity(s: Spectrum) -> float:
@@ -147,8 +233,7 @@ def algebraic_connectivity(s: Spectrum) -> float:
         raise ValueError("algebraic connectivity is a Laplacian quantity")
     if s.total_multiplicity < 2:
         raise ValueError("need at least two eigenvalues")
-    v0, w0 = s.entries[0]
-    return v0 if w0 >= 2 else s.entries[1][0]
+    return float(s.values[0] if s.multiplicities[0] >= 2 else s.values[1])
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +257,36 @@ class CubicDiscrepancy:
         return dict(vars(self))
 
 
-def _real_cubic_roots(b: float, c: float, d: float) -> tuple[float, float, float]:
-    """Trigonometric solution of x^3 + b x^2 + c x + d with three real roots."""
+def _real_cubic_roots(b: np.ndarray, c, d):
+    """Trigonometric roots, ascending per row, of x^3 + b x^2 + c x + d.
+
+    Returns (roots, error): error is (row, message) for the first row
+    without three real roots, or None.
+    """
     p = c - b * b / 3.0
-    q = (2.0 * b ** 3 - 9.0 * b * c + 27.0 * d) / 27.0
-    if p >= 0.0:
-        if p <= 1e-9 and abs(q) <= 1e-9:
-            t = -b / 3.0
-            return (t, t, t)
-        raise ValueError("cubic does not have three real roots")
-    half = 2.0 * math.sqrt(-p / 3.0)
-    arg = -q / (2.0 * (-p / 3.0) ** 1.5)
-    if abs(arg) > 1.0 + 1e-9:
-        raise ValueError(f"arccos argument {arg} out of range")
-    arg = min(1.0, max(-1.0, arg))
-    phi = math.acos(arg) / 3.0
-    roots = tuple(half * math.cos(phi + 2.0 * math.pi * z / 3.0) - b / 3.0
-                  for z in range(3))
-    return tuple(sorted(roots))
+    q = (2.0 * _libm(math.pow, b, 3.0) - 9.0 * b * c + 27.0 * d) / 27.0
+    trig = p < 0.0
+    triple = ~trig & (p <= 1e-9) & (np.abs(q) <= 1e-9)
+    s = np.where(trig, -p / 3.0, 1.0)    # 1.0 stands in where trig is False
+    half = 2.0 * np.sqrt(s)
+    arg = -q / (2.0 * _libm(math.pow, s, 1.5))
+    wide = trig & (np.abs(arg) > 1.0 + 1e-9)
+    error = None
+    bad = np.flatnonzero(wide | ~(trig | triple))
+    if len(bad):
+        row = int(bad[0])
+        error = (row, f"arccos argument {arg[row].item()} out of range" if trig[row]
+                 else "cubic does not have three real roots")
+    phi = _libm(math.acos, np.clip(arg, -1.0, 1.0)) / 3.0
+    roots = np.column_stack([
+        half * _libm(math.cos, phi + 2.0 * math.pi * z / 3.0) - b / 3.0
+        for z in range(3)])
+    roots.sort(axis=1, kind="stable")
+    roots[triple] = (-b / 3.0)[triple, None]
+    return roots, error
 
 
-def _star_cubic_coefficients(mu: float, k: int, kind: str):
+def _star_cubic_coefficients(mu: np.ndarray, k: int, kind: str):
     """Secular cubic (b, c, d), plus the printed trig pieces for comparison."""
     if kind == ADJACENCY:
         b = -mu
@@ -200,7 +294,8 @@ def _star_cubic_coefficients(mu: float, k: int, kind: str):
         d = (k - 1.0) * (mu - 2.0)
         shift = mu / 3.0
         w = mu * mu + 6.0 * k - 3.0
-        printed_num = 2.0 * mu ** 3 + mu * (18.0 - 9.0 * k) + (54.0 * k - 54.0)
+        printed_num = (2.0 * _libm(math.pow, mu, 3.0) + mu * (18.0 - 9.0 * k)
+                       + (54.0 * k - 54.0))
     elif kind == SIGNLESS:
         b = -(mu + 2.0 * k + 2.0)
         c = mu * (k + 2.0) + (k + 1.0) ** 2
@@ -208,46 +303,56 @@ def _star_cubic_coefficients(mu: float, k: int, kind: str):
         shift = (mu + 2.0 * k + 2.0) / 3.0
         w = mu * mu + mu * (k - 2.0) + (k + 1.0) ** 2
         ssum = sum((a + 2) * (k - a - 1) for a in range(1, k - 1))
-        printed_num = (2.0 * mu ** 3 + (3.0 * k - 6.0) * mu ** 2
-                     - 3.0 * (k * k - k - 2.0) * mu + (70.0 * k - 94.0 - 12.0 * ssum))
+        printed_num = (2.0 * _libm(math.pow, mu, 3.0)
+                       + (3.0 * k - 6.0) * _libm(math.pow, mu, 2.0)
+                       - 3.0 * (k * k - k - 2.0) * mu + (70.0 * k - 94.0 - 12.0 * ssum))
     else:
         raise ValueError("star cubics exist for adjacency and signless kinds")
     return b, c, d, shift, w, printed_num
 
 
-def star_cubic_roots(mu: float, k: int, kind: str, *,
-                     discrepancies: list | None = None,
-                     level: int = 0) -> tuple[float, float, float]:
-    """Three eigenvalues a star step spawns from one input eigenvalue mu.
+def star_cubic_roots(mu, k: int, kind: str, *,
+                     discrepancies: list | None = None, level: int = 0):
+    """The three eigenvalues a star step spawns from each input eigenvalue mu.
 
-    Returns the roots of the secular cubic (always consistent with the
-    oracle).  The printed trig expression is evaluated verbatim alongside;
-    when it strays beyond tolerance, or its arccos argument leaves [-1, 1]
-    by more than 1e-9, a CubicDiscrepancy is appended to
-    ``discrepancies`` instead of silently clamping.
+    ``mu`` is one value, giving a tuple of three roots, or an array of them,
+    giving one ascending row of roots per value.  The roots are those of the
+    secular cubic (always consistent with the oracle).  The printed trig
+    expression is evaluated verbatim alongside; when it strays beyond
+    tolerance, or its arccos argument leaves [-1, 1] by more than 1e-9, a
+    CubicDiscrepancy is appended to ``discrepancies`` instead of silently
+    clamping, in the order of ``mu``.
     """
     if k < 3:
         raise ValueError("star seeds need k >= 3")
-    b, c, d, shift, w, printed_num = _star_cubic_coefficients(float(mu), k, kind)
-    secular = _real_cubic_roots(b, c, d)
+    mus = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    b, c, d, shift, w, printed_num = _star_cubic_coefficients(mus, k, kind)
+    secular, error = _real_cubic_roots(b, c, d)
 
-    note = ""
-    arg = printed_num / (2.0 * w ** 1.5)
-    if abs(arg) > 1.0 + 1e-9:
-        note = f"printed-form arccos argument {arg!r} outside [-1, 1]"
-    theta = math.acos(min(1.0, max(-1.0, arg)))
-    printed = tuple(sorted(
-        (2.0 / 3.0) * math.cos((theta + y * math.pi) / 3.0) * math.sqrt(w) + shift
-        for y in (0, 2, 4)))
+    arg = printed_num / (2.0 * _libm(math.pow, w, 1.5))
+    wide = np.abs(arg) > 1.0 + 1e-9
+    theta = _libm(math.acos, np.clip(arg, -1.0, 1.0))
+    printed = np.column_stack([
+        (2.0 / 3.0) * _libm(math.cos, (theta + y * math.pi) / 3.0) * np.sqrt(w) + shift
+        for y in (0, 2, 4)])
+    printed.sort(axis=1, kind="stable")
 
-    scale = max(1.0, *(abs(x) for x in secular))
-    delta = max(abs(pr - sr) for pr, sr in zip(printed, secular))
-    if (delta > FORMULA_TOL * scale or note) and discrepancies is not None:
-        discrepancies.append(CubicDiscrepancy(
-            kind=kind, k=k, level=level, mu=float(mu),
-            printed_roots=printed, secular_roots=secular,
-            max_delta=float(delta), note=note))
-    return secular
+    scale = np.maximum(1.0, np.abs(secular).max(axis=1))
+    delta = np.abs(printed - secular).max(axis=1)
+    flagged = (delta > FORMULA_TOL * scale) | wide
+    if discrepancies is not None:
+        # records stop at a failing row, as a per-value loop would
+        rows = np.flatnonzero(flagged[:len(mus) if error is None else error[0]])
+        for mu_i, pr, sr, dl, a, out in zip(
+                mus[rows].tolist(), printed[rows].tolist(), secular[rows].tolist(),
+                delta[rows].tolist(), arg[rows].tolist(), wide[rows].tolist()):
+            discrepancies.append(CubicDiscrepancy(
+                kind=kind, k=k, level=level, mu=mu_i,
+                printed_roots=tuple(pr), secular_roots=tuple(sr), max_delta=dl,
+                note=f"printed-form arccos argument {a!r} outside [-1, 1]" if out else ""))
+    if error is not None:
+        raise ValueError(error[1])
+    return tuple(secular[0].tolist()) if np.ndim(mu) == 0 else secular
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +360,20 @@ def star_cubic_roots(mu: float, k: int, kind: str, *,
 
 
 def _quadratic_roots(n: int, alpha: int, beta: int):
-    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2; the level is unused."""
-    def roots(x: float, level: int = 0) -> tuple[float, float]:
-        disc = math.sqrt((x - beta) ** 2 + 4 * n)
-        return (x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0
+    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2 per row; the level is unused."""
+    def roots(x: np.ndarray, level: int = 0) -> np.ndarray:
+        disc = np.sqrt(_libm(math.pow, x - beta, 2.0) + 4 * n)
+        return np.column_stack(((x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0))
     return roots
 
 
 def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
     """(level-0 spectrum, roots, drop) of the seed's step, as in the module table.
 
-    ``roots(x, level)`` gives the values an entry x spawns at ``level``.
-    None when the (seed, kind) pair has no closed form.  The star cubics
-    record their printed-form discrepancies in ``discrepancies``.
+    ``roots(x, level)`` gives, for an array x, the values each entry spawns at
+    ``level``, one row per entry.  None when the (seed, kind) pair has no
+    closed form.  The star cubics record their printed-form discrepancies in
+    ``discrepancies``.
     """
     n, r = seed_graph.node_count, regular_degree(seed_graph)
     if kind == LAPLACIAN:
@@ -291,7 +397,7 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
 
         # star_cubic_roots is looked up at each call, so a patched module
         # attribute (the bench tracer's) sees every cubic
-        def cubic(x: float, level: int) -> tuple[float, float, float]:
+        def cubic(x: np.ndarray, level: int) -> np.ndarray:
             return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
                                     level=level)
         return seed, cubic, dropped
@@ -308,17 +414,22 @@ def corona_step(s: Spectrum, seed: Spectrum, roots, drop) -> Spectrum:
     """
     if s.kind != seed.kind:
         raise ValueError(f"kind mismatch: {s.kind} spectrum, {seed.kind} seed")
-    low = min(s.values, default=0.0)
+    low = float(s.values.min()) if len(s.values) else 0.0
     if s.kind == LAPLACIAN and low < -1e-9:
         raise ValueError(f"negative Laplacian input eigenvalue {low}")
     level = s.level + 1
     total = s.total_multiplicity
-    pairs = [(lam, w) for x, w in s.entries for lam in roots(x, level)]
-    appended = seed.entries
+    spawned = roots(s.values, level)
+    width = spawned.shape[1]
+    values, mults = seed.values, seed.multiplicities
     for value in drop:
-        appended = _drop_one(appended, value)
+        values, mults = _drop_one(values, mults, value)
+    # every multiplicity is at most the new level's total, n(n+1)^level
+    dtype = _mult_dtype(total * (width + int(mults.sum())))
     shift = 0.0 if s.kind == ADJACENCY else 1.0
-    pairs.extend((mu + shift, w * total) for mu, w in appended)
+    pairs = Pairs(np.concatenate((spawned.ravel(), values + shift)),
+                  np.concatenate((np.repeat(s.multiplicities.astype(dtype, copy=False), width),
+                                  mults.astype(dtype) * total)))
     return make_spectrum(s.kind, pairs, level=level)
 
 
@@ -346,12 +457,12 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
     n = seed_graph.node_count
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
     perron = int(np.argmax(vals))
-    roots = _quadratic_roots(n, r, r)
+    lams = _quadratic_roots(n, r, r)(np.asarray(vals, dtype=np.float64)).tolist()
     pairs: list[EigenPair] = []
     for i in range(n):
         mu = float(vals[i])
         z = vecs[:, i]
-        for lam in roots(mu):
+        for lam in lams[i]:
             if abs(lam - r) <= 1e-12:
                 raise ValueError("degenerate denominator: eigenvalue equals r")
             vec = np.concatenate((z, np.repeat(z, n) / (lam - r)))
@@ -404,6 +515,7 @@ def spectrum_to_json(s: Spectrum, n: int) -> dict:
         "kind": s.kind,
         "m": s.level,
         "n": n,
-        "entries": [{"value": v, "multiplicity": w} for v, w in s.entries],
+        "entries": [{"value": v, "multiplicity": w}
+                    for v, w in zip(s.values.tolist(), s.multiplicities.tolist())],
         "provenance": s.provenance,
     }

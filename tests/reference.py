@@ -23,21 +23,31 @@ and betweenness equal to rounding.
 The package counts components in one vectorized pass over the CSR edges.
 The loop it replaces, one BFS per component, is kept below; the tests
 assert the same counts.
+
+The package runs each corona step over arrays: every entry's roots in one
+pass, one batched star cubic per level, and a sorted split-and-merge for
+coalescing.  The per-entry step it replaces is kept below with its scalar
+coalescing, its scalar secular and printed cubics and its seed rules; the
+tests assert equal entries and equal discrepancy records, with ``==``.
 """
 
 import math
 
 import numpy as np
 
+from coronagraphs import oracle
 from coronagraphs.graph import Graph, bfs_distances
 from coronagraphs.spectral import (
     ADJACENCY,
+    COALESCE_REL_TOL,
+    FORMULA_TOL,
     LAPLACIAN,
     SIGNLESS,
+    CubicDiscrepancy,
     Spectrum,
-    _drop_one,
     make_spectrum,
-    star_cubic_roots,
+    regular_degree,
+    star_size,
 )
 from coronagraphs.structural import DisconnectedGraphError, NonUniqueShortestPathError
 
@@ -79,7 +89,7 @@ def adjacency_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spect
         disc = math.sqrt((r - lam) ** 2 + 4 * n)
         pairs.append(((lam + r + disc) / 2.0, w))
         pairs.append(((lam + r - disc) / 2.0, w))
-    for mu, w in _drop_one(seed.entries, float(r)):
+    for mu, w in drop_one(seed.entries, float(r)):
         pairs.append((mu, w * total))
     return make_spectrum(ADJACENCY, pairs, level=s.level + 1)
 
@@ -92,7 +102,7 @@ def laplacian_step(s: Spectrum, seed: Spectrum, n: int) -> Spectrum:
         disc = math.sqrt(max((nu + n + 1) ** 2 - 4 * nu, 0.0))
         pairs.append(((nu + n + 1 + disc) / 2.0, w))
         pairs.append(((nu + n + 1 - disc) / 2.0, w))
-    for nu, w in _drop_one(seed.entries, 0.0):
+    for nu, w in drop_one(seed.entries, 0.0):
         pairs.append((nu + 1.0, w * total))
     return make_spectrum(LAPLACIAN, pairs, level=s.level + 1)
 
@@ -105,7 +115,7 @@ def signless_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spectr
         disc = math.sqrt(((q + n) - (2 * r + 1)) ** 2 + 4 * n)
         pairs.append(((q + n + 2 * r + 1 + disc) / 2.0, w))
         pairs.append(((q + n + 2 * r + 1 - disc) / 2.0, w))
-    for q, w in _drop_one(seed.entries, float(2 * r)):
+    for q, w in drop_one(seed.entries, float(2 * r)):
         pairs.append((q + 1.0, w * total))
     return make_spectrum(SIGNLESS, pairs, level=s.level + 1)
 
@@ -159,6 +169,164 @@ def star_spectrum(k: int, m: int, kind: str,
                               appended=0.0, discrepancies=discrepancies)
     return _star_spectrum(k, m, SIGNLESS, star_signless_seed_spectrum(k),
                           appended=2.0, discrepancies=discrepancies)
+
+
+def coalesce(pairs) -> tuple[tuple[float, int], ...]:
+    """Merge values within the relative tolerance, multiplicity-weighted."""
+    out: list[list] = []
+    for v, w in sorted(pairs):
+        if out:
+            pv, pw = out[-1]
+            if abs(v - pv) <= COALESCE_REL_TOL * max(1.0, abs(v), abs(pv)):
+                out[-1] = [(pv * pw + v * w) / (pw + w), pw + w]
+                continue
+        out.append([float(v), int(w)])
+    return tuple((float(v), int(w)) for v, w in out)
+
+
+def drop_one(entries, value: float) -> list[tuple[float, int]]:
+    """Remove a single copy of the entry nearest ``value``."""
+    best = min(range(len(entries)), key=lambda i: abs(entries[i][0] - value))
+    if abs(entries[best][0] - value) > 1e-6 * max(1.0, abs(value)):
+        raise ValueError(f"seed spectrum is missing the expected value {value}")
+    out = []
+    for i, (v, w) in enumerate(entries):
+        w = w - 1 if i == best else w
+        if w:
+            out.append((v, w))
+    return out
+
+
+def real_cubic_roots(b: float, c: float, d: float) -> tuple[float, float, float]:
+    """Trigonometric solution of x^3 + b x^2 + c x + d with three real roots."""
+    p = c - b * b / 3.0
+    q = (2.0 * b ** 3 - 9.0 * b * c + 27.0 * d) / 27.0
+    if p >= 0.0:
+        if p <= 1e-9 and abs(q) <= 1e-9:
+            t = -b / 3.0
+            return (t, t, t)
+        raise ValueError("cubic does not have three real roots")
+    half = 2.0 * math.sqrt(-p / 3.0)
+    arg = -q / (2.0 * (-p / 3.0) ** 1.5)
+    if abs(arg) > 1.0 + 1e-9:
+        raise ValueError(f"arccos argument {arg} out of range")
+    arg = min(1.0, max(-1.0, arg))
+    phi = math.acos(arg) / 3.0
+    roots = tuple(half * math.cos(phi + 2.0 * math.pi * z / 3.0) - b / 3.0
+                  for z in range(3))
+    return tuple(sorted(roots))
+
+
+def star_cubic_coefficients(mu: float, k: int, kind: str):
+    """Secular cubic (b, c, d), plus the printed trig pieces for comparison."""
+    if kind == ADJACENCY:
+        b = -mu
+        c = 1.0 - 2.0 * k
+        d = (k - 1.0) * (mu - 2.0)
+        shift = mu / 3.0
+        w = mu * mu + 6.0 * k - 3.0
+        printed_num = 2.0 * mu ** 3 + mu * (18.0 - 9.0 * k) + (54.0 * k - 54.0)
+    elif kind == SIGNLESS:
+        b = -(mu + 2.0 * k + 2.0)
+        c = mu * (k + 2.0) + (k + 1.0) ** 2
+        d = -(mu * (k + 1.0) + 4.0 * (k - 1.0))
+        shift = (mu + 2.0 * k + 2.0) / 3.0
+        w = mu * mu + mu * (k - 2.0) + (k + 1.0) ** 2
+        ssum = sum((a + 2) * (k - a - 1) for a in range(1, k - 1))
+        printed_num = (2.0 * mu ** 3 + (3.0 * k - 6.0) * mu ** 2
+                     - 3.0 * (k * k - k - 2.0) * mu + (70.0 * k - 94.0 - 12.0 * ssum))
+    else:
+        raise ValueError("star cubics exist for adjacency and signless kinds")
+    return b, c, d, shift, w, printed_num
+
+
+def star_cubic_roots(mu: float, k: int, kind: str, *,
+                     discrepancies: list | None = None,
+                     level: int = 0) -> tuple[float, float, float]:
+    """The secular roots for one mu; printed-form misses go to ``discrepancies``."""
+    if k < 3:
+        raise ValueError("star seeds need k >= 3")
+    b, c, d, shift, w, printed_num = star_cubic_coefficients(float(mu), k, kind)
+    secular = real_cubic_roots(b, c, d)
+
+    note = ""
+    arg = printed_num / (2.0 * w ** 1.5)
+    if abs(arg) > 1.0 + 1e-9:
+        note = f"printed-form arccos argument {arg!r} outside [-1, 1]"
+    theta = math.acos(min(1.0, max(-1.0, arg)))
+    printed = tuple(sorted(
+        (2.0 / 3.0) * math.cos((theta + y * math.pi) / 3.0) * math.sqrt(w) + shift
+        for y in (0, 2, 4)))
+
+    scale = max(1.0, *(abs(x) for x in secular))
+    delta = max(abs(pr - sr) for pr, sr in zip(printed, secular))
+    if (delta > FORMULA_TOL * scale or note) and discrepancies is not None:
+        discrepancies.append(CubicDiscrepancy(
+            kind=kind, k=k, level=level, mu=float(mu),
+            printed_roots=printed, secular_roots=secular,
+            max_delta=float(delta), note=note))
+    return secular
+
+
+def quadratic_roots(n: int, alpha: int, beta: int):
+    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2; the level is unused."""
+    def roots(x: float, level: int = 0) -> tuple[float, float]:
+        disc = math.sqrt((x - beta) ** 2 + 4 * n)
+        return (x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0
+    return roots
+
+
+def scalar_step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
+    """(level-0 entries, roots, drop) of the seed's per-entry step."""
+    n, r = seed_graph.node_count, regular_degree(seed_graph)
+    if kind == LAPLACIAN:
+        alpha, beta, drop = n + 1, 1 - n, 0
+    elif r is not None:
+        alpha, beta, drop = ((r, r, r) if kind == ADJACENCY
+                             else (n + 2 * r + 1, 2 * r + 1 - n, 2 * r))
+    else:
+        k = star_size(seed_graph)
+        if kind == ADJACENCY:
+            root = math.sqrt(k - 1.0)
+            seed = coalesce([(-root, 1), (0.0, k - 2), (root, 1)])
+            dropped = (-root, root)
+        else:
+            seed = coalesce([(0.0, 1), (1.0, k - 2), (float(k), 1)])
+            dropped = (0.0, float(k))
+
+        def cubic(x: float, level: int) -> tuple[float, float, float]:
+            return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
+                                    level=level)
+        return seed, cubic, dropped
+    vals = list(map(float, oracle.sym_eigenvalues(oracle.build_matrix(seed_graph, kind))))
+    if kind == LAPLACIAN:
+        vals[0] = 0.0
+    else:
+        vals[-1] = float(r if kind == ADJACENCY else 2 * r)
+    return (coalesce([(v, 1) for v in vals]), quadratic_roots(n, alpha, beta),
+            (float(drop),))
+
+
+def scalar_corona_step(entries, level: int, kind: str, seed, roots, drop):
+    """Level ``level`` entries from the previous level's, one entry at a time."""
+    total = sum(w for _, w in entries)
+    pairs = [(lam, w) for x, w in entries for lam in roots(x, level)]
+    appended = seed
+    for value in drop:
+        appended = drop_one(appended, value)
+    shift = 0.0 if kind == ADJACENCY else 1.0
+    pairs.extend((mu + shift, w * total) for mu, w in appended)
+    return coalesce(pairs)
+
+
+def scalar_levels(seed_graph: Graph, kind: str, m: int,
+                  discrepancies: list | None = None) -> list:
+    """Entries of levels 0..m by the per-entry step."""
+    seed, roots, drop = scalar_step_rule(seed_graph, kind, discrepancies)
+    levels = [seed]
+    for level in range(1, m + 1):
+        levels.append(scalar_corona_step(levels[-1], level, kind, seed, roots, drop))
+    return levels
 
 
 def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,10 @@ from coronagraphs.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY,
+    _spectrum_text,
     main,
 )
+from coronagraphs.spectral import CubicDiscrepancy, make_spectrum, spectrum_to_json
 
 
 def run(capsys, *argv):
@@ -229,6 +231,29 @@ class TestGoldenSpectrum:
         assert (code, err) == (EXIT_OK, "")
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN[case]
 
+    # sha256 of stdout at deeper m, pinned from the per-entry recursion and
+    # the indented json.dumps that the array step and template writer replaced
+    GOLDEN_DEEP = {
+        "spectrum star:4 6 signless":
+            "77b66308e2d8388ac7467282a86ecf674ffd18078a2fd11432c425396b1584f4",
+        "spectrum complete:3 10 adjacency":
+            "8dff35675acfb8717b3a5ef7276382beab57a5b2d6b42c850f375d5d0b2f4068",
+        "spectrum cycle:5 9 laplacian":
+            "4f4bd973feb758b3aea3031723628c299fd590fa497f70ed27efacc973e95f8a",
+        # per-entry multiplicities above 2**63: an int64-only step would wrap
+        "spectrum complete:50 11 adjacency":
+            "00d032c9ca502c729642e57784b1172dac587bccf59aca9fb1a5df6dc84f9068",
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN_DEEP))
+    def test_deep_payload_sha256(self, case, capsys):
+        command, seed, m, kind = case.split()
+        code, stdout, err = run(capsys, command, "--seed", seed, "--m", m,
+                                "--kind", kind)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == \
+            self.GOLDEN_DEEP[case]
+
     # sha256 of stdout for csv output, pinned while the json payload was
     # still built for csv too; includes the oracle fallback and stats
     GOLDEN_CSV = {
@@ -251,6 +276,51 @@ class TestGoldenSpectrum:
         _, stdout, _ = run(capsys, "spectrum", "--seed", "star:4", "--m", "3",
                            "--kind", "signless")
         assert len(json.loads(stdout)["discrepancies"]) == 44
+
+
+def writer_case(pairs, records=(), seed="complete:3", notice=None):
+    """(the writer's arguments, the payload json.dumps would be given)."""
+    spectrum = make_spectrum("adjacency", pairs, level=2)
+    payload = {
+        "schema": 1,
+        "command": "spectrum",
+        "seed": seed,
+        "kind": "adjacency",
+        "m": 2,
+        "closed_form": notice is None,
+        "notice": notice,
+        "spectrum": spectrum_to_json(spectrum, 3),
+        "discrepancies": [d.to_dict() for d in records],
+    }
+    head = {**payload, "spectrum": {**payload["spectrum"], "entries": []},
+            "discrepancies": []}
+    return (head, spectrum, list(records)), payload
+
+
+class TestSpectrumWriter:
+    """The template writer against json.dumps(payload, indent=2)."""
+
+    RECORD = CubicDiscrepancy(kind="signless", k=4, level=3, mu=-0.0,
+                              printed_roots=(0.1 + 0.2, 1e16, 5e-324),
+                              secular_roots=(-1.5, 2.0, 3.25), max_delta=1e-09)
+    CASES = {
+        "empty": writer_case([]),
+        "note": writer_case([(1.0, 2)], [RECORD, CubicDiscrepancy(
+            kind="adjacency", k=5, level=1, mu=2.0, printed_roots=(1.0, 2.0, 3.0),
+            secular_roots=(1.0, 2.0, 3.0), max_delta=0.0,
+            note="printed-form arccos argument 1.0000001 outside [-1, 1]")]),
+        # make_spectrum would merge -0.0 and 5e-324, so they sit apart
+        "awkward floats": writer_case([(-0.0, 1), (1e16, 3), (0.1 + 0.2, 2 ** 70)]),
+        "subnormal": writer_case([(5e-324, 2)]),
+        "notice and non-ascii seed": writer_case(
+            [(-1.0, 2), (2.0, 1)], [RECORD], seed='file:gr\u00e4ph "\u03bc".edges',
+            notice="no closed form for kind=adjacency with seed \u00e9; \\ falling back"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_json_dumps(self, case):
+        args, payload = self.CASES[case]
+        assert _spectrum_text(*args) == json.dumps(payload, indent=2)
 
 
 class TestVerify:

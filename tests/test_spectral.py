@@ -16,6 +16,7 @@ from coronagraphs.graph import (
     corona_product,
     cycle_graph,
     edge_count_formula,
+    node_count_formula,
     path_graph,
     star_graph,
 )
@@ -80,6 +81,30 @@ class TestSpectrumType:
     def test_negative_laplacian_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             make_spectrum(LAPLACIAN, [(-0.5, 1)], level=0)
+
+    def test_multiplicities_past_int64_stay_exact(self):
+        # complete:50 at m=11 has entries of multiplicity above 2**63; the
+        # step switches them to Python ints instead of letting int64 wrap
+        s = closed_form_spectrum(complete_graph(50), ADJACENCY, 11)
+        assert max(w for _, w in s.entries) > 2 ** 63
+        assert s.total_multiplicity == node_count_formula(50, 11)
+        assert s.total_multiplicity == 303_558_180_760_413_152_550
+        below = closed_form_spectrum(complete_graph(50), ADJACENCY, 10)
+        assert below.multiplicities.dtype == np.int64
+        assert below.total_multiplicity == node_count_formula(50, 10)
+
+    def test_coalescing_follows_the_scalar_rule_near_the_split_width(self):
+        # the tolerance is 1e-9 * max(1, |a|, |b|), and runs split only at
+        # gaps wider than twice that: 1 and 1+1e-12 merge, 1+3e-9 stays apart;
+        # 2 and 2+1.5e-9 merge, within the tolerance but beyond half of it;
+        # 3 and 3+4e-9 share a run yet stay apart, beyond the tolerance
+        s = make_spectrum(ADJACENCY, [(5.0, 2), (1.0 + 3e-9, 1), (1.0, 1),
+                                      (1.0 + 1e-12, 3), (5.0, 1), (2.0 + 1.5e-9, 1),
+                                      (2.0, 1), (3.0 + 4e-9, 1), (3.0, 1)], level=0)
+        assert s.entries == (((1.0 * 1 + (1.0 + 1e-12) * 3) / 4, 4),
+                             (1.0 + 3e-9, 1),
+                             ((2.0 * 1 + (2.0 + 1.5e-9) * 1) / 2, 2),
+                             (3.0, 1), (3.0 + 4e-9, 1), (5.0, 3))
 
     def test_json_shape(self):
         s = make_spectrum(ADJACENCY, [(-1.0, 2), (2.0, 1)], level=0)

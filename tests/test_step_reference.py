@@ -74,3 +74,43 @@ def test_star_seeds_match_the_star_driver(k, kind):
         want = reference.star_spectrum(k, m, kind, want_records)
         assert got == want
         assert got_records == want_records
+
+
+def assert_exact_levels(g: Graph, kind: str, m: int) -> None:
+    """Every level of the array step equals the per-entry step's, bit for bit,
+    and so do the star discrepancy records."""
+    want_records: list = []
+    want = reference.scalar_levels(g, kind, m, want_records)
+    got_records: list = []
+    seed, roots, drop = step_rule(g, kind, got_records)
+    got = seed
+    for level in range(m + 1):
+        if level:
+            got = corona_step(got, seed, roots, drop)
+        assert got.entries == want[level], (kind, level)
+        assert repr(got.entries) == repr(want[level]), (kind, level)
+    assert got_records == want_records
+    assert closed_form_spectrum(g, kind, m).entries == want[m]
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, SIGNLESS])
+@pytest.mark.parametrize("spec", REGULAR_SEEDS)
+def test_array_step_is_exact_on_regular_seeds(spec, kind):
+    assert_exact_levels(SeedDescriptor.from_spec(spec).graph, kind, 8)
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, SIGNLESS])
+@pytest.mark.parametrize("spec", ["star:3", "star:4", "star:5"])
+def test_array_step_is_exact_on_star_seeds(spec, kind):
+    assert_exact_levels(SeedDescriptor.from_spec(spec).graph, kind, 6)
+
+
+def test_array_step_is_exact_on_path4_laplacian():
+    assert_exact_levels(SeedDescriptor.from_spec("path:4").graph, LAPLACIAN, 8)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_array_step_is_exact_on_random_laplacian(seed):
+    rng = random.Random(100 + seed)
+    g = random_connected_graph(rng.randrange(4, 10), rng)
+    assert_exact_levels(g, LAPLACIAN, 6)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -36,25 +35,6 @@ EXIT_CAP = 4
 BETWEENNESS_CAP = 10_000
 
 KINDS = (spectral.ADJACENCY, spectral.LAPLACIAN, spectral.SIGNLESS)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: str
-    m: int
-    format: str
-    kind: str | None = None
-    out: str | None = None
-    betweenness: bool = False
-    tolerance: float = 1e-8
-    node_cap: int = DEFAULT_NODE_CAP
-    force: bool = False
-
-    @classmethod
-    def from_argv(cls, argv) -> "RunConfig":
-        # every parser dest is a field; a command's absent flags keep the defaults
-        return cls(**vars(_build_parser().parse_args(argv)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out is None:
         sys.stdout.write(text)
     else:
@@ -155,7 +135,7 @@ def _spectrum_text(payload: dict, spectrum: spectral.Spectrum,
         tail))
 
 
-def _plan(cfg: RunConfig) -> CoronaPlan:
+def _plan(cfg: argparse.Namespace) -> CoronaPlan:
     # the plan validates the seed, so an invalid one gets no warning first
     plan = CoronaPlan(seed=SeedDescriptor.from_spec(cfg.seed), m=cfg.m,
                       node_cap=cfg.node_cap)
@@ -178,7 +158,7 @@ def _guard(plan: CoronaPlan, cap: int, work: str, hint: str = "") -> None:
             f"{cap}{hint}")
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     g = corona_iterate(plan)
     print(f"seed={cfg.seed} m={cfg.m} "
@@ -191,12 +171,17 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     if cfg.betweenness and not cfg.force:
         _guard(plan, BETWEENNESS_CAP, "betweenness",
                "; pass --force to run anyway")
     g = corona_iterate(plan)
+    if cfg.format == "csv":
+        # the payload is one series: no report, diameter or power-law fit
+        _emit(cfg, structural.betweenness_to_csv(structural.betweenness_exact(g))
+              if cfg.betweenness else series_to_csv(structural.degree_histogram(g)))
+        return EXIT_OK
     seed_g = plan.seed.graph
 
     degrees = structural.degree_histogram(g)
@@ -228,12 +213,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     report["cumulative_degree_distribution"] = [[v, p] for v, p in cumulative.points]
 
     if cfg.betweenness:
-        b = structural.betweenness_exact(g)
-        if cfg.format == "csv":
-            # the per-node values are the whole csv payload: no fit to refuse
-            _emit(cfg, structural.betweenness_to_csv(b))
-            return EXIT_OK
-        series = structural.betweenness_series(b)
+        series = structural.betweenness_series(structural.betweenness_exact(g))
         fit = fit_power_law(series)
         report["betweenness"] = {
             "gamma": fit.gamma,
@@ -243,14 +223,11 @@ def cmd_stats(cfg: RunConfig) -> int:
             "series": [[v, p] for v, p in series.points],
         }
 
-    if cfg.format == "csv":
-        _emit(cfg, series_to_csv(degrees))
-    else:
-        _emit(cfg, json.dumps(report, indent=2) + "\n")
+    _emit(cfg, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     discrepancies: list[spectral.CubicDiscrepancy] = []
     notice = None
@@ -292,7 +269,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     _guard(plan, oracle.DEFAULT_ORACLE_CAP, "verification")
     discrepancies: list[spectral.CubicDiscrepancy] = []
@@ -339,7 +316,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = RunConfig.from_argv(sys.argv[1:] if argv is None else argv)
+        # each command reads only the dests its own subparser defines
+        cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

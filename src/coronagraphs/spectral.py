@@ -260,29 +260,26 @@ class CubicDiscrepancy:
 def _real_cubic_roots(b: np.ndarray, c, d):
     """Trigonometric roots, ascending per row, of x^3 + b x^2 + c x + d.
 
-    Returns (roots, error): error is (row, message) for the first row
-    without three real roots, or None.
+    Only for the star cubics, whose p = c - b^2/3 is -w/3 with w > 0 the
+    printed formula's w: p <= -5 for A and w >= (k+1)^2 - (k-2)^2/4 for Q.
+    Returns (roots, error): error is (row, message) for the first row whose
+    arccos argument is out of range, or None.
     """
     p = c - b * b / 3.0
     q = (2.0 * _libm(math.pow, b, 3.0) - 9.0 * b * c + 27.0 * d) / 27.0
-    trig = p < 0.0
-    triple = ~trig & (p <= 1e-9) & (np.abs(q) <= 1e-9)
-    s = np.where(trig, -p / 3.0, 1.0)    # 1.0 stands in where trig is False
+    s = -p / 3.0
     half = 2.0 * np.sqrt(s)
     arg = -q / (2.0 * _libm(math.pow, s, 1.5))
-    wide = trig & (np.abs(arg) > 1.0 + 1e-9)
     error = None
-    bad = np.flatnonzero(wide | ~(trig | triple))
+    bad = np.flatnonzero(np.abs(arg) > 1.0 + 1e-9)
     if len(bad):
         row = int(bad[0])
-        error = (row, f"arccos argument {arg[row].item()} out of range" if trig[row]
-                 else "cubic does not have three real roots")
+        error = (row, f"arccos argument {arg[row].item()} out of range")
     phi = _libm(math.acos, np.clip(arg, -1.0, 1.0)) / 3.0
     roots = np.column_stack([
         half * _libm(math.cos, phi + 2.0 * math.pi * z / 3.0) - b / 3.0
         for z in range(3)])
     roots.sort(axis=1, kind="stable")
-    roots[triple] = (-b / 3.0)[triple, None]
     return roots, error
 
 

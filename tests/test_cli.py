@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+from coronagraphs import structural
 from coronagraphs.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY,
+    _build_parser,
+    _plan,
     _spectrum_text,
     main,
 )
@@ -45,6 +48,17 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--seed", "complete:3", "--m", "40")
         assert code == EXIT_CAP
         assert "cap" in err
+
+    @pytest.mark.parametrize("m, nodes, expected, message", [
+        ("3", 192, EXIT_CAP, "error: level 3 has 192 nodes, over the cap of 100\n"),
+        ("2", 48, EXIT_OK, ""),
+    ], ids=["over", "under"])
+    def test_node_cap_flag(self, capsys, m, nodes, expected, message):
+        argv = ["generate", "--seed", "complete:3", "--m", m, "--node-cap", "100"]
+        plan = _plan(_build_parser().parse_args(argv))
+        assert (plan.node_cap, plan.predicted_nodes) == (100, nodes)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (expected, message)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"
@@ -128,6 +142,15 @@ class TestStats:
         assert lines[0] == "# cumulative=false population=12"
         assert lines[2] == "3,0.75"
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_disconnected_seed_betweenness_refused(self, fmt, capsys, tmp_path):
+        seed_file = tmp_path / "two.edges"
+        seed_file.write_text("# n=4\n0 1\n2 3\n")
+        code, stdout, err = run(capsys, "stats", "--seed", f"file:{seed_file}",
+                                "--m", "1", "--betweenness", "--format", fmt)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err.endswith("error: betweenness needs a connected graph\n")
+
     def test_disconnected_seed_diameter_null(self, capsys, tmp_path):
         seed_file = tmp_path / "two.edges"
         seed_file.write_text("# n=4\n0 1\n2 3\n")
@@ -154,6 +177,26 @@ class TestGoldenStats:
                               "--betweenness", "--format", fmt)
         assert code == EXIT_OK
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN[fmt]
+
+    # sha256 of stdout, pinned while csv output still built the whole json
+    # report; the m=7 diameter alone took over 10 s
+    GOLDEN_CSV = {
+        "stats --seed complete:3 --m 7 --format csv":
+            "2127df57f9b3736a75772a40c77da1e2f446517711a0e9bb163e691c4828205e",
+        "stats --seed complete:3 --m 4 --betweenness --format csv":
+            "0a8e156188dde17437247c3f56dbef081b6fe0bd836436e1ca69c3a1bf3647d0",
+    }
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_CSV))
+    def test_csv_computes_only_its_series(self, argv, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("csv output measured the diameter")
+
+        monkeypatch.setattr(structural, "diameter_measured", refuse)
+        code, stdout, _ = run(capsys, *argv.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == \
+            self.GOLDEN_CSV[argv]
 
     def test_csv_needs_no_fit(self, capsys):
         # every betweenness value of K3 is 0, one value, too few for the

@@ -20,7 +20,6 @@ from .graph import (
     CoronaPlan,
     CountOverflowError,
     DEFAULT_NODE_CAP,
-    EdgeListError,
     SeedDescriptor,
     corona_iterate,
     edge_list_chunks,
@@ -34,8 +33,6 @@ EXIT_CAP = 4
 
 BETWEENNESS_CAP = 10_000
 
-KINDS = (spectral.ADJACENCY, spectral.LAPLACIAN, spectral.SIGNLESS)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -43,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Generate corona graphs and analyze their structure and spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--seed", required=True,
                        help="seed spec kind:param, e.g. complete:3 or file:g.edges")
         p.add_argument("--m", type=int, required=True,
@@ -51,27 +50,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--node-cap", dest="node_cap", type=int,
                        default=DEFAULT_NODE_CAP)
+        return p
 
-    p = sub.add_parser("generate", help="materialize the edge list of G^(m)")
-    common(p)
+    p = command("generate", cmd_generate, "materialize the edge list of G^(m)")
     p.add_argument("--format", choices=["edges"], default="edges")
 
-    p = sub.add_parser("stats", help="structural report: counts, degrees, diameter")
-    common(p)
+    p = command("stats", cmd_stats, "structural report: counts, degrees, diameter")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--betweenness", action="store_true",
                    help="include exact betweenness and its power-law fit")
     p.add_argument("--force", action="store_true",
                    help="override the betweenness size guard")
 
-    p = sub.add_parser("spectrum", help="closed-form spectrum where supported")
-    common(p)
-    p.add_argument("--kind", choices=list(KINDS), required=True)
+    p = command("spectrum", cmd_spectrum, "closed-form spectrum where supported")
+    p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p = sub.add_parser("verify", help="closed form vs dense eigensolver")
-    common(p)
-    p.add_argument("--kind", choices=list(KINDS), required=True)
+    p = command("verify", cmd_verify, "closed form vs dense eigensolver")
+    p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
     p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--tolerance", type=float, default=1e-8)
 
@@ -230,17 +226,16 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     discrepancies: list[spectral.CubicDiscrepancy] = []
-    notice = None
     try:
         spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
                                                  discrepancies)
     except ValueError as exc:
-        spectrum = None
-        notice = str(exc)
+        spectrum, notice = None, str(exc)
+    else:
+        notice = None if spectrum is not None else (
+            f"no closed form for kind={cfg.kind} with seed "
+            f"{cfg.seed}; falling back to the dense eigensolver")
     if spectrum is None:
-        if notice is None:
-            notice = (f"no closed form for kind={cfg.kind} with seed "
-                      f"{cfg.seed}; falling back to the dense eigensolver")
         _guard(plan, oracle.DEFAULT_ORACLE_CAP, "oracle fallback")
         g = corona_iterate(plan)
         vals = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
@@ -280,13 +275,15 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
               f"seed {cfg.seed}", file=sys.stderr)
         return EXIT_CONFIG
     g = corona_iterate(plan)
-    numeric = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
-    match = oracle.compare_spectra(closed, numeric, tol=cfg.tolerance)
+    mat = oracle.build_matrix(g, cfg.kind)
+    match = oracle.compare_spectra(closed, oracle.sym_eigenvalues(mat),
+                                   tol=cfg.tolerance)
 
     residual_max = 0.0
-    if (cfg.kind == spectral.ADJACENCY and cfg.m == 1
+    if (cfg.kind == spectral.ADJACENCY and cfg.m == 1 and plan.seed.connected
             and spectral.regular_degree(plan.seed.graph) is not None):
-        residual_max = spectral.eigenpair_residual_max(plan.seed.graph)
+        # mat is A(seed∘seed), the matrix the eigenpairs must satisfy
+        residual_max = spectral.eigenpair_residual_max(plan.seed.graph, mat)
 
     report = {
         "schema": 1,
@@ -306,14 +303,6 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if match.passed else EXIT_VERIFY
 
 
-_COMMANDS = {
-    "generate": cmd_generate,
-    "stats": cmd_stats,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     try:
         # each command reads only the dests its own subparser defines
@@ -321,11 +310,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return cfg.run(cfg)
     except (CapExceededError, CountOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (EdgeListError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

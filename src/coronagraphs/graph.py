@@ -220,16 +220,12 @@ class CoronaPlan:
         return self.seed.graph.node_count
 
     @property
-    def seed_edges(self) -> int:
-        return self.seed.graph.edge_count
-
-    @property
     def predicted_nodes(self) -> int:
         return node_count_formula(self.n, self.m)
 
     @property
     def predicted_edges(self) -> int:
-        return edge_count_formula(self.n, self.seed_edges, self.m)
+        return edge_count_formula(self.n, self.seed.graph.edge_count, self.m)
 
     def check_cap(self) -> None:
         if self.predicted_nodes > self.node_cap:

@@ -10,7 +10,7 @@ sign-placement ambiguity.  ``closed_form_spectrum`` is the one driver:
 An entry x spawns the quadratic roots (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2
 for a seed on n nodes, or the three roots of the secular cubic of the star on
 k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
-``drop`` value, is appended shifted by ``shift``:
+``drop`` value and shifted by ``shift``, is the tail every step appends:
 
     seed      kind       roots                           drop          shift
     regular   adjacency  quadratic, alpha=beta=r         r             0
@@ -21,7 +21,8 @@ k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
 
 The regular seeds are r-regular, and the Laplacian rule holds for any
 connected seed.  The shift depends on the kind alone: the host edge adds 1
-to the degree of every copy vertex in L and Q.
+to the degree of every copy vertex in L and Q.  The tail depends on the seed
+alone, so ``step_rule`` builds it once.
 
 A level is a float64 value array and a multiplicity array, and the step runs
 over whole arrays: every entry's roots in one pass, one star cubic call per
@@ -43,11 +44,9 @@ from itertools import repeat
 import numpy as np
 
 from . import oracle
-from .graph import Graph, connected_component_count, corona_product
+from .graph import Graph, connected_component_count
 
-ADJACENCY = "adjacency"
-LAPLACIAN = "laplacian"
-SIGNLESS = "signless"
+ADJACENCY, LAPLACIAN, SIGNLESS = oracle.MATRIX_KINDS
 
 COALESCE_REL_TOL = 1e-9
 FORMULA_TOL = 1e-8
@@ -65,7 +64,7 @@ class Spectrum:
     values: np.ndarray
     multiplicities: np.ndarray
     level: int
-    provenance: str = "closed_form"
+    provenance: str
 
     @property
     def entries(self) -> tuple[tuple[float, int], ...]:
@@ -166,7 +165,7 @@ def _coalesce(values: np.ndarray, mults: np.ndarray):
 def make_spectrum(kind: str, pairs, level: int,
                   provenance: str = "closed_form") -> Spectrum:
     """Spectrum of ``pairs`` (Pairs, or (value, multiplicity) pairs), coalesced."""
-    if kind not in (ADJACENCY, LAPLACIAN, SIGNLESS):
+    if kind not in oracle.MATRIX_KINDS:
         raise ValueError(f"unknown spectrum kind {kind!r}")
     pairs = Pairs.of(pairs)
     values, mults = _coalesce(pairs.values, pairs.multiplicities)
@@ -214,17 +213,6 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     elif r is not None:
         vals[-1] = float(r if kind == ADJACENCY else 2 * r)
     return make_spectrum(kind, [(v, 1) for v in vals], level=0)
-
-
-def _drop_one(values: np.ndarray, mults: np.ndarray, value: float):
-    """Remove a single copy of the entry nearest ``value``."""
-    best = int(np.argmin(np.abs(values - value)))
-    if abs(values[best] - value) > 1e-6 * max(1.0, abs(value)):
-        raise ValueError(f"seed spectrum is missing the expected value {value}")
-    mults = mults.copy()
-    mults[best] -= 1
-    keep = mults != 0
-    return values[keep], mults[keep]
 
 
 def algebraic_connectivity(s: Spectrum) -> float:
@@ -308,21 +296,19 @@ def _star_cubic_coefficients(mu: np.ndarray, k: int, kind: str):
     return b, c, d, shift, w, printed_num
 
 
-def star_cubic_roots(mu, k: int, kind: str, *,
-                     discrepancies: list | None = None, level: int = 0):
-    """The three eigenvalues a star step spawns from each input eigenvalue mu.
+def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
+                     discrepancies: list | None = None, level: int = 0) -> np.ndarray:
+    """The three eigenvalues a star step spawns from each input eigenvalue.
 
-    ``mu`` is one value, giving a tuple of three roots, or an array of them,
-    giving one ascending row of roots per value.  The roots are those of the
-    secular cubic (always consistent with the oracle).  The printed trig
-    expression is evaluated verbatim alongside; when it strays beyond
-    tolerance, or its arccos argument leaves [-1, 1] by more than 1e-9, a
-    CubicDiscrepancy is appended to ``discrepancies`` instead of silently
-    clamping, in the order of ``mu``.
+    ``mus`` is a float64 array; the result holds one ascending row of roots
+    per value.  The roots are those of the secular cubic (always consistent
+    with the oracle).  The printed trig expression is evaluated verbatim
+    alongside; when it strays beyond tolerance, or its arccos argument leaves
+    [-1, 1] by more than 1e-9, a CubicDiscrepancy is appended to
+    ``discrepancies`` instead of silently clamping, in the order of ``mus``.
     """
     if k < 3:
         raise ValueError("star seeds need k >= 3")
-    mus = np.atleast_1d(np.asarray(mu, dtype=np.float64))
     b, c, d, shift, w, printed_num = _star_cubic_coefficients(mus, k, kind)
     secular, error = _real_cubic_roots(b, c, d)
 
@@ -349,7 +335,7 @@ def star_cubic_roots(mu, k: int, kind: str, *,
                 note=f"printed-form arccos argument {a!r} outside [-1, 1]" if out else ""))
     if error is not None:
         raise ValueError(error[1])
-    return tuple(secular[0].tolist()) if np.ndim(mu) == 0 else secular
+    return secular
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +350,27 @@ def _quadratic_roots(n: int, alpha: int, beta: int):
     return roots
 
 
+def _tail(seed: Spectrum, drop) -> Pairs:
+    """The seed spectrum less one copy of the entry nearest each ``drop``
+    value, shifted as the module table says for the seed's kind."""
+    values, mults = seed.values, seed.multiplicities
+    for value in drop:
+        best = int(np.argmin(np.abs(values - value)))
+        if abs(values[best] - value) > 1e-6 * max(1.0, abs(value)):
+            raise ValueError(f"seed spectrum is missing the expected value {value}")
+        mults = mults.copy()
+        mults[best] -= 1
+        values, mults = values[mults != 0], mults[mults != 0]
+    return Pairs(values + (0.0 if seed.kind == ADJACENCY else 1.0), mults)
+
+
 def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
-    """(level-0 spectrum, roots, drop) of the seed's step, as in the module table.
+    """(level-0 spectrum, roots, tail) of the seed's step, as in the module table.
 
     ``roots(x, level)`` gives, for an array x, the values each entry spawns at
-    ``level``, one row per entry.  None when the (seed, kind) pair has no
-    closed form.  The star cubics record their printed-form discrepancies in
-    ``discrepancies``.
+    ``level``, one row per entry.  ``tail`` is the Pairs every step appends,
+    already shifted.  None when the (seed, kind) pair has no closed form.  The
+    star cubics record their printed-form discrepancies in ``discrepancies``.
     """
     n, r = seed_graph.node_count, regular_degree(seed_graph)
     if kind == LAPLACIAN:
@@ -397,36 +397,28 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
         def cubic(x: np.ndarray, level: int) -> np.ndarray:
             return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
                                     level=level)
-        return seed, cubic, dropped
-    return (seed_spectrum(seed_graph, kind), _quadratic_roots(n, alpha, beta),
-            (float(drop),))
+        return seed, cubic, _tail(seed, dropped)
+    seed = seed_spectrum(seed_graph, kind)
+    return seed, _quadratic_roots(n, alpha, beta), _tail(seed, (float(drop),))
 
 
-def corona_step(s: Spectrum, seed: Spectrum, roots, drop) -> Spectrum:
+def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Pairs) -> Spectrum:
     """One corona step of an A, L or Q spectrum under a ``step_rule``.
 
-    Every entry x (mult w) spawns ``roots(x, level)`` with mult w; the seed
-    values, less one copy of each ``drop`` value and shifted, carry the
-    input's total multiplicity.
+    Every entry x (mult w) spawns ``roots(x, level)`` with mult w; the
+    rule's ``tail`` follows, each multiplicity times the input's total.
     """
     if s.kind != seed.kind:
         raise ValueError(f"kind mismatch: {s.kind} spectrum, {seed.kind} seed")
-    low = float(s.values.min()) if len(s.values) else 0.0
-    if s.kind == LAPLACIAN and low < -1e-9:
-        raise ValueError(f"negative Laplacian input eigenvalue {low}")
     level = s.level + 1
     total = s.total_multiplicity
     spawned = roots(s.values, level)
     width = spawned.shape[1]
-    values, mults = seed.values, seed.multiplicities
-    for value in drop:
-        values, mults = _drop_one(values, mults, value)
     # every multiplicity is at most the new level's total, n(n+1)^level
-    dtype = _mult_dtype(total * (width + int(mults.sum())))
-    shift = 0.0 if s.kind == ADJACENCY else 1.0
-    pairs = Pairs(np.concatenate((spawned.ravel(), values + shift)),
+    dtype = _mult_dtype(total * (width + int(tail.multiplicities.sum())))
+    pairs = Pairs(np.concatenate((spawned.ravel(), tail.values)),
                   np.concatenate((np.repeat(s.multiplicities.astype(dtype, copy=False), width),
-                                  mults.astype(dtype) * total)))
+                                  tail.multiplicities.astype(dtype) * total)))
     return make_spectrum(s.kind, pairs, level=level)
 
 
@@ -441,16 +433,21 @@ class EigenPair:
 
 
 def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
-    """All n(n+1) adjacency eigenpairs of seed∘seed for a regular seed.
+    """All n(n+1) adjacency eigenpairs of seed∘seed for a connected regular seed.
 
     Quadratic-family vectors put 1/(lam - r) times the host's coordinate on
     every vertex of its copy; mu-family vectors place one seed eigenvector
     inside a single copy and vanish elsewhere.  Layout matches
-    corona_product's copy-major index contract.
+    corona_product's copy-major index contract.  Connectivity makes r a
+    simple eigenvalue, so every other seed eigenvector is orthogonal to the
+    all-ones vector, as the mu family needs; lam - r is never 0, since
+    |lam - r| >= n / (r + sqrt(r^2 + n)).
     """
     r = regular_degree(seed_graph)
     if r is None:
         raise ValueError("eigenpair construction needs a regular seed")
+    if connected_component_count(seed_graph) != 1:
+        raise ValueError("eigenpair construction needs a connected seed")
     n = seed_graph.node_count
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
     perron = int(np.argmax(vals))
@@ -460,8 +457,6 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
         mu = float(vals[i])
         z = vecs[:, i]
         for lam in lams[i]:
-            if abs(lam - r) <= 1e-12:
-                raise ValueError("degenerate denominator: eigenvalue equals r")
             vec = np.concatenate((z, np.repeat(z, n) / (lam - r)))
             pairs.append(EigenPair(value=lam, vector=vec))
         if i != perron:
@@ -472,10 +467,9 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
     return pairs
 
 
-def eigenpair_residual_max(seed_graph: Graph) -> float:
-    """Largest ||A v - lam v|| / ||v|| over the constructed one-step pairs."""
-    g1 = corona_product(seed_graph, seed_graph)
-    a = oracle.build_matrix(g1, ADJACENCY)
+def eigenpair_residual_max(seed_graph: Graph, a: np.ndarray) -> float:
+    """Largest ||A v - lam v|| / ||v|| over the constructed one-step pairs,
+    with ``a`` the adjacency matrix of seed∘seed."""
     worst = 0.0
     for pair in build_one_step_eigenpairs(seed_graph):
         v = pair.vector

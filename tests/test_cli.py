@@ -235,6 +235,19 @@ class TestSpectrum:
         total = sum(e["multiplicity"] for e in payload["spectrum"]["entries"])
         assert total == 20
 
+    def test_closed_form_error_falls_back_with_its_message(self, capsys, tmp_path):
+        seed = tmp_path / "d.edges"
+        seed.write_text("0 1\n1 2\n3 4\n")
+        code, stdout, _ = run(capsys, "spectrum", "--seed", f"file:{seed}", "--m", "1",
+                              "--kind", "laplacian")
+        assert code == EXIT_OK
+        payload = json.loads(stdout)
+        assert payload["closed_form"] is False
+        assert payload["notice"] == "Laplacian closed form needs a connected seed"
+        assert payload["spectrum"]["provenance"] == "oracle"
+        total = sum(e["multiplicity"] for e in payload["spectrum"]["entries"])
+        assert total == 30
+
     def test_csv_format(self, capsys):
         code, stdout, _ = run(capsys, "spectrum", "--seed", "complete:3",
                               "--m", "1", "--kind", "laplacian", "--format", "csv")
@@ -389,6 +402,18 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert 0.0 < report["residual_max"] < 1e-8
 
+    def test_no_residual_on_disconnected_regular_seed(self, capsys, tmp_path):
+        # two triangles: r = 2 is a double eigenvalue, so the one-step
+        # eigenpair construction does not apply
+        seed = tmp_path / "t.edges"
+        seed.write_text("# n=6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+        code, stdout, _ = run(capsys, "verify", "--seed", f"file:{seed}", "--m", "1",
+                              "--kind", "adjacency")
+        assert code == EXIT_OK
+        report = json.loads(stdout)
+        assert report["passed"] is True
+        assert report["residual_max"] == 0.0
+
     def test_impossible_tolerance_fails_with_exit_3(self, capsys, tmp_path):
         out = tmp_path / "v.json"
         code, _, _ = run(capsys, "verify", "--seed", "complete:3", "--m", "2",
@@ -439,6 +464,16 @@ class TestConfig:
         code, stdout, err = run(capsys, "stats", "--seed", f"file:{empty}", "--m", "1")
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err == "error: seed must be nonempty\n"
+
+    def test_negative_m(self, capsys):
+        code, _, err = run(capsys, "generate", "--seed", "complete:3", "--m", "-1")
+        assert (code, err) == (EXIT_CONFIG, "error: m must be nonnegative\n")
+
+    def test_bad_node_count_header(self, capsys, tmp_path):
+        bad = tmp_path / "bad.edges"
+        bad.write_text("# n=abc\n0 1\n")
+        code, _, err = run(capsys, "generate", "--seed", f"file:{bad}", "--m", "1")
+        assert (code, err) == (EXIT_CONFIG, "error: line 1: bad node count 'n=abc'\n")
 
     def test_bad_edge_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.edges"

@@ -163,7 +163,7 @@ class TestCoronaIterate:
     def test_counts_match_formulas(self, spec, m):
         plan = plan_for(spec, m)
         g = corona_iterate(plan)
-        n, e = plan.n, plan.seed_edges
+        n, e = plan.n, plan.seed.graph.edge_count
         assert g.node_count == node_count_formula(n, m)
         assert g.edge_count == edge_count_formula(n, e, m)
 

@@ -298,13 +298,13 @@ class TestStarCubics:
     def test_root_sum_identity(self):
         # the three adjacency roots sum to mu: the cosine triple cancels
         for mu in (-1.3, 0.0, math.sqrt(2), 2.5):
-            roots = star_cubic_roots(mu, 5, ADJACENCY)
+            roots = star_cubic_roots(np.array([mu]), 5, ADJACENCY)[0]
             assert sum(roots) == pytest.approx(mu, abs=1e-12)
 
     def test_largest_root_frozen(self):
         # eigensolver on A(S_3 o S_3) puts its largest eigenvalue at
         # 3.1307838872... which the mu = sqrt(2) cubic must reproduce
-        roots = star_cubic_roots(math.sqrt(2), 3, ADJACENCY)
+        roots = star_cubic_roots(np.array([math.sqrt(2)]), 3, ADJACENCY)[0]
         assert max(roots) == pytest.approx(3.130783887249892, abs=1e-9)
         top = oracle_values(corona_product(star_graph(3), star_graph(3)),
                             ADJACENCY)[-1]
@@ -313,18 +313,19 @@ class TestStarCubics:
     def test_zero_mu_roots_appear_in_oracle_spectrum(self):
         numeric = oracle_values(corona_product(star_graph(3), star_graph(3)),
                                 ADJACENCY)
-        for root in star_cubic_roots(0.0, 3, ADJACENCY):
+        for root in star_cubic_roots(np.array([0.0]), 3, ADJACENCY)[0]:
             assert np.min(np.abs(numeric - root)) < 1e-8
 
     def test_adjacency_printed_form_agrees(self):
         sink: list[CubicDiscrepancy] = []
         for mu in (-2.0, 0.0, 1.7):
-            star_cubic_roots(mu, 4, ADJACENCY, discrepancies=sink)
+            star_cubic_roots(np.array([mu]), 4, ADJACENCY, discrepancies=sink)
         assert sink == []
 
     def test_signless_printed_form_deviates(self):
         sink: list[CubicDiscrepancy] = []
-        roots = star_cubic_roots(0.0, 3, SIGNLESS, discrepancies=sink)
+        roots = tuple(star_cubic_roots(np.array([0.0]), 3, SIGNLESS,
+                                       discrepancies=sink)[0].tolist())
         assert len(sink) == 1
         d = sink[0]
         assert d.max_delta > 1e-3
@@ -406,11 +407,20 @@ class TestEigenpairs:
             assert abs(p.vector.sum()) < 1e-10
 
     def test_residual_max_helper(self):
-        assert eigenpair_residual_max(complete_graph(3)) < 1e-12
+        a = oracle.build_matrix(corona_product(complete_graph(3), complete_graph(3)),
+                                ADJACENCY)
+        assert eigenpair_residual_max(complete_graph(3), a) < 1e-12
 
     def test_irregular_seed_rejected(self):
         with pytest.raises(ValueError, match="regular"):
             build_one_step_eigenpairs(star_graph(4))
+
+    def test_disconnected_seed_rejected(self):
+        # two triangles: 2-regular, but r = 2 is a double eigenvalue
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0),
+                                             (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(ValueError, match="connected"):
+            build_one_step_eigenpairs(two_triangles)
 
 
 class TestDispatch:

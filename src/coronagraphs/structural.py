@@ -1,11 +1,20 @@
 """Degree, density, diameter, and betweenness: measured and closed-form.
 
-Measured quantities come from BFS over the CSR graph; the closed forms
-predict the same numbers from the seed alone, which is what makes the
-desk-scale cross-validation cheap.
+Measured quantities come from the CSR graph: the diameter from an
+all-source BFS, betweenness from one DFS over the block-cut tree and one
+small Brandes run per distinct block.  Every block of a corona graph is a
+block of the seed or a cone of n+1 nodes, so few distinct blocks remain.
+Betweenness is summed exactly and rounded once: each value is the correctly
+rounded float of the true one, and exactly tied nodes get equal floats.
+The closed forms predict the same numbers from the seed alone, which is
+what makes the desk-scale cross-validation cheap.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -142,68 +151,163 @@ def diameter_formula(d0: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # betweenness
 
-SOURCE_BATCH = 4   # Brandes sources laid side by side per DAG build
 
+def _blocks(g: Graph) -> tuple[list, list[int], list[int]]:
+    """Blocks of a connected graph and their branch weights, by one DFS.
 
-def _dependencies(g: Graph):
-    """Brandes dependencies, SOURCE_BATCH sources at a time.
-
-    Yields (sigma, delta), each of shape (sources in the batch, N): the path
-    counts from each source and its dependency on every node.  Node v of the
-    batch's i-th source has flat index i*N + v, so one level-synchronous BFS
-    builds all the batch's shortest-path DAGs, and each source meets its
-    edges in the order a BFS of its own would.
+    Iterative Hopcroft-Tarjan from node 0.  Returns (blocks, owner, disc):
+    ``blocks`` holds (vertices, weights) per block, the block's parent cut
+    vertex last; ``owner[x]`` is the block of the edge from x to its DFS
+    parent; ``disc`` is the discovery order.  A vertex's weight in a block
+    counts the nodes that reach the block through it, itself included: 1
+    plus the sizes below its child blocks, or N less the size below the
+    block for the parent cut vertex.
     """
     n = g.node_count
-    degrees = g.degrees
-    for first in range(0, n, SOURCE_BATCH):
-        sources = np.arange(first, min(first + SOURCE_BATCH, n))
-        size = len(sources) * n
-        roots = np.arange(len(sources)) * n + sources
-        dist = np.full(size, -1, dtype=np.int32)
-        sigma = np.zeros(size, dtype=np.float64)
-        dist[roots] = 0
-        sigma[roots] = 1.0
-        frontier = roots
-        levels = []
-        d = 0
-        while len(frontier):
-            local = frontier % n
-            srcs, dsts = expand_frontier(g, local)
-            if len(dsts) == 0:
-                break
-            base = np.repeat(frontier - local, degrees[local])
-            srcs += base
-            dsts += base
-            # every node first reached at this level is still unvisited, so
-            # the DAG's edges are exactly the ones into unvisited nodes
-            tree = dist[dsts] < 0
-            srcs, dsts = srcs[tree], dsts[tree]
-            dist[dsts] = d + 1
-            sigma += np.bincount(dsts, weights=sigma[srcs], minlength=size)
-            levels.append((srcs, dsts))
-            frontier = np.flatnonzero(dist == d + 1)
-            d += 1
-        if dist.min() < 0:
-            raise DisconnectedGraphError("betweenness needs a connected graph")
-        delta = np.zeros(size, dtype=np.float64)
-        for srcs, dsts in reversed(levels):
-            share = sigma[srcs] / sigma[dsts] * (1.0 + delta[dsts])
-            delta += np.bincount(srcs, weights=share, minlength=size)
-        delta[roots] = 0.0
-        yield sigma.reshape(-1, n), delta.reshape(-1, n)
+    # memoryviews read Python ints without keeping one object per entry
+    offsets, targets = memoryview(g.offsets), memoryview(g.targets)
+    disc, low = [-1] * n, [0] * n
+    size, hung = [1] * n, [0] * n   # DFS subtree; nodes below child blocks
+    owner, where = [0] * n, [0] * n
+    nxt = memoryview(g.offsets[:-1].copy())   # each node's next CSR entry
+    disc[0] = found = 0
+    path, pending, blocks = [0], [0], []
+    while True:
+        u = path[-1]
+        i = nxt[u]
+        if i < offsets[u + 1]:
+            nxt[u] = i + 1
+            t = targets[i]
+            if disc[t] < 0:
+                found += 1
+                disc[t] = low[t] = found
+                where[t] = len(pending)
+                path.append(t)
+                pending.append(t)
+            elif disc[t] < low[u]:
+                low[u] = disc[t]
+            continue
+        path.pop()
+        if not path:
+            break
+        p = path[-1]
+        size[p] += size[u]
+        low[p] = min(low[p], low[u])
+        if low[u] >= disc[p]:
+            below = pending[where[u]:]
+            del pending[where[u]:]
+            for x in below:
+                owner[x] = len(blocks)
+            blocks.append((below + [p], [1 + hung[x] for x in below] + [n - size[u]]))
+            hung[p] += size[u]
+    if found + 1 < n:
+        raise DisconnectedGraphError("betweenness needs a connected graph")
+    return blocks, owner, disc
+
+
+def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int, bool]:
+    """Half of sum over s != v of w(s)*delta_s(v) in one block, exactly.
+
+    delta_s is Brandes' dependency with each target t counted w(t) times.
+    Returns (numerators, denominator, whether any pair has tied shortest
+    paths).  Scaled by the lcm L of the path counts from s, each dependency
+    D(c) = L*delta_s(c) is an integer and a multiple of sigma(c), so every
+    division below is exact.
+    """
+    k = len(adj)
+    num, den, tied = [0] * k, 1, False
+    for s in range(k):
+        dist, sigma = [-1] * k, [0] * k
+        dist[s], sigma[s] = 0, 1
+        queue = [s]
+        for u in queue:
+            du, su = dist[u] + 1, sigma[u]
+            for t in adj[u]:
+                if dist[t] < 0:
+                    dist[t] = du
+                    sigma[t] = su
+                    queue.append(t)
+                elif dist[t] == du:
+                    sigma[t] += su
+        scale = math.lcm(*sigma)
+        tied |= scale > 1
+        dep = [0] * k
+        for c in reversed(queue):
+            share = (scale * weights[c] + dep[c]) // sigma[c]
+            before = dist[c] - 1   # c's predecessors on shortest paths
+            for v in adj[c]:
+                if dist[v] == before:
+                    dep[v] += sigma[v] * share
+        dep[s] = 0
+        if den % scale:
+            grow = scale // math.gcd(den, scale)
+            num = [x * grow for x in num]
+            den *= grow
+        num = list(map(add, num, map(mul, dep, repeat(weights[s] * (den // scale)))))
+    return num, 2 * den, tied
+
+
+def _betweenness_pass(g: Graph) -> tuple[list[int], int, bool]:
+    """Exact betweenness over the block-cut tree (Puzis et al. 2012).
+
+    Returns (numerators, common denominator, whether any shortest path
+    ties).  A pair s, t counts for v in two ways.  If v is a cut vertex
+    with s and t in different components of G - v, the pair counts 1:
+    (1/2)[(N-1)**2 - sum over blocks B at v of (N - w_B(v))**2] pairs.
+    Otherwise the pair's shortest paths cross a block B of v between the
+    vertices x != v and y != v where s and t enter it, and it counts
+    sigma_xy(v)/sigma_xy inside B; w_B(x)*w_B(y) pairs enter at x and y.
+    Blocks of equal shape and weights share one Brandes run.
+    """
+    n = g.node_count
+    if n == 0:
+        return [], 1, False
+    blocks, owner, disc = _blocks(g)
+    # an edge belongs to the block of its later-discovered end
+    disc, owner = np.array(disc), np.array(owner)
+    srcs, dsts = expand_frontier(g, np.arange(n))
+    block_of = owner[np.where(disc[srcs] > disc[dsts], srcs, dsts)]
+    order = np.argsort(block_of, kind="stable")
+    bounds = np.searchsorted(block_of[order], np.arange(len(blocks) + 1)).tolist()
+    srcs, dsts = srcs[order], dsts[order]
+
+    cut = [(n - 1) ** 2] * n
+    memo: dict[tuple, tuple[list[int], int, bool]] = {}
+    placed = []
+    for b, (vertices, weights) in enumerate(blocks):
+        for v, w in zip(vertices, weights):
+            cut[v] -= (n - w) ** 2
+        if len(vertices) < 3:
+            continue
+        vertices, weights = zip(*sorted(zip(vertices, weights)))
+        pos = {v: i for i, v in enumerate(vertices)}
+        adj = [[] for _ in vertices]
+        rows = slice(bounds[b], bounds[b + 1])
+        for u, t in zip(srcs[rows].tolist(), dsts[rows].tolist()):
+            adj[pos[u]].append(pos[t])
+        key = (tuple(tuple(sorted(a)) for a in adj), weights)
+        if key not in memo:
+            memo[key] = _block_dependencies(*key)
+        placed.append((vertices, memo[key]))
+
+    den = math.lcm(2, *(d for _, d, _ in memo.values()))
+    num = [c * (den // 2) for c in cut]
+    for vertices, (part, d, _) in placed:
+        f = den // d
+        for v, x in zip(vertices, part):
+            num[v] += f * x
+    return num, den, any(tied for _, _, tied in memo.values())
 
 
 def betweenness_exact(g: Graph) -> np.ndarray:
-    """Exact betweenness by dependency accumulation over BFS DAGs (Brandes).
+    """Exact betweenness, unordered pairs counted once.
 
-    Unordered pairs are counted once.
+    Summed in exact arithmetic over the blocks (see ``_betweenness_pass``)
+    and rounded once, so each value is the correctly rounded float of the
+    true betweenness and exactly tied nodes get equal floats.
     """
-    b = np.zeros(g.node_count, dtype=np.float64)
-    for _, delta in _dependencies(g):
-        for row in delta:   # one source at a time keeps the summation order
-            b += row
-    return b / 2.0
+    num, den, _ = _betweenness_pass(g)
+    return np.array([x / den for x in num], dtype=np.float64)
 
 
 def betweenness_clique_pathcount(g: Graph) -> np.ndarray:
@@ -211,18 +315,15 @@ def betweenness_clique_pathcount(g: Graph) -> np.ndarray:
 
     On corona graphs grown from a complete seed every vertex pair has exactly
     one shortest path, so counting paths equals the fractional accumulation.
-    A sigma above 1 anywhere means the seed was not a clique and raises.
+    Shortest paths are unique in G exactly when they are unique in every
+    block; a tie in any block means the seed was not a clique and raises.
     """
-    b = np.zeros(g.node_count, dtype=np.int64)
-    for sigma, delta in _dependencies(g):
-        if np.any(sigma > 1.5):
-            raise NonUniqueShortestPathError(
-                "tied shortest paths found; integer path counting is invalid"
-            )
-        # with every sigma 1 each dependency is a whole number of nodes,
-        # exact in float64
-        b += delta.sum(axis=0).astype(np.int64)
-    return b // 2
+    num, den, tied = _betweenness_pass(g)
+    if tied:
+        raise NonUniqueShortestPathError(
+            "tied shortest paths found; integer path counting is invalid"
+        )
+    return np.array([x // den for x in num], dtype=np.int64)
 
 
 def betweenness_series(b: np.ndarray) -> DistributionSeries:

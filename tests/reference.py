@@ -13,10 +13,10 @@ multiplicities and values to rounding.  The star seeds ran on a driver of
 their own, with their own exact seed spectra; it is kept below too, and the
 tests assert the same entries and the same discrepancy records.
 
-The package runs its all-source BFS in batches: the diameter 64 sources per
-machine word, betweenness a few sources side by side.  The one-source-at-a-
-time diameter, Brandes betweenness and clique path count it replaces are
-kept below, with the cumulative-sum frontier expansion they ran on; the
+The package runs its all-source diameter BFS 64 sources per machine word,
+and computes betweenness block by block over the block-cut tree.  The
+one-source-at-a-time diameter, Brandes betweenness and clique path count
+are kept below, with the cumulative-sum frontier expansion they ran on; the
 tests assert the same expansions, the same diameters, the same path counts
 and betweenness equal to rounding.
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from conftest import moment
 from coronagraphs import oracle
 from coronagraphs.distributions import cumulative_series, fit_exponential, fit_power_law
@@ -132,9 +133,13 @@ def test_criterion_4_betweenness_power_law(k3_m5, k3_m5_betweenness):
     counts = betweenness_clique_pathcount(k3_m5)
     max_delta = float(np.max(np.abs(counts - b)))
     ok &= max_delta <= 1e-9
+    # both functions above share one block-cut pass; the per-source count
+    # shares no code with it
+    same = np.array_equal(counts, reference.betweenness_clique_pathcount(k3_m5))
+    ok &= same
     report(4, ok, f"3072-node Brandes in {elapsed:.2f}s < 60s, gamma_b = "
                   f"{fit.gamma:.4f} in [1.7, 2.3], path counting delta "
-                  f"{max_delta:.2e} <= 1e-9")
+                  f"{max_delta:.2e} <= 1e-9, per-source count equal: {same}")
 
 
 def test_criterion_5_spectral_oracle_equivalence():

@@ -1,6 +1,8 @@
-"""The batched diameter and betweenness kernels against the per-source ones."""
+"""The batched diameter and the block-cut betweenness against the per-source
+kernels, and betweenness bit for bit against the Fraction brute force."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from coronagraphs.graph import (
     corona_iterate,
     expand_frontier,
     path_graph,
+    star_graph,
 )
+from coronagraphs.oracle import brute_betweenness
 from coronagraphs.structural import (
     DisconnectedGraphError,
     NonUniqueShortestPathError,
-    SOURCE_BATCH,
     betweenness_clique_pathcount,
     betweenness_exact,
     diameter_measured,
@@ -29,9 +32,8 @@ from conftest import random_connected_graph
 BUILTIN_SEEDS = ["complete:1", "complete:2", "complete:3", "complete:4",
                  "path:2", "path:3", "path:4", "cycle:3", "cycle:4", "star:4"]
 
-# around the betweenness batch and the 64-source diameter chunk
-NODE_COUNTS = sorted({1, 2, SOURCE_BATCH - 1, SOURCE_BATCH, SOURCE_BATCH + 1,
-                      63, 64, 65, 127, 128, 129})
+# the smallest blocks, and around the 64-source diameter chunk
+NODE_COUNTS = [1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129]
 
 
 def outcome(fn, g):
@@ -59,6 +61,26 @@ def assert_kernels_agree(g: Graph) -> None:
 
 def level(spec: str, m: int) -> Graph:
     return corona_iterate(CoronaPlan(seed=SeedDescriptor.from_spec(spec), m=m))
+
+
+def assert_bit_equal_to_brute_force(g: Graph) -> None:
+    got, want = betweenness_exact(g), brute_betweenness(g)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def with_bridges_and_pendant_trees(rng: random.Random) -> Graph:
+    """Random 2- to 8-node cores chained by bridges, with pendant trees."""
+    edges, n = [], 0
+    for _ in range(rng.randrange(2, 5)):
+        core = random_connected_graph(rng.randrange(2, 9), rng)
+        if n:
+            edges.append((rng.randrange(n), n + rng.randrange(core.node_count)))
+        edges += [(u + n, v + n) for u, v in core.edge_array().tolist()]
+        n += core.node_count
+    for _ in range(rng.randrange(3, 12)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    return Graph.from_edges(n, edges)
 
 
 def split_off_pair(n: int, first: int, rng: random.Random) -> Graph:
@@ -133,8 +155,9 @@ def test_k1_k2_and_empty():
         assert_kernels_agree(g)
 
 
-# 150 nodes: three diameter chunks (0-63, 64-127, 128-149) and batches of
-# SOURCE_BATCH sources; 0, 70 and 148 sit in the first, a middle and the last
+# 150 nodes: three diameter chunks (0-63, 64-127, 128-149); 0, 70 and 148
+# sit in the first, a middle and the last, and the DFS from node 0 reaches
+# one side only
 @pytest.mark.parametrize("first", [0, 70, 148])
 def test_disconnected_in_first_middle_last_batch(first):
     g = split_off_pair(150, first, random.Random(first))
@@ -158,3 +181,53 @@ def test_isolated_node(node):
         betweenness_exact(g)
     with pytest.raises(DisconnectedGraphError):
         betweenness_clique_pathcount(g)
+
+
+class TestExactBetweenness:
+    @pytest.mark.parametrize("spec", BUILTIN_SEEDS)
+    @pytest.mark.parametrize("m", range(3))
+    def test_builtin_seeds_bit_equal_to_brute_force(self, spec, m):
+        # at most 100 nodes, under the brute force's 500-node cap
+        assert_bit_equal_to_brute_force(level(spec, m))
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 30, 45, 60])
+    def test_random_graphs_bit_equal_to_brute_force(self, n):
+        assert_bit_equal_to_brute_force(random_connected_graph(n, random.Random(100 + n)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bridges_and_pendant_trees(self, seed):
+        g = with_bridges_and_pendant_trees(random.Random(seed))
+        assert_bit_equal_to_brute_force(g)
+        assert_kernels_agree(g)
+
+    def test_exact_ties_stay_equal(self):
+        # cycle:4 ties shortest paths, yet its level 3 has 4 exact values
+        b = betweenness_exact(level("cycle:4", 3))
+        assert len(np.unique(b)) == 4
+        assert np.all(b[:4] == b[0]) and np.all(b[100:] == 1 / 3)
+
+
+def test_long_path_needs_no_recursion():
+    n = 20_000
+    g = path_graph(n)
+    start = time.perf_counter()
+    b = betweenness_exact(g)
+    elapsed = time.perf_counter() - start
+    i = np.arange(n)
+    assert np.array_equal(b, (i * (n - 1 - i)).astype(np.float64))
+    assert np.array_equal(betweenness_clique_pathcount(g), i * (n - 1 - i))
+    assert elapsed < 1.0
+
+
+def barbell() -> Graph:
+    """Two K5 joined through the 3-node path 5-6-7."""
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    return Graph.from_edges(13, k5 + [(u + 8, v + 8) for u, v in k5]
+                            + [(4, 5), (5, 6), (6, 7), (7, 8)])
+
+
+# K1, K2 and the empty graph are in test_k1_k2_and_empty
+@pytest.mark.parametrize("g", [barbell(), star_graph(6)], ids=["barbell", "star"])
+def test_block_edge_cases(g):
+    assert np.array_equal(betweenness_exact(g), reference.betweenness_exact(g))
+    assert_kernels_agree(g)

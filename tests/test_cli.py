@@ -178,6 +178,36 @@ class TestGoldenStats:
         assert code == EXIT_OK
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN[fmt]
 
+    # sha256 of stdout, pinned from the exact block-cut sums; cycle:4 ties
+    # shortest paths, and float sums in another order split its 4 exact
+    # values into 26 series bins
+    GOLDEN_TIED = {
+        "json": "b54f5c84a6110cefff5f2b6aec0611a03f379ff2272c5231cc91a8e2ddc25efc",
+        "csv": "0390ca7838fdc10364f142c388dadfe602d40b89c32547dde70e1d679fce9a49",
+    }
+
+    @pytest.mark.parametrize("fmt", list(GOLDEN_TIED))
+    def test_tied_path_payload_sha256(self, fmt, capsys):
+        code, stdout, _ = run(capsys, "stats", "--seed", "cycle:4", "--m", "3",
+                              "--betweenness", "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN_TIED[fmt]
+        if fmt == "json":
+            assert len(json.loads(stdout)["betweenness"]["series"]) == 4
+
+    def test_two_exact_values_are_too_few_to_fit(self, capsys):
+        # cycle:4 m=1 has the exact values 1/3 and 439/6; float noise once
+        # made a third bin and a fit
+        code, stdout, err = run(capsys, "stats", "--seed", "cycle:4", "--m", "1",
+                                "--betweenness")
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert "need at least 3 distinct values" in err
+        code, stdout, _ = run(capsys, "stats", "--seed", "cycle:4", "--m", "1",
+                              "--betweenness", "--format", "csv")
+        assert code == EXIT_OK
+        values = [line.split(",")[1] for line in stdout.splitlines()[1:]]
+        assert sorted(set(values)) == ["0.3333333333333333", "73.16666666666667"]
+
     # sha256 of stdout, pinned while csv output still built the whole json
     # report; the m=7 diameter alone took over 10 s
     GOLDEN_CSV = {

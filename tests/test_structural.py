@@ -231,7 +231,7 @@ class TestCliquePathCounting:
         g = level(spec, m)
         counts = betweenness_clique_pathcount(g)
         assert np.max(np.abs(counts - betweenness_exact(g))) < 1e-9
-        # the per-source integer count, independent of the float dependencies
+        # the per-source integer count shares no code with the block-cut pass
         assert np.array_equal(counts, reference.betweenness_clique_pathcount(g))
 
     def test_non_clique_seed_detected(self):

@@ -171,9 +171,8 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     if cfg.betweenness and not cfg.force:
         _guard(plan, BETWEENNESS_CAP, "betweenness",
-               "; pass --force to run anyway (betweenness time grows as the "
-               "square of the largest 2-connected block, the json report's "
-               "diameter as the square of the node count)")
+               "; pass --force to run anyway (its time grows as the square "
+               "of the largest 2-connected block)")
     g = corona_iterate(plan)
     if cfg.format == "csv":
         # the payload is one series: no report, diameter or power-law fit

@@ -200,10 +200,10 @@ def star_size(g: Graph) -> int | None:
 def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     """Level-0 spectrum from the oracle, with known-exact values snapped.
 
-    For a connected r-regular seed the top adjacency value is exactly r and
-    the top signless value exactly 2r; a connected seed's smallest Laplacian
-    value is exactly 0.  Snapping removes the oracle's rounding from every
-    later closed-form level.
+    An r-regular seed with c components has adjacency value r and
+    signless value 2r, each exactly c times and above every other value;
+    a connected seed's smallest Laplacian value is exactly 0.  Snapping
+    removes the oracle's rounding from every later closed-form level.
     """
     vals = oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
     vals = list(map(float, vals))
@@ -211,7 +211,8 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     if kind == LAPLACIAN:
         vals[0] = 0.0
     elif r is not None:
-        vals[-1] = float(r if kind == ADJACENCY else 2 * r)
+        c = connected_component_count(g)
+        vals[-c:] = [float(r if kind == ADJACENCY else 2 * r)] * c
     return make_spectrum(kind, [(v, 1) for v in vals], level=0)
 
 

@@ -1,9 +1,11 @@
 """Degree, density, diameter, and betweenness: measured and closed-form.
 
-Measured quantities come from the CSR graph: the diameter from an
-all-source BFS, betweenness from one DFS over the block-cut tree and one
-small Brandes run per distinct block.  Every block of a corona graph is a
-block of the seed or a cone of n+1 nodes, so few distinct blocks remain.
+Measured quantities come from the CSR graph and its block-cut tree, which
+one DFS finds once per graph.  The diameter is a DP over that tree with
+in-block distances from a bit-parallel BFS, once per distinct block shape;
+betweenness is one small Brandes run per distinct block.  Every block of a
+corona graph is a block of the seed or a cone of n+1 nodes, so few
+distinct blocks remain.
 Betweenness is summed exactly and rounded once: each value is the correctly
 rounded float of the true one, and exactly tied nodes get equal floats.
 The closed forms predict the same numbers from the seed alone, which is
@@ -13,8 +15,11 @@ what makes the desk-scale cross-validation cheap.
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import Iterator
 from itertools import repeat
 from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,108 +106,310 @@ def density(g: Graph) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the block-cut tree
+
+_WORD = 64   # sources per bit-parallel BFS chunk
+_BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
+
+
+def _bit_levels(g: Graph, sources) -> Iterator[np.ndarray]:
+    """Bit-parallel BFS from up to 64 sources at once (Then et al. 2014).
+
+    Bit j of node v's word says whether ``sources[j]`` has reached v; one
+    level ORs each node's neighbour words together.  Yields, level by level
+    from 1 on, the words of the nodes first reached at that level.  Every
+    node needs a neighbour: reduceat reads one element even from an empty
+    row.
+    """
+    frontier = np.zeros(g.node_count, dtype=np.uint64)
+    frontier[sources] = _BITS[:len(sources)]
+    unseen = ~frontier
+    while True:
+        frontier = np.bitwise_or.reduceat(frontier[g.targets], g.offsets[:-1])
+        frontier &= unseen
+        if not frontier.any():
+            return
+        unseen ^= frontier
+        yield frontier
+
+
+def _dfs(g: Graph):
+    """Blocks of g by one iterative Hopcroft-Tarjan DFS from node 0.
+
+    Returns None if g is disconnected.  Otherwise returns numpy arrays
+    (disc, owner, parents, below, hung).  Blocks are numbered as they
+    close, children before their parent in the block-cut tree.  ``disc`` is
+    the discovery order and ``owner[x]`` the block of the edge from x to
+    its DFS parent.  Block b hangs from its parent cut vertex
+    ``parents[b]`` and has ``below[b]`` nodes below that vertex.  ``hung[x]``
+    counts the nodes below x's child blocks.
+    """
+    n = g.node_count
+    # memoryviews read Python ints without keeping one object per entry
+    offsets, targets = memoryview(g.offsets), memoryview(g.targets)
+    unseen = n
+    disc, low = [unseen] * n, [0] * n
+    size, hung, where = [1] * n, [0] * n, [0] * n
+    disc[0] = found = 0
+    path, rows, pending = [0], [iter(targets[offsets[0]:offsets[1]])], [0]
+    popped, ends, parents, below = [], [], [], []
+    while True:
+        for t in rows[-1]:
+            if disc[t] == unseen:
+                break
+        else:
+            u = path.pop()
+            rows.pop()
+            if not path:
+                break
+            p = path[-1]
+            size[p] += size[u]
+            if low[u] < low[p]:
+                low[p] = low[u]
+            elif low[u] >= disc[p]:
+                popped += pending[where[u]:]
+                del pending[where[u]:]
+                ends.append(len(popped))
+                parents.append(p)
+                below.append(size[u])
+                hung[p] += size[u]
+            continue
+        found += 1
+        disc[t] = found
+        row = targets[offsets[t]:offsets[t + 1]]
+        # every neighbour seen already is an ancestor, the DFS parent among them
+        low[t] = min(map(disc.__getitem__, row))
+        where[t] = len(pending)
+        path.append(t)
+        rows.append(iter(row))
+        pending.append(t)
+    if found + 1 < n:
+        return None
+    owner = np.zeros(n, dtype=np.int64)
+    owner[popped] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return np.array(disc), owner, np.array(parents, dtype=np.int64), \
+        np.array(below, dtype=np.int64), np.array(hung)
+
+
+def _grouped_rows(rows: np.ndarray) -> list[np.ndarray]:
+    """Indices of each distinct row of a 2-d array, each in ascending order.
+
+    Each row is compared as one opaque byte string: ``np.unique(axis=0)``
+    would build a structured dtype with a field per column, which costs
+    milliseconds on the one wide row of a large block.
+    """
+    rows = np.ascontiguousarray(rows)
+    blobs = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    labels = np.unique(blobs.reshape(-1), return_inverse=True)[1]
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+class _BlockTable(NamedTuple):
+    """The blocks of a connected graph, with their vertices and shapes.
+
+    Block b holds ``members[starts[b]:starts[b+1]]`` in ascending order;
+    local index i is a block's i-th smallest vertex.  ``weights`` gives
+    each member's branch weight in its block: the nodes that reach the
+    block through it, itself included.  ``parent[b]`` is the local index of
+    b's parent cut vertex.  Blocks are in DFS post-order, children before
+    their parent.  ``shapes`` pairs each distinct local edge set, as a
+    small Graph, with the blocks that have it.
+    """
+
+    members: np.ndarray
+    starts: np.ndarray
+    weights: np.ndarray
+    parent: np.ndarray
+    shapes: list[tuple[Graph, np.ndarray]]
+
+    def local(self, blocks: np.ndarray, k: int) -> np.ndarray:
+        """Member positions of same-sized blocks, one row per block."""
+        return self.starts[blocks, None] + np.arange(k)
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _block_table(g: Graph) -> _BlockTable | None:
+    """g's block table, or None if g is disconnected; built once per graph."""
+    if g not in _TABLES:
+        _TABLES[g] = _build_block_table(g)
+    return _TABLES[g]
+
+
+def _build_block_table(g: Graph) -> _BlockTable | None:
+    n = g.node_count
+    found = _dfs(g)
+    if found is None:
+        return None
+    disc, owner, parents, below, hung = found
+    nb = len(parents)
+    # every node but the root joins the block of its DFS parent edge, with
+    # the nodes below its child blocks; each block also holds its parent
+    # cut vertex, which reaches it for all nodes not below it
+    block = np.concatenate((owner[1:], np.arange(nb)))
+    vertex = np.concatenate((np.arange(1, n), parents))
+    weight = np.concatenate((1 + hung[1:], n - below))
+    order = np.lexsort((vertex, block))
+    key = block[order] * n + vertex[order]   # ascending: block, then vertex
+    starts = np.searchsorted(key, np.arange(nb + 1) * n)
+    size = np.diff(starts)
+
+    # an edge belongs to the block of its later-discovered end
+    src, dst = expand_frontier(g, np.arange(n))
+    once = src < dst
+    src, dst = src[once], dst[once]
+    eb = owner[np.where(disc[src] > disc[dst], src, dst)]
+    code = ((np.searchsorted(key, eb * n + src) - starts[eb]) * size[eb]
+            + np.searchsorted(key, eb * n + dst) - starts[eb])
+    code = code[np.lexsort((code, eb))]
+    ecount = np.bincount(eb, minlength=nb)
+    efirst = np.cumsum(ecount) - ecount
+
+    shapes = []
+    for same_size in _grouped_rows(np.column_stack((size, ecount))):
+        k, e = size[same_size[0]], ecount[same_size[0]]
+        codes = code[efirst[same_size, None] + np.arange(e)]
+        for blocks in _grouped_rows(codes):
+            edges = np.column_stack(np.divmod(codes[blocks[0]], k))
+            shapes.append((Graph.from_edges(k, edges), same_size[blocks]))
+    return _BlockTable(members=vertex[order], starts=starts,
+                       weights=weight[order],
+                       parent=np.searchsorted(key, np.arange(nb) * n + parents)
+                       - starts[:-1],
+                       shapes=shapes)
+
+
+# ---------------------------------------------------------------------------
 # diameter
 
 
-def diameter_measured(g: Graph) -> int:
-    """Exact diameter via all-source BFS, 64 sources per machine word.
+def _distances(shape: Graph, sources) -> np.ndarray:
+    """Distances in a block from up to 64 sources: d(v, sources[j]) at [v, j]."""
+    dist = np.zeros((shape.node_count, len(sources)), dtype=np.int64)
+    for level, words in enumerate(_bit_levels(shape, sources), 1):
+        dist[(words[:, None] & _BITS[:len(sources)]) != 0] = level
+    return dist
 
-    Multi-source bit-parallel BFS (Then et al. 2014): bit j of node v's word
-    says whether source j of the chunk has reached v.  One level ORs each
-    node's neighbour words together; the level at which a chunk stops
-    growing is the largest eccentricity among its sources.
+
+def _distance_row(shape: Graph, source: int) -> np.ndarray:
+    """Distances in a block from one node."""
+    return _distances(shape, [source])[:, 0]
+
+
+def _farthest_pair(shape: Graph, h: np.ndarray) -> int:
+    """Max of h[x] + d(x, y) + h[y] over x != y in one block.
+
+    Sources go 64 at a time in chunks of equal h, so each level of a chunk
+    adds one value: its h, the level and the largest h it first reaches.
+    With f = d(z, .) + h for a node z near the middle, found by a double
+    sweep, no pair exceeds f(x) + f(y).  So chunks go by falling f, and
+    the search stops once best reaches twice the largest f left (the iFUB
+    bound, Crescenzi et al. 2013).
+    """
+    a = int(np.argmax(_distance_row(shape, 0) + h))
+    from_a = _distance_row(shape, a)
+    from_b = _distance_row(shape, int(np.argmax(from_a + h)))
+    f = _distance_row(shape, int(np.argmin(np.maximum(from_a, from_b)))) + h
+    order = np.lexsort((-f, h))   # by h, then by falling f
+    groups = np.split(order, np.flatnonzero(np.diff(h[order])) + 1)
+    done = [0] * len(groups)
+    top, best = int(h.max()), 0
+    while True:
+        left = [(int(f[g[i]]), j) for j, (g, i) in enumerate(zip(groups, done))
+                if i < len(g)]
+        if not left or best >= 2 * max(left)[0]:
+            return best
+        j = max(left)[1]
+        chunk = groups[j][done[j]:done[j] + _WORD]
+        done[j] += len(chunk)
+        hs = int(h[chunk[0]])
+        for level, words in enumerate(_bit_levels(shape, chunk), 1):
+            if hs + level + top > best:   # else no node of this level can beat best
+                best = max(best, hs + level + int(h[words != 0].max()))
+
+
+def diameter_measured(g: Graph) -> int:
+    """Exact diameter by a DP over the block-cut tree.
+
+    down(x) is the length of the longest branch hanging below x through
+    its child blocks; the blocks come children first, and each adds
+    d_B(p, x) + down(x), at best over its vertices x, at its parent cut
+    vertex p.  A longest shortest path turns either in one block B,
+    between x != y for h(x) + d_B(x, y) + h(y) with h = down and h(p) = 0,
+    or at a cut vertex, through its two deepest child blocks.  In-block
+    distances come from the bit-parallel BFS: once per shape for blocks of
+    at most 64 nodes, and above that once per distinct row of h, 64
+    sources of equal h at a time.
     """
     n = g.node_count
     if n <= 1:
         return 0
-    # reduceat reads one element even from an empty row, so an isolated
-    # node would look adjacent to something
-    if not g.degrees.all():
+    table = _block_table(g)
+    if table is None:
         raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
-    starts, targets = g.offsets[:-1], g.targets
-    best = 0
-    for first in range(0, n, 64):
-        width = min(64, n - first)
-        frontier = np.zeros(n, dtype=np.uint64)
-        frontier[first:first + width] = np.left_shift(np.uint64(1),
-                                                      np.arange(width, dtype=np.uint64))
-        unseen = ~frontier
-        level = 0
-        while True:
-            frontier = np.bitwise_or.reduceat(frontier[targets], starts)
-            frontier &= unseen
-            if not frontier.any():
-                break
-            unseen ^= frontier
-            level += 1
-        if (unseen & np.uint64((1 << width) - 1)).any():
-            raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
-        best = max(best, level)
+    # the sentinel -n sits where x == y: below any real sum, as down < n
+    parent = table.parent.tolist()
+    dist, rows = {}, [None] * len(parent)
+    for s, (shape, blocks) in enumerate(table.shapes):
+        blocks = blocks.tolist()
+        if shape.node_count <= _WORD:
+            dist[s] = _distances(shape, np.arange(shape.node_count))
+            np.fill_diagonal(dist[s], -n)
+            from_parent = dist[s].tolist()
+        else:
+            from_parent = {}
+            for i in {parent[b] for b in blocks}:
+                row = _distance_row(shape, i)
+                row[i] = -n
+                from_parent[i] = row.tolist()
+        for b in blocks:
+            rows[b] = from_parent[parent[b]]
+
+    members, starts = table.members.tolist(), table.starts.tolist()
+    down, second = [0] * n, [0] * n
+    for b, row in enumerate(rows):
+        first = starts[b]
+        height = max(map(add, row, map(down.__getitem__, members[first:starts[b + 1]])))
+        p = members[first + parent[b]]
+        if height > down[p]:
+            down[p], second[p] = height, down[p]
+        elif height > second[p]:
+            second[p] = height
+    best = max(map(add, down, second))
+
+    down = np.array(down)
+    for s, (shape, blocks) in enumerate(table.shapes):
+        k = shape.node_count
+        h = down[table.members[table.local(blocks, k)]]
+        h[np.arange(len(blocks)), table.parent[blocks]] = 0
+        # blocks of one shape at one depth share their h, as corona cones do
+        h = h[[same[0] for same in _grouped_rows(h)]]
+        if s in dist:
+            for part in np.array_split(h, -(-len(h) * k * k // (1 << 20))):
+                best = max(best, int((part[:, :, None] + dist[s] + part[:, None, :]).max()))
+        else:
+            for row in h:
+                best = max(best, _farthest_pair(shape, row))
     return best
 
 
 def diameter_formula(d0: int, m: int) -> int:
-    """Each corona step stretches the diameter by 2."""
+    """Each corona step stretches the diameter by 2, K1's first by 1.
+
+    K1 is the only seed of diameter 0, and K1∘K1 = K2 has diameter 1;
+    every later step adds 2, as for any other seed.
+    """
     if d0 < 0 or m < 0:
         raise ValueError("need d0 >= 0 and m >= 0")
+    if d0 == 0 and m >= 1:
+        return 2 * m - 1
     return d0 + 2 * m
 
 
 # ---------------------------------------------------------------------------
 # betweenness
-
-
-def _blocks(g: Graph) -> tuple[list, list[int], list[int]]:
-    """Blocks of a connected graph and their branch weights, by one DFS.
-
-    Iterative Hopcroft-Tarjan from node 0.  Returns (blocks, owner, disc):
-    ``blocks`` holds (vertices, weights) per block, the block's parent cut
-    vertex last; ``owner[x]`` is the block of the edge from x to its DFS
-    parent; ``disc`` is the discovery order.  A vertex's weight in a block
-    counts the nodes that reach the block through it, itself included: 1
-    plus the sizes below its child blocks, or N less the size below the
-    block for the parent cut vertex.
-    """
-    n = g.node_count
-    # memoryviews read Python ints without keeping one object per entry
-    offsets, targets = memoryview(g.offsets), memoryview(g.targets)
-    disc, low = [-1] * n, [0] * n
-    size, hung = [1] * n, [0] * n   # DFS subtree; nodes below child blocks
-    owner, where = [0] * n, [0] * n
-    nxt = memoryview(g.offsets[:-1].copy())   # each node's next CSR entry
-    disc[0] = found = 0
-    path, pending, blocks = [0], [0], []
-    while True:
-        u = path[-1]
-        i = nxt[u]
-        if i < offsets[u + 1]:
-            nxt[u] = i + 1
-            t = targets[i]
-            if disc[t] < 0:
-                found += 1
-                disc[t] = low[t] = found
-                where[t] = len(pending)
-                path.append(t)
-                pending.append(t)
-            elif disc[t] < low[u]:
-                low[u] = disc[t]
-            continue
-        path.pop()
-        if not path:
-            break
-        p = path[-1]
-        size[p] += size[u]
-        low[p] = min(low[p], low[u])
-        if low[u] >= disc[p]:
-            below = pending[where[u]:]
-            del pending[where[u]:]
-            for x in below:
-                owner[x] = len(blocks)
-            blocks.append((below + [p], [1 + hung[x] for x in below] + [n - size[u]]))
-            hung[p] += size[u]
-    if found + 1 < n:
-        raise DisconnectedGraphError("betweenness needs a connected graph")
-    return blocks, owner, disc
 
 
 def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int, bool]:
@@ -260,43 +467,33 @@ def _betweenness_pass(g: Graph) -> tuple[list[int], int, bool]:
     Blocks of equal shape and weights share one Brandes run.
     """
     n = g.node_count
-    if n == 0:
-        return [], 1, False
-    blocks, owner, disc = _blocks(g)
-    # an edge belongs to the block of its later-discovered end
-    disc, owner = np.array(disc), np.array(owner)
-    srcs, dsts = expand_frontier(g, np.arange(n))
-    block_of = owner[np.where(disc[srcs] > disc[dsts], srcs, dsts)]
-    order = np.argsort(block_of, kind="stable")
-    bounds = np.searchsorted(block_of[order], np.arange(len(blocks) + 1)).tolist()
-    srcs, dsts = srcs[order], dsts[order]
-
-    cut = [(n - 1) ** 2] * n
-    memo: dict[tuple, tuple[list[int], int, bool]] = {}
+    if n < 2:
+        return [0] * n, 1, False
+    table = _block_table(g)
+    if table is None:
+        raise DisconnectedGraphError("betweenness needs a connected graph")
+    # at most (N-1)**2, so int64 holds the cut vertex counts exactly
+    cut = np.full(n, (n - 1) ** 2, dtype=np.int64)
+    np.subtract.at(cut, table.members, (n - table.weights) ** 2)
     placed = []
-    for b, (vertices, weights) in enumerate(blocks):
-        for v, w in zip(vertices, weights):
-            cut[v] -= (n - w) ** 2
-        if len(vertices) < 3:
+    for shape, blocks in table.shapes:
+        k = shape.node_count
+        if k < 3:
             continue
-        vertices, weights = zip(*sorted(zip(vertices, weights)))
-        pos = {v: i for i, v in enumerate(vertices)}
-        adj = [[] for _ in vertices]
-        rows = slice(bounds[b], bounds[b + 1])
-        for u, t in zip(srcs[rows].tolist(), dsts[rows].tolist()):
-            adj[pos[u]].append(pos[t])
-        key = (tuple(tuple(sorted(a)) for a in adj), weights)
-        if key not in memo:
-            memo[key] = _block_dependencies(*key)
-        placed.append((vertices, memo[key]))
+        local = table.local(blocks, k)
+        weights = table.weights[local]
+        adj = tuple(tuple(shape.neighbors(i).tolist()) for i in range(k))
+        for same in _grouped_rows(weights):
+            part = _block_dependencies(adj, tuple(weights[same[0]].tolist()))
+            placed.append((table.members[local[same]].reshape(-1), part))
 
-    den = math.lcm(2, *(d for _, d, _ in memo.values()))
-    num = [c * (den // 2) for c in cut]
+    den = math.lcm(2, *(d for _, (_, d, _) in placed))
+    # object arrays keep the sums exact integers of any size
+    num = cut.astype(object) * (den // 2)
     for vertices, (part, d, _) in placed:
-        f = den // d
-        for v, x in zip(vertices, part):
-            num[v] += f * x
-    return num, den, any(tied for _, _, tied in memo.values())
+        scaled = np.array([x * (den // d) for x in part], dtype=object)
+        np.add.at(num, vertices, np.tile(scaled, len(vertices) // len(part)))
+    return num.tolist(), den, any(tied for _, (_, _, tied) in placed)
 
 
 def betweenness_exact(g: Graph) -> np.ndarray:

@@ -13,12 +13,12 @@ multiplicities and values to rounding.  The star seeds ran on a driver of
 their own, with their own exact seed spectra; it is kept below too, and the
 tests assert the same entries and the same discrepancy records.
 
-The package runs its all-source diameter BFS 64 sources per machine word,
-and computes betweenness block by block over the block-cut tree.  The
-one-source-at-a-time diameter, Brandes betweenness and clique path count
-are kept below, with the cumulative-sum frontier expansion they ran on; the
-tests assert the same expansions, the same diameters, the same path counts
-and betweenness equal to rounding.
+The package computes the diameter and betweenness block by block over the
+block-cut tree.  The one-source-at-a-time diameter, Brandes betweenness and
+clique path count are kept below, with the cumulative-sum frontier
+expansion they ran on, and so is the whole-graph diameter BFS that took 64
+sources per machine word; the tests assert the same expansions, the same
+diameters, the same path counts and betweenness equal to rounding.
 
 The package counts components in one vectorized pass over the CSR edges.
 The loop it replaces, one BFS per component, is kept below; the tests
@@ -362,6 +362,43 @@ def diameter_measured(g: Graph) -> int:
         if dist.min() < 0:
             raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
         best = max(best, int(dist.max()))
+    return best
+
+
+def diameter_bit_parallel(g: Graph) -> int:
+    """Exact diameter via all-source BFS, 64 sources per machine word.
+
+    Multi-source bit-parallel BFS (Then et al. 2014): bit j of node v's word
+    says whether source j of the chunk has reached v.  One level ORs each
+    node's neighbour words together; the level at which a chunk stops
+    growing is the largest eccentricity among its sources.
+    """
+    n = g.node_count
+    if n <= 1:
+        return 0
+    # reduceat reads one element even from an empty row, so an isolated
+    # node would look adjacent to something
+    if not g.degrees.all():
+        raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
+    starts, targets = g.offsets[:-1], g.targets
+    best = 0
+    for first in range(0, n, 64):
+        width = min(64, n - first)
+        frontier = np.zeros(n, dtype=np.uint64)
+        frontier[first:first + width] = np.left_shift(np.uint64(1),
+                                                      np.arange(width, dtype=np.uint64))
+        unseen = ~frontier
+        level = 0
+        while True:
+            frontier = np.bitwise_or.reduceat(frontier[targets], starts)
+            frontier &= unseen
+            if not frontier.any():
+                break
+            unseen ^= frontier
+            level += 1
+        if (unseen & np.uint64((1 << width) - 1)).any():
+            raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
+        best = max(best, level)
     return best
 
 

@@ -1,0 +1,184 @@
+"""The block-cut diameter against whole-graph references, on graphs with
+many cut vertices: trees, cactus graphs, two cycles joined by a path and
+pendant chains on a block of more than 64 nodes.
+
+Each graph is built by gluing blocks onto the nodes built so far, then its
+labels are shuffled, so that the DFS root, node 0, lands anywhere in the
+block-cut tree.
+"""
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from coronagraphs.graph import Graph, complete_graph
+from coronagraphs.structural import (
+    DisconnectedGraphError,
+    _farthest_pair,
+    betweenness_exact,
+    diameter_measured,
+)
+
+# derandomized: the same examples on every run
+EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def cycle(k: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % k) for i in range(k)] if k > 2 else [(0, 1)]
+
+
+def glue(edges: list, n: int, at: int, block: list, size: int) -> int:
+    """Add a block of ``size`` nodes whose local node 0 is node ``at``.
+
+    Its other nodes become n, n+1, ...; returns the new node count.
+    """
+    def node(i):
+        return at if i == 0 else n + i - 1
+
+    edges += [(node(u), node(v)) for u, v in block]
+    return n + size - 1
+
+
+@st.composite
+def relabeled(draw, n: int, edges: list) -> Graph:
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def trees(draw):
+    n = draw(st.integers(1, 40))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    return draw(relabeled(n, edges))
+
+
+@st.composite
+def cacti(draw):
+    """Cycles of 3 to 6 nodes and bridges, each glued at an earlier node."""
+    edges, n = [], 1
+    for size in draw(st.lists(st.integers(2, 6), min_size=1, max_size=12)):
+        n = glue(edges, n, draw(st.integers(0, n - 1)), cycle(size), size)
+    return draw(relabeled(n, edges))
+
+
+@st.composite
+def two_cycles_and_a_path(draw):
+    """Two cycles joined by a path of 0 (a shared node) to 10 edges."""
+    a, b = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    edges, n = cycle(a), a
+    end = draw(st.integers(0, a - 1))
+    for _ in range(draw(st.integers(0, 10))):
+        n = glue(edges, n, end, [(0, 1)], 2)
+        end = n - 1
+    n = glue(edges, n, end, cycle(b), b)
+    return draw(relabeled(n, edges))
+
+
+@st.composite
+def chains_on_a_big_block(draw):
+    """A cycle of 60 to 90 nodes with chords, pendant chains glued on."""
+    k = draw(st.integers(60, 90))
+    pairs = {tuple(sorted(e)) for e in cycle(k)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=20)):
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    edges, n = sorted(pairs), k
+    for length in draw(st.lists(st.integers(1, 8), max_size=6)):
+        end = draw(st.integers(0, n - 1))
+        for _ in range(length):
+            n = glue(edges, n, end, [(0, 1)], 2)
+            end = n - 1
+    return draw(relabeled(n, edges))
+
+
+@st.composite
+def grids_with_branch_depths(draw):
+    """A p x q grid, 2-connected, with a branch depth h per node."""
+    p, q = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    edges = [(i * q + j, i * q + j + 1) for i in range(p) for j in range(q - 1)]
+    edges += [(i * q + j, (i + 1) * q + j) for i in range(p - 1) for j in range(q)]
+    h = draw(st.lists(st.integers(0, 4), min_size=p * q, max_size=p * q))
+    return Graph.from_edges(p * q, edges), np.array(h, dtype=np.int64)
+
+
+def assert_references_agree(g: Graph) -> None:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.node_count))
+    h.add_edges_from(g.edge_array().tolist())
+    want = reference.diameter_measured(g)
+    assert diameter_measured(g) == want == nx.diameter(h)
+
+
+@EXAMPLES
+@given(trees())
+def test_trees(g):
+    assert_references_agree(g)
+
+
+@EXAMPLES
+@given(cacti())
+def test_cactus_graphs(g):
+    assert_references_agree(g)
+
+
+@EXAMPLES
+@given(two_cycles_and_a_path())
+def test_two_cycles_joined_by_a_path(g):
+    assert_references_agree(g)
+
+
+@settings(EXAMPLES, max_examples=15)
+@given(chains_on_a_big_block())
+def test_pendant_chains_on_a_big_block(g):
+    assert_references_agree(g)
+
+
+@settings(EXAMPLES, max_examples=100)
+@given(grids_with_branch_depths())
+def test_farthest_pair_in_one_block(case):
+    # the in-block search with its iFUB stop, against all pairs by networkx
+    g, h = case
+    dist = dict(nx.all_pairs_shortest_path_length(nx.Graph(g.edge_array().tolist())))
+    want = max(h[x] + d + h[y] for x, row in dist.items() for y, d in row.items() if x != y)
+    assert _farthest_pair(g, h) == want
+
+
+@pytest.mark.parametrize("k", [66, 70, 128])
+def test_equal_chains_on_a_big_block(k):
+    # chains of 3 at nodes 1, k/2 and k/2 + 1 of a k-cycle share one
+    # 64-source chunk; the longest pair, 1 and k/2 + 1, lies on its last
+    # level, one more than the level before gave.  The DFS root, node 0,
+    # carries no chain, so only the in-block pair sees this path
+    edges, n = cycle(k), k
+    for at in (1, k // 2, k // 2 + 1):
+        end = at
+        for _ in range(3):
+            n = glue(edges, n, end, [(0, 1)], 2)
+            end = n - 1
+    g = Graph.from_edges(n, edges)
+    assert diameter_measured(g) == reference.diameter_measured(g) == 6 + k // 2
+
+
+def test_k1_and_k2():
+    assert diameter_measured(complete_graph(1)) == 0
+    assert diameter_measured(complete_graph(2)) == 1
+
+
+@pytest.mark.parametrize("edges,n", [
+    ([(0, 1), (2, 3)], 4),                                  # two edges
+    ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6),  # two triangles
+    ([(1, 2), (2, 3)], 4),                                  # node 0 alone
+    ([(0, 1), (1, 2)], 4),                                  # node 3 alone
+])
+def test_disconnected_graphs_keep_each_message(edges, n):
+    # diameter and betweenness share the graph's block table, which records
+    # the disconnection once; each still raises its own message
+    g = Graph.from_edges(n, edges)
+    with pytest.raises(DisconnectedGraphError, match="diameter of a disconnected graph"):
+        diameter_measured(g)
+    with pytest.raises(DisconnectedGraphError, match="betweenness needs a connected graph"):
+        betweenness_exact(g)

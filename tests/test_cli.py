@@ -151,6 +151,23 @@ class TestStats:
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err.endswith("error: betweenness needs a connected graph\n")
 
+    def test_betweenness_report_runs_one_dfs_per_graph(self, capsys, monkeypatch):
+        # the seed's diameter needs its own DFS; the level-3 graph's diameter
+        # and betweenness share one block table
+        searched = []
+        dfs = structural._dfs
+
+        def counted(g):
+            searched.append(g)
+            return dfs(g)
+
+        monkeypatch.setattr(structural, "_dfs", counted)
+        code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "3",
+                              "--betweenness")
+        assert code == EXIT_OK
+        assert json.loads(stdout)["diameter"] == {"measured": 7, "formula": 7}
+        assert [g.node_count for g in searched] == [3, 192]
+
     def test_disconnected_seed_diameter_null(self, capsys, tmp_path):
         seed_file = tmp_path / "two.edges"
         seed_file.write_text("# n=4\n0 1\n2 3\n")
@@ -283,6 +300,18 @@ class TestSpectrum:
                               "--m", "1", "--kind", "laplacian", "--format", "csv")
         assert code == EXIT_OK
         assert stdout.splitlines()[0] == "value,multiplicity"
+
+    @pytest.mark.parametrize("kind,line", [("adjacency", "2.0,6"), ("signless", "5.0,6")])
+    def test_disconnected_regular_seed_keeps_its_exact_anchor(self, kind, line, capsys,
+                                                              tmp_path):
+        # two disjoint triangles: r = 2 (A) and 2r = 4 (Q) once per
+        # component, so each grows into one value of multiplicity 6 at m=1
+        seed = tmp_path / "two_triangles.edges"
+        seed.write_text("# n=6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+        code, stdout, _ = run(capsys, "spectrum", "--seed", f"file:{seed}", "--m", "1",
+                              "--kind", kind, "--format", "csv")
+        assert code == EXIT_OK
+        assert line in stdout.splitlines()
 
     def test_star_discrepancies_reported(self, capsys, tmp_path):
         out = tmp_path / "spec.json"

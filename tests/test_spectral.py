@@ -132,6 +132,11 @@ class TestSeedHelpers:
         sig = seed_spectrum(cycle_graph(4), SIGNLESS)
         assert sig.entries[-1][0] == 4.0
 
+    def test_seed_spectrum_snaps_every_component_of_a_regular_seed(self):
+        triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert seed_spectrum(triangles, ADJACENCY).entries[-1] == (2.0, 2)
+        assert seed_spectrum(triangles, SIGNLESS).entries[-1] == (4.0, 2)
+
 
 class TestAdjacencyStep:
     def test_k3_level1_frozen(self):

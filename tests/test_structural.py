@@ -163,6 +163,8 @@ class TestDiameter:
         assert diameter_formula(1, 3) == 7
         assert diameter_formula(2, 0) == 2
         assert diameter_formula(2, 1) == 4
+        # K1 grows K2, then paths with pendants: its first step adds 1
+        assert [diameter_formula(0, m) for m in range(5)] == [0, 1, 3, 5, 7]
 
     @pytest.mark.parametrize("spec", SEED_SPECS)
     @pytest.mark.parametrize("m", range(4))
@@ -170,6 +172,20 @@ class TestDiameter:
         seed = SeedDescriptor.from_spec(spec).graph
         assert diameter_measured(level(spec, m)) == diameter_formula(
             diameter_measured(seed), m)
+
+    @pytest.mark.parametrize("spec", SEED_SPECS + ["complete:1"])
+    @pytest.mark.parametrize("m", range(5))
+    def test_law_and_whole_graph_diameter(self, spec, m):
+        g = level(spec, m)
+        d0 = diameter_measured(SeedDescriptor.from_spec(spec).graph)
+        want = reference.diameter_bit_parallel(g)
+        assert diameter_measured(g) == want == diameter_formula(d0, m)
+        if g.node_count <= 1100:   # networkx takes 20 s on complete:5 at m=4
+            nx = pytest.importorskip("networkx")
+            h = nx.Graph()
+            h.add_nodes_from(range(g.node_count))
+            h.add_edges_from(g.edge_array().tolist())
+            assert nx.diameter(h) == want
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):

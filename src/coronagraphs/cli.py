@@ -141,17 +141,16 @@ def _plan(cfg: argparse.Namespace) -> CoronaPlan:
     return plan
 
 
-def _guard(plan: CoronaPlan, cap: int, work: str, hint: str = "") -> None:
-    """Refuse ``work`` on more than ``cap`` nodes, judged on the plan's count.
+def _guard(plan: CoronaPlan, nodes: int, cap: int, work: str, hint: str = "") -> None:
+    """Refuse ``work`` on more than ``cap`` nodes, judged on a predicted count.
 
     Runs before anything is materialized, so a refusal costs no build or
     analysis time.  The node cap is checked first and wins when both apply.
     """
     plan.check_cap()
-    if plan.predicted_nodes > cap:
+    if nodes > cap:
         raise CapExceededError(
-            f"{work} on {plan.predicted_nodes} nodes exceeds the guard of "
-            f"{cap}{hint}")
+            f"{work} on {nodes} nodes exceeds the guard of {cap}{hint}")
 
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
@@ -170,7 +169,14 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 def cmd_stats(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     if cfg.betweenness and not cfg.force:
-        _guard(plan, BETWEENNESS_CAP, "betweenness",
+        # each cone of a corona step is K1 joined to the seed: a block of n+1
+        work, nodes = "betweenness", plan.predicted_nodes
+        if plan.seed.connected:
+            work = "betweenness over a 2-connected block"
+            nodes = structural.largest_block(plan.seed.graph)
+            if cfg.m:
+                nodes = max(nodes, plan.n + 1)
+        _guard(plan, nodes, BETWEENNESS_CAP, work,
                "; pass --force to run anyway (its time grows as the square "
                "of the largest 2-connected block)")
     g = corona_iterate(plan)
@@ -237,7 +243,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
             f"no closed form for kind={cfg.kind} with seed "
             f"{cfg.seed}; falling back to the dense eigensolver")
     if spectrum is None:
-        _guard(plan, oracle.DEFAULT_ORACLE_CAP, "oracle fallback")
+        _guard(plan, plan.predicted_nodes, oracle.DEFAULT_ORACLE_CAP, "oracle fallback")
         g = corona_iterate(plan)
         vals = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
         spectrum = spectral.make_spectrum(cfg.kind, [(float(v), 1) for v in vals],
@@ -267,7 +273,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
-    _guard(plan, oracle.DEFAULT_ORACLE_CAP, "verification")
+    _guard(plan, plan.predicted_nodes, oracle.DEFAULT_ORACLE_CAP, "verification")
     discrepancies: list[spectral.CubicDiscrepancy] = []
     closed = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
                                            discrepancies)

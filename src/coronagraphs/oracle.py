@@ -1,18 +1,14 @@
-"""Ground-truth numerics: dense A/L/Q matrices, LAPACK eigensolves through
-numpy, and brute-force betweenness/diameter for cross-checking the closed
-forms.
+"""Ground-truth numerics: dense A/L/Q matrices and LAPACK eigensolves
+through numpy, for cross-checking the closed-form spectra.
 
 Everything here is deliberately independent of the recursion code it
-validates: matrices are assembled entry by entry from the graph, eigenvalues
-come from LAPACK's dense symmetric solver (``eigvalsh``/``eigh``), and
-betweenness is per-pair path counting with exact rational accumulation.
+validates: matrices are assembled entry by entry from the graph, and
+eigenvalues come from LAPACK's dense symmetric solver (``eigvalsh``/``eigh``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -93,77 +89,3 @@ def compare_spectra(closed, numeric: np.ndarray, tol: float = 1e-8) -> MatchRepo
         passed=mismatched == 0,
     )
 
-
-# ---------------------------------------------------------------------------
-# brute-force shortest-path references
-
-
-def _bfs_counts(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
-    """Distances and exact shortest-path counts from one source."""
-    n = len(adj)
-    dist = [-1] * n
-    sigma = [0] * n
-    dist[source] = 0
-    sigma[source] = 1
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        su = sigma[u]
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                q.append(w)
-            if dist[w] == du + 1:
-                sigma[w] += su
-    return dist, sigma
-
-
-def brute_betweenness(g: Graph, cap: int = 500) -> np.ndarray:
-    """Exact betweenness by per-pair path counting, unordered pairs once.
-
-    Accumulates sigma_jk(i)/sigma_jk as Fractions (Python integers never
-    overflow) and converts to float at the end.
-    """
-    n = g.node_count
-    if n > cap:
-        raise ValueError(f"graph has {n} nodes, over the brute-force cap {cap}")
-    adj = [list(map(int, g.neighbors(u))) for u in range(n)]
-    dists = []
-    sigmas = []
-    for s in range(n):
-        dist, sigma = _bfs_counts(adj, s)
-        if min(dist) < 0:
-            raise ValueError("graph must be connected")
-        dists.append(np.array(dist, dtype=np.int64))
-        sigmas.append(sigma)
-    acc = [Fraction(0)] * n
-    nodes = np.arange(n)
-    for j in range(n):
-        dj = dists[j]
-        for k in range(j + 1, n):
-            dk = dists[k]
-            djk = int(dj[k])
-            on_path = (dj + dk == djk) & (nodes != j) & (nodes != k)
-            if not on_path.any():
-                continue
-            sigma_jk = sigmas[j][k]
-            for i in np.nonzero(on_path)[0]:
-                acc[i] += Fraction(sigmas[j][i] * sigmas[i][k], sigma_jk)
-    return np.array([float(x) for x in acc])
-
-
-def brute_diameter(g: Graph, cap: int = 500) -> int:
-    """Exact diameter by all-source BFS; raises on disconnected input."""
-    n = g.node_count
-    if n > cap:
-        raise ValueError(f"graph has {n} nodes, over the brute-force cap {cap}")
-    adj = [list(map(int, g.neighbors(u))) for u in range(n)]
-    best = 0
-    for s in range(n):
-        dist, _ = _bfs_counts(adj, s)
-        ecc = max(dist)
-        if min(dist) < 0:
-            raise ValueError("graph must be connected")
-        best = max(best, ecc)
-    return best

@@ -20,9 +20,9 @@ k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
     star      signless   cubic                           0, k          1
 
 The regular seeds are r-regular, and the Laplacian rule holds for any
-connected seed.  The shift depends on the kind alone: the host edge adds 1
-to the degree of every copy vertex in L and Q.  The tail depends on the seed
-alone, so ``step_rule`` builds it once.
+seed, since it needs only L·1 = 0.  The shift depends on the kind alone:
+the host edge adds 1 to the degree of every copy vertex in L and Q.  The
+tail depends on the seed alone, so ``step_rule`` builds it once.
 
 A level is a float64 value array and a multiplicity array, and the step runs
 over whole arrays: every entry's roots in one pass, one star cubic call per
@@ -200,29 +200,21 @@ def star_size(g: Graph) -> int | None:
 def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     """Level-0 spectrum from the oracle, with known-exact values snapped.
 
-    An r-regular seed with c components has adjacency value r and
-    signless value 2r, each exactly c times and above every other value;
-    a connected seed's smallest Laplacian value is exactly 0.  Snapping
-    removes the oracle's rounding from every later closed-form level.
+    A seed with c components has Laplacian value 0 exactly c times and
+    below every other value; an r-regular one also has adjacency value r
+    and signless value 2r, each exactly c times and above every other
+    value.  Snapping removes the oracle's rounding from every later
+    closed-form level.
     """
     vals = oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
     vals = list(map(float, vals))
     r = regular_degree(g)
+    c = connected_component_count(g)
     if kind == LAPLACIAN:
-        vals[0] = 0.0
+        vals[:c] = [0.0] * c
     elif r is not None:
-        c = connected_component_count(g)
         vals[-c:] = [float(r if kind == ADJACENCY else 2 * r)] * c
     return make_spectrum(kind, [(v, 1) for v in vals], level=0)
-
-
-def algebraic_connectivity(s: Spectrum) -> float:
-    """Second-smallest Laplacian eigenvalue, counting multiplicity."""
-    if s.kind != LAPLACIAN:
-        raise ValueError("algebraic connectivity is a Laplacian quantity")
-    if s.total_multiplicity < 2:
-        raise ValueError("need at least two eigenvalues")
-    return float(s.values[0] if s.multiplicities[0] >= 2 else s.values[1])
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +367,6 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
     """
     n, r = seed_graph.node_count, regular_degree(seed_graph)
     if kind == LAPLACIAN:
-        if connected_component_count(seed_graph) != 1:
-            raise ValueError("Laplacian closed form needs a connected seed")
         alpha, beta, drop = n + 1, 1 - n, 0
     elif r is not None:
         alpha, beta, drop = ((r, r, r) if kind == ADJACENCY
@@ -488,9 +478,8 @@ def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
     """Closed-form spectrum when the (seed, kind) pair supports one, else None.
 
     Regular seeds support all three kinds; star seeds support adjacency and
-    signless via the cubic recursion; any connected seed supports the
-    Laplacian.  Every closed form is m ``corona_step``s of the seed's
-    ``step_rule``.
+    signless via the cubic recursion; every seed supports the Laplacian.
+    Every closed form is m ``corona_step``s of the seed's ``step_rule``.
     """
     rule = step_rule(seed_graph, kind, discrepancies)
     if rule is None:

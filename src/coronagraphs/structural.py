@@ -8,8 +8,9 @@ corona graph is a block of the seed or a cone of n+1 nodes, so few
 distinct blocks remain.
 Betweenness is summed exactly and rounded once: each value is the correctly
 rounded float of the true one, and exactly tied nodes get equal floats.
-The closed forms predict the same numbers from the seed alone, which is
-what makes the desk-scale cross-validation cheap.
+The closed forms, the diameter law and the average degree limit, predict
+the measured numbers from the seed alone, which is what makes the
+desk-scale cross-validation cheap.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistributionSeries
-from .graph import Graph, _checked, expand_frontier
+from .graph import Graph, expand_frontier
 
 
 class DisconnectedGraphError(ValueError):
     """Operation needs a connected graph."""
-
-
-class NonUniqueShortestPathError(ValueError):
-    """Clique path counting met a tied shortest path (seed was no clique)."""
 
 
 # ---------------------------------------------------------------------------
@@ -46,43 +43,6 @@ def degree_histogram(g: Graph) -> DistributionSeries:
     counts = np.bincount(g.degrees)
     degs = np.nonzero(counts)[0]
     return DistributionSeries.from_counts(degs.tolist(), counts[degs].tolist())
-
-
-def degree_distribution_formula(seed: Graph, m: int) -> DistributionSeries:
-    """Level-m degree distribution predicted from the seed degree sequence.
-
-    A seed node of degree d contributes one level-m node of degree d + m*n
-    (the originals) and, for each step t in 1..m, n*(n+1)**(t-1) nodes of
-    degree d + 1 + (m-t)*n: a copy node lands with its seed degree plus the
-    edge to its host, then gains n per later step.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    n = seed.node_count
-    weights: dict[int, int] = {}
-    for d in seed.degrees:
-        d = int(d)
-        weights[d + m * n] = weights.get(d + m * n, 0) + 1
-        for t in range(1, m + 1):
-            deg = d + 1 + (m - t) * n
-            weights[deg] = weights.get(deg, 0) + n * (n + 1) ** (t - 1)
-    population = _checked(n * (n + 1) ** m, "node count")
-    if sum(weights.values()) != population:
-        raise RuntimeError(f"degree weights sum to {sum(weights.values())}, "
-                           f"not the node count {population}")
-    return DistributionSeries.from_counts(list(weights), list(weights.values()))
-
-
-def cumulative_degree_formula_regular(n: int, r: int, k: float) -> float:
-    """Closed-form cumulative degree probability (n+1)**((r+1-k)/n).
-
-    Exact on the lattice k = r+1+n*j for j in [0, m-1]; the original seed
-    nodes (degree r+m*n) sit off that lattice and the formula is only
-    approximate there.  Defined for k >= r+1.
-    """
-    if k < r + 1:
-        raise ValueError(f"formula domain starts at degree {r + 1}")
-    return float((n + 1) ** ((r + 1 - k) / n))
 
 
 def average_degree(g: Graph) -> float:
@@ -281,6 +241,16 @@ def _build_block_table(g: Graph) -> _BlockTable | None:
                        shapes=shapes)
 
 
+def largest_block(g: Graph) -> int:
+    """Node count of the largest block of a connected g; a bridge counts 2."""
+    if g.node_count < 2:
+        return g.node_count
+    table = _block_table(g)
+    if table is None:
+        raise DisconnectedGraphError("blocks of a disconnected graph are not computed")
+    return int(np.diff(table.starts).max())
+
+
 # ---------------------------------------------------------------------------
 # diameter
 
@@ -412,17 +382,16 @@ def diameter_formula(d0: int, m: int) -> int:
 # betweenness
 
 
-def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int, bool]:
+def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int]:
     """Half of sum over s != v of w(s)*delta_s(v) in one block, exactly.
 
     delta_s is Brandes' dependency with each target t counted w(t) times.
-    Returns (numerators, denominator, whether any pair has tied shortest
-    paths).  Scaled by the lcm L of the path counts from s, each dependency
-    D(c) = L*delta_s(c) is an integer and a multiple of sigma(c), so every
-    division below is exact.
+    Returns (numerators, denominator).  Scaled by the lcm L of the path
+    counts from s, each dependency D(c) = L*delta_s(c) is an integer and a
+    multiple of sigma(c), so every division below is exact.
     """
     k = len(adj)
-    num, den, tied = [0] * k, 1, False
+    num, den = [0] * k, 1
     for s in range(k):
         dist, sigma = [-1] * k, [0] * k
         dist[s], sigma[s] = 0, 1
@@ -437,7 +406,6 @@ def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int, boo
                 elif dist[t] == du:
                     sigma[t] += su
         scale = math.lcm(*sigma)
-        tied |= scale > 1
         dep = [0] * k
         for c in reversed(queue):
             share = (scale * weights[c] + dep[c]) // sigma[c]
@@ -451,24 +419,26 @@ def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int, boo
             num = [x * grow for x in num]
             den *= grow
         num = list(map(add, num, map(mul, dep, repeat(weights[s] * (den // scale)))))
-    return num, 2 * den, tied
+    return num, 2 * den
 
 
-def _betweenness_pass(g: Graph) -> tuple[list[int], int, bool]:
-    """Exact betweenness over the block-cut tree (Puzis et al. 2012).
+def betweenness_exact(g: Graph) -> np.ndarray:
+    """Exact betweenness over the block-cut tree (Puzis et al. 2012),
+    unordered pairs counted once.
 
-    Returns (numerators, common denominator, whether any shortest path
-    ties).  A pair s, t counts for v in two ways.  If v is a cut vertex
-    with s and t in different components of G - v, the pair counts 1:
+    A pair s, t counts for v in two ways.  If v is a cut vertex with s and
+    t in different components of G - v, the pair counts 1:
     (1/2)[(N-1)**2 - sum over blocks B at v of (N - w_B(v))**2] pairs.
     Otherwise the pair's shortest paths cross a block B of v between the
     vertices x != v and y != v where s and t enter it, and it counts
     sigma_xy(v)/sigma_xy inside B; w_B(x)*w_B(y) pairs enter at x and y.
-    Blocks of equal shape and weights share one Brandes run.
+    Blocks of equal shape and weights share one Brandes run.  The sums are
+    exact and rounded once, so each value is the correctly rounded float of
+    the true betweenness and exactly tied nodes get equal floats.
     """
     n = g.node_count
     if n < 2:
-        return [0] * n, 1, False
+        return np.zeros(n, dtype=np.float64)
     table = _block_table(g)
     if table is None:
         raise DisconnectedGraphError("betweenness needs a connected graph")
@@ -487,40 +457,13 @@ def _betweenness_pass(g: Graph) -> tuple[list[int], int, bool]:
             part = _block_dependencies(adj, tuple(weights[same[0]].tolist()))
             placed.append((table.members[local[same]].reshape(-1), part))
 
-    den = math.lcm(2, *(d for _, (_, d, _) in placed))
+    den = math.lcm(2, *(d for _, (_, d) in placed))
     # object arrays keep the sums exact integers of any size
     num = cut.astype(object) * (den // 2)
-    for vertices, (part, d, _) in placed:
+    for vertices, (part, d) in placed:
         scaled = np.array([x * (den // d) for x in part], dtype=object)
         np.add.at(num, vertices, np.tile(scaled, len(vertices) // len(part)))
-    return num.tolist(), den, any(tied for _, (_, _, tied) in placed)
-
-
-def betweenness_exact(g: Graph) -> np.ndarray:
-    """Exact betweenness, unordered pairs counted once.
-
-    Summed in exact arithmetic over the blocks (see ``_betweenness_pass``)
-    and rounded once, so each value is the correctly rounded float of the
-    true betweenness and exactly tied nodes get equal floats.
-    """
-    num, den, _ = _betweenness_pass(g)
-    return np.array([x / den for x in num], dtype=np.float64)
-
-
-def betweenness_clique_pathcount(g: Graph) -> np.ndarray:
-    """Integer path counts through each node, valid only for unique paths.
-
-    On corona graphs grown from a complete seed every vertex pair has exactly
-    one shortest path, so counting paths equals the fractional accumulation.
-    Shortest paths are unique in G exactly when they are unique in every
-    block; a tie in any block means the seed was not a clique and raises.
-    """
-    num, den, tied = _betweenness_pass(g)
-    if tied:
-        raise NonUniqueShortestPathError(
-            "tied shortest paths found; integer path counting is invalid"
-        )
-    return np.array([x // den for x in num], dtype=np.int64)
+    return np.array([x / den for x in num.tolist()], dtype=np.float64)
 
 
 def betweenness_series(b: np.ndarray) -> DistributionSeries:

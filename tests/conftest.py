@@ -25,3 +25,8 @@ def moment(s, power: int = 1) -> float:
 def zero_count(s, tol: float = 1e-9) -> int:
     """Multiplicity of a spectrum's values within tol of 0."""
     return sum(w for v, w in s.entries if abs(v) <= tol)
+
+
+def algebraic_connectivity(s) -> float:
+    """Second-smallest value of a Laplacian spectrum, counting multiplicity."""
+    return float(s.expand()[1])

@@ -1,4 +1,5 @@
-"""Slow, obviously-correct reference copies of code the package replaced.
+"""Slow, obviously-correct reference copies of code the package replaced,
+and the references that only the tests need.
 
 The package fills the corona CSR rows directly from the index layout and
 formats the edge list with a chunked numpy serializer.  These are the plain
@@ -18,7 +19,11 @@ block-cut tree.  The one-source-at-a-time diameter, Brandes betweenness and
 clique path count are kept below, with the cumulative-sum frontier
 expansion they ran on, and so is the whole-graph diameter BFS that took 64
 sources per machine word; the tests assert the same expansions, the same
-diameters, the same path counts and betweenness equal to rounding.
+diameters and betweenness equal to rounding.  On a complete seed every
+shortest path is unique, so the integer path count must equal the
+package's betweenness exactly.  ``brute_betweenness`` counts paths pair by
+pair with exact Fractions, the one reference that is exact on tied paths
+too; the tests assert the package's betweenness bit for bit against it.
 
 The package counts components in one vectorized pass over the CSR edges.
 The loop it replaces, one BFS per component, is kept below; the tests
@@ -29,14 +34,21 @@ pass, one batched star cubic per level, and a sorted split-and-merge for
 coalescing.  The per-entry step it replaces is kept below with its scalar
 coalescing, its scalar secular and printed cubics and its seed rules; the
 tests assert equal entries and equal discrepancy records, with ``==``.
+
+The level-m degree distribution the paper predicts from the seed's degree
+sequence is kept below too; the tests assert it equals the measured
+histogram exactly.
 """
 
 import math
+from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
 from coronagraphs import oracle
-from coronagraphs.graph import Graph, bfs_distances
+from coronagraphs.distributions import DistributionSeries
+from coronagraphs.graph import Graph, _checked, bfs_distances
 from coronagraphs.spectral import (
     ADJACENCY,
     COALESCE_REL_TOL,
@@ -49,7 +61,11 @@ from coronagraphs.spectral import (
     regular_degree,
     star_size,
 )
-from coronagraphs.structural import DisconnectedGraphError, NonUniqueShortestPathError
+from coronagraphs.structural import DisconnectedGraphError
+
+
+class NonUniqueShortestPathError(ValueError):
+    """Clique path counting met a tied shortest path (seed was no clique)."""
 
 
 def corona_product(g: Graph, seed: Graph) -> Graph:
@@ -479,3 +495,83 @@ def connected_component_count(g: Graph) -> int:
         comps += 1
         seen |= bfs_distances(g, start) >= 0
     return comps
+
+
+def degree_distribution_formula(seed: Graph, m: int) -> DistributionSeries:
+    """Level-m degree distribution predicted from the seed degree sequence.
+
+    A seed node of degree d contributes one level-m node of degree d + m*n
+    (the originals) and, for each step t in 1..m, n*(n+1)**(t-1) nodes of
+    degree d + 1 + (m-t)*n: a copy node lands with its seed degree plus the
+    edge to its host, then gains n per later step.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    n = seed.node_count
+    weights: dict[int, int] = {}
+    for d in seed.degrees:
+        d = int(d)
+        weights[d + m * n] = weights.get(d + m * n, 0) + 1
+        for t in range(1, m + 1):
+            deg = d + 1 + (m - t) * n
+            weights[deg] = weights.get(deg, 0) + n * (n + 1) ** (t - 1)
+    population = _checked(n * (n + 1) ** m, "node count")
+    if sum(weights.values()) != population:
+        raise RuntimeError(f"degree weights sum to {sum(weights.values())}, "
+                           f"not the node count {population}")
+    return DistributionSeries.from_counts(list(weights), list(weights.values()))
+
+
+def _bfs_counts(adj: list[list[int]], source: int) -> tuple[list[int], list[int]]:
+    """Distances and exact shortest-path counts from one source."""
+    n = len(adj)
+    dist = [-1] * n
+    sigma = [0] * n
+    dist[source] = 0
+    sigma[source] = 1
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        du = dist[u]
+        su = sigma[u]
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = du + 1
+                q.append(w)
+            if dist[w] == du + 1:
+                sigma[w] += su
+    return dist, sigma
+
+
+def brute_betweenness(g: Graph, cap: int = 500) -> np.ndarray:
+    """Exact betweenness by per-pair path counting, unordered pairs once.
+
+    Accumulates sigma_jk(i)/sigma_jk as Fractions (Python integers never
+    overflow) and converts to float at the end.
+    """
+    n = g.node_count
+    if n > cap:
+        raise ValueError(f"graph has {n} nodes, over the brute-force cap {cap}")
+    adj = [list(map(int, g.neighbors(u))) for u in range(n)]
+    dists = []
+    sigmas = []
+    for s in range(n):
+        dist, sigma = _bfs_counts(adj, s)
+        if min(dist) < 0:
+            raise ValueError("graph must be connected")
+        dists.append(np.array(dist, dtype=np.int64))
+        sigmas.append(sigma)
+    acc = [Fraction(0)] * n
+    nodes = np.arange(n)
+    for j in range(n):
+        dj = dists[j]
+        for k in range(j + 1, n):
+            dk = dists[k]
+            djk = int(dj[k])
+            on_path = (dj + dk == djk) & (nodes != j) & (nodes != k)
+            if not on_path.any():
+                continue
+            sigma_jk = sigmas[j][k]
+            for i in np.nonzero(on_path)[0]:
+                acc[i] += Fraction(sigmas[j][i] * sigmas[i][k], sigma_jk)
+    return np.array([float(x) for x in acc])

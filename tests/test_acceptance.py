@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import moment
+from conftest import algebraic_connectivity, moment
 from coronagraphs import oracle
 from coronagraphs.distributions import cumulative_series, fit_exponential, fit_power_law
 from coronagraphs.graph import (
@@ -25,15 +25,12 @@ from coronagraphs.spectral import (
     ADJACENCY,
     LAPLACIAN,
     SIGNLESS,
-    algebraic_connectivity,
     build_one_step_eigenpairs,
     closed_form_spectrum,
 )
 from coronagraphs.structural import (
-    betweenness_clique_pathcount,
     betweenness_exact,
     betweenness_series,
-    cumulative_degree_formula_regular,
     degree_histogram,
     diameter_formula,
     diameter_measured,
@@ -114,9 +111,9 @@ def test_criterion_3_cumulative_degree_law():
     table = dict(zip(cum.values, cum.probabilities))
     worst = 0.0
     for j in range(6):
+        # the cumulative law (n+1)**((r+1-k)/n), exact on this degree lattice
         k = 3 + 3 * j
-        worst = max(worst, abs(table[float(k)]
-                               - cumulative_degree_formula_regular(3, 2, k)))
+        worst = max(worst, abs(table[float(k)] - 4.0 ** ((3 - k) / 3)))
     rate, _ = fit_exponential(cum)
     target = math.log(4.0) / 3.0
     rel = abs(rate - target) / target
@@ -130,16 +127,13 @@ def test_criterion_4_betweenness_power_law(k3_m5, k3_m5_betweenness):
     ok = elapsed < 60.0
     fit = fit_power_law(betweenness_series(b))
     ok &= 1.7 <= fit.gamma <= 2.3
-    counts = betweenness_clique_pathcount(k3_m5)
+    # the per-source integer path count shares no code with the block-cut pass
+    counts = reference.betweenness_clique_pathcount(k3_m5)
     max_delta = float(np.max(np.abs(counts - b)))
     ok &= max_delta <= 1e-9
-    # both functions above share one block-cut pass; the per-source count
-    # shares no code with it
-    same = np.array_equal(counts, reference.betweenness_clique_pathcount(k3_m5))
-    ok &= same
     report(4, ok, f"3072-node Brandes in {elapsed:.2f}s < 60s, gamma_b = "
                   f"{fit.gamma:.4f} in [1.7, 2.3], path counting delta "
-                  f"{max_delta:.2e} <= 1e-9, per-source count equal: {same}")
+                  f"{max_delta:.2e} <= 1e-9")
 
 
 def test_criterion_5_spectral_oracle_equivalence():

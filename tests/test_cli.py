@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from coronagraphs import structural
+from coronagraphs import cli, spectral, structural
 from coronagraphs.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
@@ -128,11 +128,24 @@ class TestStats:
         assert 1.5 < block["gamma"] < 2.5
         assert block["fit_range"][0] > 0
 
-    def test_betweenness_guard_and_force(self, capsys, tmp_path):
-        code, _, err = run(capsys, "stats", "--seed", "complete:3", "--m", "6",
+    def test_betweenness_guard_and_force(self, capsys, monkeypatch):
+        # one 10,001-node block; the guard refuses before anything is built
+        def refuse(plan):
+            raise AssertionError("corona_iterate ran")
+
+        monkeypatch.setattr(cli, "corona_iterate", refuse)
+        code, _, err = run(capsys, "stats", "--seed", "cycle:10001", "--m", "0",
                            "--betweenness")
         assert code == EXIT_CAP
+        assert "block on 10001 nodes" in err
         assert "--force" in err
+
+    def test_betweenness_guard_judges_the_largest_block(self, capsys):
+        # 49,152 nodes, but no block larger than a 4-node cone
+        code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "7",
+                              "--betweenness", "--format", "csv")
+        assert code == EXIT_OK
+        assert len(stdout.splitlines()) == 1 + 49_152
 
     def test_csv_format(self, capsys):
         code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "1",
@@ -282,18 +295,34 @@ class TestSpectrum:
         total = sum(e["multiplicity"] for e in payload["spectrum"]["entries"])
         assert total == 20
 
-    def test_closed_form_error_falls_back_with_its_message(self, capsys, tmp_path):
+    def test_closed_form_error_falls_back_with_its_message(self, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("no closed form here")
+
+        monkeypatch.setattr(spectral, "closed_form_spectrum", fail)
+        code, stdout, _ = run(capsys, "spectrum", "--seed", "path:3", "--m", "1",
+                              "--kind", "laplacian")
+        assert code == EXIT_OK
+        payload = json.loads(stdout)
+        assert payload["closed_form"] is False
+        assert payload["notice"] == "no closed form here"
+        assert payload["spectrum"]["provenance"] == "oracle"
+        assert sum(e["multiplicity"] for e in payload["spectrum"]["entries"]) == 12
+
+    def test_disconnected_laplacian_takes_the_closed_form(self, capsys, tmp_path):
+        # L·1 = 0 on every seed: exactly one 0 per component
         seed = tmp_path / "d.edges"
         seed.write_text("0 1\n1 2\n3 4\n")
         code, stdout, _ = run(capsys, "spectrum", "--seed", f"file:{seed}", "--m", "1",
                               "--kind", "laplacian")
         assert code == EXIT_OK
         payload = json.loads(stdout)
-        assert payload["closed_form"] is False
-        assert payload["notice"] == "Laplacian closed form needs a connected seed"
-        assert payload["spectrum"]["provenance"] == "oracle"
-        total = sum(e["multiplicity"] for e in payload["spectrum"]["entries"])
-        assert total == 30
+        assert payload["closed_form"] is True
+        assert payload["notice"] is None
+        assert payload["spectrum"]["provenance"] == "closed_form"
+        entries = payload["spectrum"]["entries"]
+        assert entries[0] == {"value": 0.0, "multiplicity": 2}
+        assert sum(e["multiplicity"] for e in entries) == 30
 
     def test_csv_format(self, capsys):
         code, stdout, _ = run(capsys, "spectrum", "--seed", "complete:3",
@@ -460,6 +489,16 @@ class TestVerify:
             "--kind", "adjacency", "--out", str(out))
         report = json.loads(out.read_text())
         assert 0.0 < report["residual_max"] < 1e-8
+
+    def test_laplacian_passes_on_a_disconnected_seed(self, capsys, tmp_path):
+        seed = tmp_path / "t.edges"
+        seed.write_text("# n=6\n0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n")
+        code, stdout, _ = run(capsys, "verify", "--seed", f"file:{seed}", "--m", "1",
+                              "--kind", "laplacian")
+        assert code == EXIT_OK
+        report = json.loads(stdout)
+        assert report["passed"] is True
+        assert report["max_abs_delta"] <= 1e-8
 
     def test_no_residual_on_disconnected_regular_seed(self, capsys, tmp_path):
         # two triangles: r = 2 is a double eigenvalue, so the one-step

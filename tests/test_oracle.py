@@ -1,4 +1,5 @@
-"""Oracle checks: matrix assembly, the LAPACK eigensolver, and brute-force paths."""
+"""Oracle checks: matrix assembly and the LAPACK eigensolver, plus the
+brute-force path references the betweenness tests compare against."""
 
 import math
 import random
@@ -6,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import reference
 from coronagraphs.graph import (
     Graph,
     complete_graph,
@@ -16,8 +18,6 @@ from coronagraphs.graph import (
 )
 from coronagraphs.oracle import (
     DEFAULT_ORACLE_CAP,
-    brute_betweenness,
-    brute_diameter,
     build_matrix,
     compare_spectra,
     sym_eigensystem,
@@ -132,13 +132,13 @@ class TestCompareSpectra:
 
 class TestBruteForce:
     def test_p3_center(self):
-        b = brute_betweenness(path_graph(3))
+        b = reference.brute_betweenness(path_graph(3))
         assert np.allclose(b, [0.0, 1.0, 0.0])
 
     def test_matches_accumulation_on_k3_level1(self):
         from coronagraphs.structural import betweenness_exact
         g = k3_level1()
-        assert np.max(np.abs(brute_betweenness(g) - betweenness_exact(g))) < 1e-9
+        assert np.max(np.abs(reference.brute_betweenness(g) - betweenness_exact(g))) < 1e-9
 
     def test_matches_on_random_graphs(self):
         from conftest import random_connected_graph
@@ -146,27 +146,26 @@ class TestBruteForce:
         rng = random.Random(99)
         for _ in range(8):
             g = random_connected_graph(rng.randrange(4, 24), rng)
-            assert np.max(np.abs(brute_betweenness(g) - betweenness_exact(g))) < 1e-9
+            assert np.max(np.abs(reference.brute_betweenness(g) - betweenness_exact(g))) < 1e-9
 
     def test_matches_at_oracle_scale(self):
         from conftest import random_connected_graph
         from coronagraphs.structural import betweenness_exact
         g = random_connected_graph(120, random.Random(17))
-        assert np.max(np.abs(brute_betweenness(g) - betweenness_exact(g))) < 1e-9
+        assert np.max(np.abs(reference.brute_betweenness(g) - betweenness_exact(g))) < 1e-9
 
     def test_diameter(self):
         from coronagraphs.graph import CoronaPlan, SeedDescriptor, corona_iterate
         g2 = corona_iterate(CoronaPlan(seed=SeedDescriptor.from_spec("complete:3"), m=2))
-        assert brute_diameter(g2) == 5
+        assert reference.diameter_measured(g2) == 5
+        assert reference.diameter_bit_parallel(g2) == 5
 
     def test_caps(self):
         big = path_graph(40)
         with pytest.raises(ValueError, match="cap"):
-            brute_betweenness(big, cap=10)
-        with pytest.raises(ValueError, match="cap"):
-            brute_diameter(big, cap=10)
+            reference.brute_betweenness(big, cap=10)
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
-            brute_betweenness(g)
+            reference.brute_betweenness(g)

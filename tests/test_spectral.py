@@ -1,17 +1,19 @@
 """Closed-form spectra against the dense eigensolver, plus the step algebra."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from conftest import moment, zero_count
+from conftest import algebraic_connectivity, moment, zero_count
 from coronagraphs import oracle
 from coronagraphs.graph import (
     CoronaPlan,
     Graph,
     SeedDescriptor,
     complete_graph,
+    connected_component_count,
     corona_iterate,
     corona_product,
     cycle_graph,
@@ -26,7 +28,6 @@ from coronagraphs.spectral import (
     SIGNLESS,
     CubicDiscrepancy,
     Spectrum,
-    algebraic_connectivity,
     build_one_step_eigenpairs,
     closed_form_spectrum,
     corona_step,
@@ -244,9 +245,37 @@ class TestLaplacian:
         assert rep.passed, rep
         assert zero_count(closed) == 1
 
-    def test_disconnected_seed_rejected(self):
-        with pytest.raises(ValueError, match="connected"):
-            closed_form_spectrum(Graph.from_edges(4, [(0, 1), (2, 3)]), LAPLACIAN, 1)
+    @staticmethod
+    def assert_matches_oracle_with_one_zero_per_component(seed: Graph):
+        c = connected_component_count(seed)
+        g = seed
+        for m in range(4):
+            if g.node_count > 500:
+                break
+            closed = closed_form_spectrum(seed, LAPLACIAN, m)
+            rep = oracle.compare_spectra(closed, oracle_values(g, LAPLACIAN), tol=1e-8)
+            assert rep.passed, rep
+            assert closed.entries[0] == (0.0, c)
+            g = corona_product(g, seed)
+
+    def test_disconnected_seed_takes_the_closed_form(self):
+        # L·1 = 0 on every seed, which is all the step needs
+        for seed in (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                     Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]),
+                     Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]),
+                     Graph.from_edges(3, [])):
+            self.assert_matches_oracle_with_one_zero_per_component(seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_disconnected_seeds(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        while True:
+            g = Graph.from_edges(n, rng.sample(pairs, rng.randrange(len(pairs))))
+            if connected_component_count(g) > 1:
+                break
+        self.assert_matches_oracle_with_one_zero_per_component(g)
 
     def test_algebraic_connectivity(self):
         assert algebraic_connectivity(
@@ -260,10 +289,6 @@ class TestLaplacian:
             for m in range(1, 5):
                 s = closed_form_spectrum(seed, LAPLACIAN, m)
                 assert algebraic_connectivity(s) < 1.0
-
-    def test_kind_check(self):
-        with pytest.raises(ValueError):
-            algebraic_connectivity(seed_spectrum(complete_graph(3), ADJACENCY))
 
 
 class TestSignless:

@@ -19,25 +19,26 @@ from coronagraphs.graph import (
     path_graph,
     star_graph,
 )
-from coronagraphs.oracle import brute_betweenness
 from coronagraphs.structural import (
     DisconnectedGraphError,
-    NonUniqueShortestPathError,
     average_degree,
     average_degree_limit,
-    betweenness_clique_pathcount,
     betweenness_exact,
     betweenness_series,
     betweenness_to_csv,
-    cumulative_degree_formula_regular,
-    degree_distribution_formula,
     degree_histogram,
     density,
     diameter_formula,
     diameter_measured,
+    largest_block,
 )
 
 SEED_SPECS = ["complete:3", "path:3", "cycle:4", "star:4", "complete:5"]
+
+
+def cumulative_formula_k3(k: int) -> float:
+    """The paper's cumulative degree law (n+1)**((r+1-k)/n) for complete:3."""
+    return 4.0 ** ((3 - k) / 3)
 
 
 def level(spec: str, m: int) -> Graph:
@@ -73,32 +74,28 @@ class TestDegreeFormula:
     @pytest.mark.parametrize("m", range(4))
     def test_matches_measured_exactly(self, spec, m):
         seed = SeedDescriptor.from_spec(spec).graph
-        predicted = degree_distribution_formula(seed, m)
+        predicted = reference.degree_distribution_formula(seed, m)
         measured = degree_histogram(level(spec, m))
         assert predicted.values == measured.values
         assert predicted.counts == measured.counts
 
     def test_m0_is_seed_histogram(self):
         seed = star_graph(4)
-        f = degree_distribution_formula(seed, 0)
+        f = reference.degree_distribution_formula(seed, 0)
         assert f.points == degree_histogram(seed).points
 
     def test_population(self):
-        f = degree_distribution_formula(complete_graph(3), 5)
+        f = reference.degree_distribution_formula(complete_graph(3), 5)
         assert f.population == 3 * 4 ** 5
 
 
 class TestCumulativeDegreeFormula:
     def test_minimum_degree(self):
-        assert cumulative_degree_formula_regular(3, 2, 3) == 1.0
+        assert cumulative_formula_k3(3) == 1.0
 
     def test_frozen_lattice_values(self):
-        assert cumulative_degree_formula_regular(3, 2, 6) == 0.25
-        assert cumulative_degree_formula_regular(3, 2, 9) == 0.0625
-
-    def test_below_domain_flagged(self):
-        with pytest.raises(ValueError, match="domain"):
-            cumulative_degree_formula_regular(3, 2, 2)
+        assert cumulative_formula_k3(6) == 0.25
+        assert cumulative_formula_k3(9) == 0.0625
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_exact_on_lattice(self, m):
@@ -108,7 +105,7 @@ class TestCumulativeDegreeFormula:
         for j in range(m):
             k = 3 + 3 * j
             assert abs(table[float(k)]
-                       - cumulative_degree_formula_regular(3, 2, k)) <= 1e-12
+                       - cumulative_formula_k3(k)) <= 1e-12
 
     def test_off_lattice_point_deviates(self):
         # the originals (degree r+mn) sit off the lattice; the formula is
@@ -117,7 +114,7 @@ class TestCumulativeDegreeFormula:
         g = level("complete:3", m)
         cum = cumulative_series(degree_histogram(g))
         measured = dict(zip(cum.values, cum.probabilities))[float(2 + 3 * m)]
-        predicted = cumulative_degree_formula_regular(3, 2, 2 + 3 * m)
+        predicted = cumulative_formula_k3(2 + 3 * m)
         assert predicted != pytest.approx(measured, abs=1e-12)
 
 
@@ -214,7 +211,7 @@ class TestBetweenness:
         graphs += [random_connected_graph(rng.randrange(10, 40), rng)
                    for _ in range(4)]
         for g in graphs:
-            assert np.max(np.abs(betweenness_exact(g) - brute_betweenness(g))) < 1e-9
+            assert np.max(np.abs(betweenness_exact(g) - reference.brute_betweenness(g))) < 1e-9
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -241,21 +238,41 @@ class TestNetworkxCrossCheck:
                                rtol=1e-12, atol=1e-12)
 
 
+class TestLargestBlock:
+    # the betweenness guard's prediction: the seed's largest block, and
+    # from m=1 on at least the n+1 nodes of a cone
+    @pytest.mark.parametrize("spec", ["complete:1", "complete:2", "complete:3", "path:2",
+                                      "path:5", "star:4", "cycle:5", "cycle:12"])
+    def test_seed_block_or_cone(self, spec):
+        seed = SeedDescriptor.from_spec(spec).graph
+        for m in range(4):
+            want = largest_block(seed) if m == 0 else max(largest_block(seed),
+                                                          seed.node_count + 1)
+            assert largest_block(level(spec, m)) == want
+
+    def test_disconnected(self):
+        with pytest.raises(DisconnectedGraphError):
+            largest_block(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
 class TestCliquePathCounting:
-    @pytest.mark.parametrize("spec,m", [("complete:3", 2), ("complete:4", 1)])
+    # every shortest path is unique on a complete-seed corona, so the
+    # per-source integer count, which shares no code with the block-cut
+    # pass, is the exact betweenness
+    @pytest.mark.parametrize("spec,m", [
+        (f"complete:{k}", m) for k in range(1, 5) for m in range(4)
+        if k * (k + 1) ** m <= 500])
     def test_equals_accumulation(self, spec, m):
         g = level(spec, m)
-        counts = betweenness_clique_pathcount(g)
-        assert np.max(np.abs(counts - betweenness_exact(g))) < 1e-9
-        # the per-source integer count shares no code with the block-cut pass
-        assert np.array_equal(counts, reference.betweenness_clique_pathcount(g))
+        counts = reference.betweenness_clique_pathcount(g)
+        assert np.array_equal(counts.astype(np.float64), betweenness_exact(g))
 
     def test_non_clique_seed_detected(self):
-        with pytest.raises(NonUniqueShortestPathError):
-            betweenness_clique_pathcount(level("path:3", 1))
+        with pytest.raises(reference.NonUniqueShortestPathError):
+            reference.betweenness_clique_pathcount(level("path:3", 1))
 
     def test_integer_dtype(self):
-        counts = betweenness_clique_pathcount(level("complete:3", 1))
+        counts = reference.betweenness_clique_pathcount(level("complete:3", 1))
         assert counts.dtype == np.int64
 
 

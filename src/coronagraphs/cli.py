@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -32,6 +33,11 @@ EXIT_VERIFY = 3
 EXIT_CAP = 4
 
 BETWEENNESS_CAP = 10_000
+# refused bound on the closed form's entries, judged before its first step;
+# the recursion's arrays, not the streamed output, grow with the entries
+SPECTRUM_ENTRY_CAP = 2 ** 22
+# entries or records per chunk of spectrum output
+CHUNK_ROWS = 4096
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, run, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, sink=None)
         p.add_argument("--seed", required=True,
                        help="seed spec kind:param, e.g. complete:3 or file:g.edges")
         p.add_argument("--m", type=int, required=True,
@@ -75,11 +81,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(cfg: argparse.Namespace, text: str) -> None:
+    """Write ``text`` to stdout, or to --out, which the command's first call
+    opens and truncates; ``main`` closes it."""
     if cfg.out is None:
         sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    if cfg.sink is None:
+        cfg.sink = open(cfg.out, "w", encoding="utf-8")
+    cfg.sink.write(text)
 
 
 # json.dumps(..., indent=2) layout of a spectrum entry and a discrepancy record
@@ -94,15 +103,33 @@ _ENTRIES_AT = '\n    "entries": '
 _RECORDS_AT = '\n  "discrepancies": '
 
 
-def _listing(template: str, rows, count: int, indent: str) -> str:
-    """``count`` rows of ``template`` arguments laid out as a json.dumps list.
+def _rows(template: str, count: int, rows, sep: str = "") -> Iterator[str]:
+    """``count`` rows of ``template``, joined by ``sep``, CHUNK_ROWS at a time.
 
-    One ``%`` over every row's arguments at once: no string per row.
+    ``rows(start, stop)`` gives the arguments of rows start..stop-1.  Each
+    chunk is one ``%`` over its rows' arguments: no string per row.
     """
+    for start in range(0, count, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, count)
+        text = (sep if start else "") + sep.join([template] * (stop - start))
+        yield text % tuple(chain.from_iterable(rows(start, stop)))
+
+
+def _listing(template: str, count: int, rows, indent: str) -> Iterator[str]:
+    """``_rows`` laid out as a json.dumps list."""
     if not count:
-        return "[]"
-    return ("[\n" + ",\n".join([template] * count) + "\n" + indent + "]") % tuple(
-        chain.from_iterable(rows))
+        yield "[]"
+        return
+    yield "[\n"
+    yield from _rows(template, count, rows, ",\n")
+    yield "\n" + indent + "]"
+
+
+def _entry_rows(spectrum: spectral.Spectrum):
+    """(value, multiplicity) rows of a slice of the spectrum's entries."""
+    values, mults = spectrum.values, spectrum.multiplicities
+    return lambda start, stop: zip(values[start:stop].tolist(),
+                                   mults[start:stop].tolist())
 
 
 def _record_row(d: spectral.CubicDiscrepancy) -> tuple:
@@ -111,24 +138,32 @@ def _record_row(d: spectral.CubicDiscrepancy) -> tuple:
 
 
 def _spectrum_text(payload: dict, spectrum: spectral.Spectrum,
-                   discrepancies: list) -> str:
-    """``json.dumps(payload, indent=2)`` once the spectrum's entries and the
-    records' ``to_dict()`` fill its empty "entries" and "discrepancies" lists.
+                   discrepancies: list) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` and a newline, in chunks, once the
+    spectrum's entries and the records' ``to_dict()`` fill its empty
+    "entries" and "discrepancies" lists.
 
     The outer fields go through json.dumps.  The entries and the records,
     nearly all of the bytes, are written from the templates above, straight
-    from the spectrum's arrays and the record objects: floats by
+    from slices of the spectrum's arrays and the record objects: floats by
     ``float.__repr__`` as json does (a spectrum holds no NaN or infinity),
-    strings by json's own ASCII encoder.
+    strings by json's own ASCII encoder.  No chunk holds more than
+    CHUNK_ROWS rows, so the text is never held whole.
     """
     head, _, rest = json.dumps(payload, indent=2).partition(_ENTRIES_AT + "[]")
     middle, _, tail = rest.partition(_RECORDS_AT + "[]")
-    entries = zip(spectrum.values.tolist(), spectrum.multiplicities.tolist())
-    return "".join((
-        head, _ENTRIES_AT, _listing(_ENTRY, entries, len(spectrum.values), "    "),
-        middle, _RECORDS_AT,
-        _listing(_RECORD, map(_record_row, discrepancies), len(discrepancies), "  "),
-        tail))
+    yield head + _ENTRIES_AT
+    yield from _listing(_ENTRY, len(spectrum.values), _entry_rows(spectrum), "    ")
+    yield middle + _RECORDS_AT
+    yield from _listing(_RECORD, len(discrepancies),
+                        lambda start, stop: map(_record_row, discrepancies[start:stop]),
+                        "  ")
+    yield tail + "\n"
+
+
+def _spectrum_csv(spectrum: spectral.Spectrum) -> Iterator[str]:
+    yield "value,multiplicity\n"
+    yield from _rows("%r,%d\n", len(spectrum.values), _entry_rows(spectrum))
 
 
 def _plan(cfg: argparse.Namespace) -> CoronaPlan:
@@ -235,7 +270,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     discrepancies: list[spectral.CubicDiscrepancy] = []
     try:
         spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
-                                                 discrepancies)
+                                                 discrepancies, SPECTRUM_ENTRY_CAP)
     except ValueError as exc:
         spectrum, notice = None, str(exc)
     else:
@@ -249,25 +284,25 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
         spectrum = spectral.make_spectrum(cfg.kind, [(float(v), 1) for v in vals],
                                           level=cfg.m, provenance="oracle")
     if cfg.format == "csv":
-        lines = ["value,multiplicity"]
-        lines += [f"{v!r},{w}" for v, w in spectrum.entries]
-        _emit(cfg, "\n".join(lines) + "\n")
-        return EXIT_OK
-    payload = {
-        "schema": 1,
-        "command": "spectrum",
-        "seed": cfg.seed,
-        "kind": cfg.kind,
-        "m": cfg.m,
-        "closed_form": spectrum.provenance == "closed_form",
-        "notice": notice,
-        # the wire form of spectral.spectrum_to_json, with its entries
-        # written by _spectrum_text
-        "spectrum": {"kind": spectrum.kind, "m": spectrum.level, "n": plan.n,
-                     "entries": [], "provenance": spectrum.provenance},
-        "discrepancies": [],
-    }
-    _emit(cfg, _spectrum_text(payload, spectrum, discrepancies) + "\n")
+        chunks = _spectrum_csv(spectrum)
+    else:
+        payload = {
+            "schema": 1,
+            "command": "spectrum",
+            "seed": cfg.seed,
+            "kind": cfg.kind,
+            "m": cfg.m,
+            "closed_form": spectrum.provenance == "closed_form",
+            "notice": notice,
+            # the wire form of spectral.spectrum_to_json, with its entries
+            # written by _spectrum_text
+            "spectrum": {"kind": spectrum.kind, "m": spectrum.level, "n": plan.n,
+                         "entries": [], "provenance": spectrum.provenance},
+            "discrepancies": [],
+        }
+        chunks = _spectrum_text(payload, spectrum, discrepancies)
+    for text in chunks:
+        _emit(cfg, text)
     return EXIT_OK
 
 
@@ -324,6 +359,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        if cfg.sink is not None:
+            cfg.sink.close()
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from . import oracle
-from .graph import Graph, connected_component_count
+from .graph import CapExceededError, Graph, connected_component_count
 
 ADJACENCY, LAPLACIAN, SIGNLESS = oracle.MATRIX_KINDS
 
@@ -473,18 +473,43 @@ def eigenpair_residual_max(seed_graph: Graph, a: np.ndarray) -> float:
 # dispatch
 
 
+def entry_bound(seed: Spectrum, tail: Pairs, m: int, stop: int) -> tuple[int, int]:
+    """(level, bound): a bound on the entries at ``level``, which is m, or
+    the first level whose bound reaches ``stop``.
+
+    A step spawns ``width`` values per entry and appends the tail, so
+    E -> width * E + |tail| before coalescing.  It takes a graph on N nodes
+    to one on N(n + 1), the tail's multiplicities times N among them, which
+    leaves width = n + 1 - sum(tail) (2 for a quadratic, 3 for a star cubic).
+    """
+    width = seed.total_multiplicity + 1 - int(tail.multiplicities.sum())
+    level, bound = 0, len(seed.values)
+    while level < m and bound < stop:
+        level, bound = level + 1, width * bound + len(tail)
+    return level, bound
+
+
 def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
-                         discrepancies: list | None = None) -> Spectrum | None:
+                         discrepancies: list | None = None,
+                         entry_cap: int | None = None) -> Spectrum | None:
     """Closed-form spectrum when the (seed, kind) pair supports one, else None.
 
     Regular seeds support all three kinds; star seeds support adjacency and
     signless via the cubic recursion; every seed supports the Laplacian.
     Every closed form is m ``corona_step``s of the seed's ``step_rule``.
+    Raises CapExceededError before the first step when ``entry_bound``
+    reaches ``entry_cap``.
     """
     rule = step_rule(seed_graph, kind, discrepancies)
     if rule is None:
         return None
-    s = rule[0]
+    s, _, tail = rule
+    if entry_cap is not None:
+        level, bound = entry_bound(s, tail, m, entry_cap)
+        if bound >= entry_cap:
+            raise CapExceededError(
+                f"the closed form may hold {bound} entries by level {level}, "
+                f"reaching the entry cap of {entry_cap}")
     for _ in range(m):
         s = corona_step(s, *rule)
     return s

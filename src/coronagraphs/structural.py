@@ -146,6 +146,7 @@ def _dfs(g: Graph):
     if found + 1 < n:
         return None
     owner = np.zeros(n, dtype=np.int64)
+    ends = np.array(ends, dtype=np.int64)  # float64 when no block closed
     owner[popped] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     return np.array(disc), owner, np.array(parents, dtype=np.int64), \
         np.array(below, dtype=np.int64), np.array(hung)
@@ -158,6 +159,8 @@ def _grouped_rows(rows: np.ndarray) -> list[np.ndarray]:
     would build a structured dtype with a field per column, which costs
     milliseconds on the one wide row of a large block.
     """
+    if not len(rows):
+        return []   # np.split would give one empty group
     rows = np.ascontiguousarray(rows)
     blobs = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
     labels = np.unique(blobs.reshape(-1), return_inverse=True)[1]

@@ -2,21 +2,35 @@
 
 import hashlib
 import json
+import tracemalloc
+from itertools import repeat
 
 import pytest
 
 from coronagraphs import cli, spectral, structural
 from coronagraphs.cli import (
+    CHUNK_ROWS,
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY,
     _build_parser,
     _plan,
+    _spectrum_csv,
     _spectrum_text,
     main,
 )
-from coronagraphs.spectral import CubicDiscrepancy, make_spectrum, spectrum_to_json
+from coronagraphs.graph import complete_graph
+from coronagraphs.spectral import (
+    ADJACENCY,
+    CubicDiscrepancy,
+    closed_form_spectrum,
+    make_spectrum,
+    spectrum_to_json,
+)
+
+# entry and record counts around the writer's chunk boundaries
+CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
 
 
 def run(capsys, *argv):
@@ -342,6 +356,39 @@ class TestSpectrum:
         assert code == EXIT_OK
         assert line in stdout.splitlines()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_multi_chunk_out_file_equals_stdout(self, capsys, tmp_path, fmt):
+        # 12,287 entries: three chunks, so an --out reopened per chunk
+        # would keep only the last
+        argv = ["spectrum", "--seed", "complete:3", "--m", "12", "--kind", "adjacency",
+                "--format", fmt]
+        out = tmp_path / "spec.out"
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert stdout.count("\n") > 2 * CHUNK_ROWS
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, "", "")
+        assert out.read_bytes() == stdout.encode("utf-8")
+
+    def test_entry_guard_refuses_before_any_step(self, capsys, tmp_path, monkeypatch):
+        def step(*args):
+            raise AssertionError("a corona step ran")
+
+        monkeypatch.setattr(spectral, "corona_step", step)
+        out = tmp_path / "spec.json"
+        code, stdout, err = run(capsys, "spectrum", "--seed", "complete:3", "--m", "21",
+                                "--kind", "adjacency", "--out", str(out))
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == ("error: the closed form may hold 6291455 entries by level 21, "
+                       "reaching the entry cap of 4194304\n")
+        assert not out.exists()
+
+    def test_entry_guard_judges_the_closed_form_not_the_node_cap(self, capsys):
+        # complete:3 at m=8 has 196,608 nodes, over --node-cap, and 767 entries
+        code, stdout, _ = run(capsys, "spectrum", "--seed", "complete:3", "--m", "8",
+                              "--kind", "laplacian", "--node-cap", "100")
+        assert code == EXIT_OK
+        assert json.loads(stdout)["closed_form"] is True
+
     def test_star_discrepancies_reported(self, capsys, tmp_path):
         out = tmp_path / "spec.json"
         code, _, _ = run(capsys, "spectrum", "--seed", "star:3", "--m", "1",
@@ -441,8 +488,13 @@ def writer_case(pairs, records=(), seed="complete:3", notice=None):
     return (head, spectrum, list(records)), payload
 
 
+def distinct_pairs(count):
+    """``count`` entries that make_spectrum keeps apart."""
+    return [(i + 0.1 * (i % 7), i + 1) for i in range(count)]
+
+
 class TestSpectrumWriter:
-    """The template writer against json.dumps(payload, indent=2)."""
+    """The chunked template writer against json.dumps(payload, indent=2)."""
 
     RECORD = CubicDiscrepancy(kind="signless", k=4, level=3, mu=-0.0,
                               printed_roots=(0.1 + 0.2, 1e16, 5e-324),
@@ -459,12 +511,45 @@ class TestSpectrumWriter:
         "notice and non-ascii seed": writer_case(
             [(-1.0, 2), (2.0, 1)], [RECORD], seed='file:gr\u00e4ph "\u03bc".edges',
             notice="no closed form for kind=adjacency with seed \u00e9; \\ falling back"),
+        **{f"{count} entries": writer_case(distinct_pairs(count))
+           for count in CHUNK_COUNTS},
+        # a class-body comprehension sees RECORD only in its first iterable
+        **{f"{count} records": writer_case([(1.0, 2)], [record] * count)
+           for count, record in zip(CHUNK_COUNTS, repeat(RECORD))},
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_json_dumps(self, case):
         args, payload = self.CASES[case]
-        assert _spectrum_text(*args) == json.dumps(payload, indent=2)
+        assert "".join(_spectrum_text(*args)) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_no_chunk_holds_more_than_chunk_rows(self, case):
+        args, _ = self.CASES[case]
+        for chunk in _spectrum_text(*args):
+            assert chunk.count('"value"') + chunk.count('"note"') <= CHUNK_ROWS
+
+    @pytest.mark.parametrize("count", CHUNK_COUNTS)
+    def test_csv_matches_one_line_per_entry(self, count):
+        spectrum = make_spectrum("adjacency", distinct_pairs(count), level=2)
+        lines = ["value,multiplicity"] + [f"{v!r},{w}" for v, w in spectrum.entries]
+        assert "".join(_spectrum_csv(spectrum)) == "\n".join(lines) + "\n"
+
+    def test_peak_allocation_does_not_grow_with_the_payload(self):
+        # a whole-text writer's peak grows 4x from m=14 to m=16, with the
+        # entries; a chunked one allocates the same few chunks at both
+        payload = {"spectrum": {"entries": []}, "discrepancies": []}
+        peaks, chunk_bytes = [], []
+        for m in (14, 16):
+            spectrum = closed_form_spectrum(complete_graph(3), ADJACENCY, m)
+            tracemalloc.start()
+            try:
+                size = sum(map(len, _spectrum_text(payload, spectrum, [])))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            chunk_bytes.append(CHUNK_ROWS * size / len(spectrum.values))
+        assert abs(peaks[1] - peaks[0]) < 2 * min(chunk_bytes)
 
 
 class TestVerify:

@@ -9,6 +9,7 @@ import pytest
 from conftest import algebraic_connectivity, moment, zero_count
 from coronagraphs import oracle
 from coronagraphs.graph import (
+    CapExceededError,
     CoronaPlan,
     Graph,
     SeedDescriptor,
@@ -32,6 +33,7 @@ from coronagraphs.spectral import (
     closed_form_spectrum,
     corona_step,
     eigenpair_residual_max,
+    entry_bound,
     make_spectrum,
     regular_degree,
     seed_spectrum,
@@ -479,3 +481,43 @@ class TestDispatch:
                 for m in (1, 2, 3):
                     s = closed_form_spectrum(seed, kind, m)
                     assert s.total_multiplicity == n * (n + 1) ** m
+
+
+class TestEntryBound:
+    CAP = 2 ** 22
+
+    @pytest.mark.parametrize("spec,kind", [
+        (spec, kind) for spec in ("complete:3", "cycle:4", "star:4", "star:5")
+        for kind in (ADJACENCY, LAPLACIAN, SIGNLESS)] + [("path:4", LAPLACIAN)])
+    def test_bounds_every_level(self, spec, kind):
+        rule = step_rule(SeedDescriptor.from_spec(spec).graph, kind)
+        seed, _, tail = rule
+        s = seed
+        for m in range(5):
+            level, bound = entry_bound(seed, tail, m, self.CAP)
+            assert level == m
+            assert len(s.values) <= bound
+            s = corona_step(s, *rule)
+
+    @pytest.mark.parametrize("kind,width", [(ADJACENCY, 3), (SIGNLESS, 3),
+                                            (LAPLACIAN, 2)])
+    def test_star_cubics_spawn_three(self, kind, width):
+        seed, _, tail = step_rule(star_graph(4), kind)
+        e0 = len(seed.values)
+        assert entry_bound(seed, tail, 1, self.CAP) == (1, width * e0 + len(tail))
+
+    def test_exact_on_complete3_up_to_the_cap(self):
+        # 3 * 2**m - 1 entries: nothing coalesces
+        seed, _, tail = step_rule(complete_graph(3), ADJACENCY)
+        assert len(closed_form_spectrum(complete_graph(3), ADJACENCY, 10).values) == \
+            3 * 2 ** 10 - 1
+        assert entry_bound(seed, tail, 20, self.CAP) == (20, 3_145_727)
+        assert entry_bound(seed, tail, 21, self.CAP) == (21, 6_291_455)
+        # a huge m stops at the first level over the cap
+        assert entry_bound(seed, tail, 10 ** 9, self.CAP) == (21, 6_291_455)
+
+    def test_closed_form_refuses_before_its_first_step(self):
+        with pytest.raises(CapExceededError, match="6291455 entries by level 21"):
+            closed_form_spectrum(complete_graph(3), ADJACENCY, 21, None, self.CAP)
+        assert closed_form_spectrum(complete_graph(3), ADJACENCY, 10, None,
+                                    3 * 2 ** 10) is not None

@@ -8,6 +8,7 @@ import pytest
 
 import reference
 from conftest import random_connected_graph
+from coronagraphs import structural
 from coronagraphs.distributions import cumulative_series, fit_exponential
 from coronagraphs.graph import (
     CoronaPlan,
@@ -253,6 +254,24 @@ class TestLargestBlock:
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             largest_block(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+class TestNoBlock:
+    # the commands return early below 2 nodes; the DFS and the table must
+    # still hold on a graph where no block ever closes
+    def test_one_node_has_an_empty_table(self):
+        disc, owner, parents, below, hung = structural._dfs(complete_graph(1))
+        assert (disc.tolist(), owner.tolist(), hung.tolist()) == ([0], [0], [0])
+        assert (parents.tolist(), below.tolist()) == ([], [])
+        table = structural._build_block_table(complete_graph(1))
+        assert (table.members.tolist(), table.starts.tolist()) == ([], [0])
+        assert (table.weights.tolist(), table.parent.tolist(), table.shapes) == \
+            ([], [], [])
+
+    def test_edgeless_graph_is_disconnected(self):
+        edgeless = Graph.from_edges(3, [])
+        assert structural._dfs(edgeless) is None
+        assert structural._build_block_table(edgeless) is None
 
 
 class TestCliquePathCounting:

@@ -33,9 +33,6 @@ EXIT_VERIFY = 3
 EXIT_CAP = 4
 
 BETWEENNESS_CAP = 10_000
-# refused bound on the closed form's entries, judged before its first step;
-# the recursion's arrays, not the streamed output, grow with the entries
-SPECTRUM_ENTRY_CAP = 2 ** 22
 # entries or records per chunk of spectrum output
 CHUNK_ROWS = 4096
 
@@ -270,7 +267,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     discrepancies: list[spectral.CubicDiscrepancy] = []
     try:
         spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
-                                                 discrepancies, SPECTRUM_ENTRY_CAP)
+                                                 discrepancies)
     except ValueError as exc:
         spectrum, notice = None, str(exc)
     else:

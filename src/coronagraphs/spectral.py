@@ -50,6 +50,9 @@ ADJACENCY, LAPLACIAN, SIGNLESS = oracle.MATRIX_KINDS
 
 COALESCE_REL_TOL = 1e-9
 FORMULA_TOL = 1e-8
+# refused bound on a closed form's entries, judged before its first step;
+# the recursion's arrays grow with the entries, not with the node count
+ENTRY_CAP = 2 ** 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,26 +493,24 @@ def entry_bound(seed: Spectrum, tail: Pairs, m: int, stop: int) -> tuple[int, in
 
 
 def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
-                         discrepancies: list | None = None,
-                         entry_cap: int | None = None) -> Spectrum | None:
+                         discrepancies: list | None = None) -> Spectrum | None:
     """Closed-form spectrum when the (seed, kind) pair supports one, else None.
 
     Regular seeds support all three kinds; star seeds support adjacency and
     signless via the cubic recursion; every seed supports the Laplacian.
     Every closed form is m ``corona_step``s of the seed's ``step_rule``.
     Raises CapExceededError before the first step when ``entry_bound``
-    reaches ``entry_cap``.
+    reaches ``ENTRY_CAP``.
     """
     rule = step_rule(seed_graph, kind, discrepancies)
     if rule is None:
         return None
     s, _, tail = rule
-    if entry_cap is not None:
-        level, bound = entry_bound(s, tail, m, entry_cap)
-        if bound >= entry_cap:
-            raise CapExceededError(
-                f"the closed form may hold {bound} entries by level {level}, "
-                f"reaching the entry cap of {entry_cap}")
+    level, bound = entry_bound(s, tail, m, ENTRY_CAP)
+    if bound >= ENTRY_CAP:
+        raise CapExceededError(
+            f"the closed form may hold {bound} entries by level {level}, "
+            f"reaching the entry cap of {ENTRY_CAP}")
     for _ in range(m):
         s = corona_step(s, *rule)
     return s

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import algebraic_connectivity, moment, zero_count
-from coronagraphs import oracle
+from coronagraphs import oracle, spectral
 from coronagraphs.graph import (
     CapExceededError,
     CoronaPlan,
@@ -484,7 +484,7 @@ class TestDispatch:
 
 
 class TestEntryBound:
-    CAP = 2 ** 22
+    CAP = spectral.ENTRY_CAP
 
     @pytest.mark.parametrize("spec,kind", [
         (spec, kind) for spec in ("complete:3", "cycle:4", "star:4", "star:5")
@@ -516,8 +516,19 @@ class TestEntryBound:
         # a huge m stops at the first level over the cap
         assert entry_bound(seed, tail, 10 ** 9, self.CAP) == (21, 6_291_455)
 
-    def test_closed_form_refuses_before_its_first_step(self):
+    def test_closed_form_refuses_before_its_first_step(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("a corona step ran")
+
+        monkeypatch.setattr(spectral, "corona_step", step)
         with pytest.raises(CapExceededError, match="6291455 entries by level 21"):
-            closed_form_spectrum(complete_graph(3), ADJACENCY, 21, None, self.CAP)
-        assert closed_form_spectrum(complete_graph(3), ADJACENCY, 10, None,
-                                    3 * 2 ** 10) is not None
+            closed_form_spectrum(complete_graph(3), ADJACENCY, 21)
+
+    def test_closed_form_refuses_at_the_cap_not_below(self, monkeypatch):
+        # level 10 of complete:3 holds 3 * 2**10 - 1 entries
+        monkeypatch.setattr(spectral, "ENTRY_CAP", 3 * 2 ** 10)
+        assert closed_form_spectrum(complete_graph(3), ADJACENCY, 10) is not None
+        monkeypatch.setattr(spectral, "ENTRY_CAP", 3 * 2 ** 10 - 1)
+        with pytest.raises(CapExceededError, match="3071 entries by level 10, "
+                           "reaching the entry cap of 3071"):
+            closed_form_spectrum(complete_graph(3), ADJACENCY, 10)

@@ -12,7 +12,6 @@ import json
 import sys
 from collections.abc import Iterator
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from . import oracle, spectral, structural
 from .distributions import cumulative_series, fit_power_law, series_to_csv
@@ -88,12 +87,13 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
     cfg.sink.write(text)
 
 
-# json.dumps(..., indent=2) layout of a spectrum entry and a discrepancy record
+# json.dumps(..., indent=2) layout of a spectrum entry and a discrepancy record,
+# whose kind and note json.dumps writes as they are: neither needs an escape
 _ENTRY = '      {\n        "value": %r,\n        "multiplicity": %d\n      }'
-_RECORD = ('    {\n      "kind": %s,\n      "k": %d,\n      "level": %d,\n'
+_RECORD = ('    {\n      "kind": "%s",\n      "k": %d,\n      "level": %d,\n'
            '      "mu": %r,\n      "printed_roots": [\n        %r,\n        %r,\n'
            '        %r\n      ],\n      "secular_roots": [\n        %r,\n        %r,\n'
-           '        %r\n      ],\n      "max_delta": %r,\n      "note": %s\n    }')
+           '        %r\n      ],\n      "max_delta": %r,\n      "note": "%s"\n    }')
 # where the two lists sit in the indented outer text: a raw newline only ever
 # separates json.dumps's own lines, so each marker occurs once
 _ENTRIES_AT = '\n    "entries": '
@@ -129,33 +129,29 @@ def _entry_rows(spectrum: spectral.Spectrum):
                                    mults[start:stop].tolist())
 
 
-def _record_row(d: spectral.CubicDiscrepancy) -> tuple:
-    return (encode_basestring_ascii(d.kind), d.k, d.level, d.mu, *d.printed_roots,
-            *d.secular_roots, d.max_delta, encode_basestring_ascii(d.note))
+def _with_records(text: str, discrepancies: spectral.Discrepancies) -> Iterator[str]:
+    """``text`` and a newline, in chunks, the records put in its "discrepancies": []."""
+    head, _, tail = text.partition(_RECORDS_AT + "[]")
+    yield head + _RECORDS_AT
+    yield from _listing(_RECORD, len(discrepancies), discrepancies.rows, "  ")
+    yield tail + "\n"
 
 
 def _spectrum_text(payload: dict, spectrum: spectral.Spectrum,
-                   discrepancies: list) -> Iterator[str]:
-    """``json.dumps(payload, indent=2)`` and a newline, in chunks, once the
-    spectrum's entries and the records' ``to_dict()`` fill its empty
-    "entries" and "discrepancies" lists.
+                   discrepancies: spectral.Discrepancies) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` and a newline, in chunks, with the
+    spectrum's entries and the records in its empty lists of each.
 
     The outer fields go through json.dumps.  The entries and the records,
-    nearly all of the bytes, are written from the templates above, straight
-    from slices of the spectrum's arrays and the record objects: floats by
+    nearly all of the bytes, go through the templates above, straight from
+    slices of the spectrum's arrays and the record table's columns, floats by
     ``float.__repr__`` as json does (a spectrum holds no NaN or infinity),
-    strings by json's own ASCII encoder.  No chunk holds more than
-    CHUNK_ROWS rows, so the text is never held whole.
+    CHUNK_ROWS rows at most per chunk, so the text is never held whole.
     """
     head, _, rest = json.dumps(payload, indent=2).partition(_ENTRIES_AT + "[]")
-    middle, _, tail = rest.partition(_RECORDS_AT + "[]")
     yield head + _ENTRIES_AT
     yield from _listing(_ENTRY, len(spectrum.values), _entry_rows(spectrum), "    ")
-    yield middle + _RECORDS_AT
-    yield from _listing(_RECORD, len(discrepancies),
-                        lambda start, stop: map(_record_row, discrepancies[start:stop]),
-                        "  ")
-    yield tail + "\n"
+    yield from _with_records(rest, discrepancies)
 
 
 def _spectrum_csv(spectrum: spectral.Spectrum) -> Iterator[str]:
@@ -264,7 +260,7 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
-    discrepancies: list[spectral.CubicDiscrepancy] = []
+    discrepancies = spectral.Discrepancies()
     try:
         spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
                                                  discrepancies)
@@ -306,7 +302,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 def cmd_verify(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     _guard(plan, plan.predicted_nodes, oracle.DEFAULT_ORACLE_CAP, "verification")
-    discrepancies: list[spectral.CubicDiscrepancy] = []
+    discrepancies = spectral.Discrepancies()
     closed = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
                                            discrepancies)
     if closed is None:
@@ -336,9 +332,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "mean_abs_delta": match.mean_abs_delta,
         "count_mismatched": match.count_mismatched,
         "residual_max": residual_max,
-        "discrepancies": [d.to_dict() for d in discrepancies],
+        "discrepancies": [],
     }
-    _emit(cfg, json.dumps(report, indent=2) + "\n")
+    for text in _with_records(json.dumps(report, indent=2), discrepancies):
+        _emit(cfg, text)
     return EXIT_OK if match.passed else EXIT_VERIFY
 
 

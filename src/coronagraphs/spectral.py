@@ -26,19 +26,21 @@ tail depends on the seed alone, so ``step_rule`` builds it once.
 
 A level is a float64 value array and a multiplicity array, and the step runs
 over whole arrays: every entry's roots in one pass, one star cubic call per
-level.  Multiplicities are int64 while the level's total n(n+1)^m is below
-2**63 and exact Python ints (object dtype) above it.  The arrays give the
-same bits as evaluating the formulas one entry at a time: +, -, *, / and
-sqrt round the same in numpy as in Python, while every power, arccos and
-cosine goes through the same libm routine as Python's ``**``, ``math.acos``
-and ``math.cos`` (``_libm``), since numpy's own differ from them in the last
-bit.
+level, whose discrepancy records form one block of array columns in a
+``Discrepancies`` table.  Multiplicities are int64 while the level's total
+n(n+1)^m is below 2**63 and exact Python ints (object dtype) above it.  The
+arrays give the same bits as evaluating the formulas one entry at a time:
++, -, *, / and sqrt round the same in numpy as in Python, while every power,
+arccos and cosine goes through the same libm routine as Python's ``**``,
+``math.acos`` and ``math.cos`` (``_libm``), since numpy's own differ from
+them in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -190,14 +192,9 @@ def regular_degree(g: Graph) -> int | None:
 
 
 def star_size(g: Graph) -> int | None:
-    """k if g is the star on k >= 3 vertices (one hub, k-1 leaves)."""
+    """k if g is the star on k >= 3 vertices: a hub of degree k-1 on k-1 edges."""
     k = g.node_count
-    if k < 3 or g.edge_count != k - 1:
-        return None
-    degs = np.sort(g.degrees)
-    if degs[-1] == k - 1 and np.all(degs[:-1] == 1):
-        return k
-    return None
+    return k if k >= 3 and g.edge_count == k - 1 and g.degrees.max() == k - 1 else None
 
 
 def seed_spectrum(g: Graph, kind: str) -> Spectrum:
@@ -209,8 +206,7 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     value.  Snapping removes the oracle's rounding from every later
     closed-form level.
     """
-    vals = oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
-    vals = list(map(float, vals))
+    vals = oracle.sym_eigenvalues(oracle.build_matrix(g, kind)).tolist()
     r = regular_degree(g)
     c = connected_component_count(g)
     if kind == LAPLACIAN:
@@ -224,21 +220,32 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
 # star seeds: cubic secular equations
 
 
-@dataclass(frozen=True)
-class CubicDiscrepancy:
-    """A printed trig formula disagreed with the secular cubic it should solve."""
+@dataclass(eq=False)
+class Discrepancies:
+    """Printed-form misses of the star cubics, one block per ``star_cubic_roots``
+    call: kind, k, level, then arrays over the flagged rows of mu, the printed
+    and the secular roots (3 columns each), max_delta, the arccos argument and
+    whether it left [-1, 1].  len() counts records, not blocks."""
 
-    kind: str
-    k: int
-    level: int
-    mu: float
-    printed_roots: tuple[float, float, float]
-    secular_roots: tuple[float, float, float]
-    max_delta: float
-    note: str = ""
+    blocks: list[tuple] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
+    def __len__(self) -> int:
+        return sum(len(block[3]) for block in self.blocks)
+
+    def rows(self, start: int, stop: int) -> Iterator[tuple]:
+        """Records start..stop-1, each (kind, k, level, mu, 3 printed roots,
+        3 secular roots, max_delta, note), by ``.tolist()`` from slices."""
+        for kind, k, level, mus, printed, secular, delta, arg, wide in self.blocks:
+            # this block's rows of start..stop, counted from its first row
+            a, b = (min(max(i, 0), len(mus)) for i in (start, stop))
+            start, stop = start - len(mus), stop - len(mus)
+            notes = [""] * (b - a)
+            for j in np.flatnonzero(wide[a:b]).tolist():
+                notes[j] = (f"printed-form arccos argument {arg[a + j].item()!r} "
+                            "outside [-1, 1]")
+            yield from zip(repeat(kind), repeat(k), repeat(level), mus[a:b].tolist(),
+                           *printed[a:b].T.tolist(), *secular[a:b].T.tolist(),
+                           delta[a:b].tolist(), notes)
 
 
 def _real_cubic_roots(b: np.ndarray, c, d):
@@ -293,15 +300,16 @@ def _star_cubic_coefficients(mu: np.ndarray, k: int, kind: str):
 
 
 def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
-                     discrepancies: list | None = None, level: int = 0) -> np.ndarray:
+                     discrepancies: Discrepancies | None = None,
+                     level: int = 0) -> np.ndarray:
     """The three eigenvalues a star step spawns from each input eigenvalue.
 
     ``mus`` is a float64 array; the result holds one ascending row of roots
     per value.  The roots are those of the secular cubic (always consistent
     with the oracle).  The printed trig expression is evaluated verbatim
     alongside; when it strays beyond tolerance, or its arccos argument leaves
-    [-1, 1] by more than 1e-9, a CubicDiscrepancy is appended to
-    ``discrepancies`` instead of silently clamping, in the order of ``mus``.
+    [-1, 1] by more than 1e-9, the row is added to ``discrepancies`` instead
+    of silently clamping: one block per call, in the order of ``mus``.
     """
     if k < 3:
         raise ValueError("star seeds need k >= 3")
@@ -322,13 +330,8 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
     if discrepancies is not None:
         # records stop at a failing row, as a per-value loop would
         rows = np.flatnonzero(flagged[:len(mus) if error is None else error[0]])
-        for mu_i, pr, sr, dl, a, out in zip(
-                mus[rows].tolist(), printed[rows].tolist(), secular[rows].tolist(),
-                delta[rows].tolist(), arg[rows].tolist(), wide[rows].tolist()):
-            discrepancies.append(CubicDiscrepancy(
-                kind=kind, k=k, level=level, mu=mu_i,
-                printed_roots=tuple(pr), secular_roots=tuple(sr), max_delta=dl,
-                note=f"printed-form arccos argument {a!r} outside [-1, 1]" if out else ""))
+        discrepancies.blocks.append((kind, k, level, mus[rows], printed[rows],
+                                     secular[rows], delta[rows], arg[rows], wide[rows]))
     if error is not None:
         raise ValueError(error[1])
     return secular
@@ -360,7 +363,7 @@ def _tail(seed: Spectrum, drop) -> Pairs:
     return Pairs(values + (0.0 if seed.kind == ADJACENCY else 1.0), mults)
 
 
-def step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
+def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None = None):
     """(level-0 spectrum, roots, tail) of the seed's step, as in the module table.
 
     ``roots(x, level)`` gives, for an array x, the values each entry spawns at
@@ -493,7 +496,7 @@ def entry_bound(seed: Spectrum, tail: Pairs, m: int, stop: int) -> tuple[int, in
 
 
 def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
-                         discrepancies: list | None = None) -> Spectrum | None:
+                         discrepancies: Discrepancies | None = None) -> Spectrum | None:
     """Closed-form spectrum when the (seed, kind) pair supports one, else None.
 
     Regular seeds support all three kinds; star seeds support adjacency and

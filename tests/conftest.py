@@ -30,3 +30,8 @@ def zero_count(s, tol: float = 1e-9) -> int:
 def algebraic_connectivity(s) -> float:
     """Second-smallest value of a Laplacian spectrum, counting multiplicity."""
     return float(s.expand()[1])
+
+
+def table_rows(table) -> list:
+    """Every record of a ``spectral.Discrepancies`` table, as its rows."""
+    return list(table.rows(0, len(table)))

@@ -33,7 +33,10 @@ The package runs each corona step over arrays: every entry's roots in one
 pass, one batched star cubic per level, and a sorted split-and-merge for
 coalescing.  The per-entry step it replaces is kept below with its scalar
 coalescing, its scalar secular and printed cubics and its seed rules; the
-tests assert equal entries and equal discrepancy records, with ``==``.
+tests assert equal entries and equal discrepancy records, with ``==``.  The
+package keeps its records as a table of array columns; the reference keeps
+one ``CubicDiscrepancy`` object per record, whose ``row()`` is laid out as
+the table's ``rows`` gives it.
 
 The level-m degree distribution the paper predicts from the seed's degree
 sequence is kept below too; the tests assert it equals the measured
@@ -42,6 +45,7 @@ histogram exactly.
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +59,6 @@ from coronagraphs.spectral import (
     FORMULA_TOL,
     LAPLACIAN,
     SIGNLESS,
-    CubicDiscrepancy,
     Spectrum,
     make_spectrum,
     regular_degree,
@@ -254,6 +257,25 @@ def star_cubic_coefficients(mu: float, k: int, kind: str):
     else:
         raise ValueError("star cubics exist for adjacency and signless kinds")
     return b, c, d, shift, w, printed_num
+
+
+@dataclass(frozen=True)
+class CubicDiscrepancy:
+    """A printed trig formula disagreed with the secular cubic it should solve."""
+
+    kind: str
+    k: int
+    level: int
+    mu: float
+    printed_roots: tuple[float, float, float]
+    secular_roots: tuple[float, float, float]
+    max_delta: float
+    note: str = ""
+
+    def row(self) -> tuple:
+        """The record as ``Discrepancies.rows`` lays it out."""
+        return (self.kind, self.k, self.level, self.mu, *self.printed_roots,
+                *self.secular_roots, self.max_delta, self.note)
 
 
 def star_cubic_roots(mu: float, k: int, kind: str, *,

@@ -25,6 +25,7 @@ from coronagraphs.spectral import (
     ADJACENCY,
     LAPLACIAN,
     SIGNLESS,
+    Discrepancies,
     build_one_step_eigenpairs,
     closed_form_spectrum,
 )
@@ -150,7 +151,7 @@ def test_criterion_5_spectral_oracle_equivalence():
                 continue
             g = level(spec, m)
             for kind in kinds:
-                discrepancies = []
+                discrepancies = Discrepancies()
                 closed = closed_form_spectrum(sd.graph, kind, m, discrepancies)
                 numeric = oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
                 match = oracle.compare_spectra(closed, numeric, tol=1e-8)

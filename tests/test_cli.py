@@ -3,8 +3,8 @@
 import hashlib
 import json
 import tracemalloc
-from itertools import repeat
 
+import numpy as np
 import pytest
 
 from coronagraphs import cli, spectral, structural
@@ -18,12 +18,13 @@ from coronagraphs.cli import (
     _plan,
     _spectrum_csv,
     _spectrum_text,
+    _with_records,
     main,
 )
 from coronagraphs.graph import complete_graph
 from coronagraphs.spectral import (
     ADJACENCY,
-    CubicDiscrepancy,
+    Discrepancies,
     closed_form_spectrum,
     make_spectrum,
     spectrum_to_json,
@@ -463,15 +464,58 @@ class TestGoldenSpectrum:
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == \
             self.GOLDEN_CSV[argv]
 
+    # sha256 of stdout, pinned from the one object per record and the
+    # json.dumps'd verify report that the record table replaced
+    GOLDEN_RECORDS = {
+        "verify star:4 2 signless":  # 13 records
+            "7484b1607cdec78edb617b265f4d784295a5d85ce20193016bbe9f1fbd3b9ba1",
+        "verify star:3 2 signless":  # 12 records
+            "36d7c62441ad968d74cc3417a8152cb0d5e9b6401c34cecff924da4fc3ebbe09",
+        "spectrum star:4 7 signless":
+            "7ac8cef71e0fe5a67020b555ceaf9e7f8a342c34e69790cacd0a8d8c92e52719",
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN_RECORDS))
+    def test_record_payload_sha256(self, case, capsys):
+        command, seed, m, kind = case.split()
+        code, stdout, err = run(capsys, command, "--seed", seed, "--m", m,
+                                "--kind", kind)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == \
+            self.GOLDEN_RECORDS[case]
+
     def test_star_discrepancy_records_in_the_pinned_payload(self, capsys):
         _, stdout, _ = run(capsys, "spectrum", "--seed", "star:4", "--m", "3",
                            "--kind", "signless")
         assert len(json.loads(stdout)["discrepancies"]) == 44
 
 
-def writer_case(pairs, records=(), seed="complete:3", notice=None):
+def record_table(*blocks):
+    """(a record table, the records as json.dumps would be given them).
+
+    Each block is (kind, k, level, rows), one block per star cubic call;
+    each row is (mu, printed roots, secular roots, max_delta, arccos
+    argument, note), and the row is wide when its note is not empty.
+    """
+    table, records = Discrepancies(), []
+    for kind, k, level, rows in blocks:
+        mu, printed, secular, delta, arg, note = list(zip(*rows)) or [()] * 6
+        table.blocks.append((
+            kind, k, level, np.array(mu, dtype=np.float64),
+            np.array(printed, dtype=np.float64).reshape(-1, 3),
+            np.array(secular, dtype=np.float64).reshape(-1, 3),
+            np.array(delta, dtype=np.float64), np.array(arg, dtype=np.float64),
+            np.array([bool(n) for n in note], dtype=bool)))
+        records += [{"kind": kind, "k": k, "level": level, "mu": row[0],
+                     "printed_roots": list(row[1]), "secular_roots": list(row[2]),
+                     "max_delta": row[3], "note": row[5]} for row in rows]
+    return table, records
+
+
+def writer_case(pairs, blocks=(), seed="complete:3", notice=None):
     """(the writer's arguments, the payload json.dumps would be given)."""
     spectrum = make_spectrum("adjacency", pairs, level=2)
+    table, records = record_table(*blocks)
     payload = {
         "schema": 1,
         "command": "spectrum",
@@ -481,11 +525,11 @@ def writer_case(pairs, records=(), seed="complete:3", notice=None):
         "closed_form": notice is None,
         "notice": notice,
         "spectrum": spectrum_to_json(spectrum, 3),
-        "discrepancies": [d.to_dict() for d in records],
+        "discrepancies": records,
     }
     head = {**payload, "spectrum": {**payload["spectrum"], "entries": []},
             "discrepancies": []}
-    return (head, spectrum, list(records)), payload
+    return (head, spectrum, table), payload
 
 
 def distinct_pairs(count):
@@ -493,29 +537,41 @@ def distinct_pairs(count):
     return [(i + 0.1 * (i % 7), i + 1) for i in range(count)]
 
 
+# a signless record with awkward floats, and a wide adjacency one
+RECORD = (-0.0, (0.1 + 0.2, 1e16, 5e-324), (-1.5, 2.0, 3.25), 1e-09, 0.5, "")
+WIDE = (2.0, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0, 1.0000001,
+        "printed-form arccos argument 1.0000001 outside [-1, 1]")
+
+
+def level_blocks(*counts):
+    """One signless star:4 block per level 1, 2, ... holding ``counts`` records."""
+    return [("signless", 4, level, [RECORD] * count)
+            for level, count in enumerate(counts, start=1)]
+
+
 class TestSpectrumWriter:
     """The chunked template writer against json.dumps(payload, indent=2)."""
 
-    RECORD = CubicDiscrepancy(kind="signless", k=4, level=3, mu=-0.0,
-                              printed_roots=(0.1 + 0.2, 1e16, 5e-324),
-                              secular_roots=(-1.5, 2.0, 3.25), max_delta=1e-09)
     CASES = {
         "empty": writer_case([]),
-        "note": writer_case([(1.0, 2)], [RECORD, CubicDiscrepancy(
-            kind="adjacency", k=5, level=1, mu=2.0, printed_roots=(1.0, 2.0, 3.0),
-            secular_roots=(1.0, 2.0, 3.0), max_delta=0.0,
-            note="printed-form arccos argument 1.0000001 outside [-1, 1]")]),
+        "note": writer_case([(1.0, 2)], [("signless", 4, 3, [RECORD]),
+                                         ("adjacency", 5, 1, [WIDE])]),
         # make_spectrum would merge -0.0 and 5e-324, so they sit apart
         "awkward floats": writer_case([(-0.0, 1), (1e16, 3), (0.1 + 0.2, 2 ** 70)]),
         "subnormal": writer_case([(5e-324, 2)]),
         "notice and non-ascii seed": writer_case(
-            [(-1.0, 2), (2.0, 1)], [RECORD], seed='file:gr\u00e4ph "\u03bc".edges',
+            [(-1.0, 2), (2.0, 1)], level_blocks(1),
+            seed='file:gr\u00e4ph "\u03bc".edges',
             notice="no closed form for kind=adjacency with seed \u00e9; \\ falling back"),
         **{f"{count} entries": writer_case(distinct_pairs(count))
            for count in CHUNK_COUNTS},
-        # a class-body comprehension sees RECORD only in its first iterable
-        **{f"{count} records": writer_case([(1.0, 2)], [record] * count)
-           for count, record in zip(CHUNK_COUNTS, repeat(RECORD))},
+        **{f"{count} records": writer_case([(1.0, 2)], level_blocks(count))
+           for count in CHUNK_COUNTS},
+        # one chunk holds all of levels 1 and 2, the empty level 3 and the
+        # start of level 4; the next chunk holds the rest of level 4
+        "levels across chunks": writer_case(
+            [(1.0, 2)], level_blocks(3, 5, 0, CHUNK_ROWS) + [
+                ("adjacency", 5, 5, [WIDE, RECORD, WIDE])]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -524,10 +580,28 @@ class TestSpectrumWriter:
         assert "".join(_spectrum_text(*args)) == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("case", list(CASES))
+    def test_verify_report_matches_json_dumps(self, case):
+        # verify writes its records through the same chunks as spectrum
+        (_, _, table), payload = self.CASES[case]
+        report = {"schema": 1, "command": "verify", "seed": payload["seed"],
+                  "kind": "signless", "m": 2, "tolerance": 1e-08, "passed": True,
+                  "max_abs_delta": 5e-324, "mean_abs_delta": -0.0,
+                  "count_mismatched": 0, "residual_max": 0.0,
+                  "discrepancies": payload["discrepancies"]}
+        text = json.dumps({**report, "discrepancies": []}, indent=2)
+        assert "".join(_with_records(text, table)) == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("case", list(CASES))
     def test_no_chunk_holds_more_than_chunk_rows(self, case):
         args, _ = self.CASES[case]
         for chunk in _spectrum_text(*args):
             assert chunk.count('"value"') + chunk.count('"note"') <= CHUNK_ROWS
+
+    def test_one_chunk_spans_level_blocks(self):
+        (_, _, table), _ = self.CASES["levels across chunks"]
+        levels = [{level for level in range(1, 6) if f'"level": {level},' in chunk}
+                  for chunk in _with_records("", table) if '"kind"' in chunk]
+        assert levels == [{1, 2, 4}, {4, 5}]
 
     @pytest.mark.parametrize("count", CHUNK_COUNTS)
     def test_csv_matches_one_line_per_entry(self, count):
@@ -544,7 +618,7 @@ class TestSpectrumWriter:
             spectrum = closed_form_spectrum(complete_graph(3), ADJACENCY, m)
             tracemalloc.start()
             try:
-                size = sum(map(len, _spectrum_text(payload, spectrum, [])))
+                size = sum(map(len, _spectrum_text(payload, spectrum, Discrepancies())))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import algebraic_connectivity, moment, zero_count
+import reference
+from conftest import algebraic_connectivity, moment, table_rows, zero_count
 from coronagraphs import oracle, spectral
 from coronagraphs.graph import (
     CapExceededError,
@@ -27,7 +28,7 @@ from coronagraphs.spectral import (
     ADJACENCY,
     LAPLACIAN,
     SIGNLESS,
-    CubicDiscrepancy,
+    Discrepancies,
     Spectrum,
     build_one_step_eigenpairs,
     closed_form_spectrum,
@@ -349,20 +350,51 @@ class TestStarCubics:
             assert np.min(np.abs(numeric - root)) < 1e-8
 
     def test_adjacency_printed_form_agrees(self):
-        sink: list[CubicDiscrepancy] = []
+        sink = Discrepancies()
         for mu in (-2.0, 0.0, 1.7):
             star_cubic_roots(np.array([mu]), 4, ADJACENCY, discrepancies=sink)
-        assert sink == []
+        assert len(sink) == 0
+        assert table_rows(sink) == []
 
     def test_signless_printed_form_deviates(self):
-        sink: list[CubicDiscrepancy] = []
+        sink = Discrepancies()
         roots = tuple(star_cubic_roots(np.array([0.0]), 3, SIGNLESS,
-                                       discrepancies=sink)[0].tolist())
+                                       discrepancies=sink, level=2)[0].tolist())
+        want: list = []
+        reference.star_cubic_roots(0.0, 3, SIGNLESS, discrepancies=want, level=2)
         assert len(sink) == 1
-        d = sink[0]
-        assert d.max_delta > 1e-3
-        assert d.secular_roots == roots
-        assert d.to_dict()["kind"] == SIGNLESS
+        (row,) = table_rows(sink)
+        assert row == want[0].row()
+        kind, k, level, *_, max_delta, note = row
+        assert (kind, k, level, note) == (SIGNLESS, 3, 2, "")
+        assert max_delta > 1e-3
+        assert tuple(row[7:10]) == roots
+
+    # mu spread over the signless star's range: the printed form misses
+    # every root, so every row is a record
+    MUS = np.linspace(0.0, 9.0, 7)
+
+    @pytest.mark.parametrize("fail_at", [0, 3, len(MUS) - 1])
+    def test_failing_row_keeps_the_records_before_it(self, fail_at, monkeypatch):
+        message = f"arccos argument {1.5 + fail_at} out of range"
+        solve = spectral._real_cubic_roots
+
+        def fail(b, c, d):
+            roots, error = solve(b, c, d)
+            assert error is None
+            return roots, (fail_at, message)
+
+        monkeypatch.setattr(spectral, "_real_cubic_roots", fail)
+        sink = Discrepancies()
+        with pytest.raises(ValueError) as caught:
+            star_cubic_roots(self.MUS, 4, SIGNLESS, discrepancies=sink, level=5)
+        assert str(caught.value) == message
+        want: list = []
+        for mu in self.MUS[:fail_at].tolist():
+            reference.star_cubic_roots(mu, 4, SIGNLESS, discrepancies=want, level=5)
+        assert len(want) == fail_at
+        assert len(sink) == fail_at
+        assert table_rows(sink) == [d.row() for d in want]
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
@@ -380,13 +412,15 @@ class TestStarSpectra:
 
     @pytest.mark.parametrize("k,m", STAR_CASES)
     def test_adjacency_matches_oracle(self, k, m):
-        sink: list[CubicDiscrepancy] = []
+        sink = Discrepancies()
         closed = closed_form_spectrum(star_graph(k), ADJACENCY, m, sink)
         rep = oracle.compare_spectra(closed, oracle_values(level(f"star:{k}", m),
                                                            ADJACENCY), tol=1e-8)
         assert rep.passed, rep
         assert rep.count_mismatched == 0
-        assert sink == []
+        want: list = []
+        reference.star_spectrum(k, m, ADJACENCY, want)
+        assert (len(sink), want) == (0, [])
 
     def test_zero_multiplicity_formula(self):
         k, m = 4, 2
@@ -398,7 +432,7 @@ class TestStarSpectra:
 
     @pytest.mark.parametrize("k,m", STAR_CASES)
     def test_signless_matches_oracle_with_discrepancies(self, k, m):
-        sink: list[CubicDiscrepancy] = []
+        sink = Discrepancies()
         closed = closed_form_spectrum(star_graph(k), SIGNLESS, m, sink)
         rep = oracle.compare_spectra(closed, oracle_values(level(f"star:{k}", m),
                                                            SIGNLESS), tol=1e-8)
@@ -407,6 +441,9 @@ class TestStarSpectra:
         # the printed signless trig constant is off for every k, so the
         # verbatim formula must be flagged at each level
         assert len(sink) > 0
+        want: list = []
+        reference.star_spectrum(k, m, SIGNLESS, want)
+        assert table_rows(sink) == [d.row() for d in want]
 
     def test_signless_trace_identity(self):
         for k, m in [(3, 1), (4, 1), (4, 2)]:

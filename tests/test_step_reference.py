@@ -9,6 +9,7 @@ from coronagraphs.spectral import (
     ADJACENCY,
     LAPLACIAN,
     SIGNLESS,
+    Discrepancies,
     Spectrum,
     closed_form_spectrum,
     corona_step,
@@ -17,10 +18,19 @@ from coronagraphs.spectral import (
 )
 
 import reference
-from conftest import random_connected_graph
+from conftest import random_connected_graph, table_rows
 
 REGULAR_SEEDS = ["complete:3", "complete:4", "complete:5",
                  "cycle:4", "cycle:5", "cycle:6"]
+
+
+def assert_same_records(got: Discrepancies, want: list) -> None:
+    """The table's rows equal the reference's records, floats and notes by
+    ``==`` and by repr, so -0.0 and 0.0 differ too."""
+    rows, records = table_rows(got), [d.row() for d in want]
+    assert len(got) == len(want)
+    assert rows == records
+    assert repr(rows) == repr(records)
 
 
 def assert_same_spectrum(got: Spectrum, want: Spectrum) -> None:
@@ -69,11 +79,11 @@ def test_laplacian_random_connected_seeds(seed):
 def test_star_seeds_match_the_star_driver(k, kind):
     g = SeedDescriptor.from_spec(f"star:{k}").graph
     for m in range(6):
-        got_records, want_records = [], []
+        got_records, want_records = Discrepancies(), []
         got = closed_form_spectrum(g, kind, m, got_records)
         want = reference.star_spectrum(k, m, kind, want_records)
         assert got == want
-        assert got_records == want_records
+        assert_same_records(got_records, want_records)
 
 
 def assert_exact_levels(g: Graph, kind: str, m: int) -> None:
@@ -81,7 +91,7 @@ def assert_exact_levels(g: Graph, kind: str, m: int) -> None:
     and so do the star discrepancy records."""
     want_records: list = []
     want = reference.scalar_levels(g, kind, m, want_records)
-    got_records: list = []
+    got_records = Discrepancies()
     seed, roots, drop = step_rule(g, kind, got_records)
     got = seed
     for level in range(m + 1):
@@ -89,7 +99,7 @@ def assert_exact_levels(g: Graph, kind: str, m: int) -> None:
             got = corona_step(got, seed, roots, drop)
         assert got.entries == want[level], (kind, level)
         assert repr(got.entries) == repr(want[level]), (kind, level)
-    assert got_records == want_records
+    assert_same_records(got_records, want_records)
     assert closed_form_spectrum(g, kind, m).entries == want[m]
 
 

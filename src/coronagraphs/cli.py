@@ -13,8 +13,10 @@ import sys
 from collections.abc import Iterator
 from itertools import chain
 
+import numpy as np
+
 from . import oracle, spectral, structural
-from .distributions import cumulative_series, fit_power_law, series_to_csv
+from .distributions import cumulative_series, fit_power_law
 from .graph import (
     CapExceededError,
     CoronaPlan,
@@ -32,7 +34,7 @@ EXIT_VERIFY = 3
 EXIT_CAP = 4
 
 BETWEENNESS_CAP = 10_000
-# entries or records per chunk of spectrum output
+# rows per chunk of every table a command writes
 CHUNK_ROWS = 4096
 
 
@@ -100,69 +102,60 @@ _ENTRIES_AT = '\n    "entries": '
 _RECORDS_AT = '\n  "discrepancies": '
 
 
-def _rows(template: str, count: int, rows, sep: str = "") -> Iterator[str]:
-    """``count`` rows of ``template``, joined by ``sep``, CHUNK_ROWS at a time.
+def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
+    """Rows of ``template`` over equal-length array columns, joined by ``sep``,
+    CHUNK_ROWS at a time.
 
-    ``rows(start, stop)`` gives the arguments of rows start..stop-1.  Each
-    chunk is one ``%`` over its rows' arguments: no string per row.
+    Each chunk is one ``%`` over the ``.tolist()`` slices of the columns,
+    taken row by row: no string per row.  ``.tolist()`` gives Python
+    floats and ints, so ``%r`` writes a float as json and csv both do.
     """
+    count = len(columns[0])
     for start in range(0, count, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, count)
         text = (sep if start else "") + sep.join([template] * (stop - start))
-        yield text % tuple(chain.from_iterable(rows(start, stop)))
+        yield text % tuple(chain.from_iterable(
+            zip(*[column[start:stop].tolist() for column in columns])))
 
 
-def _listing(template: str, count: int, rows, indent: str) -> Iterator[str]:
+def _listing(template: str, columns, indent: str) -> Iterator[str]:
     """``_rows`` laid out as a json.dumps list."""
-    if not count:
+    if not len(columns[0]):
         yield "[]"
         return
     yield "[\n"
-    yield from _rows(template, count, rows, ",\n")
+    yield from _rows(template, columns, ",\n")
     yield "\n" + indent + "]"
 
 
-def _entry_rows(spectrum: spectral.Spectrum):
-    """(value, multiplicity) rows of a slice of the spectrum's entries."""
-    values, mults = spectrum.values, spectrum.multiplicities
-    return lambda start, stop: zip(values[start:stop].tolist(),
-                                   mults[start:stop].tolist())
-
-
-def _with_records(text: str, discrepancies: spectral.Discrepancies) -> Iterator[str]:
-    """``text`` and a newline, in chunks, the records put in its "discrepancies": []."""
+def _with_records(text: str, records) -> Iterator[str]:
+    """``text`` and a newline, in chunks, the record columns put in its
+    "discrepancies": []."""
     head, _, tail = text.partition(_RECORDS_AT + "[]")
     yield head + _RECORDS_AT
-    yield from _listing(_RECORD, len(discrepancies), discrepancies.rows, "  ")
+    yield from _listing(_RECORD, records, "  ")
     yield tail + "\n"
 
 
-def _spectrum_text(payload: dict, spectrum: spectral.Spectrum,
-                   discrepancies: spectral.Discrepancies) -> Iterator[str]:
+def _spectrum_text(payload: dict, spectrum: spectral.Spectrum, records) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` and a newline, in chunks, with the
-    spectrum's entries and the records in its empty lists of each.
+    spectrum's entries and the record columns in its empty lists of each.
 
     The outer fields go through json.dumps.  The entries and the records,
-    nearly all of the bytes, go through the templates above, straight from
-    slices of the spectrum's arrays and the record table's columns, floats by
+    nearly all of the bytes, go through ``_rows``, floats by
     ``float.__repr__`` as json does (a spectrum holds no NaN or infinity),
-    CHUNK_ROWS rows at most per chunk, so the text is never held whole.
+    so the text is never held whole.
     """
     head, _, rest = json.dumps(payload, indent=2).partition(_ENTRIES_AT + "[]")
     yield head + _ENTRIES_AT
-    yield from _listing(_ENTRY, len(spectrum.values), _entry_rows(spectrum), "    ")
-    yield from _with_records(rest, discrepancies)
-
-
-def _spectrum_csv(spectrum: spectral.Spectrum) -> Iterator[str]:
-    yield "value,multiplicity\n"
-    yield from _rows("%r,%d\n", len(spectrum.values), _entry_rows(spectrum))
+    yield from _listing(_ENTRY, (spectrum.values, spectrum.multiplicities), "    ")
+    yield from _with_records(rest, records)
 
 
 def _plan(cfg: argparse.Namespace) -> CoronaPlan:
     # the plan validates the seed, so an invalid one gets no warning first
-    plan = CoronaPlan(seed=SeedDescriptor.from_spec(cfg.seed), m=cfg.m,
-                      node_cap=cfg.node_cap)
+    seed = SeedDescriptor.from_spec(cfg.seed, cfg.node_cap)
+    plan = CoronaPlan(seed=seed, m=cfg.m, node_cap=cfg.node_cap)
     if not plan.seed.connected:
         print(f"warning: seed {cfg.seed} is disconnected; "
               "the corona graphs will be disconnected too", file=sys.stderr)
@@ -209,9 +202,17 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
                "of the largest 2-connected block)")
     g = corona_iterate(plan)
     if cfg.format == "csv":
-        # the payload is one series: no report, diameter or power-law fit
-        _emit(cfg, structural.betweenness_to_csv(structural.betweenness_exact(g))
-              if cfg.betweenness else series_to_csv(structural.degree_histogram(g)))
+        # the payload is one table: no report, diameter or power-law fit;
+        # betweenness runs before the first _emit, so a refusal writes no --out
+        if cfg.betweenness:
+            b = structural.betweenness_exact(g)
+            head, columns = "node,b\n", (np.arange(len(b)), b)
+        else:
+            d = structural.degree_histogram(g)
+            head = f"# cumulative=false population={d.population}\nvalue,probability\n"
+            columns = (np.array(d.values), np.array(d.probabilities))
+        for text in chain([head], _rows("%d,%r\n", columns)):
+            _emit(cfg, text)
         return EXIT_OK
     seed_g = plan.seed.graph
 
@@ -277,7 +278,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
         spectrum = spectral.make_spectrum(cfg.kind, [(float(v), 1) for v in vals],
                                           level=cfg.m, provenance="oracle")
     if cfg.format == "csv":
-        chunks = _spectrum_csv(spectrum)
+        chunks = chain(["value,multiplicity\n"],
+                       _rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
     else:
         payload = {
             "schema": 1,
@@ -293,7 +295,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
                          "entries": [], "provenance": spectrum.provenance},
             "discrepancies": [],
         }
-        chunks = _spectrum_text(payload, spectrum, discrepancies)
+        chunks = _spectrum_text(payload, spectrum, discrepancies.columns())
     for text in chunks:
         _emit(cfg, text)
     return EXIT_OK
@@ -334,7 +336,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "residual_max": residual_max,
         "discrepancies": [],
     }
-    for text in _with_records(json.dumps(report, indent=2), discrepancies):
+    for text in _with_records(json.dumps(report, indent=2), discrepancies.columns()):
         _emit(cfg, text)
     return EXIT_OK if match.passed else EXIT_VERIFY
 

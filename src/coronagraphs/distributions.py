@@ -1,7 +1,9 @@
-"""Value/probability series and the log-space fits used on them."""
+"""Value/probability series and the log-space fits used on them.  No text is
+formatted here: ``stats`` prints a series through the one chunked row writer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,8 @@ class DistributionSeries:
             if self.probabilities and abs(self.probabilities[0] - 1.0) > 1e-12:
                 raise ValueError("cumulative series must start at 1")
         else:
-            if self.probabilities and abs(sum(self.probabilities) - 1.0) > 1e-12:
+            # fsum is exact: the roundings of many c/pop terms do not add up
+            if self.probabilities and abs(math.fsum(self.probabilities) - 1.0) > 1e-12:
                 raise ValueError("plain series must sum to 1")
 
     @property
@@ -116,16 +119,3 @@ def fit_exponential(d: DistributionSeries) -> tuple[float, float]:
     vals, probs = _select(series, positive_values=False)
     slope, _, r2 = _least_squares(vals.astype(float), np.log(probs))
     return -slope, r2
-
-
-def series_to_csv(d: DistributionSeries) -> str:
-    """CSV emission: header comment then value,probability rows."""
-    lines = [f"# cumulative={str(d.cumulative).lower()} population={d.population}",
-             "value,probability"]
-    for v, p in d.points:
-        lines.append(f"{_fmt(v)},{p!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))

@@ -146,6 +146,12 @@ _BUILDERS = {
 }
 
 
+def _check_seed_nodes(nodes: int, node_cap: int) -> None:
+    if nodes > node_cap:
+        raise CapExceededError(
+            f"the seed has {nodes} nodes, over the cap of {node_cap}")
+
+
 @dataclass(frozen=True)
 class SeedDescriptor:
     """A resolved seed graph plus the kind:param string it came from.
@@ -161,18 +167,22 @@ class SeedDescriptor:
     connected: bool
 
     @classmethod
-    def from_spec(cls, spec: str) -> "SeedDescriptor":
-        """Parse a ``kind:param`` seed spec, e.g. ``complete:3`` or ``file:g.edges``."""
+    def from_spec(cls, spec: str, node_cap: int = DEFAULT_NODE_CAP) -> "SeedDescriptor":
+        """Parse a ``kind:param`` seed spec, e.g. ``complete:3`` or ``file:g.edges``.
+
+        A seed on more than ``node_cap`` nodes is refused before it is built.
+        """
         kind, sep, param = spec.partition(":")
         if not sep or not param:
             raise ValueError(f"seed spec must be kind:param, got {spec!r}")
         if kind == "file":
-            g = read_edge_list(param)
+            g = read_edge_list(param, node_cap)
         elif kind in _BUILDERS:
             try:
                 k = int(param)
             except ValueError:
                 raise ValueError(f"seed parameter must be an integer, got {param!r}")
+            _check_seed_nodes(k, node_cap)
             g = _BUILDERS[kind](k)
         else:
             raise ValueError(
@@ -343,12 +353,14 @@ def connected_component_count(g: Graph) -> int:
 # edge-list files
 
 
-def read_edge_list(path) -> Graph:
+def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """Read the plain edge-list format.
 
     Optional first line ``# n=<int>`` fixes the node count (needed for
     isolated nodes); other ``#`` lines are comments.  Each data line is
     ``u v`` with 0-based endpoints, u != v, and no repeated undirected pair.
+    A node count over ``node_cap``, from the header or the largest endpoint,
+    is refused before the graph is built.
     """
     text = Path(path).read_text(encoding="utf-8")
     node_count = None
@@ -377,6 +389,7 @@ def read_edge_list(path) -> Graph:
         edges.append((u, v))
     if node_count is None:
         node_count = 1 + max((max(u, v) for u, v in edges), default=-1)
+    _check_seed_nodes(node_count, node_cap)
     try:
         return Graph.from_edges(node_count, edges)
     except ValueError as exc:

@@ -29,6 +29,8 @@ over whole arrays: every entry's roots in one pass, one star cubic call per
 level, whose discrepancy records form one block of array columns in a
 ``Discrepancies`` table.  Multiplicities are int64 while the level's total
 n(n+1)^m is below 2**63 and exact Python ints (object dtype) above it.  The
+command line writes a spectrum's two arrays and the table's columns through
+its one chunked row writer, so this module lays out no output text.  The
 arrays give the same bits as evaluating the formulas one entry at a time:
 +, -, *, / and sqrt round the same in numpy as in Python, while every power,
 arccos and cosine goes through the same libm routine as Python's ``**``,
@@ -39,7 +41,6 @@ them in the last bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -222,30 +223,21 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
 
 @dataclass(eq=False)
 class Discrepancies:
-    """Printed-form misses of the star cubics, one block per ``star_cubic_roots``
-    call: kind, k, level, then arrays over the flagged rows of mu, the printed
-    and the secular roots (3 columns each), max_delta, the arccos argument and
-    whether it left [-1, 1].  len() counts records, not blocks."""
+    """Printed-form misses of the star cubics, one block of record columns per
+    ``star_cubic_roots`` call: kind, k, level, mu, the 3 printed roots, the 3
+    secular roots, max_delta and note, one array each over the block's
+    flagged rows.  len() counts records, not blocks."""
 
     blocks: list[tuple] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return sum(len(block[3]) for block in self.blocks)
+        return sum(len(block[0]) for block in self.blocks)
 
-    def rows(self, start: int, stop: int) -> Iterator[tuple]:
-        """Records start..stop-1, each (kind, k, level, mu, 3 printed roots,
-        3 secular roots, max_delta, note), by ``.tolist()`` from slices."""
-        for kind, k, level, mus, printed, secular, delta, arg, wide in self.blocks:
-            # this block's rows of start..stop, counted from its first row
-            a, b = (min(max(i, 0), len(mus)) for i in (start, stop))
-            start, stop = start - len(mus), stop - len(mus)
-            notes = [""] * (b - a)
-            for j in np.flatnonzero(wide[a:b]).tolist():
-                notes[j] = (f"printed-form arccos argument {arg[a + j].item()!r} "
-                            "outside [-1, 1]")
-            yield from zip(repeat(kind), repeat(k), repeat(level), mus[a:b].tolist(),
-                           *printed[a:b].T.tolist(), *secular[a:b].T.tolist(),
-                           delta[a:b].tolist(), notes)
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The 12 record columns, joined across blocks."""
+        if not self.blocks:
+            return (np.empty(0),) * 12
+        return tuple(map(np.concatenate, zip(*self.blocks)))
 
 
 def _real_cubic_roots(b: np.ndarray, c, d):
@@ -330,8 +322,13 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
     if discrepancies is not None:
         # records stop at a failing row, as a per-value loop would
         rows = np.flatnonzero(flagged[:len(mus) if error is None else error[0]])
-        discrepancies.blocks.append((kind, k, level, mus[rows], printed[rows],
-                                     secular[rows], delta[rows], arg[rows], wide[rows]))
+        notes = np.full(len(rows), "", dtype=object)
+        notes[wide[rows]] = [f"printed-form arccos argument {a!r} outside [-1, 1]"
+                             for a in arg[rows][wide[rows]].tolist()]
+        discrepancies.blocks.append((
+            np.full(len(rows), kind, dtype=object), np.full(len(rows), k),
+            np.full(len(rows), level), mus[rows], *printed[rows].T, *secular[rows].T,
+            delta[rows], notes))
     if error is not None:
         raise ValueError(error[1])
     return secular

@@ -473,10 +473,3 @@ def betweenness_series(b: np.ndarray) -> DistributionSeries:
     """Plain distribution over distinct betweenness values."""
     vals, counts = np.unique(np.asarray(b, dtype=np.float64), return_counts=True)
     return DistributionSeries.from_counts(vals.tolist(), counts.tolist())
-
-
-def betweenness_to_csv(b: np.ndarray) -> str:
-    lines = ["node,b"]
-    for i, x in enumerate(b):
-        lines.append(f"{i},{float(x)!r}")
-    return "\n".join(lines) + "\n"

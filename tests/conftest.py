@@ -33,5 +33,6 @@ def algebraic_connectivity(s) -> float:
 
 
 def table_rows(table) -> list:
-    """Every record of a ``spectral.Discrepancies`` table, as its rows."""
-    return list(table.rows(0, len(table)))
+    """Every record of a ``spectral.Discrepancies`` table, as a row of its
+    columns."""
+    return list(zip(*[column.tolist() for column in table.columns()]))

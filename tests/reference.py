@@ -36,7 +36,12 @@ coalescing, its scalar secular and printed cubics and its seed rules; the
 tests assert equal entries and equal discrepancy records, with ``==``.  The
 package keeps its records as a table of array columns; the reference keeps
 one ``CubicDiscrepancy`` object per record, whose ``row()`` is laid out as
-the table's ``rows`` gives it.
+one row of the table's ``columns()``.
+
+The package writes every table the commands print through one chunked row
+writer over array columns.  The per-line writers that ``stats --format
+csv`` used, one f-string per node or per series point, are kept below; the
+tests assert the same bytes.
 
 The level-m degree distribution the paper predicts from the seed's degree
 sequence is kept below too; the tests assert it equals the measured
@@ -273,7 +278,7 @@ class CubicDiscrepancy:
     note: str = ""
 
     def row(self) -> tuple:
-        """The record as ``Discrepancies.rows`` lays it out."""
+        """The record as one row of ``Discrepancies.columns()``."""
         return (self.kind, self.k, self.level, self.mu, *self.printed_roots,
                 *self.secular_roots, self.max_delta, self.note)
 
@@ -597,3 +602,23 @@ def brute_betweenness(g: Graph, cap: int = 500) -> np.ndarray:
             for i in np.nonzero(on_path)[0]:
                 acc[i] += Fraction(sigmas[j][i] * sigmas[i][k], sigma_jk)
     return np.array([float(x) for x in acc])
+
+
+def betweenness_to_csv(b: np.ndarray) -> str:
+    lines = ["node,b"]
+    for i, x in enumerate(b):
+        lines.append(f"{i},{float(x)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def series_to_csv(d: DistributionSeries) -> str:
+    """CSV emission: header comment then value,probability rows."""
+    lines = [f"# cumulative={str(d.cumulative).lower()} population={d.population}",
+             "value,probability"]
+    for v, p in d.points:
+        lines.append(f"{_fmt(v)},{p!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _fmt(v: float) -> str:
+    return str(int(v)) if float(v).is_integer() else repr(float(v))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coronagraphs import cli, spectral, structural
+from coronagraphs import cli, graph, spectral, structural
 from coronagraphs.cli import (
     CHUNK_ROWS,
     EXIT_CAP,
@@ -16,12 +16,12 @@ from coronagraphs.cli import (
     EXIT_VERIFY,
     _build_parser,
     _plan,
-    _spectrum_csv,
+    _rows,
     _spectrum_text,
     _with_records,
     main,
 )
-from coronagraphs.graph import complete_graph
+from coronagraphs.graph import complete_graph, path_graph
 from coronagraphs.spectral import (
     ADJACENCY,
     Discrepancies,
@@ -29,6 +29,9 @@ from coronagraphs.spectral import (
     make_spectrum,
     spectrum_to_json,
 )
+from coronagraphs.structural import betweenness_exact, degree_histogram
+
+import reference
 
 # entry and record counts around the writer's chunk boundaries
 CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
@@ -163,12 +166,56 @@ class TestStats:
         assert len(stdout.splitlines()) == 1 + 49_152
 
     def test_csv_format(self, capsys):
+        # 9 copy vertices of degree 3 and 3 hosts of degree 5
         code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "1",
                               "--format", "csv")
         assert code == EXIT_OK
         lines = stdout.splitlines()
         assert lines[0] == "# cumulative=false population=12"
+        assert lines[1] == "value,probability"
         assert lines[2] == "3,0.75"
+        assert len(lines) == 4
+
+    def test_betweenness_csv_emission(self, capsys, tmp_path):
+        # the house: a triangle 0 1 2 on the square 1 3 4 2
+        seed_file = tmp_path / "house.edges"
+        seed_file.write_text("0 1\n0 2\n1 2\n1 3\n2 4\n3 4\n")
+        code, stdout, _ = run(capsys, "stats", "--seed", f"file:{seed_file}",
+                              "--m", "0", "--betweenness", "--format", "csv")
+        assert code == EXIT_OK
+        assert stdout.splitlines() == ["node,b", "0,0.0", "1,1.5", "2,1.5",
+                                       "3,0.5", "4,0.5"]
+
+    @pytest.mark.parametrize("k", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    def test_betweenness_csv_across_chunks(self, k, capsys, tmp_path):
+        argv = ["stats", "--seed", f"path:{k}", "--m", "0", "--betweenness",
+                "--format", "csv"]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert stdout == reference.betweenness_to_csv(betweenness_exact(path_graph(k)))
+        out = tmp_path / "b.csv"
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, "", "")
+        assert out.read_bytes() == stdout.encode("utf-8")
+
+    def test_degree_csv_matches_the_per_line_writer(self, capsys, tmp_path):
+        argv = ["stats", "--seed", "star:5", "--m", "2", "--format", "csv"]
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        g = cli.corona_iterate(_plan(_build_parser().parse_args(argv)))
+        assert stdout == reference.series_to_csv(degree_histogram(g))
+        out = tmp_path / "d.csv"
+        assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, "", "")
+        assert out.read_bytes() == stdout.encode("utf-8")
+
+    def test_many_rounded_probabilities_still_sum_to_one(self, capsys):
+        # 80,000 plain-series terms c/N, each rounded, drifted past 1e-12
+        # under a plain sum
+        code, stdout, err = run(capsys, "stats", "--seed", "path:80000", "--m", "0",
+                                "--betweenness")
+        assert (code, err) == (EXIT_OK, "")
+        block = json.loads(stdout)["betweenness"]
+        assert block["gamma"] > 0
+        assert len(block["series"]) > 3
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_disconnected_seed_betweenness_refused(self, fmt, capsys, tmp_path):
@@ -178,6 +225,11 @@ class TestStats:
                                 "--m", "1", "--betweenness", "--format", fmt)
         assert (code, stdout) == (EXIT_CONFIG, "")
         assert err.endswith("error: betweenness needs a connected graph\n")
+        out = tmp_path / "b.out"
+        code, _, _ = run(capsys, "stats", "--seed", f"file:{seed_file}", "--m", "1",
+                         "--betweenness", "--format", fmt, "--out", str(out))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_betweenness_report_runs_one_dfs_per_graph(self, capsys, monkeypatch):
         # the seed's diameter needs its own DFS; the level-3 graph's diameter
@@ -260,6 +312,12 @@ class TestGoldenStats:
             "2127df57f9b3736a75772a40c77da1e2f446517711a0e9bb163e691c4828205e",
         "stats --seed complete:3 --m 4 --betweenness --format csv":
             "0a8e156188dde17437247c3f56dbef081b6fe0bd836436e1ca69c3a1bf3647d0",
+        # pinned from the per-line writers that the chunked row writer
+        # replaced: 49,152 rows over many chunks, and tied shortest paths
+        "stats --seed complete:3 --m 7 --betweenness --format csv":
+            "24c5fd4aef563d5e06b3249e8123faa31d878a2cc931234c317f75985f26f28f",
+        "stats --seed cycle:4 --m 5 --betweenness --format csv":
+            "ef08f8caf1e30659ee3929d494c01b27360bd010ff8c83a209deff764649c878",
     }
 
     @pytest.mark.parametrize("argv", list(GOLDEN_CSV))
@@ -490,26 +548,25 @@ class TestGoldenSpectrum:
         assert len(json.loads(stdout)["discrepancies"]) == 44
 
 
-def record_table(*blocks):
-    """(a record table, the records as json.dumps would be given them).
+# dtypes of the 12 record columns of ``Discrepancies.columns()``
+RECORD_DTYPES = (object, np.int64, np.int64) + (np.float64,) * 8 + (object,)
 
-    Each block is (kind, k, level, rows), one block per star cubic call;
-    each row is (mu, printed roots, secular roots, max_delta, arccos
-    argument, note), and the row is wide when its note is not empty.
+
+def record_table(*blocks):
+    """(the record columns, the records as json.dumps would be given them).
+
+    Each block is (kind, k, level, rows), the records of one star cubic
+    call; each row is (mu, printed roots, secular roots, max_delta, note).
     """
-    table, records = Discrepancies(), []
-    for kind, k, level, rows in blocks:
-        mu, printed, secular, delta, arg, note = list(zip(*rows)) or [()] * 6
-        table.blocks.append((
-            kind, k, level, np.array(mu, dtype=np.float64),
-            np.array(printed, dtype=np.float64).reshape(-1, 3),
-            np.array(secular, dtype=np.float64).reshape(-1, 3),
-            np.array(delta, dtype=np.float64), np.array(arg, dtype=np.float64),
-            np.array([bool(n) for n in note], dtype=bool)))
-        records += [{"kind": kind, "k": k, "level": level, "mu": row[0],
-                     "printed_roots": list(row[1]), "secular_roots": list(row[2]),
-                     "max_delta": row[3], "note": row[5]} for row in rows]
-    return table, records
+    rows = [(kind, k, level, mu, *printed, *secular, delta, note)
+            for kind, k, level, block in blocks
+            for mu, printed, secular, delta, note in block]
+    columns = tuple(np.array(column, dtype=dtype) for column, dtype
+                    in zip(list(zip(*rows)) or [()] * 12, RECORD_DTYPES))
+    records = [{"kind": row[0], "k": row[1], "level": row[2], "mu": row[3],
+                "printed_roots": list(row[4:7]), "secular_roots": list(row[7:10]),
+                "max_delta": row[10], "note": row[11]} for row in rows]
+    return columns, records
 
 
 def writer_case(pairs, blocks=(), seed="complete:3", notice=None):
@@ -538,8 +595,8 @@ def distinct_pairs(count):
 
 
 # a signless record with awkward floats, and a wide adjacency one
-RECORD = (-0.0, (0.1 + 0.2, 1e16, 5e-324), (-1.5, 2.0, 3.25), 1e-09, 0.5, "")
-WIDE = (2.0, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0, 1.0000001,
+RECORD = (-0.0, (0.1 + 0.2, 1e16, 5e-324), (-1.5, 2.0, 3.25), 1e-09, "")
+WIDE = (2.0, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0,
         "printed-form arccos argument 1.0000001 outside [-1, 1]")
 
 
@@ -607,7 +664,8 @@ class TestSpectrumWriter:
     def test_csv_matches_one_line_per_entry(self, count):
         spectrum = make_spectrum("adjacency", distinct_pairs(count), level=2)
         lines = ["value,multiplicity"] + [f"{v!r},{w}" for v, w in spectrum.entries]
-        assert "".join(_spectrum_csv(spectrum)) == "\n".join(lines) + "\n"
+        text = "".join(_rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
+        assert "value,multiplicity\n" + text == "\n".join(lines) + "\n"
 
     def test_peak_allocation_does_not_grow_with_the_payload(self):
         # a whole-text writer's peak grows 4x from m=14 to m=16, with the
@@ -618,7 +676,8 @@ class TestSpectrumWriter:
             spectrum = closed_form_spectrum(complete_graph(3), ADJACENCY, m)
             tracemalloc.start()
             try:
-                size = sum(map(len, _spectrum_text(payload, spectrum, Discrepancies())))
+                size = sum(map(len, _spectrum_text(payload, spectrum,
+                                                   Discrepancies().columns())))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -737,3 +796,48 @@ class TestConfig:
         bad.write_text("0 0\n")
         code, _, _ = run(capsys, "stats", "--seed", f"file:{bad}", "--m", "1")
         assert code == EXIT_CONFIG
+
+
+class TestSeedCap:
+    """A seed over --node-cap is refused before anything of it is allocated."""
+
+    COMMANDS = {
+        "generate": [],
+        "stats": ["--betweenness"],
+        "spectrum": ["--kind", "adjacency"],
+        "verify": ["--kind", "laplacian"],
+    }
+    # seed text (a file seed) or spec, and the node count it is judged by
+    SEEDS = {
+        "builtin": ("complete:100000000000", 100_000_000_000),
+        "header": ("# n=1000000000000\n0 1\n", 1_000_000_000_000),
+        "endpoint": ("0 1\n1 999999999999\n", 1_000_000_000_000),
+    }
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the seed graph was built")
+
+        monkeypatch.setattr(graph.Graph, "from_edges", classmethod(refuse))
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("seed", list(SEEDS))
+    def test_oversized_seed_exits_4(self, command, seed, capsys, tmp_path):
+        spec, nodes = self.SEEDS[seed]
+        if seed != "builtin":
+            (tmp_path / "big.edges").write_text(spec)
+            spec = f"file:{tmp_path / 'big.edges'}"
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--seed", spec, "--m", "0",
+                                "--out", str(out), *self.COMMANDS[command])
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == (f"error: the seed has {nodes} nodes, over the cap of "
+                       f"{graph.DEFAULT_NODE_CAP}\n")
+        assert not out.exists()
+
+    def test_the_node_cap_flag_sets_the_bound(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--seed", "cycle:6", "--m", "3",
+                           "--kind", "laplacian", "--node-cap", "5")
+        assert (code, err) == (EXIT_CAP,
+                               "error: the seed has 6 nodes, over the cap of 5\n")

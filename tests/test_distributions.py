@@ -10,7 +10,6 @@ from coronagraphs.distributions import (
     cumulative_series,
     fit_exponential,
     fit_power_law,
-    series_to_csv,
 )
 
 
@@ -23,6 +22,12 @@ class TestSeriesInvariants:
     def test_plain_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             plain([1.0, 2.0], [0.5, 0.4])
+
+    def test_many_rounded_terms_sum_to_one(self):
+        # 200,000 terms of 1/200000, each rounded: a plain sum drifts past 1e-12
+        d = DistributionSeries.from_counts(range(200_000), [1] * 200_000)
+        assert d.population == 200_000
+        assert abs(sum(d.probabilities) - 1.0) > 1e-12
 
     def test_values_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -107,14 +112,3 @@ class TestExponentialFit:
         d = DistributionSeries.from_counts([1, 2, 3], [4, 2, 1])
         rate, _ = fit_exponential(d)
         assert rate > 0
-
-
-class TestCsv:
-    def test_emission(self):
-        d = DistributionSeries.from_counts([3, 5], [9, 3])
-        text = series_to_csv(d)
-        lines = text.splitlines()
-        assert lines[0] == "# cumulative=false population=12"
-        assert lines[1] == "value,probability"
-        assert lines[2] == "3,0.75"
-        assert len(lines) == 4

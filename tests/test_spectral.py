@@ -396,6 +396,35 @@ class TestStarCubics:
         assert len(sink) == fail_at
         assert table_rows(sink) == [d.row() for d in want]
 
+    def test_wide_rows_get_their_note(self, monkeypatch):
+        # tripling the printed numerator pushes the arccos argument out of
+        # [-1, 1] on some rows: only those rows carry a note
+        def tripled(coefficients):
+            def patched(*args):
+                *head, printed_num = coefficients(*args)
+                return (*head, 3.0 * printed_num)
+            return patched
+
+        monkeypatch.setattr(spectral, "_star_cubic_coefficients",
+                            tripled(spectral._star_cubic_coefficients))
+        monkeypatch.setattr(reference, "star_cubic_coefficients",
+                            tripled(reference.star_cubic_coefficients))
+        sink = Discrepancies()
+        for level, mus in enumerate((self.MUS, np.array([]), self.MUS[::-2])):
+            star_cubic_roots(mus, 4, SIGNLESS, discrepancies=sink, level=level)
+        want: list = []
+        for level, mus in enumerate((self.MUS, np.array([]), self.MUS[::-2])):
+            for mu in mus.tolist():
+                reference.star_cubic_roots(mu, 4, SIGNLESS, discrepancies=want,
+                                           level=level)
+        notes = [row[-1] for row in table_rows(sink)]
+        assert "" in notes
+        assert any(note.startswith("printed-form arccos argument") for note in notes)
+        assert table_rows(sink) == [d.row() for d in want]
+
+    def test_an_empty_table_has_twelve_empty_columns(self):
+        assert [len(column) for column in Discrepancies().columns()] == [0] * 12
+
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             star_cubic_roots(0.0, 2, ADJACENCY)

@@ -26,7 +26,6 @@ from coronagraphs.structural import (
     average_degree_limit,
     betweenness_exact,
     betweenness_series,
-    betweenness_to_csv,
     degree_histogram,
     density,
     diameter_formula,
@@ -322,7 +321,3 @@ class TestSeriesHelpers:
     def test_betweenness_series(self):
         s = betweenness_series(np.array([0.0, 1.0, 1.0]))
         assert s.points == [(0.0, 1 / 3), (1.0, 2 / 3)]
-
-    def test_csv(self):
-        text = betweenness_to_csv(np.array([0.0, 1.5]))
-        assert text.splitlines() == ["node,b", "0,0.0", "1,1.5"]

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from coronagraphs.cli import _rows
 from coronagraphs.distributions import (
     DistributionSeries,
     cumulative_series,
@@ -112,3 +114,18 @@ class TestExponentialFit:
         d = DistributionSeries.from_counts([1, 2, 3], [4, 2, 1])
         rate, _ = fit_exponential(d)
         assert rate > 0
+
+
+class TestCsv:
+    def test_emission(self):
+        # the degree series as stats --format csv writes it, by the one row writer
+        d = DistributionSeries.from_counts([3, 5], [9, 3])
+        head = f"# cumulative=false population={d.population}\nvalue,probability\n"
+        text = head + "".join(_rows("%d,%r\n", (np.array(d.values),
+                                                 np.array(d.probabilities))))
+        lines = text.splitlines()
+        assert lines[0] == "# cumulative=false population=12"
+        assert lines[1] == "value,probability"
+        assert lines[2] == "3,0.75"
+        assert len(lines) == 4
+        assert text == reference.series_to_csv(d)

@@ -2,13 +2,15 @@
 
 Outputs are deterministic: rerunning an invocation produces byte-identical
 files.  Exit codes: 0 success, 2 config error, 3 verification failure,
-4 resource cap or overflow.
+4 resource cap or overflow, 141 stdout closed by its reader (what a shell
+reports for a writer that SIGPIPE ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_CAP = 4
+EXIT_PIPE = 141
 
 BETWEENNESS_CAP = 10_000
 # rows per chunk of every table a command writes
@@ -348,7 +351,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return cfg.run(cfg)
+        code = cfg.run(cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit does not fail again (the recipe of Python's signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (CapExceededError, CountOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

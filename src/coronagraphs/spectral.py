@@ -24,6 +24,12 @@ seed, since it needs only L·1 = 0.  The shift depends on the kind alone:
 the host edge adds 1 to the degree of every copy vertex in L and Q.  The
 tail depends on the seed alone, so ``step_rule`` builds it once.
 
+Each root branch rises with x, and the seed's poles keep the branches apart
+(Golub 1973; Bunch, Nielsen & Sorensen 1978): distinct x spawn distinct
+values, one ascending run per branch, which one stable sort merges with the
+tail.  A step joins two values only as one eigenvalue: equal floats, or a
+tail value that a branch meets within ``COINCIDE_ULPS``.
+
 A level is a float64 value array and a multiplicity array, and the step runs
 over whole arrays: every entry's roots in one pass, one star cubic call per
 level, whose discrepancy records form one block of array columns in a
@@ -52,6 +58,8 @@ from .graph import CapExceededError, Graph, connected_component_count
 ADJACENCY, LAPLACIAN, SIGNLESS = oracle.MATRIX_KINDS
 
 COALESCE_REL_TOL = 1e-9
+# ulps of max(1, |value|) within which a step joins a tail value to a neighbour
+COINCIDE_ULPS = 16
 FORMULA_TOL = 1e-8
 # refused bound on a closed form's entries, judged before its first step;
 # the recursion's arrays grow with the entries, not with the node count
@@ -71,6 +79,12 @@ class Spectrum:
     multiplicities: np.ndarray
     level: int
     provenance: str
+
+    def __post_init__(self):
+        if self.kind not in oracle.MATRIX_KINDS:
+            raise ValueError(f"unknown spectrum kind {self.kind!r}")
+        if self.kind == LAPLACIAN and len(self.values) and self.values[0] < -1e-9:
+            raise ValueError(f"negative Laplacian eigenvalue {float(self.values[0])}")
 
     @property
     def entries(self) -> tuple[tuple[float, int], ...]:
@@ -101,16 +115,6 @@ class Pairs:
     def __len__(self) -> int:
         return len(self.values)
 
-    @classmethod
-    def of(cls, pairs) -> "Pairs":
-        """From Pairs, or from any sequence of (value, multiplicity) pairs."""
-        if isinstance(pairs, cls):
-            return pairs
-        values = [float(v) for v, _ in pairs]
-        mults = [int(w) for _, w in pairs]
-        return cls(np.array(values, dtype=np.float64),
-                   np.array(mults, dtype=_mult_dtype(sum(mults))))
-
 
 def _mult_dtype(total: int):
     """int64 while every multiplicity (each at most ``total``) fits, else object."""
@@ -127,58 +131,24 @@ def _libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
 
 
-def _merge_run(values: list, mults: list) -> list:
-    """The scalar merge rule over one sorted run: each value joins the running
-    multiplicity-weighted mean when within the relative tolerance of it."""
-    out: list = []
-    for v, w in zip(values, mults):
-        if out:
-            pv, pw = out[-1]
-            if abs(v - pv) <= COALESCE_REL_TOL * max(1.0, abs(v), abs(pv)):
-                out[-1] = ((pv * pw + v * w) / (pw + w), pw + w)
-                continue
-        out.append((v, w))
-    return out
-
-
-def _coalesce(values: np.ndarray, mults: np.ndarray):
-    """Sort by (value, multiplicity); merge values within the relative tolerance.
-
-    A gap wider than twice the tolerance can never be bridged, whatever the
-    running mean on its left, so the scalar merge rule runs only on the runs
-    of sorted values that no such gap separates and that hold two or more.
-    """
-    order = np.lexsort((mults, values))
-    values, mults = values[order], mults[order]
-    a, b = values[:-1], values[1:]
-    near = b - a <= 2.0 * COALESCE_REL_TOL * np.maximum(
-        1.0, np.maximum(np.abs(a), np.abs(b)))
-    if not near.any():
-        return values, mults
-    # +1 at the first element of each run of near gaps, -1 at its last
-    edges = np.diff(near.astype(np.int8), prepend=np.int8(0), append=np.int8(0))
-    keep = np.ones(len(values), dtype=bool)
-    for start, stop in zip(np.flatnonzero(edges == 1).tolist(),
-                           (np.flatnonzero(edges == -1) + 1).tolist()):
-        merged = _merge_run(values[start:stop].tolist(), mults[start:stop].tolist())
-        end = start + len(merged)
-        values[start:end] = [v for v, _ in merged]
-        mults[start:end] = [w for _, w in merged]
-        keep[end:stop] = False
-    return values[keep], mults[keep]
-
-
 def make_spectrum(kind: str, pairs, level: int,
                   provenance: str = "closed_form") -> Spectrum:
-    """Spectrum of ``pairs`` (Pairs, or (value, multiplicity) pairs), coalesced."""
-    if kind not in oracle.MATRIX_KINDS:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    pairs = Pairs.of(pairs)
-    values, mults = _coalesce(pairs.values, pairs.multiplicities)
-    if kind == LAPLACIAN and len(values) and values[0] < -1e-9:
-        raise ValueError(f"negative Laplacian eigenvalue {float(values[0])}")
-    return Spectrum(kind=kind, values=values, multiplicities=mults, level=level,
-                    provenance=provenance)
+    """Spectrum of (value, multiplicity) pairs, coalesced in one scalar pass:
+    sorted by (value, multiplicity), each value joins the running
+    multiplicity-weighted mean when within ``COALESCE_REL_TOL`` of it.  For
+    the few thousand values of an eigensolve or a star seed."""
+    values: list = []
+    mults: list = []
+    for v, w in sorted((float(v), int(w)) for v, w in pairs):
+        if values and abs(v - values[-1]) <= COALESCE_REL_TOL * max(
+                1.0, abs(v), abs(values[-1])):
+            values[-1] = (values[-1] * mults[-1] + v * w) / (mults[-1] + w)
+            mults[-1] += w
+        else:
+            values.append(v)
+            mults.append(w)
+    return Spectrum(kind, np.array(values, dtype=np.float64),
+                    np.array(mults, dtype=_mult_dtype(sum(mults))), level, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +175,12 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
     below every other value; an r-regular one also has adjacency value r
     and signless value 2r, each exactly c times and above every other
     value.  Snapping removes the oracle's rounding from every later
-    closed-form level.
+    closed-form level.  Refused, before any matrix is built, on more nodes
+    than the oracle cap.
     """
+    if g.node_count > oracle.DEFAULT_ORACLE_CAP:
+        raise CapExceededError(f"seed eigensolve on {g.node_count} nodes exceeds "
+                               f"the oracle cap of {oracle.DEFAULT_ORACLE_CAP}")
     vals = oracle.sym_eigenvalues(oracle.build_matrix(g, kind)).tolist()
     r = regular_degree(g)
     c = connected_component_count(g)
@@ -396,6 +370,26 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None 
     return seed, _quadratic_roots(n, alpha, beta), _tail(seed, (float(drop),))
 
 
+def _join(values: np.ndarray, mults: np.ndarray, tail_at: np.ndarray):
+    """Join the sorted neighbours that are one eigenvalue: equal floats, and a
+    tail value (at the positions ``tail_at``) within ``COINCIDE_ULPS`` of a
+    neighbour.  A joined run takes its multiplicity-weighted mean; every
+    other entry keeps its value."""
+    join = values[:-1] == values[1:]
+    near = np.concatenate((tail_at[tail_at > 0] - 1, tail_at[tail_at < len(join)]))
+    a, b = values[near], values[near + 1]
+    join[near] |= b - a <= COINCIDE_ULPS * np.spacing(
+        np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+    if not join.any():
+        return values, mults
+    starts = np.flatnonzero(np.concatenate(([True], ~join)))
+    joined = np.diff(starts, append=len(values)) > 1
+    sums = np.add.reduceat(values * mults, starts)[joined]
+    values, mults = values[starts], np.add.reduceat(mults, starts)
+    values[joined] = sums / mults[joined]
+    return values, mults
+
+
 def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Pairs) -> Spectrum:
     """One corona step of an A, L or Q spectrum under a ``step_rule``.
 
@@ -410,10 +404,16 @@ def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Pairs) -> Spectrum:
     width = spawned.shape[1]
     # every multiplicity is at most the new level's total, n(n+1)^level
     dtype = _mult_dtype(total * (width + int(tail.multiplicities.sum())))
-    pairs = Pairs(np.concatenate((spawned.ravel(), tail.values)),
-                  np.concatenate((np.repeat(s.multiplicities.astype(dtype, copy=False), width),
-                                  tail.multiplicities.astype(dtype) * total)))
-    return make_spectrum(s.kind, pairs, level=level)
+    # branch after branch, then the tail: width + 1 ascending runs to merge
+    values = np.concatenate([spawned[:, j] for j in np.argsort(spawned[0])]
+                            + [tail.values])
+    mults = np.concatenate([s.multiplicities.astype(dtype, copy=False)] * width
+                           + [tail.multiplicities.astype(dtype) * total])
+    order = np.argsort(values, kind="stable")
+    values, mults = _join(values[order], mults[order],
+                          np.flatnonzero(order >= spawned.size))
+    return Spectrum(kind=s.kind, values=values, multiplicities=mults, level=level,
+                    provenance="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def entry_bound(seed: Spectrum, tail: Pairs, m: int, stop: int) -> tuple[int, in
     the first level whose bound reaches ``stop``.
 
     A step spawns ``width`` values per entry and appends the tail, so
-    E -> width * E + |tail| before coalescing.  It takes a graph on N nodes
+    E -> width * E + |tail| before the step's joins.  It takes a graph on N nodes
     to one on N(n + 1), the tail's multiplicities times N among them, which
     leaves width = n + 1 - sum(tail) (2 for a quadratic, 3 for a star cubic).
     """

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from coronagraphs.cli import (
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_VERIFY,
     _build_parser,
     _plan,
@@ -841,3 +846,42 @@ class TestSeedCap:
                            "--kind", "laplacian", "--node-cap", "5")
         assert (code, err) == (EXIT_CAP,
                                "error: the seed has 6 nodes, over the cap of 5\n")
+
+
+class TestSeedEigensolveCap:
+    @pytest.mark.parametrize("m,kind", [("0", "adjacency"), ("1", "laplacian")])
+    def test_a_seed_over_the_oracle_cap_is_refused_by_name(self, capsys, m, kind):
+        # refused before the 288 MB seed matrix is built
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "spectrum", "--seed", "cycle:6000", "--m", m,
+                                    "--kind", kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == "error: seed eigensolve on 6000 nodes exceeds the oracle cap of 5000\n"
+        assert peak < 2 ** 23
+
+
+class TestClosedPipe:
+    """A reader that stops early, as ``| head`` does, ends the command with
+    EXIT_PIPE and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        # each writes far more than a pipe buffer holds
+        ["spectrum", "--seed", "complete:3", "--m", "12", "--kind", "adjacency"],
+        ["generate", "--seed", "complete:3", "--m", "7"],
+    ])
+    def test_exits_with_the_pipe_code(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen([sys.executable, "-m", "coronagraphs.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            code = child.wait(timeout=60)
+            err = child.stderr.read().decode()
+        assert (code, err) == (EXIT_PIPE, "")

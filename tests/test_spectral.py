@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -598,3 +599,101 @@ class TestEntryBound:
         with pytest.raises(CapExceededError, match="3071 entries by level 10, "
                            "reaching the entry cap of 3071"):
             closed_form_spectrum(complete_graph(3), ADJACENCY, 10)
+
+
+class TestExactMultiplicities:
+    """Distinct counts, exact zeros and the Kirchhoff sum at deep m, with no
+    oracle.  A step spawns 2 values per entry (3 for a star) and appends the
+    tail, so E_m = 2 E_{m-1} + |tail| (3 E_{m-1} + 1 for star:4) counts the
+    entries before the joins; the counts below are E_m less the values a
+    branch meets in the tail."""
+
+    @pytest.mark.parametrize("spec,kind,m,count", [
+        # 0 spawns n + 1 = 4, a tail value, at every level
+        ("complete:3", LAPLACIAN, 20, 2 ** 21),
+        ("complete:3", ADJACENCY, 20, 3 * 2 ** 20 - 1),
+        ("cycle:5", SIGNLESS, 14, 5 * 2 ** 14 - 2),
+        ("cycle:5", LAPLACIAN, 12, 5 * 2 ** 12 - 2),
+        # 2 ** 13 true duplicates: the branches meet the tail at 2 +- sqrt(5)
+        ("cycle:5", ADJACENCY, 14, 5 * 2 ** 14 - 2 - 2 ** 13),
+        ("star:4", ADJACENCY, 9, (7 * 3 ** 9 - 1) // 2),
+        ("star:4", SIGNLESS, 9, (7 * 3 ** 9 - 1) // 2),
+    ])
+    def test_distinct_counts(self, spec, kind, m, count):
+        seed = SeedDescriptor.from_spec(spec).graph
+        s = closed_form_spectrum(seed, kind, m)
+        assert len(s.values) == count
+        assert np.all(np.diff(s.values) > 0)
+        assert s.total_multiplicity == node_count_formula(seed.node_count, m)
+
+    @pytest.mark.parametrize("seed,m", [
+        ("complete:5", 13), ("path:8", 9), ("two components", 9)])
+    def test_laplacian_zero_is_exact_once_per_component(self, seed, m, tmp_path):
+        if seed == "two components":
+            # path:5 beside a triangle
+            path = tmp_path / "two.edges"
+            path.write_text("# n=8\n0 1\n1 2\n2 3\n3 4\n5 6\n6 7\n5 7\n")
+            seed = f"file:{path}"
+        g = SeedDescriptor.from_spec(seed).graph
+        s = closed_form_spectrum(g, LAPLACIAN, m)
+        assert s.entries[0] == (0.0, connected_component_count(g))
+        assert s.values[1] > 0.0
+
+    @staticmethod
+    def kirchhoff_sum(n: int, m: int) -> Fraction:
+        """Sum of 1/lambda over the nonzero L values of complete:n at level m.
+
+        Each x > 0 spawns two roots with sum x + n + 1 and product x, so
+        1/x+ + 1/x- = 1 + (n + 1)/x; 0 spawns 0 and n + 1; the tail is
+        n + 1, n - 1 times per node of the level before.
+        """
+        s, nodes = Fraction(n - 1, n), n
+        for _ in range(m):
+            s = (nodes - 1) + (n + 1) * s + Fraction(1, n + 1) \
+                + nodes * Fraction(n - 1, n + 1)
+            nodes *= n + 1
+        return s
+
+    @pytest.mark.parametrize("n,m", [(3, 16), (5, 13)])
+    def test_kirchhoff_sum_follows_its_exact_recurrence(self, n, m):
+        s = closed_form_spectrum(complete_graph(n), LAPLACIAN, m)
+        got = math.fsum(w / v for v, w in s.entries if v != 0.0)
+        assert got == pytest.approx(float(self.kirchhoff_sum(n, m)), rel=1e-6)
+
+
+class TestStepJoin:
+    """The step joins equal floats and a tail value within COINCIDE_ULPS of a
+    neighbour, and keeps every other pair of values apart."""
+
+    TAIL_AT = 3.0
+
+    def step_with(self, spawned, tail_value):
+        """One step of a two-entry spectrum whose entries spawn ``spawned``,
+        one row each, with a tail of ``tail_value`` at multiplicity 5."""
+        s = make_spectrum(ADJACENCY, [(0.0, 1), (1.0, 2)], level=0)
+        tail = spectral.Pairs(np.array([tail_value]), np.array([5]))
+        return corona_step(s, s, lambda x, level: np.array(spawned), tail)
+
+    def test_equal_spawned_floats_join(self):
+        s = self.step_with([[7.0, 9.0], [7.0, 10.0]], 20.0)
+        assert s.entries == ((7.0, 3), (9.0, 1), (10.0, 2), (20.0, 15))
+
+    def test_spawned_floats_an_ulp_apart_stay_apart(self):
+        near = float(np.nextafter(7.0, 8.0))
+        s = self.step_with([[7.0, 9.0], [near, 10.0]], 20.0)
+        assert s.entries == ((7.0, 1), (near, 2), (9.0, 1), (10.0, 2), (20.0, 15))
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_a_tail_value_within_coincide_ulps_joins(self, side):
+        t = self.TAIL_AT + side * spectral.COINCIDE_ULPS * np.spacing(self.TAIL_AT)
+        s = self.step_with([[1.0, self.TAIL_AT], [2.0, 10.0]], t)
+        lo, hi = sorted([(self.TAIL_AT, 1), (t, 15)])
+        assert s.entries == ((1.0, 1), (2.0, 2),
+                             ((lo[0] * lo[1] + hi[0] * hi[1]) / 16, 16), (10.0, 2))
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_a_tail_value_beyond_coincide_ulps_stays_apart(self, side):
+        t = self.TAIL_AT + side * (spectral.COINCIDE_ULPS + 1) * np.spacing(self.TAIL_AT)
+        s = self.step_with([[1.0, self.TAIL_AT], [2.0, 10.0]], t)
+        assert s.entries == tuple(sorted([(1.0, 1), (2.0, 2), (self.TAIL_AT, 1),
+                                          (t, 15), (10.0, 2)]))

@@ -9,6 +9,7 @@ reports for a writer that SIGPIPE ended).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ BETWEENNESS_CAP = 10_000
 CHUNK_ROWS = 4096
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coronagraphs",
@@ -346,7 +348,8 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     try:
-        # each command reads only the dests its own subparser defines
+        # one cached parser, a fresh Namespace (and sink) per call; each
+        # command reads only the dests its own subparser defines
         cfg = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK

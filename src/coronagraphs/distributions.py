@@ -90,7 +90,7 @@ def _select(d: DistributionSeries, positive_values: bool):
     if positive_values:
         keep &= vals > 0
     vals, probs = vals[keep], probs[keep]
-    if len(np.unique(vals)) < 3:
+    if len(vals) < 3:  # a series' values are distinct
         raise ValueError("need at least 3 distinct values in the fit range")
     return vals, probs
 

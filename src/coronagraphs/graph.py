@@ -9,7 +9,6 @@ while the count formulas stay exact at any depth.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,14 +94,11 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(uv[:, 0] == uv[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            lo = np.minimum(uv[:, 0], uv[:, 1])
-            hi = np.maximum(uv[:, 0], uv[:, 1])
-            norm = lo * node_count + hi
-            if len(np.unique(norm)) != len(norm):
-                raise ValueError("duplicate undirected edge")
         both = np.concatenate((uv, uv[:, ::-1]), axis=0)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
+        both = both[np.lexsort((both[:, 1], both[:, 0]))]
+        # repeats sit in equal adjacent rows; np.unique imports numpy.ma on numpy>=2.3
+        if (both[1:] == both[:-1]).all(axis=1).any():
+            raise ValueError("duplicate undirected edge")
         counts = np.bincount(both[:, 0], minlength=node_count)
         offsets = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -116,7 +112,7 @@ class Graph:
 def complete_graph(k: int) -> Graph:
     if k < 1:
         raise ValueError("complete graph needs k >= 1")
-    return Graph.from_edges(k, itertools.combinations(range(k), 2))
+    return Graph.from_edges(k, np.column_stack(np.triu_indices(k, 1)))
 
 
 def path_graph(k: int) -> Graph:
@@ -138,18 +134,22 @@ def star_graph(k: int) -> Graph:
     return Graph.from_edges(k, ((0, i) for i in range(1, k)))
 
 
+# each family's builder and its edge count on k nodes
 _BUILDERS = {
-    "complete": complete_graph,
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "star": star_graph,
+    "complete": (complete_graph, lambda k: k * (k - 1) // 2),
+    "path": (path_graph, lambda k: k - 1),
+    "cycle": (cycle_graph, lambda k: k),
+    "star": (star_graph, lambda k: k - 1),
 }
 
 
-def _check_seed_nodes(nodes: int, node_cap: int) -> None:
-    if nodes > node_cap:
-        raise CapExceededError(
-            f"the seed has {nodes} nodes, over the cap of {node_cap}")
+def _check_seed(node_cap: int, nodes: int, edges: int = 0) -> None:
+    """Refuse a seed before it is built: its nodes, and a builtin seed's
+    predicted edges, are each bounded by the node cap."""
+    for count, what in ((nodes, "nodes"), (edges, "edges")):
+        if count > node_cap:
+            raise CapExceededError(
+                f"the seed has {count} {what}, over the cap of {node_cap}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,8 @@ class SeedDescriptor:
     def from_spec(cls, spec: str, node_cap: int = DEFAULT_NODE_CAP) -> "SeedDescriptor":
         """Parse a ``kind:param`` seed spec, e.g. ``complete:3`` or ``file:g.edges``.
 
-        A seed on more than ``node_cap`` nodes is refused before it is built.
+        A seed on more than ``node_cap`` nodes, or a builtin one with more
+        than ``node_cap`` edges, is refused before it is built.
         """
         kind, sep, param = spec.partition(":")
         if not sep or not param:
@@ -182,8 +183,9 @@ class SeedDescriptor:
                 k = int(param)
             except ValueError:
                 raise ValueError(f"seed parameter must be an integer, got {param!r}")
-            _check_seed_nodes(k, node_cap)
-            g = _BUILDERS[kind](k)
+            build, edges = _BUILDERS[kind]
+            _check_seed(node_cap, k, edges(k))
+            g = build(k)
         else:
             raise ValueError(
                 f"unknown seed kind {kind!r}; expected one of "
@@ -307,10 +309,10 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     d = 0
     while len(frontier):
         _, nbrs = expand_frontier(g, frontier)
-        fresh = nbrs[dist[nbrs] < 0]
+        fresh = np.sort(nbrs[dist[nbrs] < 0])
         if len(fresh) == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = fresh[np.insert(fresh[1:] != fresh[:-1], 0, True)]
         d += 1
         dist[frontier] = d
     return dist
@@ -389,7 +391,7 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         edges.append((u, v))
     if node_count is None:
         node_count = 1 + max((max(u, v) for u, v in edges), default=-1)
-    _check_seed_nodes(node_count, node_cap)
+    _check_seed(node_cap, node_count)
     try:
         return Graph.from_edges(node_count, edges)
     except ValueError as exc:

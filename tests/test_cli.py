@@ -48,6 +48,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def package_env() -> dict:
+    """The environment of a child process that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestGenerate:
     def test_counts_line_and_edges(self, capsys, tmp_path):
         out = tmp_path / "g.edges"
@@ -841,6 +848,25 @@ class TestSeedCap:
                        f"{graph.DEFAULT_NODE_CAP}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("k,cap", [(2_000_000, graph.DEFAULT_NODE_CAP),
+                                       (3_000_000, 3_000_000)])
+    def test_dense_seed_refused_by_its_edges(self, command, k, cap, capsys, tmp_path):
+        # within the node cap, but k(k-1)/2 edges would take terabytes
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, command, "--seed", f"complete:{k}",
+                                    "--m", "0", "--node-cap", str(cap),
+                                    "--out", str(out), *self.COMMANDS[command])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == f"error: the seed has {k * (k - 1) // 2} edges, over the cap of {cap}\n"
+        assert peak < 2 ** 20
+        assert not out.exists()
+
     def test_the_node_cap_flag_sets_the_bound(self, capsys):
         code, _, err = run(capsys, "spectrum", "--seed", "cycle:6", "--m", "3",
                            "--kind", "laplacian", "--node-cap", "5")
@@ -874,14 +900,73 @@ class TestClosedPipe:
         ["generate", "--seed", "complete:3", "--m", "7"],
     ])
     def test_exits_with_the_pipe_code(self, argv):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         with subprocess.Popen([sys.executable, "-m", "coronagraphs.cli", *argv],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                              env=env) as child:
+                              env=package_env()) as child:
             assert len(child.stdout.read(100)) == 100
             child.stdout.close()
             code = child.wait(timeout=60)
             err = child.stderr.read().decode()
         assert (code, err) == (EXIT_PIPE, "")
+
+
+class TestImportCost:
+    """A command loads no module it does not need: under numpy >= 2.3 a plain
+    ``np.unique`` imports ``numpy.ma`` on its first call."""
+
+    SCRIPT = ("import json, sys\n"
+              "import coronagraphs.cli\n"
+              "before = set(sys.modules)\n"
+              "code = coronagraphs.cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--seed", "complete:3", "--m", "2"],
+        ["stats", "--seed", "complete:3", "--m", "3", "--betweenness"],
+        ["spectrum", "--seed", "cycle:5", "--m", "2", "--kind", "laplacian"],
+        ["verify", "--seed", "complete:3", "--m", "1", "--kind", "adjacency"],
+    ])
+    def test_a_command_does_not_import_numpy_ma(self, argv, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=package_env(), timeout=120, check=True)
+        code, added = json.loads(child.stdout.splitlines()[-1])
+        assert code == EXIT_OK
+        assert "numpy.ma" not in added
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process; each call still
+    parses into its own Namespace, with its own --out sink."""
+
+    SPECTRUM = ["spectrum", "--seed", "complete:3", "--m", "3", "--kind", "adjacency"]
+
+    def test_each_call_gets_its_own_sink(self, capsys, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        p, q = tmp_path / "p", tmp_path / "q"
+        assert run(capsys, *self.SPECTRUM, "--out", str(p)) == (EXIT_OK, "", "")
+        first = p.read_text()
+        # the next call, without --out, writes to stdout
+        assert run(capsys, *self.SPECTRUM) == (EXIT_OK, first, "")
+        assert p.read_text() == first
+        assert len(opened) == 1 and opened[0].closed
+        # and a call after it opens its own --out
+        assert run(capsys, *self.SPECTRUM, "--out", str(q)) == (EXIT_OK, "", "")
+        assert (p.read_text(), q.read_text()) == (first, first)
+        assert len(opened) == 2 and all(fh.closed for fh in opened)
+
+    def test_a_usage_error_between_calls_changes_nothing(self, capsys, tmp_path):
+        code, want, _ = run(capsys, *self.SPECTRUM)
+        assert code == EXIT_OK
+        bad = tmp_path / "bad"
+        code, _, err = run(capsys, "spectrum", "--seed", "complete:3", "--m", "3",
+                           "--kind", "bogus", "--out", str(bad), "--format", "csv")
+        assert code == EXIT_CONFIG and "invalid choice" in err
+        assert not bad.exists()
+        assert run(capsys, *self.SPECTRUM) == (EXIT_OK, want, "")

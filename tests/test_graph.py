@@ -73,8 +73,14 @@ class TestGraphValidation:
             Graph.from_edges(3, [(0, 0)])
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Graph.from_edges(3, [(0, 1), (1, 0)])
+        for edges in ([(0, 1), (1, 0)],
+                      [(0, 1), (0, 1)],                   # an exact repeat
+                      [(0, 1), (2, 3), (1, 2), (1, 0)]):  # far apart in input order
+            with pytest.raises(ValueError, match="duplicate"):
+                Graph.from_edges(4, edges)
+        # a self-loop is reported ahead of a duplicate
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph.from_edges(4, [(0, 1), (1, 0), (2, 2)])
 
     def test_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -307,6 +313,7 @@ class TestEdgeListIO:
     @pytest.mark.parametrize("content", [
         "0 0\n",            # self-loop
         "0 1\n1 0\n",       # duplicate pair
+        "0 1\n2 3\n0 1\n",  # duplicate line
         "0 one\n",          # non-integer
         "0 1 2\n",          # wrong arity
     ])

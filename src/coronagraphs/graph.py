@@ -16,6 +16,7 @@ import numpy as np
 
 U128_MAX = (1 << 128) - 1
 DEFAULT_NODE_CAP = 2_000_000
+CORONA_RANGE_HOSTS = 1 << 14  # corona_product fills its rows this many hosts at a time
 
 
 class CountOverflowError(OverflowError):
@@ -67,14 +68,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.targets[self.offsets[u]:self.offsets[u + 1]]
 
-    def edge_array(self) -> np.ndarray:
-        """(edge_count, 2) array with u < v, sorted lexicographically."""
-        if self.edge_count == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-        keep = src < self.targets
-        return np.column_stack((src[keep], self.targets[keep]))
-
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "Graph":
         """Build and validate a graph from undirected edge pairs.
@@ -85,24 +78,22 @@ class Graph:
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
         uv = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                        dtype=np.int64)
-        if uv.size == 0:
-            uv = np.empty((0, 2), dtype=np.int64)
-        uv = uv.reshape(-1, 2)
+                        dtype=np.int64).reshape(-1, 2)
         if uv.size:
             if uv.min() < 0 or uv.max() >= node_count:
                 raise ValueError("edge endpoint out of range")
             if np.any(uv[:, 0] == uv[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        both = np.concatenate((uv, uv[:, ::-1]), axis=0)
-        both = both[np.lexsort((both[:, 1], both[:, 0]))]
-        # repeats sit in equal adjacent rows; np.unique imports numpy.ma on numpy>=2.3
-        if (both[1:] == both[:-1]).all(axis=1).any():
+        # each arc u->v as one key u*n+v: one sort orders the rows and their targets
+        key = np.concatenate((uv[:, 0] * node_count + uv[:, 1],
+                              uv[:, 1] * node_count + uv[:, 0]))
+        key.sort()
+        # repeats sit in equal adjacent keys; np.unique imports numpy.ma on numpy>=2.3
+        if (key[1:] == key[:-1]).any():
             raise ValueError("duplicate undirected edge")
-        counts = np.bincount(both[:, 0], minlength=node_count)
-        offsets = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(offsets=offsets, targets=both[:, 1].copy())
+        offsets = np.searchsorted(key, np.arange(node_count + 1) * node_count)
+        key %= node_count
+        return cls(offsets=offsets, targets=key)
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +109,20 @@ def complete_graph(k: int) -> Graph:
 def path_graph(k: int) -> Graph:
     if k < 1:
         raise ValueError("path graph needs k >= 1")
-    return Graph.from_edges(k, ((i, i + 1) for i in range(k - 1)))
+    return Graph.from_edges(k, np.column_stack((np.arange(k - 1), np.arange(1, k))))
 
 
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle graph needs k >= 3")
-    return Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    return Graph.from_edges(k, np.column_stack((np.arange(k), np.roll(np.arange(k), -1))))
 
 
 def star_graph(k: int) -> Graph:
     """Star on k total vertices: node 0 is the center, nodes 1..k-1 leaves."""
     if k < 3:
         raise ValueError("star graph needs k >= 3")
-    return Graph.from_edges(k, ((0, i) for i in range(1, k)))
+    return Graph.from_edges(k, np.column_stack((np.zeros(k - 1, np.int64), np.arange(1, k))))
 
 
 # each family's builder and its edge count on k nodes
@@ -257,31 +248,36 @@ def corona_product(g: Graph, seed: Graph) -> Graph:
 
     The contract gives every CSR row in closed form, already sorted: host
     row i is its old row followed by its copy block, and copy row (i, j) is
-    host i followed by seed row j shifted by N+i*n.  So the rows are filled
-    directly, with no edge list to sort or validate.
+    host i followed by seed row j shifted by N+i*n.  So the final arrays are
+    filled in place, a range of hosts at a time, with no edge list to sort.
     """
     n = seed.node_count
     if n < 1:
         raise ValueError("seed must be nonempty")
     N = g.node_count
-    new_n = _checked(N * (1 + n), "node count")
-    hosts = np.arange(N, dtype=np.int64)
-
-    # host rows: each copy block goes in right after its host's old row
-    host_rows = np.insert(g.targets, np.repeat(g.offsets[1:], n),
-                          N + np.arange(N * n, dtype=np.int64))
-    # copy rows: one block template with a host slot ahead of each seed row,
-    # tiled over the hosts and shifted into place
+    width = len(seed.targets) + n  # the arcs of one host's copy rows
+    offsets = np.empty(_checked(N * (1 + n), "node count") + 1, dtype=np.int64)
+    np.add(g.offsets, n * np.arange(N + 1), out=offsets[:N + 1])
+    start = int(offsets[N])
+    np.add.outer(start + width * np.arange(N), np.cumsum(seed.degrees + 1),
+                 out=offsets[N + 1:].reshape(N, n))
+    # one host's copy rows, with a host slot (set per host) ahead of each seed row
     host_slot = seed.offsets[:-1] + np.arange(n)
-    template = np.insert(seed.targets, seed.offsets[:-1], 0)
-    copy_rows = template + (N + hosts * n)[:, None]
-    copy_rows[:, host_slot] = hosts[:, None]
-
-    degrees = np.concatenate((g.degrees + n, np.tile(seed.degrees + 1, N)))
-    offsets = np.zeros(new_n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    return Graph(offsets=offsets,
-                 targets=np.concatenate((host_rows, copy_rows.ravel())))
+    template = np.zeros(width, dtype=np.int64)
+    template[np.delete(np.arange(width), host_slot)] = seed.targets
+    targets = np.empty(start + N * width, dtype=np.int64)
+    tail = targets[start:].reshape(N, width)
+    for a in range(0, N, CORONA_RANGE_HOSTS):
+        b = min(a + CORONA_RANGE_HOSTS, N)
+        rows = targets[offsets[a]:offsets[b]]
+        is_old = np.ones(len(rows), dtype=bool)
+        is_old[(offsets[a + 1:b + 1] - offsets[a] - n)[:, None] + np.arange(n)] = False
+        rows[is_old] = g.targets[g.offsets[a]:g.offsets[b]]
+        rows[~is_old] = np.arange(N + a * n, N + b * n)
+        hosts = np.arange(a, b)[:, None]
+        np.add(template, N + hosts * n, out=tail[a:b])
+        tail[a:b, host_slot] = hosts
+    return Graph(offsets=offsets, targets=targets)
 
 
 def corona_iterate(plan: CoronaPlan) -> Graph:
@@ -398,7 +394,7 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         raise EdgeListError(str(exc)) from exc
 
 
-EDGE_CHUNK_ROWS = 1 << 16
+EDGE_CHUNK_ROWS = 1 << 14
 _GROUP = 10_000  # endpoints are printed 4 decimal digits at a time
 
 
@@ -443,13 +439,17 @@ def _edge_lines(uv: np.ndarray) -> str:
 def edge_list_chunks(g: Graph):
     """The edge-list text of g in pieces: the ``# n=`` header, then sorted edges.
 
-    Edges are formatted ``EDGE_CHUNK_ROWS`` at a time, so the digit matrix
-    and the text held at once stay one chunk in size whatever the graph's.
+    Edges come from the sorted row of their smaller end, a node range of about
+    ``2 * EDGE_CHUNK_ROWS`` arcs at a time: what is held stays a chunk in size.
     """
     yield f"# n={g.node_count}\n"
-    edges = g.edge_array()
-    for start in range(0, len(edges), EDGE_CHUNK_ROWS):
-        yield _edge_lines(edges[start:start + EDGE_CHUNK_ROWS])
+    cuts = np.searchsorted(g.offsets, range(0, len(g.targets), 2 * EDGE_CHUNK_ROWS)).tolist()
+    for a, b in zip(cuts, cuts[1:] + [g.node_count]):
+        src = np.repeat(np.arange(a, b), np.diff(g.offsets[a:b + 1]))
+        dst = g.targets[g.offsets[a]:g.offsets[b]]
+        keep = src < dst
+        if keep.any():
+            yield _edge_lines(np.column_stack((src[keep], dst[keep])))
 
 
 def write_edge_list(g: Graph, path) -> None:

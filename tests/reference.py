@@ -2,10 +2,12 @@
 and the references that only the tests need.
 
 The package fills the corona CSR rows directly from the index layout and
-formats the edge list with a chunked numpy serializer.  These are the plain
-versions they replace: build the whole edge list and let
-``Graph.from_edges`` sort and validate it, and format one f-string per edge.
-The tests assert that both paths give identical arrays and identical bytes.
+formats the edge list with a chunked numpy serializer, which reads each
+node range's edges straight from the CSR rows.  These are the plain
+versions they replace: build the whole edge list with ``edge_array`` and
+let ``Graph.from_edges`` sort and validate it, and format one f-string per
+edge.  The tests assert that both paths give identical arrays and
+identical bytes.
 
 The package also runs one quadratic step for all three spectrum kinds.  The
 three per-kind steps it replaces are kept below, each with its own
@@ -76,18 +78,25 @@ class NonUniqueShortestPathError(ValueError):
     """Clique path counting met a tied shortest path (seed was no clique)."""
 
 
+def edge_array(g: Graph) -> np.ndarray:
+    """(edge_count, 2) array with u < v, sorted lexicographically."""
+    src = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
+    keep = src < g.targets
+    return np.column_stack((src[keep], g.targets[keep]))
+
+
 def corona_product(g: Graph, seed: Graph) -> Graph:
     """One corona step through an explicit edge list."""
     n = seed.node_count
     N = g.node_count
-    seed_e = seed.edge_array()
+    seed_e = edge_array(seed)
     copies = np.tile(seed_e, (N, 1))
     shift = (N + np.repeat(np.arange(N, dtype=np.int64), len(seed_e)) * n)[:, None]
     joins = np.column_stack((
         np.repeat(np.arange(N, dtype=np.int64), n),
         N + np.arange(N * n, dtype=np.int64),
     ))
-    edges = np.concatenate((g.edge_array(), copies + shift, joins), axis=0)
+    edges = np.concatenate((edge_array(g), copies + shift, joins), axis=0)
     return Graph.from_edges(N * (1 + n), edges)
 
 
@@ -101,7 +110,7 @@ def corona_iterate(seed: Graph, m: int) -> Graph:
 def edge_list_text(g: Graph) -> str:
     """The edge-list file contents, one f-string per edge."""
     lines = [f"# n={g.node_count}"]
-    lines += [f"{u} {v}" for u, v in g.edge_array()]
+    lines += [f"{u} {v}" for u, v in edge_array(g)]
     return "\n".join(lines) + "\n"
 
 

@@ -64,7 +64,7 @@ def with_bridges_and_pendant_trees(rng: random.Random) -> Graph:
         core = random_connected_graph(rng.randrange(2, 9), rng)
         if n:
             edges.append((rng.randrange(n), n + rng.randrange(core.node_count)))
-        edges += [(u + n, v + n) for u, v in core.edge_array().tolist()]
+        edges += [(u + n, v + n) for u, v in reference.edge_array(core).tolist()]
         n += core.node_count
     for _ in range(rng.randrange(3, 12)):
         edges.append((rng.randrange(n), n))

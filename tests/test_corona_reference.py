@@ -1,17 +1,23 @@
-"""The direct corona builder and the chunked writer against their references."""
+"""The direct corona builder and the chunked writer against their references,
+and the memory each holds."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coronagraphs import graph
 from coronagraphs.graph import (
+    CoronaPlan,
     Graph,
     SeedDescriptor,
     complete_graph,
+    corona_iterate,
     corona_product,
+    edge_list_chunks,
     path_graph,
+    star_graph,
     write_edge_list,
 )
 
@@ -93,6 +99,18 @@ class TestBuilderMatchesReference:
             assert_same_graph(g, reference.corona_product(host, seed))
             assert_same_bytes(g, tmp_path / "g.edges")
 
+    @pytest.mark.parametrize("hosts", [1, 2, 7])
+    @pytest.mark.parametrize("seed", [star_graph(4), K1, WITH_ISOLATED],
+                             ids=["star", "k1", "disconnected"])
+    def test_host_range_boundaries(self, hosts, seed, monkeypatch):
+        # ranges of 1, 2 and 7 hosts: a level takes several, the last one short
+        monkeypatch.setattr(graph, "CORONA_RANGE_HOSTS", hosts)
+        g = want = seed
+        for _ in range(3):
+            g = corona_product(g, seed)
+            want = reference.corona_product(want, seed)
+            assert_same_graph(g, want)
+
 
 class TestWriterMatchesReference:
     @pytest.mark.parametrize("k", [9, 10, 11, 99, 100, 101, 9999, 10000, 10001])
@@ -117,6 +135,19 @@ class TestWriterMatchesReference:
         for g in (seed, reference.corona_iterate(seed, 2)):
             assert_same_bytes(g, tmp_path / "g.edges")
 
+    def test_row_longer_than_a_chunk(self, monkeypatch, tmp_path):
+        # a chunk is about 2 arcs here, and the hub's row alone holds 49:
+        # its edges come out whole, in one piece, and the leaves add none
+        monkeypatch.setattr(graph, "EDGE_CHUNK_ROWS", 1)
+        g = star_graph(50)
+        assert [piece.count("\n") for piece in edge_list_chunks(g)] == [1, 49]
+        assert_same_bytes(g, tmp_path / "g.edges")
+        g = reference.corona_product(path_graph(3), g)
+        longest = int(g.degrees.max())
+        assert longest > 2
+        assert max(piece.count("\n") for piece in edge_list_chunks(g)) <= 2 + longest
+        assert_same_bytes(g, tmp_path / "g.edges")
+
     def test_endpoints_past_two_digit_groups(self):
         # endpoints this large need a graph too big to build in a test, so
         # the block formatter is checked on its own
@@ -124,3 +155,37 @@ class TestWriterMatchesReference:
                        [10000, 99999999], [99999999, 100000000]])
         want = "".join(f"{u} {v}\n" for u, v in uv.tolist())
         assert graph._edge_lines(uv) == want
+
+
+def traced(run):
+    """``run()``'s result, and the peak of the memory tracemalloc traces
+    while it runs."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def level(spec: str, m: int) -> Graph:
+    return corona_iterate(CoronaPlan(seed=SeedDescriptor.from_spec(spec), m=m))
+
+
+class TestBoundedMemory:
+    def test_writer_does_not_grow_with_the_graph(self, tmp_path):
+        # m=8 has 4 times the edges of m=7; the writer holds one chunk of
+        # either.  A writer that gathers the whole edge array first holds
+        # twice as much at m=8 as at m=7
+        small, big = level("complete:3", 7), level("complete:3", 8)
+        write_edge_list(small, tmp_path / "warm.edges")  # the digit table is cached
+        peaks = [traced(lambda: write_edge_list(g, tmp_path / "g.edges"))[1]
+                 for g in (small, big)]
+        assert peaks[1] < 1.25 * peaks[0]
+
+    def test_build_holds_little_beyond_its_result(self):
+        # the final arrays, the level before them (a quarter of their size
+        # on complete:3) and one host range's temporaries; a build that
+        # assembles its rows in temporaries and concatenates them holds 2.3
+        # times the result
+        g, peak = traced(lambda: level("complete:3", 8))
+        assert peak < 1.6 * (g.offsets.nbytes + g.targets.nbytes)

@@ -122,7 +122,7 @@ class TestCoronaProduct:
         # seed order, joined entirely to node i
         p3 = path_graph(3)
         g = corona_product(p3, p3)
-        for u, v in p3.edge_array():
+        for u, v in reference.edge_array(p3):
             assert v in g.neighbors(u)
         for i in range(3):
             base = 3 + 3 * i
@@ -144,7 +144,7 @@ class TestCoronaProduct:
             seed = random_connected_graph(rng.randrange(1, 9), rng)
             prod = corona_product(g, seed)
             # symmetry and simplicity survive round-tripping the edge array
-            rebuilt = Graph.from_edges(prod.node_count, prod.edge_array())
+            rebuilt = Graph.from_edges(prod.node_count, reference.edge_array(prod))
             assert rebuilt.edge_count == prod.edge_count
             assert int(prod.degrees.sum()) == 2 * prod.edge_count
             expected_edges = (g.edge_count
@@ -157,7 +157,7 @@ class TestCoronaIterate:
         plan = plan_for("path:3", 0)
         g = corona_iterate(plan)
         assert (g.node_count, g.edge_count) == (3, 2)
-        assert np.array_equal(g.edge_array(), path_graph(3).edge_array())
+        assert np.array_equal(reference.edge_array(g), reference.edge_array(path_graph(3)))
 
     def test_k3_node_counts(self):
         for m, nodes in [(1, 12), (2, 48), (3, 192)]:
@@ -204,7 +204,7 @@ class TestCoronaIterate:
         # an explicit raise, so python -O keeps the check on the direct builder
         def short_by_one_node(g, seed):
             return Graph.from_edges(g.node_count * (seed.node_count + 1) - 1,
-                                    g.edge_array())
+                                    reference.edge_array(g))
 
         monkeypatch.setattr(graph_module, "corona_product", short_by_one_node)
         with pytest.raises(RuntimeError, match="the plan predicts"):
@@ -296,7 +296,7 @@ class TestEdgeListIO:
         write_edge_list(g, p)
         back = read_edge_list(p)
         assert back.node_count == g.node_count
-        assert np.array_equal(back.edge_array(), g.edge_array())
+        assert np.array_equal(reference.edge_array(back), reference.edge_array(g))
 
     def test_header_fixes_node_count(self, tmp_path):
         p = tmp_path / "g.edges"

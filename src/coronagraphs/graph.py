@@ -135,8 +135,9 @@ _BUILDERS = {
 
 
 def _check_seed(node_cap: int, nodes: int, edges: int = 0) -> None:
-    """Refuse a seed before it is built: its nodes, and a builtin seed's
-    predicted edges, are each bounded by the node cap."""
+    """Refuse a seed before it is built: its nodes, and its edges (a builtin
+    seed's predicted count, a file seed's data lines), are each bounded by
+    the node cap."""
     for count, what in ((nodes, "nodes"), (edges, "edges")):
         if count > node_cap:
             raise CapExceededError(
@@ -149,7 +150,8 @@ class SeedDescriptor:
 
     ``connected`` is a warning flag: disconnected seeds are accepted (they
     generate disconnected corona graphs) but most analyses require
-    connectivity.
+    connectivity.  Every builtin family is connected by construction; only
+    a file seed takes a component pass.
     """
 
     kind: str
@@ -161,14 +163,15 @@ class SeedDescriptor:
     def from_spec(cls, spec: str, node_cap: int = DEFAULT_NODE_CAP) -> "SeedDescriptor":
         """Parse a ``kind:param`` seed spec, e.g. ``complete:3`` or ``file:g.edges``.
 
-        A seed on more than ``node_cap`` nodes, or a builtin one with more
-        than ``node_cap`` edges, is refused before it is built.
+        A seed on more than ``node_cap`` nodes or edges is refused before
+        it is built.
         """
         kind, sep, param = spec.partition(":")
         if not sep or not param:
             raise ValueError(f"seed spec must be kind:param, got {spec!r}")
         if kind == "file":
             g = read_edge_list(param, node_cap)
+            connected = connected_component_count(g) == 1
         elif kind in _BUILDERS:
             try:
                 k = int(param)
@@ -176,14 +179,13 @@ class SeedDescriptor:
                 raise ValueError(f"seed parameter must be an integer, got {param!r}")
             build, edges = _BUILDERS[kind]
             _check_seed(node_cap, k, edges(k))
-            g = build(k)
+            g, connected = build(k), True
         else:
             raise ValueError(
                 f"unknown seed kind {kind!r}; expected one of "
                 f"{sorted(_BUILDERS)} or 'file'"
             )
-        return cls(kind=kind, param=param, graph=g,
-                   connected=connected_component_count(g) == 1)
+        return cls(kind=kind, param=param, graph=g, connected=connected)
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +328,46 @@ def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.repeat(frontier, counts), g.targets[idx]
 
 
-def connected_component_count(g: Graph) -> int:
-    """Component count by min-label hooking with pointer jumping.
+def hook_forest(node_count: int, u: np.ndarray, v: np.ndarray):
+    """Components of the graph with edges u[i]-v[i], by min-label hooking.
 
     Each round hooks every tree root to the smallest root across an edge,
     then jumps pointers until each node points at its root.  Once no edge
-    joins two trees, each tree is one component.
+    joins two trees, each tree is one component.  An edge inside a tree
+    stays inside it, so each round keeps only the edges that cross.
+    Returns (label, tree_u, tree_v): ``label[x]`` is the smallest node of
+    x's component, and the edges tree_u[j]-tree_v[j], one per hook, form a
+    spanning forest.
     """
-    nodes = np.arange(g.node_count)
-    src, dst = np.repeat(nodes, g.degrees), g.targets
-    parent = nodes.copy()
+    label = np.arange(node_count, dtype=u.dtype)
+    tree_u, tree_v = [u[:0]], [v[:0]]
     while True:
-        ru, rv = parent[src], parent[dst]
-        cross = ru != rv
+        lu, lv = label[u], label[v]
+        cross = lu != lv
         if not cross.any():
-            return int(np.count_nonzero(parent == nodes))
-        np.minimum.at(parent, rv[cross], ru[cross])
-        jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
-            parent, jumped = jumped, jumped[jumped]
+            return label, np.concatenate(tree_u), np.concatenate(tree_v)
+        u, v, lu, lv = u[cross], v[cross], lu[cross], lv[cross]
+        low, high = np.minimum(lu, lv), np.maximum(lu, lv, out=lu)
+        del cross, lv
+        np.minimum.at(label, high, low)
+        # one edge that carried each root's hook
+        won = np.flatnonzero(label[high] == low)
+        hook = np.full(node_count, -1, dtype=np.int64)
+        hook[high[won]] = won
+        hook = hook[hook >= 0]
+        tree_u.append(u[hook])
+        tree_v.append(v[hook])
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
+def connected_component_count(g: Graph) -> int:
+    """Component count of g: the roots left by ``hook_forest``."""
+    src = np.repeat(np.arange(g.node_count), g.degrees)
+    once = src < g.targets
+    label = hook_forest(g.node_count, src[once], g.targets[once])[0]
+    return int(np.count_nonzero(label == np.arange(g.node_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +380,16 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     Optional first line ``# n=<int>`` fixes the node count (needed for
     isolated nodes); other ``#`` lines are comments.  Each data line is
     ``u v`` with 0-based endpoints, u != v, and no repeated undirected pair.
-    A node count over ``node_cap``, from the header or the largest endpoint,
-    is refused before the graph is built.
+    More data lines than ``node_cap`` are refused before any is parsed, a
+    header count over it as soon as it is read, and a largest endpoint
+    over it before the graph is built.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    _check_seed(node_cap, 0, sum(1 for raw in lines
+                                 if (line := raw.strip()) and not line.startswith("#")))
     node_count = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -374,6 +400,7 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
                     node_count = int(body[2:])
                 except ValueError:
                     raise EdgeListError(f"line {lineno}: bad node count {body!r}")
+                _check_seed(node_cap, node_count)
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -387,7 +414,7 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         edges.append((u, v))
     if node_count is None:
         node_count = 1 + max((max(u, v) for u, v in edges), default=-1)
-    _check_seed(node_cap, node_count)
+        _check_seed(node_cap, node_count)
     try:
         return Graph.from_edges(node_count, edges)
     except ValueError as exc:

@@ -1,11 +1,15 @@
 """Degree, density, diameter, and betweenness: measured and closed-form.
 
-Measured quantities come from the CSR graph and its block-cut tree, which
-one DFS finds once per graph.  The diameter is a DP over that tree with
-in-block distances from a bit-parallel BFS, once per distinct block shape;
-betweenness is one small Brandes run per distinct block.  Every block of a
-corona graph is a block of the seed or a cone of n+1 nodes, so few
-distinct blocks remain.
+Measured quantities come from the CSR graph and its block-cut tree, found
+once per graph by the Tarjan & Vishkin (1985) decomposition in whole-array
+numpy passes: a spanning tree by hooking, its Euler tour ranked by pointer
+jumping, subtree extrema of the preorder from a doubling table, and the
+blocks as components of an auxiliary graph on the tree edges.  The count
+of passes grows as log n, not with the depth of the tree.  The diameter is
+a DP over the block-cut tree with in-block distances from a bit-parallel
+BFS, once per distinct block shape; betweenness is one small Brandes run
+per distinct block.  Every block of a corona graph is a block of the seed
+or a cone of n+1 nodes, so few distinct blocks remain.
 Betweenness is summed exactly and rounded once: each value is the correctly
 rounded float of the true one, and exactly tied nodes get equal floats.
 The closed forms, the diameter law and the average degree limit, predict
@@ -25,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistributionSeries
-from .graph import Graph, expand_frontier
+# expand_frontier is unused here, but the bench tracer patches this binding
+from .graph import Graph, expand_frontier, hook_forest  # noqa: F401
 
 
 class DisconnectedGraphError(ValueError):
@@ -93,63 +98,165 @@ def _bit_levels(g: Graph, sources) -> Iterator[np.ndarray]:
         yield frontier
 
 
-def _dfs(g: Graph):
-    """Blocks of g by one iterative Hopcroft-Tarjan DFS from node 0.
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable sorting permutation of nonnegative keys below 2**31.
+
+    Each key is packed with its position, below 2**32, into one int64: a
+    plain sort of the packed values is stable and much faster than a
+    stable argsort.
+    """
+    packed = np.sort((keys.astype(np.int64) << 32) | np.arange(len(keys)))
+    return (packed & 0xFFFFFFFF).astype(keys.dtype)
+
+
+def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge of g once, smaller end first, in CSR order, as int32."""
+    src = np.repeat(np.arange(g.node_count, dtype=np.int32), g.degrees)
+    once = src < g.targets
+    return src[once], g.targets[once].astype(np.int32)
+
+
+def _euler_tour(n: int, tree_u: np.ndarray, tree_v: np.ndarray):
+    """Parent, preorder and subtree size in a spanning tree, rooted at node 0.
+
+    The tree's arcs, each edge both ways, are grouped by tail; an arc v->w
+    is followed by the arc after w->v in w's group, cyclically.  Cut at the
+    root, that is the Euler tour, and its arcs are ranked by pointer
+    jumping (Wyllie 1979), one pass per bit of its length.  An arc that
+    comes before its twin goes down; the number of down arcs up to it is
+    its head's preorder, and the distance to its twin spans the subtree.
+    """
+    idx = tree_u.dtype
+    arcs = 2 * len(tree_u)
+    # arcs 2i and 2i+1 are edge i both ways, so arc j's twin is j ^ 1
+    tail = np.column_stack((tree_u, tree_v)).reshape(-1)
+    head = np.column_stack((tree_v, tree_u)).reshape(-1)
+    order = _stable_order(tail)
+    tail, head = tail[order], head[order]
+    at = np.empty(arcs, dtype=idx)
+    at[order] = np.arange(arcs, dtype=idx)
+    twin = at[order ^ 1]
+    del order, at
+    first = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(tail, minlength=n), out=first[1:])
+    after = twin + 1
+    wrap = np.flatnonzero(after == first[head + 1])
+    after[wrap] = first[head[wrap]]
+    last = twin[first[1] - 1]   # the arc back into the root, closing its last subtree
+    after[last] = last
+    rank = np.ones(arcs, dtype=idx)
+    rank[last] = 0
+    for _ in range(arcs.bit_length()):
+        rank += rank[after]
+        after = after[after]
+    del after
+    pos = arcs - 1 - rank
+    down = np.flatnonzero(pos < pos[twin])
+    child = head[down]
+    parent = np.zeros(n, dtype=idx)
+    parent[child] = tail[down]
+    size = np.full(n, n, dtype=idx)
+    size[child] = (pos[twin[down]] - pos[down] + 1) // 2
+    is_down = np.zeros(arcs, dtype=bool)
+    is_down[pos[down]] = True
+    pre = np.zeros(n, dtype=idx)
+    pre[child] = np.cumsum(is_down, dtype=idx)[pos[down]]
+    return parent, pre, size
+
+
+def _subtree_extrema(pre: np.ndarray, size: np.ndarray, low: np.ndarray,
+                     high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min of low and max of high over each node's subtree.
+
+    A subtree is the preorder range [pre, pre + size), so each is a range
+    query on a doubling table: level k holds the extrema of the 2**k values
+    from each position, and answers the ranges of size 2**k to 2**(k+1)-1
+    with two overlapping windows.  Levels are built one at a time.
+    """
+    by_pre_low, by_pre_high = np.empty_like(low), np.empty_like(high)
+    by_pre_low[pre], by_pre_high[pre] = low, high
+    level = np.frexp(size)[1] - 1   # floor(log2(size))
+    sub_low, sub_high = np.empty_like(low), np.empty_like(high)
+    for k in range(int(level.max()) + 1):
+        x = np.flatnonzero(level == k)
+        a, b = pre[x], pre[x] + size[x] - (1 << k)
+        sub_low[x] = np.minimum(by_pre_low[a], by_pre_low[b])
+        sub_high[x] = np.maximum(by_pre_high[a], by_pre_high[b])
+        w = 1 << k
+        by_pre_low = np.minimum(by_pre_low[:-w], by_pre_low[w:])
+        by_pre_high = np.maximum(by_pre_high[:-w], by_pre_high[w:])
+    return sub_low, sub_high
+
+
+def _decompose(g: Graph):
+    """Blocks of g in whole-array passes (Tarjan & Vishkin 1985).
 
     Returns None if g is disconnected.  Otherwise returns numpy arrays
-    (disc, owner, parents, below, hung).  Blocks are numbered as they
-    close, children before their parent in the block-cut tree.  ``disc`` is
-    the discovery order and ``owner[x]`` the block of the edge from x to
-    its DFS parent.  Block b hangs from its parent cut vertex
-    ``parents[b]`` and has ``below[b]`` nodes below that vertex.  ``hung[x]``
-    counts the nodes below x's child blocks.
+    (pre, owner, parents, below, hung) over a spanning tree T rooted at
+    node 0: ``pre`` is the preorder in T and ``owner[x]`` the block of the
+    edge from x to its parent in T.  Block b hangs from its parent cut
+    vertex ``parents[b]``, the parent of its first member in preorder, and
+    has ``below[b]`` nodes below that vertex.  ``hung[x]`` counts the
+    nodes below x's child blocks.  Blocks are numbered by falling preorder
+    of their parent cut vertex, so children come before their parent in
+    the block-cut tree.
+
+    T comes from hooking.  Two tree edges share a block exactly when an
+    auxiliary graph on the tree edges joins them: the edges above the two
+    ends of a non-tree edge between nodes that are not ancestor and
+    descendant, and a tree edge p-w and the tree edge above p when some
+    edge leaves w's subtree past p's subtree.  Its components come from
+    the same hooking.
     """
     n = g.node_count
-    # memoryviews read Python ints without keeping one object per entry
-    offsets, targets = memoryview(g.offsets), memoryview(g.targets)
-    unseen = n
-    disc, low = [unseen] * n, [0] * n
-    size, hung, where = [1] * n, [0] * n, [0] * n
-    disc[0] = found = 0
-    path, rows, pending = [0], [iter(targets[offsets[0]:offsets[1]])], [0]
-    popped, ends, parents, below = [], [], [], []
-    while True:
-        for t in rows[-1]:
-            if disc[t] == unseen:
-                break
-        else:
-            u = path.pop()
-            rows.pop()
-            if not path:
-                break
-            p = path[-1]
-            size[p] += size[u]
-            if low[u] < low[p]:
-                low[p] = low[u]
-            elif low[u] >= disc[p]:
-                popped += pending[where[u]:]
-                del pending[where[u]:]
-                ends.append(len(popped))
-                parents.append(p)
-                below.append(size[u])
-                hung[p] += size[u]
-            continue
-        found += 1
-        disc[t] = found
-        row = targets[offsets[t]:offsets[t + 1]]
-        # every neighbour seen already is an ancestor, the DFS parent among them
-        low[t] = min(map(disc.__getitem__, row))
-        where[t] = len(pending)
-        path.append(t)
-        rows.append(iter(row))
-        pending.append(t)
-    if found + 1 < n:
+    if n == 1:
+        zero, none = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return zero, zero, none, none, zero
+    if n >= 1 << 30 or g.edge_count >= 1 << 32:
+        raise ValueError("the block decomposition indexes nodes and edges in 32 bits")
+    u, v = _edge_ends(g)
+    _, tree_u, tree_v = hook_forest(n, u, v)
+    if len(tree_u) < n - 1:
         return None
+    parent, pre, size = _euler_tour(n, tree_u, tree_v)
+    del tree_u, tree_v
+
+    # the extreme preorders next to each subtree.  Tree edge p-w escapes
+    # when an edge from w's subtree lands outside p's range [pre, pre+size);
+    # w's own edge to p lands at p's pre, inside it, so none is masked
+    near = pre[g.targets]
+    low, high = _subtree_extrema(pre, size, np.minimum.reduceat(near, g.offsets[:-1]),
+                                 np.maximum.reduceat(near, g.offsets[:-1]))
+    del near
+
+    pu, pv = pre[u], pre[v]
+    unrelated = np.flatnonzero(np.maximum(pu, pv) >= np.where(pu < pv, pu + size[u],
+                                                               pv + size[v]))
+    del pu, pv
+    w = np.arange(1, n, dtype=np.int32)
+    p = parent[1:]
+    escapes = (low[1:] < pre[p]) | (high[1:] >= pre[p] + size[p])
+    label = hook_forest(n, np.concatenate((u[unrelated], w[escapes])),
+                        np.concatenate((v[unrelated], p[escapes])))[0]
+    del u, v, unrelated, low, high
+
+    # tree edge p-w goes by w; a block's label is its smallest such w, and
+    # its top is the parent of the edges whose parent edge lies elsewhere
+    lw = label[1:]
+    first = np.flatnonzero(label[p] != lw)
+    top = np.zeros(n, dtype=np.int32)
+    top[lw[first]] = p[first]
+    blocks = np.flatnonzero(lw == w) + 1
+    blocks = blocks[_stable_order(n - pre[top[blocks]])]
+    number = np.zeros(n, dtype=np.int64)
+    number[blocks] = np.arange(len(blocks))
     owner = np.zeros(n, dtype=np.int64)
-    ends = np.array(ends, dtype=np.int64)  # float64 when no block closed
-    owner[popped] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
-    return np.array(disc), owner, np.array(parents, dtype=np.int64), \
-        np.array(below, dtype=np.int64), np.array(hung)
+    owner[1:] = number[lw]
+    hanging = size[1:][first]
+    below = np.bincount(owner[1:][first], weights=hanging, minlength=len(blocks))
+    hung = np.bincount(p[first], weights=hanging, minlength=n)
+    return (pre, owner, top[blocks].astype(np.int64), below.astype(np.int64),
+            hung.astype(np.int64))
 
 
 def _grouped_rows(rows: np.ndarray) -> list[np.ndarray]:
@@ -175,9 +282,9 @@ class _BlockTable(NamedTuple):
     local index i is a block's i-th smallest vertex.  ``weights`` gives
     each member's branch weight in its block: the nodes that reach the
     block through it, itself included.  ``parent[b]`` is the local index of
-    b's parent cut vertex.  Blocks are in DFS post-order, children before
-    their parent.  ``shapes`` pairs each distinct local edge set, as a
-    small Graph, with the blocks that have it.
+    b's parent cut vertex.  Blocks come children before their parent.
+    ``shapes`` pairs each distinct local edge set, as a small Graph, with
+    the blocks that have it.
     """
 
     members: np.ndarray
@@ -203,30 +310,39 @@ def _block_table(g: Graph) -> _BlockTable | None:
 
 def _build_block_table(g: Graph) -> _BlockTable | None:
     n = g.node_count
-    found = _dfs(g)
+    found = _decompose(g)
     if found is None:
         return None
-    disc, owner, parents, below, hung = found
+    pre, owner, parents, below, hung = found
     nb = len(parents)
-    # every node but the root joins the block of its DFS parent edge, with
+    # every node but the root joins the block of its tree parent edge, with
     # the nodes below its child blocks; each block also holds its parent
     # cut vertex, which reaches it for all nodes not below it
-    block = np.concatenate((owner[1:], np.arange(nb)))
-    vertex = np.concatenate((np.arange(1, n), parents))
-    weight = np.concatenate((1 + hung[1:], n - below))
-    order = np.lexsort((vertex, block))
-    key = block[order] * n + vertex[order]   # ascending: block, then vertex
-    starts = np.searchsorted(key, np.arange(nb + 1) * n)
-    size = np.diff(starts)
+    key = np.sort(np.concatenate(((owner[1:] << 32) | np.arange(1, n),
+                                  (np.arange(nb) << 32) | parents)))
+    block, members = key >> 32, key & 0xFFFFFFFF
+    del key
+    is_top = members == parents[block]
+    size = np.bincount(block, minlength=nb)
+    starts = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(size, out=starts[1:])
+    place = np.arange(len(block)) - starts[block]
+    top = np.empty(nb, dtype=np.int64)   # each block's parent cut vertex
+    top[block[is_top]] = place[is_top]
+    local = np.zeros(n, dtype=np.int64)   # each node in the block of its parent edge
+    local[members[~is_top]] = place[~is_top]
+    weights = np.where(is_top, n - below[block], 1 + hung[members])
+    del block, is_top, place
 
-    # an edge belongs to the block of its later-discovered end
-    src, dst = expand_frontier(g, np.arange(n))
-    once = src < dst
-    src, dst = src[once], dst[once]
-    eb = owner[np.where(disc[src] > disc[dst], src, dst)]
-    code = ((np.searchsorted(key, eb * n + src) - starts[eb]) * size[eb]
-            + np.searchsorted(key, eb * n + dst) - starts[eb])
-    code = code[np.lexsort((code, eb))]
+    # an edge belongs to the block of its end later in preorder; since local
+    # indices follow vertex order, the edges of one block come in code order
+    u, v = _edge_ends(g)
+    eb = owner[np.where(pre[u] > pre[v], u, v)]
+    at_top, top_place = parents[eb], top[eb]
+    code = np.where(u == at_top, top_place, local[u]) * size[eb]
+    code += np.where(v == at_top, top_place, local[v])
+    del u, v, at_top, top_place
+    code = code[_stable_order(eb)]
     ecount = np.bincount(eb, minlength=nb)
     efirst = np.cumsum(ecount) - ecount
 
@@ -237,10 +353,7 @@ def _build_block_table(g: Graph) -> _BlockTable | None:
         for blocks in _grouped_rows(codes):
             edges = np.column_stack(np.divmod(codes[blocks[0]], k))
             shapes.append((Graph.from_edges(k, edges), same_size[blocks]))
-    return _BlockTable(members=vertex[order], starts=starts,
-                       weights=weight[order],
-                       parent=np.searchsorted(key, np.arange(nb) * n + parents)
-                       - starts[:-1],
+    return _BlockTable(members=members, starts=starts, weights=weights, parent=top,
                        shapes=shapes)
 
 

@@ -1,10 +1,12 @@
-"""The block-cut diameter against whole-graph references, on graphs with
-many cut vertices: trees, cactus graphs, two cycles joined by a path and
-pendant chains on a block of more than 64 nodes.
+"""The block table and the block-cut diameter against whole-graph
+references, on graphs with many cut vertices: trees, cactus graphs, two
+cycles joined by a path, pendant chains on a block of more than 64 nodes
+and random connected graphs.
 
 Each graph is built by gluing blocks onto the nodes built so far, then its
-labels are shuffled, so that the DFS root, node 0, lands anywhere in the
-block-cut tree.
+labels are shuffled, so that the root of the spanning tree, node 0, lands
+anywhere in the block-cut tree, and the tree that hooking finds is not a
+DFS tree.
 """
 
 import networkx as nx
@@ -17,6 +19,7 @@ import reference
 from coronagraphs.graph import Graph, complete_graph
 from coronagraphs.structural import (
     DisconnectedGraphError,
+    _build_block_table,
     _farthest_pair,
     betweenness_exact,
     diameter_measured,
@@ -96,6 +99,18 @@ def chains_on_a_big_block(draw):
 
 
 @st.composite
+def random_connected(draw):
+    """A random tree with random chords, labels shuffled."""
+    n = draw(st.integers(2, 40))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return draw(relabeled(n, sorted(pairs)))
+
+
+@st.composite
 def grids_with_branch_depths(draw):
     """A p x q grid, 2-connected, with a branch depth h per node."""
     p, q = draw(st.integers(2, 12)), draw(st.integers(2, 12))
@@ -117,6 +132,53 @@ def assert_references_agree(g: Graph) -> None:
 @given(trees())
 def test_trees(g):
     assert_references_agree(g)
+
+
+@settings(EXAMPLES, max_examples=25)
+@given(st.one_of(trees(), cacti(), two_cycles_and_a_path(), chains_on_a_big_block(),
+                 random_connected()))
+def test_block_table_against_networkx(g):
+    # each block's members, branch weights, parent cut vertex and local
+    # edges, against networkx's blocks and cut vertices of the whole graph
+    n = g.node_count
+    whole = nx.Graph()
+    whole.add_nodes_from(range(n))
+    whole.add_edges_from(reference.edge_array(g).tolist())
+    cuts = set(nx.articulation_points(whole))
+    hops = nx.single_source_shortest_path_length(whole, 0)
+
+    def weight(x, block):
+        # x and the nodes it cuts off from the rest of the block
+        if x not in cuts:
+            return 1
+        rest = whole.subgraph(set(whole) - {x})
+        inside = nx.node_connected_component(rest, next(iter(block - {x})))
+        return n - len(inside)
+
+    table = _build_block_table(g)
+    shape_of = {b: shape for shape, blocks in table.shapes for b in blocks.tolist()}
+    got, parents = {}, []
+    for b in range(len(table.starts) - 1):
+        members = table.members[table.starts[b]:table.starts[b + 1]].tolist()
+        assert members == sorted(members)
+        local_edges = {tuple(e) for e in reference.edge_array(shape_of[b]).tolist()}
+        got[frozenset(members)] = (table.weights[table.starts[b]:table.starts[b + 1]].tolist(),
+                                   members[table.parent[b]], local_edges)
+        parents.append(members[table.parent[b]])
+    want = {}
+    for block in map(frozenset, nx.biconnected_components(whole)):
+        members = sorted(block)
+        local = {x: i for i, x in enumerate(members)}
+        want[block] = ([weight(x, block) for x in members], min(block, key=hops.get),
+                       {tuple(sorted((local[x], local[y])))
+                        for x, y in whole.subgraph(block).edges()})
+    assert got == want
+    # children come before their parent: the block that holds a parent cut
+    # vertex below its own top comes later
+    for b, p in enumerate(parents):
+        holders = [c for c in range(len(parents)) if parents[c] != p
+                   and p in table.members[table.starts[c]:table.starts[c + 1]]]
+        assert all(c > b for c in holders)
 
 
 @EXAMPLES
@@ -152,7 +214,7 @@ def test_farthest_pair_in_one_block(case):
 def test_equal_chains_on_a_big_block(k):
     # chains of 3 at nodes 1, k/2 and k/2 + 1 of a k-cycle share one
     # 64-source chunk; the longest pair, 1 and k/2 + 1, lies on its last
-    # level, one more than the level before gave.  The DFS root, node 0,
+    # level, one more than the level before gave.  The tree root, node 0,
     # carries no chain, so only the in-block pair sees this path
     edges, n = cycle(k), k
     for at in (1, k // 2, k // 2 + 1):

@@ -244,16 +244,16 @@ class TestStats:
         assert not out.exists()
 
     def test_betweenness_report_runs_one_dfs_per_graph(self, capsys, monkeypatch):
-        # the seed's diameter needs its own DFS; the level-3 graph's diameter
-        # and betweenness share one block table
+        # the seed's diameter needs its own decomposition; the level-3
+        # graph's diameter and betweenness share one block table
         searched = []
-        dfs = structural._dfs
+        decompose = structural._decompose
 
         def counted(g):
             searched.append(g)
-            return dfs(g)
+            return decompose(g)
 
-        monkeypatch.setattr(structural, "_dfs", counted)
+        monkeypatch.setattr(structural, "_decompose", counted)
         code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "3",
                               "--betweenness")
         assert code == EXIT_OK
@@ -866,6 +866,20 @@ class TestSeedCap:
         assert err == f"error: the seed has {k * (k - 1) // 2} edges, over the cap of {cap}\n"
         assert peak < 2 ** 20
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        # counted before any line is parsed: the bad last line is never read
+        ("# n=3\n" + "0 1\n" * 6 + "x y\n", "the seed has 7 edges, over the cap of 5"),
+        # a header over the cap is refused as soon as it is read
+        ("# n=6\n0 1\nx y\n", "the seed has 6 nodes, over the cap of 5"),
+    ])
+    def test_file_seed_refused_before_its_edges_are_parsed(self, text, message, capsys,
+                                                           tmp_path):
+        seed = tmp_path / "big.edges"
+        seed.write_text(text)
+        code, stdout, err = run(capsys, "stats", "--seed", f"file:{seed}", "--m", "0",
+                                "--node-cap", "5")
+        assert (code, stdout, err) == (EXIT_CAP, "", f"error: {message}\n")
 
     def test_the_node_cap_flag_sets_the_bound(self, capsys):
         code, _, err = run(capsys, "spectrum", "--seed", "cycle:6", "--m", "3",

@@ -282,6 +282,17 @@ class TestSeedDescriptor:
             with pytest.raises(ValueError):
                 SeedDescriptor.from_spec(spec)
 
+    def test_builtin_families_skip_the_component_pass(self, monkeypatch):
+        # every builtin family is connected by construction
+        counted = []
+        monkeypatch.setattr(graph_module, "connected_component_count", counted.append)
+        for kind, smallest in [("complete", 1), ("path", 1), ("cycle", 3), ("star", 3)]:
+            for k in range(smallest, 12):
+                sd = SeedDescriptor.from_spec(f"{kind}:{k}")
+                assert sd.connected
+                assert reference.connected_component_count(sd.graph) == 1
+        assert counted == []
+
     def test_disconnected_flag(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("# n=4\n0 1\n2 3\n")

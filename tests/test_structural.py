@@ -256,11 +256,11 @@ class TestLargestBlock:
 
 
 class TestNoBlock:
-    # the commands return early below 2 nodes; the DFS and the table must
-    # still hold on a graph where no block ever closes
+    # the commands return early below 2 nodes; the decomposition and the
+    # table must still hold on a graph without blocks
     def test_one_node_has_an_empty_table(self):
-        disc, owner, parents, below, hung = structural._dfs(complete_graph(1))
-        assert (disc.tolist(), owner.tolist(), hung.tolist()) == ([0], [0], [0])
+        pre, owner, parents, below, hung = structural._decompose(complete_graph(1))
+        assert (pre.tolist(), owner.tolist(), hung.tolist()) == ([0], [0], [0])
         assert (parents.tolist(), below.tolist()) == ([], [])
         table = structural._build_block_table(complete_graph(1))
         assert (table.members.tolist(), table.starts.tolist()) == ([], [0])
@@ -269,7 +269,7 @@ class TestNoBlock:
 
     def test_edgeless_graph_is_disconnected(self):
         edgeless = Graph.from_edges(3, [])
-        assert structural._dfs(edgeless) is None
+        assert structural._decompose(edgeless) is None
         assert structural._build_block_table(edgeless) is None
 
 

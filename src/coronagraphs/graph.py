@@ -362,11 +362,16 @@ def hook_forest(node_count: int, u: np.ndarray, v: np.ndarray):
             label, jumped = jumped, jumped[jumped]
 
 
+def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge of g once, smaller end first, in CSR order, as int32."""
+    src = np.repeat(np.arange(g.node_count, dtype=np.int32), g.degrees)
+    once = src < g.targets
+    return src[once], g.targets[once].astype(np.int32)
+
+
 def connected_component_count(g: Graph) -> int:
     """Component count of g: the roots left by ``hook_forest``."""
-    src = np.repeat(np.arange(g.node_count), g.degrees)
-    once = src < g.targets
-    label = hook_forest(g.node_count, src[once], g.targets[once])[0]
+    label = hook_forest(g.node_count, *edge_ends(g))[0]
     return int(np.count_nonzero(label == np.arange(g.node_count)))
 
 

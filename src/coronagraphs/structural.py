@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import DistributionSeries
 # expand_frontier is unused here, but the bench tracer patches this binding
-from .graph import Graph, expand_frontier, hook_forest  # noqa: F401
+from .graph import Graph, edge_ends, expand_frontier, hook_forest  # noqa: F401
 
 
 class DisconnectedGraphError(ValueError):
@@ -107,13 +107,6 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     """
     packed = np.sort((keys.astype(np.int64) << 32) | np.arange(len(keys)))
     return (packed & 0xFFFFFFFF).astype(keys.dtype)
-
-
-def _edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge of g once, smaller end first, in CSR order, as int32."""
-    src = np.repeat(np.arange(g.node_count, dtype=np.int32), g.degrees)
-    once = src < g.targets
-    return src[once], g.targets[once].astype(np.int32)
 
 
 def _euler_tour(n: int, tree_u: np.ndarray, tree_v: np.ndarray):
@@ -214,7 +207,7 @@ def _decompose(g: Graph):
         return zero, zero, none, none, zero
     if n >= 1 << 30 or g.edge_count >= 1 << 32:
         raise ValueError("the block decomposition indexes nodes and edges in 32 bits")
-    u, v = _edge_ends(g)
+    u, v = edge_ends(g)
     _, tree_u, tree_v = hook_forest(n, u, v)
     if len(tree_u) < n - 1:
         return None
@@ -336,7 +329,7 @@ def _build_block_table(g: Graph) -> _BlockTable | None:
 
     # an edge belongs to the block of its end later in preorder; since local
     # indices follow vertex order, the edges of one block come in code order
-    u, v = _edge_ends(g)
+    u, v = edge_ends(g)
     eb = owner[np.where(pre[u] > pre[v], u, v)]
     at_top, top_place = parents[eb], top[eb]
     code = np.where(u == at_top, top_place, local[u]) * size[eb]

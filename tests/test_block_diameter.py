@@ -134,7 +134,7 @@ def test_trees(g):
     assert_references_agree(g)
 
 
-@settings(EXAMPLES, max_examples=25)
+@settings(EXAMPLES, max_examples=100)
 @given(st.one_of(trees(), cacti(), two_cycles_and_a_path(), chains_on_a_big_block(),
                  random_connected()))
 def test_block_table_against_networkx(g):

@@ -1,9 +1,9 @@
 """Command-line surface: generate, stats, spectrum, verify.
 
 Outputs are deterministic: rerunning an invocation produces byte-identical
-files.  Exit codes: 0 success, 2 config error, 3 verification failure,
-4 resource cap or overflow, 141 stdout closed by its reader (what a shell
-reports for a writer that SIGPIPE ended).
+files.  Exit codes: 0 success, 2 config error or bad path, 3 verification
+failure, 4 resource cap or overflow, 141 stdout closed by its reader (what a
+shell reports for a writer that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -307,6 +307,9 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    # a NaN or infinite tolerance would pass every input, a negative one fail it
+    if not 0 <= cfg.tolerance < float("inf"):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
     plan = _plan(cfg)
     _guard(plan, plan.predicted_nodes, oracle.DEFAULT_ORACLE_CAP, "verification")
     discrepancies = spectral.Discrepancies()
@@ -367,7 +370,9 @@ def main(argv=None) -> int:
     except (CapExceededError, CountOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # a bad seed file or --out path; BrokenPipeError is an OSError too,
+        # so its clause must come first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:

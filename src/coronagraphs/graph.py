@@ -192,18 +192,26 @@ class SeedDescriptor:
 # counts
 
 
+def _power(n: int, m: int, what: str) -> int:
+    """(n+1)**m, which is at least 2**(m*(bit_length(n+1) - 1)): refused as
+    ``what`` out of range, with no big-integer power, once that reaches 2**129."""
+    if m * ((n + 1).bit_length() - 1) > 128:
+        raise CountOverflowError(f"{what} outside checked 128-bit range")
+    return (n + 1) ** m
+
+
 def node_count_formula(n: int, m: int) -> int:
     """Exact node count n*(n+1)**m of the level-m corona graph."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return _checked(n * (n + 1) ** m, "node count")
+    return _checked(n * _power(n, m, "node count"), "node count")
 
 
 def edge_count_formula(n: int, e: int, m: int) -> int:
     """Exact edge count e + (e + n)*((n+1)**m - 1) of the level-m corona graph."""
     if n < 1 or e < 0 or m < 0:
         raise ValueError("need n >= 1, e >= 0, m >= 0")
-    return _checked(e + (e + n) * ((n + 1) ** m - 1), "edge count")
+    return _checked(e + (e + n) * (_power(n, m, "edge count") - 1), "edge count")
 
 
 @dataclass(frozen=True)

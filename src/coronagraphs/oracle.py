@@ -29,13 +29,13 @@ def build_matrix(g: Graph, kind: str) -> np.ndarray:
     n = g.node_count
     if n > DEFAULT_ORACLE_CAP:
         raise ValueError(f"graph has {n} nodes, over the oracle cap {DEFAULT_ORACLE_CAP}")
+    # one n x n array: L's -1 entries written as such, the diagonal in place
     a = np.zeros((n, n), dtype=np.float64)
     src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    a[src, g.targets] = 1.0
-    if kind == "adjacency":
-        return a
-    d = np.diag(g.degrees.astype(np.float64))
-    return d - a if kind == "laplacian" else d + a
+    a[src, g.targets] = -1.0 if kind == "laplacian" else 1.0
+    if kind != "adjacency":
+        np.fill_diagonal(a, g.degrees)
+    return a
 
 
 def sym_eigenvalues(mat: np.ndarray) -> np.ndarray:

@@ -22,7 +22,9 @@ k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
 The regular seeds are r-regular, and the Laplacian rule holds for any
 seed, since it needs only L·1 = 0.  The shift depends on the kind alone:
 the host edge adds 1 to the degree of every copy vertex in L and Q.  The
-tail depends on the seed alone, so ``step_rule`` builds it once.
+tail depends on the seed alone, so ``step_rule`` builds it once, as a
+level-0 ``Spectrum``.  Level 0 is exact: literals for a star, else the seed
+spectrum whose one dropped value ``seed_spectrum`` snaps.
 
 Each root branch rises with x, and the seed's poles keep the branches apart
 (Golub 1973; Bunch, Nielsen & Sorensen 1978): distinct x spawn distinct
@@ -77,8 +79,8 @@ class Spectrum:
     kind: str
     values: np.ndarray
     multiplicities: np.ndarray
-    level: int
-    provenance: str
+    level: int = 0
+    provenance: str = "closed_form"
 
     def __post_init__(self):
         if self.kind not in oracle.MATRIX_KINDS:
@@ -105,17 +107,6 @@ class Spectrum:
                 == (other.kind, other.level, other.provenance, other.entries))
 
 
-@dataclass(frozen=True)
-class Pairs:
-    """(value, multiplicity) pairs as two parallel arrays; len() counts pairs."""
-
-    values: np.ndarray
-    multiplicities: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def _mult_dtype(total: int):
     """int64 while every multiplicity (each at most ``total``) fits, else object."""
     return np.int64 if total < 2 ** 63 else object
@@ -135,8 +126,9 @@ def make_spectrum(kind: str, pairs, level: int,
                   provenance: str = "closed_form") -> Spectrum:
     """Spectrum of (value, multiplicity) pairs, coalesced in one scalar pass:
     sorted by (value, multiplicity), each value joins the running
-    multiplicity-weighted mean when within ``COALESCE_REL_TOL`` of it.  For
-    the few thousand values of an eigensolve or a star seed."""
+    multiplicity-weighted mean when within ``COALESCE_REL_TOL`` of it.  Only
+    for LAPACK output: the seed eigensolve of ``seed_spectrum`` and the
+    ``spectrum`` command's oracle fallback."""
     values: list = []
     mults: list = []
     for v, w in sorted((float(v), int(w)) for v, w in pairs):
@@ -320,27 +312,14 @@ def _quadratic_roots(n: int, alpha: int, beta: int):
     return roots
 
 
-def _tail(seed: Spectrum, drop) -> Pairs:
-    """The seed spectrum less one copy of the entry nearest each ``drop``
-    value, shifted as the module table says for the seed's kind."""
-    values, mults = seed.values, seed.multiplicities
-    for value in drop:
-        best = int(np.argmin(np.abs(values - value)))
-        if abs(values[best] - value) > 1e-6 * max(1.0, abs(value)):
-            raise ValueError(f"seed spectrum is missing the expected value {value}")
-        mults = mults.copy()
-        mults[best] -= 1
-        values, mults = values[mults != 0], mults[mults != 0]
-    return Pairs(values + (0.0 if seed.kind == ADJACENCY else 1.0), mults)
-
-
 def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None = None):
     """(level-0 spectrum, roots, tail) of the seed's step, as in the module table.
 
     ``roots(x, level)`` gives, for an array x, the values each entry spawns at
-    ``level``, one row per entry.  ``tail`` is the Pairs every step appends,
-    already shifted.  None when the (seed, kind) pair has no closed form.  The
-    star cubics record their printed-form discrepancies in ``discrepancies``.
+    ``level``, one row per entry.  ``tail`` is the level-0 Spectrum every
+    step appends, already shifted; both level-0 spectra are exact.  None
+    when the (seed, kind) pair has no closed form.  The star cubics record
+    their printed-form discrepancies in ``discrepancies``.
     """
     n, r = seed_graph.node_count, regular_degree(seed_graph)
     if kind == LAPLACIAN:
@@ -354,20 +333,27 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None 
             return None
         if kind == ADJACENCY:
             root = math.sqrt(k - 1.0)
-            seed = make_spectrum(kind, [(-root, 1), (0.0, k - 2), (root, 1)], level=0)
-            dropped = (-root, root)
+            values, tail_value = [-root, 0.0, root], 0.0
         else:
-            seed = make_spectrum(kind, [(0.0, 1), (1.0, k - 2), (float(k), 1)], level=0)
-            dropped = (0.0, float(k))
+            values, tail_value = [0.0, 1.0, float(k)], 2.0
 
         # star_cubic_roots is looked up at each call, so a patched module
         # attribute (the bench tracer's) sees every cubic
         def cubic(x: np.ndarray, level: int) -> np.ndarray:
             return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
                                     level=level)
-        return seed, cubic, _tail(seed, dropped)
+        return (Spectrum(kind, np.array(values), np.array([1, k - 2, 1])), cubic,
+                Spectrum(kind, np.array([tail_value]), np.array([k - 2])))
     seed = seed_spectrum(seed_graph, kind)
-    return seed, _quadratic_roots(n, alpha, beta), _tail(seed, (float(drop),))
+    # seed_spectrum puts the snapped 0 of L first, and r or 2r last
+    at = 0 if kind == LAPLACIAN else -1
+    if seed.values[at] != drop:
+        raise ValueError(f"seed spectrum is missing the expected value {float(drop)}")
+    mults = seed.multiplicities.copy()
+    mults[at] -= 1
+    shift = 0.0 if kind == ADJACENCY else 1.0
+    tail = Spectrum(kind, seed.values[mults > 0] + shift, mults[mults > 0])
+    return seed, _quadratic_roots(n, alpha, beta), tail
 
 
 def _join(values: np.ndarray, mults: np.ndarray, tail_at: np.ndarray):
@@ -390,7 +376,7 @@ def _join(values: np.ndarray, mults: np.ndarray, tail_at: np.ndarray):
     return values, mults
 
 
-def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Pairs) -> Spectrum:
+def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Spectrum) -> Spectrum:
     """One corona step of an A, L or Q spectrum under a ``step_rule``.
 
     Every entry x (mult w) spawns ``roots(x, level)`` with mult w; the
@@ -403,7 +389,7 @@ def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Pairs) -> Spectrum:
     spawned = roots(s.values, level)
     width = spawned.shape[1]
     # every multiplicity is at most the new level's total, n(n+1)^level
-    dtype = _mult_dtype(total * (width + int(tail.multiplicities.sum())))
+    dtype = _mult_dtype(total * (width + tail.total_multiplicity))
     # branch after branch, then the tail: width + 1 ascending runs to merge
     values = np.concatenate([spawned[:, j] for j in np.argsort(spawned[0])]
                             + [tail.values])
@@ -412,8 +398,7 @@ def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Pairs) -> Spectrum:
     order = np.argsort(values, kind="stable")
     values, mults = _join(values[order], mults[order],
                           np.flatnonzero(order >= spawned.size))
-    return Spectrum(kind=s.kind, values=values, multiplicities=mults, level=level,
-                    provenance="closed_form")
+    return Spectrum(s.kind, values, mults, level)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +461,7 @@ def eigenpair_residual_max(seed_graph: Graph, a: np.ndarray) -> float:
 # dispatch
 
 
-def entry_bound(seed: Spectrum, tail: Pairs, m: int, stop: int) -> tuple[int, int]:
+def entry_bound(seed: Spectrum, tail: Spectrum, m: int, stop: int) -> tuple[int, int]:
     """(level, bound): a bound on the entries at ``level``, which is m, or
     the first level whose bound reaches ``stop``.
 
@@ -485,10 +470,10 @@ def entry_bound(seed: Spectrum, tail: Pairs, m: int, stop: int) -> tuple[int, in
     to one on N(n + 1), the tail's multiplicities times N among them, which
     leaves width = n + 1 - sum(tail) (2 for a quadratic, 3 for a star cubic).
     """
-    width = seed.total_multiplicity + 1 - int(tail.multiplicities.sum())
+    width = seed.total_multiplicity + 1 - tail.total_multiplicity
     level, bound = 0, len(seed.values)
     while level < m and bound < stop:
-        level, bound = level + 1, width * bound + len(tail)
+        level, bound = level + 1, width * bound + len(tail.values)
     return level, bound
 
 

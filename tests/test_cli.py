@@ -750,6 +750,27 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert json.loads(out.read_text())["passed"] is False
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_a_tolerance_that_decides_nothing_is_refused(self, tolerance, capsys,
+                                                         monkeypatch):
+        # NaN and infinity pass every input and a negative tolerance fails it
+        def plan(cfg):
+            raise AssertionError("verify started its work")
+
+        monkeypatch.setattr(cli, "_plan", plan)
+        code, stdout, err = run(capsys, "verify", "--seed", "complete:3", "--m", "1",
+                                "--kind", "adjacency", "--tolerance", tolerance)
+        assert (code, stdout) == (EXIT_CONFIG, "")
+        assert err == (f"error: --tolerance must be finite and >= 0, "
+                       f"got {float(tolerance)}\n")
+
+    def test_a_zero_tolerance_still_runs(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "--seed", "complete:2", "--m", "1",
+                              "--kind", "laplacian", "--tolerance", "0")
+        report = json.loads(stdout)
+        assert report["tolerance"] == 0.0
+        assert code == (EXIT_OK if report["passed"] else EXIT_VERIFY)
+
     def test_unsupported_combination(self, capsys):
         code, _, err = run(capsys, "verify", "--seed", "path:4", "--m", "1",
                            "--kind", "adjacency")
@@ -886,6 +907,46 @@ class TestSeedCap:
                            "--kind", "laplacian", "--node-cap", "5")
         assert (code, err) == (EXIT_CAP,
                                "error: the seed has 6 nodes, over the cap of 5\n")
+
+
+class TestBadPath:
+    """A seed file or --out path that cannot be opened is a config error:
+    one stderr line, no traceback and no --out file."""
+
+    COMMANDS = TestSeedCap.COMMANDS
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("case", ["missing seed", "directory seed", "missing dir"])
+    def test_one_line_and_exit_2(self, command, case, capsys, tmp_path):
+        seed, out = "complete:3", tmp_path / "out.json"
+        if case == "missing seed":
+            seed = f"file:{tmp_path / 'missing.edges'}"
+        elif case == "directory seed":
+            seed = f"file:{tmp_path}"
+        else:
+            out = tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, command, "--seed", seed, "--m", "1",
+                           "--out", str(out), *self.COMMANDS[command])
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestHugeM:
+    @pytest.mark.parametrize("command", ["generate", "stats"])
+    def test_refused_from_the_exponent_of_m(self, command, capsys):
+        # computing the counts' powers would allocate about 93 MB and take a second
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, command, "--seed", "complete:3",
+                                    "--m", str(10 ** 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == "error: node count outside checked 128-bit range\n"
+        assert peak < 2 ** 20
 
 
 class TestSeedEigensolveCap:

@@ -1,6 +1,7 @@
 """Seed builders, corona product, count formulas, and edge-list IO."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,44 @@ class TestCountFormulas:
             node_count_formula(3, 300)
         with pytest.raises(CountOverflowError):
             edge_count_formula(3, 3, 300)
+
+    def test_exact_at_the_128_bit_boundary(self):
+        # n=1 doubles: (n+1)**128 is 2**128, so the edge count is the
+        # largest value in range and the node count the smallest past it
+        assert edge_count_formula(1, 0, 128) == 2 ** 128 - 1
+        assert node_count_formula(1, 127) == 2 ** 127
+        with pytest.raises(CountOverflowError, match="node count"):
+            node_count_formula(1, 128)
+        with pytest.raises(CountOverflowError, match="edge count"):
+            edge_count_formula(1, 1, 128)
+        with pytest.raises(CountOverflowError, match="edge count"):
+            edge_count_formula(1, 0, 129)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_refused_exactly_past_the_bound(self, n):
+        e = n * (n - 1) // 2
+        for m in range(140):
+            nodes, edges = n * (n + 1) ** m, e + (e + n) * ((n + 1) ** m - 1)
+            for want, count in ((nodes, lambda: node_count_formula(n, m)),
+                                (edges, lambda: edge_count_formula(n, e, m))):
+                if want <= graph_module.U128_MAX:
+                    assert count() == want
+                else:
+                    with pytest.raises(CountOverflowError):
+                        count()
+
+    def test_a_huge_m_is_refused_from_its_exponent(self):
+        # computing 4**(10**8) would allocate about 25 MB per power
+        tracemalloc.start()
+        try:
+            with pytest.raises(CountOverflowError, match="node count"):
+                node_count_formula(3, 10 ** 8)
+            with pytest.raises(CountOverflowError, match="edge count"):
+                edge_count_formula(3, 3, 10 ** 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

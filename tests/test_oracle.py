@@ -3,6 +3,7 @@ brute-force path references the betweenness tests compare against."""
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,30 @@ class TestBuildMatrix:
         assert np.allclose(build_matrix(g, "adjacency").sum(axis=1), deg)
         assert np.allclose(build_matrix(g, "laplacian").sum(axis=1), 0.0)
         assert np.allclose(build_matrix(g, "signless").sum(axis=1), 2 * deg)
+
+    @pytest.mark.parametrize("g", [k3_level1(), star_graph(5), path_graph(4),
+                                   cycle_graph(7)])
+    def test_laplacian_and_signless_are_d_minus_and_plus_a(self, g):
+        n = g.node_count
+        a = np.zeros((n, n))
+        for u in range(n):
+            for v in g.neighbors(u):
+                a[u, v] = 1.0
+        d = np.diag(a.sum(axis=1))
+        # the same float64 bits, signs of zero included
+        for kind, want in (("adjacency", a), ("laplacian", d - a), ("signless", d + a)):
+            assert build_matrix(g, kind).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    def test_one_matrix_in_memory(self, kind):
+        g = cycle_graph(600)
+        tracemalloc.start()
+        try:
+            mat = build_matrix(g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * mat.nbytes
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

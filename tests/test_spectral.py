@@ -571,7 +571,7 @@ class TestEntryBound:
     def test_star_cubics_spawn_three(self, kind, width):
         seed, _, tail = step_rule(star_graph(4), kind)
         e0 = len(seed.values)
-        assert entry_bound(seed, tail, 1, self.CAP) == (1, width * e0 + len(tail))
+        assert entry_bound(seed, tail, 1, self.CAP) == (1, width * e0 + len(tail.values))
 
     def test_exact_on_complete3_up_to_the_cap(self):
         # 3 * 2**m - 1 entries: nothing coalesces
@@ -671,7 +671,7 @@ class TestStepJoin:
         """One step of a two-entry spectrum whose entries spawn ``spawned``,
         one row each, with a tail of ``tail_value`` at multiplicity 5."""
         s = make_spectrum(ADJACENCY, [(0.0, 1), (1.0, 2)], level=0)
-        tail = spectral.Pairs(np.array([tail_value]), np.array([5]))
+        tail = make_spectrum(ADJACENCY, [(tail_value, 5)], level=0)
         return corona_step(s, s, lambda x, level: np.array(spawned), tail)
 
     def test_equal_spawned_floats_join(self):

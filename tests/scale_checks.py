@@ -1,0 +1,170 @@
+"""Claims and bounds at full size, one row each: ``python tests/scale_checks.py``.
+
+Each row runs ``python -m coronagraphs.cli`` in fresh children, whose ``ru_maxrss``
+starts from the runner's high-water mark (Linux keeps it through fork and exec).
+So the runner holds no payload: it hashes each file in 1 MB blocks, json last.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import operator
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass, field
+from functools import reduce
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ERROR = "error:"   # as a row's stderr: one line with this prefix
+BOUNDS = {"<": operator.lt, "<=": operator.le}
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    argv: str   # split on spaces
+    exit: int = 0
+    stdout_sha256: str | None = None
+    out_sha256: str | None = None
+    fields: dict = field(default_factory=dict)    # dotted json path: value
+    lengths: dict = field(default_factory=dict)   # dotted json path: list length
+    stderr: str | None = None   # its one line, or ERROR; None: no stderr
+    peak_mb: tuple[str, float] | None = None      # ("<=", 300) or ("<", 100)
+    timeout: float = 120.0
+
+
+CHECKS = [
+    # 786k nodes in seconds, with no --force: the guards judge 4-node blocks
+    Check("diameter law at m=9", "stats --seed complete:3 --m 9 --betweenness",
+          fields={"diameter": {"measured": 19, "formula": 19}}, peak_mb=("<=", 300)),
+    # 199,999 blocks and a tree 199,999 levels deep: O(log n) array passes
+    Check("long path", "stats --seed path:200000 --m 0 --betweenness",
+          fields={"diameter": {"measured": 199999, "formula": 199999}}, timeout=60),
+    Check("betweenness csv", "stats --seed complete:3 --m 9 --betweenness --format csv",
+          stdout_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234",
+          out_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234"),
+    # 1,562,500 nodes: the CSR is filled in place, the edges written from its rows
+    Check("edge list", "generate --seed star:4 --m 8",
+          stdout_sha256="3c6f38bdd614886f4a1f9e273a03194488e4e329101d5d52a4c55bcc103c8a6b",
+          out_sha256="1adb4b9e0ab560f549f0e7ba493735a0600168534ffb14f3c19e2a416ebe549a",
+          peak_mb=("<=", 150)),
+    Check("deep spectrum", "spectrum --seed complete:3 --m 18 --kind adjacency",
+          stdout_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",
+          out_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",
+          peak_mb=("<=", 160)),
+    Check("star records", "spectrum --seed star:4 --m 9 --kind signless",
+          stdout_sha256="b14f163299f0c2e4ab62c463aef9f150a141fa879c84823b2dc36d63071c3b46",
+          out_sha256="b14f163299f0c2e4ab62c463aef9f150a141fa879c84823b2dc36d63071c3b46",
+          lengths={"discrepancies": 34439, "spectrum.entries": 68890}),
+    # refused on its k(k-1)/2 predicted edges before the seed is built
+    Check("dense seed refused", "spectrum --seed complete:2000000 --m 0 --kind laplacian",
+          exit=4, stdout_sha256=hashlib.sha256(b"").hexdigest(), peak_mb=("<", 100), timeout=30,
+          stderr="error: the seed has 1999999000000 edges, over the cap of 2000000"),
+    # refused from the exponent of m, before any big-integer power
+    Check("huge m refused", "generate --seed complete:3 --m 100000000",
+          exit=4, stderr=ERROR, peak_mb=("<", 60), timeout=30),
+    # one 20,000-node block, refused on its size before any BFS
+    Check("long cycle diameter refused", "stats --seed cycle:20000 --m 0",
+          exit=4, stderr=ERROR, timeout=30),
+    Check("missing seed file", "stats --seed file:missing.edges --m 1",
+          exit=2, stderr=ERROR, timeout=30),
+    Check("directory seed", "stats --seed file:seed-dir --m 1",
+          exit=2, stderr=ERROR, timeout=30),
+    Check("missing --out directory",
+          "spectrum --seed complete:3 --m 1 --kind adjacency --out missing-dir/s.json",
+          exit=2, stderr=ERROR, timeout=30),
+    Check("nan tolerance", "verify --seed complete:3 --m 1 --kind adjacency --tolerance nan",
+          exit=2, stderr=ERROR, timeout=30),
+]
+
+
+def _digest(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _spawn(argv: list[str], stdout: Path, stderr: Path, cwd: Path, timeout: float):
+    """The cli's exit code on argv (-9 if killed at the timeout) and its own peak in MB."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with open(stdout, "wb") as out, open(stderr, "wb") as err:
+        child = subprocess.Popen([sys.executable, "-m", "coronagraphs.cli", *argv], stdout=out,
+                                 stderr=err, cwd=cwd, env=dict(os.environ, PYTHONPATH=path))
+    deadline = time.monotonic() + timeout
+    while not (reaped := os.wait4(child.pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            child.kill()
+        time.sleep(0.01)
+    child.returncode = os.waitstatus_to_exitcode(reaped[1])
+    return child.returncode, reaped[2].ru_maxrss / 1024
+
+
+def _measure(i: int, row: Check, work: Path) -> tuple[list[str], float]:
+    """Run the row's children; return what failed and their peak in MB."""
+    problems, peak = [], 0.0
+    stdout, stderr, out = work / f"{i}.stdout", work / f"{i}.stderr", work / f"{i}.out"
+    forms = [("stdout", row.argv.split(), stdout, stdout, row.stdout_sha256)]
+    if row.out_sha256:
+        forms.append(("--out", [*row.argv.split(), "--out", out.name], Path(os.devnull),
+                      out, row.out_sha256))
+    for form, argv, sink, payload, pin in forms:
+        code, mb = _spawn(argv, sink, stderr, work, row.timeout)
+        peak = max(peak, mb)
+        if code != row.exit:
+            problems.append(f"{form} form exited {code}, not {row.exit}")
+        lines = stderr.read_text(errors="replace").splitlines()
+        if row.stderr == ERROR:
+            lines = [line[:len(ERROR)] for line in lines]
+        if lines != ([] if row.stderr is None else [row.stderr]):
+            problems.append(f"{form} form wrote stderr {lines[:3]}, not {row.stderr!r}")
+        if pin is not None and (digest := _digest(payload)) != pin:
+            problems.append(f"{form} sha256 {digest}, not {pin}")
+    out.unlink(missing_ok=True)
+    if row.peak_mb and not BOUNDS[row.peak_mb[0]](peak, row.peak_mb[1]):
+        problems.append(f"peak {peak:.0f} MB, not {row.peak_mb[0]} {row.peak_mb[1]} MB")
+    return problems, peak
+
+
+def _json_problems(row: Check, stdout: Path) -> list[str]:
+    want = {**row.fields, **{f"len({key})": n for key, n in row.lengths.items()}}
+    try:
+        with open(stdout, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        at = {key: reduce(operator.getitem, key.split("."), payload)
+              for key in (*row.fields, *row.lengths)}
+        got = {**at, **{f"len({key})": len(at[key]) for key in row.lengths}}
+    except (ValueError, LookupError, TypeError) as exc:
+        return [f"stdout json: {exc!r}"]
+    return [f"{key} is {got[key]!r}, not {want[key]!r}" for key in want
+            if got[key] != want[key]]
+
+
+def main(rows=CHECKS) -> int:
+    failed = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "seed-dir").mkdir()
+        for i, row in enumerate(rows):
+            start = time.monotonic()
+            failed[row.name], peak = _measure(i, row, work)
+            print(f"{row.name}: peak {peak:.0f} MB, {time.monotonic() - start:.1f} s", flush=True)
+        # json only now: a parsed payload would raise every later child's peak
+        for i, row in enumerate(rows):
+            if row.fields or row.lengths:
+                failed[row.name] += _json_problems(row, work / f"{i}.stdout")
+    failed = {name: problems for name, problems in failed.items() if problems}
+    for name, problems in failed.items():
+        print(f"FAIL {name}: " + "; ".join(problems))
+    print(f"{len(rows) - len(failed)} of {len(rows)} scale checks passed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -170,6 +170,48 @@ class TestStats:
         assert "block on 10001 nodes" in err
         assert "--force" in err
 
+    @pytest.mark.parametrize("m,block", [(0, 10), (2, 11)])
+    def test_diameter_guard_and_force(self, m, block, capsys, monkeypatch):
+        # the json report's diameter is guarded on the same largest block:
+        # the seed's, and n+1 for the cones
+        monkeypatch.setattr(cli, "DIAMETER_CAP", block - 1)
+        iterate = cli.corona_iterate
+
+        def refuse(plan):
+            raise AssertionError("corona_iterate ran")
+
+        monkeypatch.setattr(cli, "corona_iterate", refuse)
+        argv = ["stats", "--seed", "cycle:10", "--m", str(m)]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == (f"error: diameter over a 2-connected block on {block} nodes "
+                       f"exceeds the guard of {block - 1}; pass --force to run anyway "
+                       "(its time grows as the nodes times the edges times the depth "
+                       "of the largest 2-connected block)\n")
+        monkeypatch.setattr(cli, "corona_iterate", iterate)
+        # the csv form measures no diameter
+        assert run(capsys, *argv, "--format", "csv")[0] == EXIT_OK
+        code, stdout, _ = run(capsys, *argv, "--force")
+        assert code == EXIT_OK
+        assert json.loads(stdout)["diameter"]["measured"] == 5 + 2 * m
+
+    @pytest.mark.parametrize("m,calls", [(0, 1), (1, 2), (2, 2)])
+    def test_diameter_measured_once_per_graph(self, m, calls, capsys, monkeypatch):
+        # at m=0 the report's graph is the seed itself
+        seen = []
+        diameter = structural.diameter_measured
+
+        def counted(g):
+            seen.append(g)
+            return diameter(g)
+
+        monkeypatch.setattr(structural, "diameter_measured", counted)
+        code, stdout, _ = run(capsys, "stats", "--seed", "cycle:5", "--m", str(m))
+        assert code == EXIT_OK
+        assert json.loads(stdout)["diameter"] == {"measured": 2 + 2 * m,
+                                                  "formula": 2 + 2 * m}
+        assert len(seen) == calls
+
     def test_betweenness_guard_judges_the_largest_block(self, capsys):
         # 49,152 nodes, but no block larger than a 4-node cone
         code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "7",
@@ -793,7 +835,7 @@ class TestConfig:
         ["generate", "--seed", "complete:3", "--m", "1", "--tolerance", "1e-9"],
     ])
     def test_flags_belong_to_their_one_command(self, capsys, argv):
-        # --force only guards stats' betweenness, --tolerance only verify
+        # --force only overrides stats' size guards, --tolerance only verify
         assert main(argv) == EXIT_CONFIG
 
     def test_unknown_flag_rejected(self, capsys):

@@ -16,6 +16,7 @@ import numpy as np
 
 U128_MAX = (1 << 128) - 1
 DEFAULT_NODE_CAP = 2_000_000
+MAX_NODES = (1 << 31) - 1  # node ids are int32, and so is a node count (largest id + 1)
 CORONA_RANGE_HOSTS = 1 << 14  # corona_product fills its rows this many hosts at a time
 
 
@@ -37,6 +38,14 @@ def _checked(value: int, what: str = "count") -> int:
     return value
 
 
+def _check_ids(nodes: int, what: str) -> int:
+    """Refuse a graph whose node ids would not fit in int32."""
+    if nodes > MAX_NODES:
+        raise CapExceededError(
+            f"{what} has {nodes} nodes, but node ids are 32-bit: at most {MAX_NODES} fit")
+    return nodes
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected simple graph in CSR form.
@@ -44,12 +53,17 @@ class Graph:
     ``offsets`` has length node_count+1; ``targets`` holds the sorted
     neighbor list of node u in ``targets[offsets[u]:offsets[u+1]]``.  Both
     directions of every edge are stored, so ``len(targets) == 2*edge_count``.
+    Node ids are int32, as a graph has at most ``MAX_NODES`` nodes; the
+    offsets are int64, as the arc count can pass 2**31 well under that.
     """
 
     offsets: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.offsets.dtype != np.int64 or self.targets.dtype != np.int32:
+            raise TypeError("a Graph holds int64 offsets and int32 targets, not "
+                            f"{self.offsets.dtype} and {self.targets.dtype}")
         self.offsets.setflags(write=False)
         self.targets.setflags(write=False)
 
@@ -77,6 +91,7 @@ class Graph:
         """
         if node_count < 0:
             raise ValueError("node_count must be nonnegative")
+        _check_ids(node_count, "the graph")
         uv = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                         dtype=np.int64).reshape(-1, 2)
         if uv.size:
@@ -93,7 +108,7 @@ class Graph:
             raise ValueError("duplicate undirected edge")
         offsets = np.searchsorted(key, np.arange(node_count + 1) * node_count)
         key %= node_count
-        return cls(offsets=offsets, targets=key)
+        return cls(offsets=offsets, targets=key.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +157,7 @@ def _check_seed(node_cap: int, nodes: int, edges: int = 0) -> None:
         if count > node_cap:
             raise CapExceededError(
                 f"the seed has {count} {what}, over the cap of {node_cap}")
+    _check_ids(nodes, "the seed")
 
 
 @dataclass(frozen=True)
@@ -246,6 +262,7 @@ class CoronaPlan:
                 f"level {self.m} has {self.predicted_nodes} nodes, "
                 f"over the cap of {self.node_cap}"
             )
+        _check_ids(self.predicted_nodes, f"level {self.m}")
 
 
 def corona_product(g: Graph, seed: Graph) -> Graph:
@@ -266,16 +283,16 @@ def corona_product(g: Graph, seed: Graph) -> Graph:
         raise ValueError("seed must be nonempty")
     N = g.node_count
     width = len(seed.targets) + n  # the arcs of one host's copy rows
-    offsets = np.empty(_checked(N * (1 + n), "node count") + 1, dtype=np.int64)
+    offsets = np.empty(_check_ids(N * (1 + n), "the corona product") + 1, dtype=np.int64)
     np.add(g.offsets, n * np.arange(N + 1), out=offsets[:N + 1])
     start = int(offsets[N])
     np.add.outer(start + width * np.arange(N), np.cumsum(seed.degrees + 1),
                  out=offsets[N + 1:].reshape(N, n))
     # one host's copy rows, with a host slot (set per host) ahead of each seed row
     host_slot = seed.offsets[:-1] + np.arange(n)
-    template = np.zeros(width, dtype=np.int64)
+    template = np.zeros(width, dtype=np.int32)
     template[np.delete(np.arange(width), host_slot)] = seed.targets
-    targets = np.empty(start + N * width, dtype=np.int64)
+    targets = np.empty(start + N * width, dtype=np.int32)
     tail = targets[start:].reshape(N, width)
     for a in range(0, N, CORONA_RANGE_HOSTS):
         b = min(a + CORONA_RANGE_HOSTS, N)
@@ -283,8 +300,8 @@ def corona_product(g: Graph, seed: Graph) -> Graph:
         is_old = np.ones(len(rows), dtype=bool)
         is_old[(offsets[a + 1:b + 1] - offsets[a] - n)[:, None] + np.arange(n)] = False
         rows[is_old] = g.targets[g.offsets[a]:g.offsets[b]]
-        rows[~is_old] = np.arange(N + a * n, N + b * n)
-        hosts = np.arange(a, b)[:, None]
+        rows[~is_old] = np.arange(N + a * n, N + b * n, dtype=np.int32)
+        hosts = np.arange(a, b, dtype=np.int32)[:, None]
         np.add(template, N + hosts * n, out=tail[a:b])
         tail[a:b, host_slot] = hosts
     return Graph(offsets=offsets, targets=targets)
@@ -371,10 +388,10 @@ def hook_forest(node_count: int, u: np.ndarray, v: np.ndarray):
 
 
 def edge_ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge of g once, smaller end first, in CSR order, as int32."""
+    """Each edge of g once, smaller end first, in CSR order, as int32 ids."""
     src = np.repeat(np.arange(g.node_count, dtype=np.int32), g.degrees)
     once = src < g.targets
-    return src[once], g.targets[once].astype(np.int32)
+    return src[once], g.targets[once]
 
 
 def connected_component_count(g: Graph) -> int:
@@ -458,20 +475,20 @@ _SEPARATORS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)
 
 
 def _edge_lines(uv: np.ndarray) -> str:
-    """``u v`` lines for a nonempty (k, 2) block of nonnegative endpoints.
+    """``u v`` lines for a nonempty (k, 2) block of endpoints in [0, 2**32).
 
-    Each endpoint becomes a row of NUL-padded 4-digit groups in one uint32
-    matrix, followed by its separator; one ``translate`` then deletes the
-    padding.
+    Each endpoint, divided in uint32, becomes a row of NUL-padded 4-digit
+    groups in one uint32 matrix, followed by its separator; one
+    ``translate`` then deletes the padding.
     """
     table = _group_ascii()
     groups = -(-len(str(int(uv.max()))) // 4)
     cells = np.empty(uv.shape + (groups + 1,), dtype=np.uint32)
-    rest = uv
+    rest = uv.astype(np.uint32, copy=False)
     for i in range(groups - 1, -1, -1):  # the units group first
         rest, low = np.divmod(rest, _GROUP)
-        leading = (rest == 0) * (2 if i == groups - 1 else 1)
-        cells[:, :, i] = table[low + _GROUP * leading]
+        low += (rest == 0) * np.uint32(_GROUP * (2 if i == groups - 1 else 1))
+        cells[:, :, i] = table[low]
     cells[:, :, groups] = _SEPARATORS
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -485,7 +502,7 @@ def edge_list_chunks(g: Graph):
     yield f"# n={g.node_count}\n"
     cuts = np.searchsorted(g.offsets, range(0, len(g.targets), 2 * EDGE_CHUNK_ROWS)).tolist()
     for a, b in zip(cuts, cuts[1:] + [g.node_count]):
-        src = np.repeat(np.arange(a, b), np.diff(g.offsets[a:b + 1]))
+        src = np.repeat(np.arange(a, b, dtype=g.targets.dtype), np.diff(g.offsets[a:b + 1]))
         dst = g.targets[g.offsets[a]:g.offsets[b]]
         keep = src < dst
         if keep.any():

@@ -391,8 +391,7 @@ def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndar
         counts = counts[nz]
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return frontier[:0], targets[:0]
     # cumsum-of-ones trick: seed each segment start so the running sum jumps
     # to that row's offset
     idx = np.ones(total, dtype=np.int64)

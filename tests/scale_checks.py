@@ -52,7 +52,12 @@ CHECKS = [
     Check("edge list", "generate --seed star:4 --m 8",
           stdout_sha256="3c6f38bdd614886f4a1f9e273a03194488e4e329101d5d52a4c55bcc103c8a6b",
           out_sha256="1adb4b9e0ab560f549f0e7ba493735a0600168534ffb14f3c19e2a416ebe549a",
-          peak_mb=("<=", 150)),
+          peak_mb=("<=", 85)),
+    # 786,432 nodes and 1,572,861 edges: int32 ids, 4 bytes an arc
+    Check("edge list at m=9", "generate --seed complete:3 --m 9",
+          stdout_sha256="14313d73550073d9c578ee2f3deacee1ba9775da182eb2555c429651c1def28b",
+          out_sha256="caca405ba7072c258a2c0f7afe79dc49b44855b1f5b5594796c3b7f799bbd23e",
+          peak_mb=("<=", 62)),
     Check("deep spectrum", "spectrum --seed complete:3 --m 18 --kind adjacency",
           stdout_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",
           out_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",

@@ -951,6 +951,49 @@ class TestSeedCap:
                                "error: the seed has 6 nodes, over the cap of 5\n")
 
 
+class TestNodeIdWidth:
+    """Node ids are int32: a graph of 2**31 nodes or more is refused from its
+    predicted count, under any --node-cap, before anything is allocated."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        # a missing refusal fails here instead of allocating gigabytes
+        def refuse(*args):
+            raise AssertionError("a corona product was built")
+
+        monkeypatch.setattr(graph, "corona_product", refuse)
+
+    @pytest.mark.parametrize("command", ["generate", "stats"])
+    def test_a_deep_level_exits_4(self, command, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--seed", "complete:3", "--m", "16",
+                                "--node-cap", str(10 ** 11), "--out", str(out))
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == (f"error: level 16 has {3 * 4 ** 16} nodes, but node ids are "
+                       f"32-bit: at most {graph.MAX_NODES} fit\n")
+        assert not out.exists()
+
+    def test_a_file_seed_past_the_ids_exits_4(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("the seed graph was built")
+
+        monkeypatch.setattr(graph.Graph, "from_edges", classmethod(refuse))
+        seed = tmp_path / "big.edges"
+        seed.write_text("# n=3000000000\n0 1\n")
+        code, stdout, err = run(capsys, "generate", "--seed", f"file:{seed}", "--m", "0",
+                                "--node-cap", str(10 ** 11))
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert err == ("error: the seed has 3000000000 nodes, but node ids are "
+                       f"32-bit: at most {graph.MAX_NODES} fit\n")
+
+    def test_the_closed_form_builds_no_graph_and_is_not_refused(self, capsys):
+        assert graph.node_count_formula(50, 5) > graph.MAX_NODES
+        code, stdout, err = run(capsys, "spectrum", "--seed", "complete:50", "--m", "5",
+                                "--kind", "adjacency")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(stdout)["closed_form"] is True
+
+
 class TestBadPath:
     """A seed file or --out path that cannot be opened is a config error:
     one stderr line, no traceback and no --out file."""

@@ -182,6 +182,14 @@ class TestBoundedMemory:
                  for g in (small, big)]
         assert peaks[1] < 1.25 * peaks[0]
 
+    def test_writer_holds_under_200_bytes_per_chunk_edge(self, tmp_path):
+        # about EDGE_CHUNK_ROWS edges at a time, formatted in uint32 from
+        # int32 ids: 173.5 bytes per edge; int64 ids and divisions held 249.5
+        g = level("complete:3", 8)
+        write_edge_list(g, tmp_path / "warm.edges")  # the digit table is cached
+        peak = traced(lambda: write_edge_list(g, tmp_path / "g.edges"))[1]
+        assert peak < 200 * graph.EDGE_CHUNK_ROWS
+
     def test_build_holds_little_beyond_its_result(self):
         # the final arrays, the level before them (a quarter of their size
         # on complete:3) and one host range's temporaries; a build that

@@ -218,6 +218,66 @@ class TestCoronaIterate:
         assert node_count_formula(3, 40) == 3 * 4 ** 40
 
 
+class TestDtypeContract:
+    """Every Graph holds int64 offsets and int32 node ids, whichever way it
+    was built."""
+
+    @staticmethod
+    def assert_contract(g: Graph) -> None:
+        assert (g.offsets.dtype, g.targets.dtype) == (np.int64, np.int32)
+
+    @pytest.mark.parametrize("spec", ["complete:4", "path:4", "cycle:4", "star:4"])
+    def test_builtin_families(self, spec):
+        self.assert_contract(SeedDescriptor.from_spec(spec).graph)
+
+    def test_read_edge_list(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("# n=5\n0 1\n1 2\n")
+        self.assert_contract(read_edge_list(p))
+
+    @pytest.mark.parametrize("node_count,edges", [
+        (0, []), (3, []), (3, [(0, 1), (2, 1)]),
+        (4, np.array([[0, 3], [1, 2]], dtype=np.int32)),
+    ])
+    def test_from_edges(self, node_count, edges):
+        self.assert_contract(Graph.from_edges(node_count, edges))
+
+    @pytest.mark.parametrize("spec", SEED_SPECS)
+    @pytest.mark.parametrize("m", range(4))
+    def test_corona_iterate(self, spec, m):
+        self.assert_contract(corona_iterate(plan_for(spec, m)))
+
+    @pytest.mark.parametrize("offsets,targets", [
+        (np.array([0, 1, 2]), np.array([1, 0])),
+        (np.array([0, 1, 2], dtype=np.int32), np.array([1, 0], dtype=np.int32)),
+    ], ids=["int64-targets", "int32-offsets"])
+    def test_other_dtypes_refused(self, offsets, targets):
+        with pytest.raises(TypeError, match="int64 offsets and int32 targets"):
+            Graph(offsets=offsets, targets=targets)
+
+
+class TestNodeIdWidth:
+    """Node ids are int32, so a graph of 2**31 nodes or more is refused from
+    its count, whatever the node cap: the checks below allocate nothing."""
+
+    def test_the_largest_seed_that_fits(self):
+        graph_module._check_seed(1 << 40, graph_module.MAX_NODES)
+        with pytest.raises(CapExceededError, match="node ids are 32-bit"):
+            graph_module._check_seed(1 << 40, graph_module.MAX_NODES + 1)
+
+    def test_a_level_past_the_ids_is_refused_under_any_cap(self):
+        # complete:1 doubles: level 30 has 2**30 nodes and level 31 has 2**31
+        plan_for("complete:1", 30, node_cap=1 << 40).check_cap()
+        plan = plan_for("complete:1", 31, node_cap=1 << 40)
+        with pytest.raises(CapExceededError,
+                           match=f"level 31 has {2 ** 31} nodes, but node ids are 32-bit"):
+            plan.check_cap()
+
+    def test_the_node_cap_is_named_first(self):
+        with pytest.raises(CapExceededError, match="over the cap of 2000000"):
+            plan_for("complete:1", 31).check_cap()
+
+
 class TestComponentCount:
     """The vectorized component count against the per-component BFS loop."""
 

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="override the betweenness and diameter size guards")
 
-    p = command("spectrum", cmd_spectrum, "closed-form spectrum where supported")
+    p = command("spectrum", cmd_spectrum, "closed-form spectrum")
     p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -261,14 +261,14 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
 
     if cfg.betweenness:
         series = structural.betweenness_series(structural.betweenness_exact(g))
-        fit = fit_power_law(series)
-        report["betweenness"] = {
-            "gamma": fit.gamma,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "fit_range": list(fit.fit_range),
-            "series": [[v, p] for v, p in series.points],
-        }
+        try:
+            fit = fit_power_law(series)
+            fitted = {"gamma": fit.gamma, "intercept": fit.intercept,
+                      "r_squared": fit.r_squared, "fit_range": list(fit.fit_range)}
+        except ValueError:
+            # fewer than 3 distinct values: the series stands without a fit
+            fitted = dict.fromkeys(("gamma", "intercept", "r_squared", "fit_range"))
+        report["betweenness"] = {**fitted, "series": [[v, p] for v, p in series.points]}
 
     _emit(cfg, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
@@ -277,21 +277,8 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
     discrepancies = spectral.Discrepancies()
-    try:
-        spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
-                                                 discrepancies)
-    except ValueError as exc:
-        spectrum, notice = None, str(exc)
-    else:
-        notice = None if spectrum is not None else (
-            f"no closed form for kind={cfg.kind} with seed "
-            f"{cfg.seed}; falling back to the dense eigensolver")
-    if spectrum is None:
-        _guard(plan, plan.predicted_nodes, oracle.DEFAULT_ORACLE_CAP, "oracle fallback")
-        g = corona_iterate(plan)
-        vals = oracle.sym_eigenvalues(oracle.build_matrix(g, cfg.kind))
-        spectrum = spectral.make_spectrum(cfg.kind, [(float(v), 1) for v in vals],
-                                          level=cfg.m, provenance="oracle")
+    spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
+                                             discrepancies)
     if cfg.format == "csv":
         chunks = chain(["value,multiplicity\n"],
                        _rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
@@ -302,12 +289,12 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
             "seed": cfg.seed,
             "kind": cfg.kind,
             "m": cfg.m,
-            "closed_form": spectrum.provenance == "closed_form",
-            "notice": notice,
+            "closed_form": True,
+            "notice": None,
             # the wire form of spectral.spectrum_to_json, with its entries
             # written by _spectrum_text
             "spectrum": {"kind": spectrum.kind, "m": spectrum.level, "n": plan.n,
-                         "entries": [], "provenance": spectrum.provenance},
+                         "entries": [], "provenance": "closed_form"},
             "discrepancies": [],
         }
         chunks = _spectrum_text(payload, spectrum, discrepancies.columns())
@@ -325,10 +312,6 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     discrepancies = spectral.Discrepancies()
     closed = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
                                            discrepancies)
-    if closed is None:
-        print(f"error: no closed form to verify for kind={cfg.kind} with "
-              f"seed {cfg.seed}", file=sys.stderr)
-        return EXIT_CONFIG
     g = corona_iterate(plan)
     mat = oracle.build_matrix(g, cfg.kind)
     match = oracle.compare_spectra(closed, oracle.sym_eigenvalues(mat),

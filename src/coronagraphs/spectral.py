@@ -5,26 +5,29 @@ seed's secular equation and appends the seed eigenvalues whose eigenvectors
 are orthogonal to the all-ones vector.  Iterating the step enumerates exactly
 the branch combinations of the unrolled closed forms, without their
 sign-placement ambiguity.  ``closed_form_spectrum`` is the one driver:
-``step_rule`` picks the seed's rule and ``corona_step`` applies it.
+``step_rule`` builds the seed's rule and ``corona_step`` applies it.
 
-An entry x spawns the quadratic roots (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2
-for a seed on n nodes, or the three roots of the secular cubic of the star on
-k nodes (``star_cubic_roots``).  The seed spectrum, less one copy of each
-``drop`` value and shifted by ``shift``, is the tail every step appends:
+The seed's p main eigenvalues theta_j are those whose eigenspace holds a
+part P_j·1 of the all-ones vector, of weight w_j = |P_j·1|^2 (McLeman &
+McNicholas 2011, "Spectra of coronae").  An entry x spawns the p + 1 roots of
+lambda - x - top = sum_j w_j / (lambda - pole_j), pole_j = theta_j + shift:
+the eigenvalues of the arrowhead [[x + top, sqrt(w)^T], [sqrt(w), diag(pole)]].
+In L and Q the host gains n in degree (top) and every copy vertex 1 (shift);
+in A both are 0.  Every step appends the tail: the seed spectrum less one
+copy of each main value, shifted.  Where 1 is an eigenvector, p = 1 and the
+roots are (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2 for a seed on n nodes:
 
-    seed      kind       roots                           drop          shift
-    regular   adjacency  quadratic, alpha=beta=r         r             0
-    any       laplacian  quadratic, n+1, 1-n             0             1
-    regular   signless   quadratic, n+2r+1, 2r+1-n       2r            1
-    star      adjacency  cubic                           -+sqrt(k-1)   0
-    star      signless   cubic                           0, k          1
+    seed      kind       roots                              main values
+    any       laplacian  quadratic, n+1, 1-n                0
+    regular   adjacency  quadratic, alpha=beta=r            r
+    regular   signless   quadratic, n+2r+1, 2r+1-n          2r
+    star      adjacency  arrowhead (star_cubic_roots)       -+sqrt(k-1)
+    star      signless   arrowhead (star_cubic_roots)       0, k
+    other     A or Q     arrowhead                          from the seed's eigh
 
-The regular seeds are r-regular, and the Laplacian rule holds for any
-seed, since it needs only L·1 = 0.  The shift depends on the kind alone:
-the host edge adds 1 to the degree of every copy vertex in L and Q.  The
-tail depends on the seed alone, so ``step_rule`` builds it once, as a
-level-0 ``Spectrum``.  Level 0 is exact: literals for a star, else the seed
-spectrum whose one dropped value ``seed_spectrum`` snaps.
+``step_rule`` builds the tail once, as an exact level-0 ``Spectrum``, as is
+level 0: literals for a star, else the seed spectrum with the one main value
+snapped where 1 is an eigenvector (``seed_spectrum``).
 
 Each root branch rises with x, and the seed's poles keep the branches apart
 (Golub 1973; Bunch, Nielsen & Sorensen 1978): distinct x spawn distinct
@@ -33,17 +36,18 @@ tail.  A step joins two values only as one eigenvalue: equal floats, or a
 tail value that a branch meets within ``COINCIDE_ULPS``.
 
 A level is a float64 value array and a multiplicity array, and the step runs
-over whole arrays: every entry's roots in one pass, one star cubic call per
-level, whose discrepancy records form one block of array columns in a
-``Discrepancies`` table.  Multiplicities are int64 while the level's total
-n(n+1)^m is below 2**63 and exact Python ints (object dtype) above it.  The
-command line writes a spectrum's two arrays and the table's columns through
-its one chunked row writer, so this module lays out no output text.  The
-arrays give the same bits as evaluating the formulas one entry at a time:
-+, -, *, / and sqrt round the same in numpy as in Python, while every power,
-arccos and cosine goes through the same libm routine as Python's ``**``,
-``math.acos`` and ``math.cos`` (``_libm``), since numpy's own differ from
-them in the last bit.
+over whole arrays: every entry's roots in one pass, batched ``eigvalsh``
+calls over stacks of arrowheads, one star call per level, whose discrepancy
+records form one block of array columns in a ``Discrepancies`` table.
+Multiplicities are int64 while the level's total n(n+1)^m is below 2**63 and
+exact Python ints (object dtype) above it.  The command line writes the
+arrays and the table's columns through its one chunked row writer, so this
+module lays out no output text.  The arrays give the same bits as the
+formulas one entry at a time: +, -, *, / and sqrt round the same in numpy as
+in Python, LAPACK solves each arrowhead of a stack as it solves it alone, and
+every power, arccos and cosine goes through the same libm routine as
+Python's ``**``, ``math.acos`` and ``math.cos`` (``_libm``), since numpy's
+own differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -63,9 +67,16 @@ COALESCE_REL_TOL = 1e-9
 # ulps of max(1, |value|) within which a step joins a tail value to a neighbour
 COINCIDE_ULPS = 16
 FORMULA_TOL = 1e-8
+# a seed eigenvalue is main when its weight |P·1|^2 exceeds this times n;
+# counting a smaller weight either way moves the values by about that much
+MAIN_TOL = 1e-10
 # refused bound on a closed form's entries, judged before its first step;
 # the recursion's arrays grow with the entries, not with the node count
 ENTRY_CAP = 2 ** 22
+# refused bound on the steps' eigensolve work, entries times (p + 1)^3
+WORK_CAP = 2 ** 28
+# float64s per stack of arrowheads handed to one eigvalsh
+ARROWHEAD_CHUNK = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +91,6 @@ class Spectrum:
     values: np.ndarray
     multiplicities: np.ndarray
     level: int = 0
-    provenance: str = "closed_form"
 
     def __post_init__(self):
         if self.kind not in oracle.MATRIX_KINDS:
@@ -103,8 +113,8 @@ class Spectrum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return ((self.kind, self.level, self.provenance, self.entries)
-                == (other.kind, other.level, other.provenance, other.entries))
+        return ((self.kind, self.level, self.entries)
+                == (other.kind, other.level, other.entries))
 
 
 def _mult_dtype(total: int):
@@ -122,13 +132,11 @@ def _libm(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *lists), dtype=np.float64, count=n)
 
 
-def make_spectrum(kind: str, pairs, level: int,
-                  provenance: str = "closed_form") -> Spectrum:
+def make_spectrum(kind: str, pairs, level: int) -> Spectrum:
     """Spectrum of (value, multiplicity) pairs, coalesced in one scalar pass:
     sorted by (value, multiplicity), each value joins the running
     multiplicity-weighted mean when within ``COALESCE_REL_TOL`` of it.  Only
-    for LAPACK output: the seed eigensolve of ``seed_spectrum`` and the
-    ``spectrum`` command's oracle fallback."""
+    for LAPACK output: the seed eigensolve of ``seed_spectrum``."""
     values: list = []
     mults: list = []
     for v, w in sorted((float(v), int(w)) for v, w in pairs):
@@ -140,7 +148,7 @@ def make_spectrum(kind: str, pairs, level: int,
             values.append(v)
             mults.append(w)
     return Spectrum(kind, np.array(values, dtype=np.float64),
-                    np.array(mults, dtype=_mult_dtype(sum(mults))), level, provenance)
+                    np.array(mults, dtype=_mult_dtype(sum(mults))), level)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +192,42 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# star seeds: cubic secular equations
+# the roots an entry spawns
+
+
+def _quadratic_roots(n: int, alpha: int, beta: int):
+    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2 per row; the level is unused."""
+    def roots(x: np.ndarray, level: int = 0) -> np.ndarray:
+        disc = np.sqrt(_libm(math.pow, x - beta, 2.0) + 4 * n)
+        return np.column_stack(((x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0))
+    return roots
+
+
+def _arrowhead_roots(top: int, poles: np.ndarray, weights: np.ndarray):
+    """x -> the ascending eigenvalues of [[x + top, sqrt(w)^T], [sqrt(w),
+    diag(poles)]] per row; the level is unused.  The arrowheads are stacked
+    at most ``ARROWHEAD_CHUNK`` floats at a time."""
+    base = np.diag(np.concatenate(([0.0], poles)))
+    base[0, 1:] = base[1:, 0] = np.sqrt(weights)
+    rows = max(1, ARROWHEAD_CHUNK // base.size)
+
+    def roots(x: np.ndarray, level: int = 0) -> np.ndarray:
+        out = np.empty((len(x), len(base)))
+        for start in range(0, len(x), rows):
+            chunk = x[start:start + rows]
+            stack = np.repeat(base[None], len(chunk), axis=0)
+            stack[:, 0, 0] = chunk + top
+            out[start:start + rows] = np.linalg.eigvalsh(stack)
+        return out
+    return roots
 
 
 @dataclass(eq=False)
 class Discrepancies:
-    """Printed-form misses of the star cubics, one block of record columns per
+    """Printed-form misses of the star steps, one block of record columns per
     ``star_cubic_roots`` call: kind, k, level, mu, the 3 printed roots, the 3
-    secular roots, max_delta and note, one array each over the block's
-    flagged rows.  len() counts records, not blocks."""
+    secular (arrowhead) roots, max_delta and note, one array each over the
+    block's flagged rows.  len() counts records, not blocks."""
 
     blocks: list[tuple] = field(default_factory=list)
 
@@ -206,46 +241,19 @@ class Discrepancies:
         return tuple(map(np.concatenate, zip(*self.blocks)))
 
 
-def _real_cubic_roots(b: np.ndarray, c, d):
-    """Trigonometric roots, ascending per row, of x^3 + b x^2 + c x + d.
-
-    Only for the star cubics, whose p = c - b^2/3 is -w/3 with w > 0 the
-    printed formula's w: p <= -5 for A and w >= (k+1)^2 - (k-2)^2/4 for Q.
-    Returns (roots, error): error is (row, message) for the first row whose
-    arccos argument is out of range, or None.
-    """
-    p = c - b * b / 3.0
-    q = (2.0 * _libm(math.pow, b, 3.0) - 9.0 * b * c + 27.0 * d) / 27.0
-    s = -p / 3.0
-    half = 2.0 * np.sqrt(s)
-    arg = -q / (2.0 * _libm(math.pow, s, 1.5))
-    error = None
-    bad = np.flatnonzero(np.abs(arg) > 1.0 + 1e-9)
-    if len(bad):
-        row = int(bad[0])
-        error = (row, f"arccos argument {arg[row].item()} out of range")
-    phi = _libm(math.acos, np.clip(arg, -1.0, 1.0)) / 3.0
-    roots = np.column_stack([
-        half * _libm(math.cos, phi + 2.0 * math.pi * z / 3.0) - b / 3.0
-        for z in range(3)])
-    roots.sort(axis=1, kind="stable")
-    return roots, error
-
-
 def _star_cubic_coefficients(mu: np.ndarray, k: int, kind: str):
-    """Secular cubic (b, c, d), plus the printed trig pieces for comparison."""
+    """The star's arrowhead (top, poles, weights), plus the printed trig pieces
+    (shift, w, numerator) for comparison."""
     if kind == ADJACENCY:
-        b = -mu
-        c = 1.0 - 2.0 * k
-        d = (k - 1.0) * (mu - 2.0)
+        root = math.sqrt(k - 1.0)
+        top, poles, weights = 0, [-root, root], [(root - 1.0) ** 2 / 2, (root + 1.0) ** 2 / 2]
         shift = mu / 3.0
         w = mu * mu + 6.0 * k - 3.0
         printed_num = (2.0 * _libm(math.pow, mu, 3.0) + mu * (18.0 - 9.0 * k)
                        + (54.0 * k - 54.0))
     elif kind == SIGNLESS:
-        b = -(mu + 2.0 * k + 2.0)
-        c = mu * (k + 2.0) + (k + 1.0) ** 2
-        d = -(mu * (k + 1.0) + 4.0 * (k - 1.0))
+        # poles at 1 + the main values 0 and k, on (1, -1, ..., -1) and (k-1, 1, ..., 1)
+        top, poles, weights = k, [1.0, k + 1.0], [(k - 2.0) ** 2 / k, 4.0 * (k - 1.0) / k]
         shift = (mu + 2.0 * k + 2.0) / 3.0
         w = mu * mu + mu * (k - 2.0) + (k + 1.0) ** 2
         ssum = sum((a + 2) * (k - a - 1) for a in range(1, k - 1))
@@ -254,7 +262,7 @@ def _star_cubic_coefficients(mu: np.ndarray, k: int, kind: str):
                        - 3.0 * (k * k - k - 2.0) * mu + (70.0 * k - 94.0 - 12.0 * ssum))
     else:
         raise ValueError("star cubics exist for adjacency and signless kinds")
-    return b, c, d, shift, w, printed_num
+    return top, np.array(poles), np.array(weights), shift, w, printed_num
 
 
 def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
@@ -263,16 +271,16 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
     """The three eigenvalues a star step spawns from each input eigenvalue.
 
     ``mus`` is a float64 array; the result holds one ascending row of roots
-    per value.  The roots are those of the secular cubic (always consistent
-    with the oracle).  The printed trig expression is evaluated verbatim
-    alongside; when it strays beyond tolerance, or its arccos argument leaves
-    [-1, 1] by more than 1e-9, the row is added to ``discrepancies`` instead
-    of silently clamping: one block per call, in the order of ``mus``.
+    per value, the eigenvalues of the star's arrowhead.  The printed trig
+    expression is evaluated verbatim alongside; when it strays beyond
+    tolerance, or its arccos argument leaves [-1, 1] by more than 1e-9, the
+    row is added to ``discrepancies`` instead of silently clamping: one
+    block per call, in the order of ``mus``.
     """
     if k < 3:
         raise ValueError("star seeds need k >= 3")
-    b, c, d, shift, w, printed_num = _star_cubic_coefficients(mus, k, kind)
-    secular, error = _real_cubic_roots(b, c, d)
+    top, poles, weights, shift, w, printed_num = _star_cubic_coefficients(mus, k, kind)
+    secular = _arrowhead_roots(top, poles, weights)(mus)
 
     arg = printed_num / (2.0 * _libm(math.pow, w, 1.5))
     wide = np.abs(arg) > 1.0 + 1e-9
@@ -284,10 +292,8 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
 
     scale = np.maximum(1.0, np.abs(secular).max(axis=1))
     delta = np.abs(printed - secular).max(axis=1)
-    flagged = (delta > FORMULA_TOL * scale) | wide
     if discrepancies is not None:
-        # records stop at a failing row, as a per-value loop would
-        rows = np.flatnonzero(flagged[:len(mus) if error is None else error[0]])
+        rows = np.flatnonzero((delta > FORMULA_TOL * scale) | wide)
         notes = np.full(len(rows), "", dtype=object)
         notes[wide[rows]] = [f"printed-form arccos argument {a!r} outside [-1, 1]"
                              for a in arg[rows][wide[rows]].tolist()]
@@ -295,8 +301,6 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
             np.full(len(rows), kind, dtype=object), np.full(len(rows), k),
             np.full(len(rows), level), mus[rows], *printed[rows].T, *secular[rows].T,
             delta[rows], notes))
-    if error is not None:
-        raise ValueError(error[1])
     return secular
 
 
@@ -304,33 +308,18 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
 # the corona step
 
 
-def _quadratic_roots(n: int, alpha: int, beta: int):
-    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2 per row; the level is unused."""
-    def roots(x: np.ndarray, level: int = 0) -> np.ndarray:
-        disc = np.sqrt(_libm(math.pow, x - beta, 2.0) + 4 * n)
-        return np.column_stack(((x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0))
-    return roots
-
-
 def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None = None):
     """(level-0 spectrum, roots, tail) of the seed's step, as in the module table.
 
     ``roots(x, level)`` gives, for an array x, the values each entry spawns at
     ``level``, one row per entry.  ``tail`` is the level-0 Spectrum every
-    step appends, already shifted; both level-0 spectra are exact.  None
-    when the (seed, kind) pair has no closed form.  The star cubics record
-    their printed-form discrepancies in ``discrepancies``.
+    step appends, already shifted; both level-0 spectra are exact.  The star
+    steps record their printed-form discrepancies in ``discrepancies``.
     """
-    n, r = seed_graph.node_count, regular_degree(seed_graph)
-    if kind == LAPLACIAN:
-        alpha, beta, drop = n + 1, 1 - n, 0
-    elif r is not None:
-        alpha, beta, drop = ((r, r, r) if kind == ADJACENCY
-                             else (n + 2 * r + 1, 2 * r + 1 - n, 2 * r))
-    else:
-        k = star_size(seed_graph)
-        if k is None:
-            return None
+    n = seed_graph.node_count
+    top, shift = (0, 0) if kind == ADJACENCY else (n, 1)
+    k = star_size(seed_graph)
+    if k is not None and kind != LAPLACIAN:
         if kind == ADJACENCY:
             root = math.sqrt(k - 1.0)
             values, tail_value = [-root, 0.0, root], 0.0
@@ -338,22 +327,31 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None 
             values, tail_value = [0.0, 1.0, float(k)], 2.0
 
         # star_cubic_roots is looked up at each call, so a patched module
-        # attribute (the bench tracer's) sees every cubic
-        def cubic(x: np.ndarray, level: int) -> np.ndarray:
+        # attribute (the bench tracer's) sees every star step
+        def star(x: np.ndarray, level: int) -> np.ndarray:
             return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
                                     level=level)
-        return (Spectrum(kind, np.array(values), np.array([1, k - 2, 1])), cubic,
+        return (Spectrum(kind, np.array(values), np.array([1, k - 2, 1])), star,
                 Spectrum(kind, np.array([tail_value]), np.array([k - 2])))
     seed = seed_spectrum(seed_graph, kind)
-    # seed_spectrum puts the snapped 0 of L first, and r or 2r last
-    at = 0 if kind == LAPLACIAN else -1
-    if seed.values[at] != drop:
-        raise ValueError(f"seed spectrum is missing the expected value {float(drop)}")
-    mults = seed.multiplicities.copy()
-    mults[at] -= 1
-    shift = 0.0 if kind == ADJACENCY else 1.0
+    r = regular_degree(seed_graph)
+    if kind == LAPLACIAN or r is not None:
+        # 1 is an eigenvector, of the one main value, which seed_spectrum snaps
+        theta = 0 if kind == LAPLACIAN else r if kind == ADJACENCY else 2 * r
+        main = seed.values == theta
+        if main.sum() != 1:
+            raise ValueError(f"seed spectrum is missing the expected value {float(theta)}")
+        roots = _quadratic_roots(n, top + shift + theta, shift + theta - top)
+    else:
+        _, vectors = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, kind))
+        # eigh orders the values as eigvalsh: a coalesced run is consecutive columns
+        starts = np.cumsum(seed.multiplicities) - seed.multiplicities
+        weights = np.add.reduceat(vectors.sum(axis=0) ** 2, starts)
+        main = weights > MAIN_TOL * n
+        roots = _arrowhead_roots(top, seed.values[main] + shift, weights[main])
+    mults = seed.multiplicities - main
     tail = Spectrum(kind, seed.values[mults > 0] + shift, mults[mults > 0])
-    return seed, _quadratic_roots(n, alpha, beta), tail
+    return seed, roots, tail
 
 
 def _join(values: np.ndarray, mults: np.ndarray, tail_at: np.ndarray):
@@ -468,7 +466,7 @@ def entry_bound(seed: Spectrum, tail: Spectrum, m: int, stop: int) -> tuple[int,
     A step spawns ``width`` values per entry and appends the tail, so
     E -> width * E + |tail| before the step's joins.  It takes a graph on N nodes
     to one on N(n + 1), the tail's multiplicities times N among them, which
-    leaves width = n + 1 - sum(tail) (2 for a quadratic, 3 for a star cubic).
+    leaves width = n + 1 - sum(tail) = p + 1 (2 for a quadratic).
     """
     width = seed.total_multiplicity + 1 - tail.total_multiplicity
     level, bound = 0, len(seed.values)
@@ -478,24 +476,26 @@ def entry_bound(seed: Spectrum, tail: Spectrum, m: int, stop: int) -> tuple[int,
 
 
 def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
-                         discrepancies: Discrepancies | None = None) -> Spectrum | None:
-    """Closed-form spectrum when the (seed, kind) pair supports one, else None.
+                         discrepancies: Discrepancies | None = None) -> Spectrum:
+    """The level-m spectrum: m ``corona_step``s of the seed's ``step_rule``.
 
-    Regular seeds support all three kinds; star seeds support adjacency and
-    signless via the cubic recursion; every seed supports the Laplacian.
-    Every closed form is m ``corona_step``s of the seed's ``step_rule``.
     Raises CapExceededError before the first step when ``entry_bound``
-    reaches ``ENTRY_CAP``.
+    reaches ``ENTRY_CAP``, or when the steps' eigensolve work, the entries
+    of levels 0 to m-1 times (p + 1)^3, reaches ``WORK_CAP``.
     """
     rule = step_rule(seed_graph, kind, discrepancies)
-    if rule is None:
-        return None
     s, _, tail = rule
     level, bound = entry_bound(s, tail, m, ENTRY_CAP)
     if bound >= ENTRY_CAP:
         raise CapExceededError(
             f"the closed form may hold {bound} entries by level {level}, "
             f"reaching the entry cap of {ENTRY_CAP}")
+    width = s.total_multiplicity + 1 - tail.total_multiplicity
+    work = sum(entry_bound(s, tail, j, ENTRY_CAP)[1] for j in range(m)) * width ** 3
+    if work >= WORK_CAP:
+        raise CapExceededError(
+            f"the closed form's {width}x{width} eigensolves may cost {work} "
+            f"(entries times {width}^3) by level {m}, reaching the work cap of {WORK_CAP}")
     for _ in range(m):
         s = corona_step(s, *rule)
     return s
@@ -509,5 +509,5 @@ def spectrum_to_json(s: Spectrum, n: int) -> dict:
         "n": n,
         "entries": [{"value": v, "multiplicity": w}
                     for v, w in zip(s.values.tolist(), s.multiplicities.tolist())],
-        "provenance": s.provenance,
+        "provenance": "closed_form",
     }

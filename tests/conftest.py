@@ -2,7 +2,7 @@
 
 import random
 
-from coronagraphs.graph import Graph
+from coronagraphs.graph import Graph, connected_component_count
 
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
@@ -15,6 +15,20 @@ def random_connected_graph(n: int, rng: random.Random) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def random_graph(seed: int, connected: bool) -> Graph:
+    """A random graph on 3 to 8 nodes, fixed by ``seed``: connected, or of 2
+    or more components."""
+    rng = random.Random(seed)
+    n = rng.randrange(3, 9)
+    if connected:
+        return random_connected_graph(n, rng)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    while True:
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randrange(len(pairs))))
+        if connected_component_count(g) > 1:
+            return g
 
 
 def moment(s, power: int = 1) -> float:
@@ -36,3 +50,13 @@ def table_rows(table) -> list:
     """Every record of a ``spectral.Discrepancies`` table, as a row of its
     columns."""
     return list(zip(*[column.tolist() for column in table.columns()]))
+
+
+def assert_close_rows(got: list, want: list, rel: float = 1e-12) -> None:
+    """Discrepancy rows alike: the same kind, k, level and note, and each
+    float (mu, the roots, max_delta) within rel of max(1, |want|)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g[:3], g[-1]) == (w[:3], w[-1]), (g, w)
+        for a, b in zip(g[3:-1], w[3:-1]):
+            assert abs(a - b) <= rel * max(1.0, abs(b)), (g, w)

@@ -32,13 +32,23 @@ The loop it replaces, one BFS per component, is kept below; the tests
 assert the same counts.
 
 The package runs each corona step over arrays: every entry's roots in one
-pass, one batched star cubic per level, and a sorted split-and-merge for
-coalescing.  The per-entry step it replaces is kept below with its scalar
-coalescing, its scalar secular and printed cubics and its seed rules; the
-tests assert equal entries and equal discrepancy records, with ``==``.  The
-package keeps its records as a table of array columns; the reference keeps
-one ``CubicDiscrepancy`` object per record, whose ``row()`` is laid out as
-one row of the table's ``columns()``.
+pass, the arrowhead eigenproblems of a level stacked into batched
+``eigvalsh`` calls, and a sorted split-and-merge for coalescing.  The
+per-entry step it replaces is kept below with its scalar coalescing, one
+arrowhead ``eigvalsh`` per entry, the printed star cubics and its seed
+rules; the tests assert equal entries and equal discrepancy records, with
+``==``.  The package keeps its records as a table of array columns; the
+reference keeps one ``CubicDiscrepancy`` object per record, whose ``row()``
+is laid out as one row of the table's ``columns()``.  The star's
+trigonometric solution of its secular cubic, which the arrowhead replaced,
+is kept too (``star_cubic_roots``, and the star driver built on it); the
+tests assert the arrowhead roots equal to it within 1e-12 relative.
+
+The number of main eigenvalues, whose eigenspaces are not orthogonal to
+the all-ones vector, is the dimension of the Krylov space of M and 1, the
+rank of the walk matrix [1, M1, ..., M^(n-1)1] (for A, Rowlinson 2007, "The
+main eigenvalues of a graph: a survey"); ``walk_matrix_rank`` computes it
+exactly, with Fractions.
 
 The package writes every table the commands print through one chunked row
 writer over array columns.  The per-line writers that ``stats --format
@@ -292,15 +302,11 @@ class CubicDiscrepancy:
                 *self.secular_roots, self.max_delta, self.note)
 
 
-def star_cubic_roots(mu: float, k: int, kind: str, *,
-                     discrepancies: list | None = None,
-                     level: int = 0) -> tuple[float, float, float]:
-    """The secular roots for one mu; printed-form misses go to ``discrepancies``."""
-    if k < 3:
-        raise ValueError("star seeds need k >= 3")
-    b, c, d, shift, w, printed_num = star_cubic_coefficients(float(mu), k, kind)
-    secular = real_cubic_roots(b, c, d)
-
+def star_record(mu: float, secular, k: int, kind: str, level: int,
+                discrepancies: list | None) -> None:
+    """Evaluate the printed trig form for ``mu``; when it misses ``secular``,
+    the roots the step spawns, append a record to ``discrepancies``."""
+    *_, shift, w, printed_num = star_cubic_coefficients(float(mu), k, kind)
     note = ""
     arg = printed_num / (2.0 * w ** 1.5)
     if abs(arg) > 1.0 + 1e-9:
@@ -315,8 +321,20 @@ def star_cubic_roots(mu: float, k: int, kind: str, *,
     if (delta > FORMULA_TOL * scale or note) and discrepancies is not None:
         discrepancies.append(CubicDiscrepancy(
             kind=kind, k=k, level=level, mu=float(mu),
-            printed_roots=printed, secular_roots=secular,
+            printed_roots=printed, secular_roots=tuple(secular),
             max_delta=float(delta), note=note))
+
+
+def star_cubic_roots(mu: float, k: int, kind: str, *,
+                     discrepancies: list | None = None,
+                     level: int = 0) -> tuple[float, float, float]:
+    """The trig roots of the secular cubic for one mu; printed-form misses go
+    to ``discrepancies``."""
+    if k < 3:
+        raise ValueError("star seeds need k >= 3")
+    b, c, d, *_ = star_cubic_coefficients(float(mu), k, kind)
+    secular = real_cubic_roots(b, c, d)
+    star_record(mu, secular, k, kind, level, discrepancies)
     return secular
 
 
@@ -328,16 +346,33 @@ def quadratic_roots(n: int, alpha: int, beta: int):
     return roots
 
 
+def arrowhead_roots(top: int, poles, weights):
+    """x -> the eigenvalues of the one arrowhead [[x + top, sqrt(w)^T],
+    [sqrt(w), diag(poles)]]; the level is unused."""
+    def roots(x: float, level: int = 0) -> tuple[float, ...]:
+        a = np.diag([x + top, *poles])
+        a[0, 1:] = a[1:, 0] = [math.sqrt(w) for w in weights]
+        return tuple(np.linalg.eigvalsh(a).tolist())
+    return roots
+
+
+def star_arrowhead(k: int, kind: str):
+    """(top, poles, weights) of the star on k nodes: the poles are its main
+    values -+sqrt(k-1) in A, on (-+sqrt(k-1), 1, ..., 1), and 0 and k in Q,
+    on (1, -1, ..., -1) and (k-1, 1, ..., 1), shifted by 1 in Q; each
+    weight is |v·1|^2 / |v|^2."""
+    if kind == ADJACENCY:
+        root = math.sqrt(k - 1.0)
+        return 0, [-root, root], [(root - 1.0) ** 2 / 2.0, (root + 1.0) ** 2 / 2.0]
+    return k, [1.0, k + 1.0], [(k - 2.0) ** 2 / k, 4.0 * (k - 1.0) / k]
+
+
 def scalar_step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = None):
     """(level-0 entries, roots, drop) of the seed's per-entry step."""
     n, r = seed_graph.node_count, regular_degree(seed_graph)
-    if kind == LAPLACIAN:
-        alpha, beta, drop = n + 1, 1 - n, 0
-    elif r is not None:
-        alpha, beta, drop = ((r, r, r) if kind == ADJACENCY
-                             else (n + 2 * r + 1, 2 * r + 1 - n, 2 * r))
-    else:
-        k = star_size(seed_graph)
+    top, shift = (0, 0) if kind == ADJACENCY else (n, 1)
+    k = star_size(seed_graph)
+    if k is not None and kind != LAPLACIAN:
         if kind == ADJACENCY:
             root = math.sqrt(k - 1.0)
             seed = coalesce([(-root, 1), (0.0, k - 2), (root, 1)])
@@ -345,18 +380,34 @@ def scalar_step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = 
         else:
             seed = coalesce([(0.0, 1), (1.0, k - 2), (float(k), 1)])
             dropped = (0.0, float(k))
+        arrowhead = arrowhead_roots(*star_arrowhead(k, kind))
 
-        def cubic(x: float, level: int) -> tuple[float, float, float]:
-            return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
-                                    level=level)
-        return seed, cubic, dropped
-    vals = list(map(float, oracle.sym_eigenvalues(oracle.build_matrix(seed_graph, kind))))
+        def star(x: float, level: int) -> tuple[float, ...]:
+            secular = arrowhead(x)
+            star_record(x, secular, k, kind, level, discrepancies)
+            return secular
+        return seed, star, dropped
+    mat = oracle.build_matrix(seed_graph, kind)
+    vals = list(map(float, oracle.sym_eigenvalues(mat)))
     if kind == LAPLACIAN:
         vals[0] = 0.0
-    else:
+    elif r is not None:
         vals[-1] = float(r if kind == ADJACENCY else 2 * r)
-    return (coalesce([(v, 1) for v in vals]), quadratic_roots(n, alpha, beta),
-            (float(drop),))
+    seed = coalesce([(v, 1) for v in vals])
+    if kind == LAPLACIAN or r is not None:
+        theta = 0 if kind == LAPLACIAN else r if kind == ADJACENCY else 2 * r
+        return (seed, quadratic_roots(n, top + shift + theta, shift + theta - top),
+                (float(theta),))
+    # one weight |P·1|^2 per coalesced value, from consecutive eigh columns
+    ones = oracle.sym_eigensystem(mat)[1].sum(axis=0).tolist()
+    main, first = [], 0
+    for v, w in seed:
+        weight = sum(c * c for c in ones[first:first + w])
+        first += w
+        if weight > 1e-10 * n:
+            main.append((v, weight))
+    roots = arrowhead_roots(top, [v + shift for v, _ in main], [w for _, w in main])
+    return seed, roots, tuple(v for v, _ in main)
 
 
 def scalar_corona_step(entries, level: int, kind: str, seed, roots, drop):
@@ -379,6 +430,32 @@ def scalar_levels(seed_graph: Graph, kind: str, m: int,
     for level in range(1, m + 1):
         levels.append(scalar_corona_step(levels[-1], level, kind, seed, roots, drop))
     return levels
+
+
+def walk_matrix_rank(g: Graph, kind: str) -> int:
+    """Exact rank of [1, M1, ..., M^(n-1)1] for M = A, L or Q of g, by
+    Gaussian elimination over Fractions."""
+    n = g.node_count
+    # M = diag * D + sign * A
+    diag, sign = {ADJACENCY: (0, 1), LAPLACIAN: (1, -1), SIGNLESS: (1, 1)}[kind]
+    adj = [list(map(int, g.neighbors(u))) for u in range(n)]
+    walks, x = [], [Fraction(1)] * n
+    for _ in range(n):
+        walks.append(x)
+        x = [diag * len(adj[u]) * x[u] + sign * sum(x[v] for v in adj[u])
+             for u in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if walks[i][col] != 0), None)
+        if pivot is None:
+            continue
+        walks[rank], walks[pivot] = walks[pivot], walks[rank]
+        for i in range(n):
+            if i != rank and walks[i][col] != 0:
+                f = walks[i][col] / walks[rank][col]
+                walks[i] = [a - f * b for a, b in zip(walks[i], walks[rank])]
+        rank += 1
+    return rank
 
 
 def expand_frontier(g: Graph, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

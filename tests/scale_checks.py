@@ -11,6 +11,7 @@ import hashlib
 import json
 import operator
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 ERROR = "error:"   # as a row's stderr: one line with this prefix
 BOUNDS = {"<": operator.lt, "<=": operator.le}
+RANDOM_SEED = "random1000.edges"   # written by main into the rows' directory
 
 
 @dataclass(frozen=True)
@@ -63,9 +65,18 @@ CHECKS = [
           out_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",
           peak_mb=("<=", 160)),
     Check("star records", "spectrum --seed star:4 --m 9 --kind signless",
-          stdout_sha256="b14f163299f0c2e4ab62c463aef9f150a141fa879c84823b2dc36d63071c3b46",
-          out_sha256="b14f163299f0c2e4ab62c463aef9f150a141fa879c84823b2dc36d63071c3b46",
+          stdout_sha256="6a95519522e17624a393631d05c55e0c84baa18d516441cfaf85267b7906333e",
+          out_sha256="6a95519522e17624a393631d05c55e0c84baa18d516441cfaf85267b7906333e",
           lengths={"discrepancies": 34439, "spectrum.entries": 68890}),
+    # p = 3 main eigenvalues: 349,524 entries from stacks of 4x4 arrowheads
+    Check("arrowhead spectrum", "spectrum --seed path:5 --m 8 --kind adjacency",
+          stdout_sha256="54fd4d17b28acc95cdc52b0faefe1a5e7b78a4211619a3150f6ae3f54dfd906d",
+          out_sha256="54fd4d17b28acc95cdc52b0faefe1a5e7b78a4211619a3150f6ae3f54dfd906d",
+          fields={"closed_form": True, "notice": None}, peak_mb=("<=", 90)),
+    # 1,000 main eigenvalues: refused on its eigensolve work before the first step
+    Check("many main eigenvalues refused",
+          f"spectrum --seed file:{RANDOM_SEED} --m 1 --kind adjacency",
+          exit=4, stderr=ERROR, peak_mb=("<", 200), timeout=30),
     # refused on its k(k-1)/2 predicted edges before the seed is built
     Check("dense seed refused", "spectrum --seed complete:2000000 --m 0 --kind laplacian",
           exit=4, stdout_sha256=hashlib.sha256(b"").hexdigest(), peak_mb=("<", 100), timeout=30,
@@ -86,6 +97,15 @@ CHECKS = [
     Check("nan tolerance", "verify --seed complete:3 --m 1 --kind adjacency --tolerance nan",
           exit=2, stderr=ERROR, timeout=30),
 ]
+
+
+def _random_seed_text(n: int = 1000, seed: int = 1000) -> str:
+    """A random connected seed on n nodes: a random tree plus 2n more edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 3 * n - 1:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return f"# n={n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
 
 
 def _digest(path: Path) -> str:
@@ -156,6 +176,7 @@ def main(rows=CHECKS) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "seed-dir").mkdir()
+        (work / RANDOM_SEED).write_text(_random_seed_text())
         for i, row in enumerate(rows):
             start = time.monotonic()
             failed[row.name], peak = _measure(i, row, work)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import algebraic_connectivity, moment
+from conftest import algebraic_connectivity, moment, random_graph
 from coronagraphs import oracle
 from coronagraphs.distributions import cumulative_series, fit_exponential, fit_power_law
 from coronagraphs.graph import (
@@ -46,6 +46,21 @@ SPECTRAL_MATRIX = [
     ("star:4", (ADJACENCY, LAPLACIAN, SIGNLESS)),
     ("path:3", (LAPLACIAN,)),
 ]
+ALL_KINDS = (ADJACENCY, LAPLACIAN, SIGNLESS)
+
+
+@pytest.fixture(scope="module")
+def oracle_grid(tmp_path_factory):
+    """Seeds with no closed form in the paper: paths, and random file seeds,
+    connected and disconnected, each on every kind."""
+    folder = tmp_path_factory.mktemp("seeds")
+    grid = [("path:4", ALL_KINDS), ("path:5", ALL_KINDS)]
+    for seed in range(4):
+        for connected in (True, False):
+            path = folder / f"{seed}-{connected}.edges"
+            path.write_text(reference.edge_list_text(random_graph(seed, connected)))
+            grid.append((f"file:{path}", ALL_KINDS))
+    return grid
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -137,13 +152,13 @@ def test_criterion_4_betweenness_power_law(k3_m5, k3_m5_betweenness):
                   f"{max_delta:.2e} <= 1e-9")
 
 
-def test_criterion_5_spectral_oracle_equivalence():
+def test_criterion_5_spectral_oracle_equivalence(oracle_grid):
     start = time.perf_counter()
     ok = True
     worst = 0.0
     cases = 0
     star_records = 0
-    for spec, kinds in SPECTRAL_MATRIX:
+    for spec, kinds in SPECTRAL_MATRIX + oracle_grid:
         sd = seed_for(spec)
         n = sd.graph.node_count
         for m in (1, 2):
@@ -156,7 +171,7 @@ def test_criterion_5_spectral_oracle_equivalence():
                 numeric = oracle.sym_eigenvalues(oracle.build_matrix(g, kind))
                 match = oracle.compare_spectra(closed, numeric, tol=1e-8)
                 # a star-formula deviation is acceptable only because the
-                # secular fallback (what closed_form_spectrum returns) matches
+                # secular roots (what closed_form_spectrum returns) match
                 ok &= match.passed
                 ok &= closed.total_multiplicity == g.node_count
                 worst = max(worst, match.max_abs_delta)

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from coronagraphs.spectral import (
 from coronagraphs.structural import betweenness_exact, degree_histogram
 
 import reference
+from conftest import random_connected_graph
 
 # entry and record counts around the writer's chunk boundaries
 CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
@@ -348,11 +352,15 @@ class TestGoldenStats:
 
     def test_two_exact_values_are_too_few_to_fit(self, capsys):
         # cycle:4 m=1 has the exact values 1/3 and 439/6; float noise once
-        # made a third bin and a fit
+        # made a third bin and a fit.  The report keeps the series, unfitted
         code, stdout, err = run(capsys, "stats", "--seed", "cycle:4", "--m", "1",
                                 "--betweenness")
-        assert (code, stdout) == (EXIT_CONFIG, "")
-        assert "need at least 3 distinct values" in err
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(stdout)["betweenness"]
+        assert list(report) == ["gamma", "intercept", "r_squared", "fit_range", "series"]
+        assert report["gamma"] is report["intercept"] is None
+        assert report["r_squared"] is report["fit_range"] is None
+        assert len(report["series"]) == 2
         code, stdout, _ = run(capsys, "stats", "--seed", "cycle:4", "--m", "1",
                               "--betweenness", "--format", "csv")
         assert code == EXIT_OK
@@ -390,8 +398,8 @@ class TestGoldenStats:
         # json report's power-law fit; the csv payload is the values alone
         code, stdout, err = run(capsys, "stats", "--seed", "complete:3", "--m", "0",
                                 "--betweenness")
-        assert code == EXIT_CONFIG
-        assert "3 distinct values" in err
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(stdout)["betweenness"]["gamma"] is None
         code, stdout, _ = run(capsys, "stats", "--seed", "complete:3", "--m", "0",
                               "--betweenness", "--format", "csv")
         assert code == EXIT_OK
@@ -410,31 +418,37 @@ class TestSpectrum:
                    for e in payload["spectrum"]["entries"]}
         assert entries[4.0] == 7
 
-    def test_oracle_fallback_with_notice(self, capsys, tmp_path):
+    def test_every_seed_takes_the_closed_form(self, capsys, tmp_path):
         out = tmp_path / "spec.json"
-        code, _, _ = run(capsys, "spectrum", "--seed", "path:4", "--m", "1",
-                         "--kind", "adjacency", "--out", str(out))
-        assert code == EXIT_OK
-        payload = json.loads(out.read_text())
-        assert payload["closed_form"] is False
-        assert payload["notice"]
-        assert payload["spectrum"]["provenance"] == "oracle"
-        total = sum(e["multiplicity"] for e in payload["spectrum"]["entries"])
-        assert total == 20
+        for kind in ("adjacency", "laplacian", "signless"):
+            code, _, _ = run(capsys, "spectrum", "--seed", "path:4", "--m", "1",
+                             "--kind", kind, "--out", str(out))
+            assert code == EXIT_OK
+            payload = json.loads(out.read_text())
+            assert (payload["closed_form"], payload["notice"]) == (True, None)
+            assert payload["spectrum"]["provenance"] == "closed_form"
+            total = sum(e["multiplicity"] for e in payload["spectrum"]["entries"])
+            assert total == 20
 
-    def test_closed_form_error_falls_back_with_its_message(self, capsys, monkeypatch):
+    def test_path5_at_m8_takes_the_closed_form(self, capsys):
+        # 6,480 nodes at m=4 once went to the refused dense fallback
+        code, stdout, err = run(capsys, "spectrum", "--seed", "path:5", "--m", "8",
+                                "--kind", "adjacency", "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        total = sum(int(line.split(",")[1]) for line in stdout.splitlines()[1:])
+        assert total == 5 * 6 ** 8
+
+    def test_a_closed_form_error_exits_2_with_its_message(self, capsys, monkeypatch,
+                                                         tmp_path):
         def fail(*args):
             raise ValueError("no closed form here")
 
         monkeypatch.setattr(spectral, "closed_form_spectrum", fail)
-        code, stdout, _ = run(capsys, "spectrum", "--seed", "path:3", "--m", "1",
-                              "--kind", "laplacian")
-        assert code == EXIT_OK
-        payload = json.loads(stdout)
-        assert payload["closed_form"] is False
-        assert payload["notice"] == "no closed form here"
-        assert payload["spectrum"]["provenance"] == "oracle"
-        assert sum(e["multiplicity"] for e in payload["spectrum"]["entries"]) == 12
+        out = tmp_path / "spec.json"
+        code, stdout, err = run(capsys, "spectrum", "--seed", "path:3", "--m", "1",
+                                "--kind", "laplacian", "--out", str(out))
+        assert (code, stdout, err) == (EXIT_CONFIG, "", "error: no closed form here\n")
+        assert not out.exists()
 
     def test_disconnected_laplacian_takes_the_closed_form(self, capsys, tmp_path):
         # L·1 = 0 on every seed: exactly one 0 per component
@@ -514,13 +528,14 @@ class TestSpectrum:
 
 class TestGoldenSpectrum:
     # sha256 of stdout, pinned from the separate star driver and quadratic
-    # spectrum wrappers that the one corona step replaced; the verify case
+    # spectrum wrappers that the one corona step replaced, and the star's
+    # from the arrowhead eigensolve that replaced its cubic; the verify case
     # covers the eigenpair residual path
     GOLDEN = {
         "spectrum star:4 3 signless":
-            "ca95143c795e0b9b1cbc42ea0caeacf58557d2d6ab1ca43f310f460ec1c16504",
+            "d505889c5ba480d833acc3615c6171795ea8179ba6aa6885cf0a333bead45b66",
         "spectrum star:5 2 adjacency":
-            "710f1bcb426eb8ceaaf391df45ef3c9fb2236617cf0288db6476d91423e0275f",
+            "7651d547ef565b8e37735061fcede6e1512d8dc3a3f2d5facd50550d3caa6c7f",
         "spectrum complete:3 6 laplacian":
             "ec8a58e2e24263440d1964c8849ec19eac51c8af2a384e4f17dfe409d5c26e1f",
         "verify complete:3 1 adjacency":
@@ -536,10 +551,11 @@ class TestGoldenSpectrum:
         assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == self.GOLDEN[case]
 
     # sha256 of stdout at deeper m, pinned from the per-entry recursion and
-    # the indented json.dumps that the array step and template writer replaced
+    # the indented json.dumps that the array step and template writer
+    # replaced, and the star's from the arrowhead step
     GOLDEN_DEEP = {
         "spectrum star:4 6 signless":
-            "77b66308e2d8388ac7467282a86ecf674ffd18078a2fd11432c425396b1584f4",
+            "259000c99acf66da10d2c9803ce2b1c3d707defbe9e9be3c0d15e01c72642b0a",
         "spectrum complete:3 10 adjacency":
             "8dff35675acfb8717b3a5ef7276382beab57a5b2d6b42c850f375d5d0b2f4068",
         "spectrum cycle:5 9 laplacian":
@@ -559,12 +575,12 @@ class TestGoldenSpectrum:
             self.GOLDEN_DEEP[case]
 
     # sha256 of stdout for csv output, pinned while the json payload was
-    # still built for csv too; includes the oracle fallback and stats
+    # still built for csv too, and path:4's from the arrowhead step
     GOLDEN_CSV = {
         "spectrum --seed star:4 --m 3 --kind signless --format csv":
-            "32adcaa70aac2ca4a33b0790335e6962483176d8fc1c9b5e31b429e9b3fd9fbb",
+            "081e1eeee0abfb53e5b96873e6ed0eed50560b863ce0cc6512054e6d904be3fb",
         "spectrum --seed path:4 --m 1 --kind adjacency --format csv":
-            "0216c327e0091419be6d263c9124b5431403d2f54357225170fd6fd37bf3a69b",
+            "a43a0cb70915cab48a2fa312625c6293dd186a3fa80853a38f30e7dbcce3c00e",
         "stats --seed complete:3 --m 3 --format csv":
             "30b6da421d35f0aa066267a8e421d33f6fd903ca67d47796dcbfb9a81d818d60",
     }
@@ -577,14 +593,15 @@ class TestGoldenSpectrum:
             self.GOLDEN_CSV[argv]
 
     # sha256 of stdout, pinned from the one object per record and the
-    # json.dumps'd verify report that the record table replaced
+    # json.dumps'd verify report that the record table replaced, then from
+    # the arrowhead step's secular roots
     GOLDEN_RECORDS = {
         "verify star:4 2 signless":  # 13 records
-            "7484b1607cdec78edb617b265f4d784295a5d85ce20193016bbe9f1fbd3b9ba1",
+            "981f11ea4502628165f863b6e9eed985dbc595011781b6cb307511bdfac130a2",
         "verify star:3 2 signless":  # 12 records
-            "36d7c62441ad968d74cc3417a8152cb0d5e9b6401c34cecff924da4fc3ebbe09",
+            "6a4ed863a1e9c7d74de4715827b3d7bd2912e27512c36bf639ebaf421dea13d3",
         "spectrum star:4 7 signless":
-            "7ac8cef71e0fe5a67020b555ceaf9e7f8a342c34e69790cacd0a8d8c92e52719",
+            "0b5b5c5fa1fca1e237101879b2e343a5bb051042a19fe6a38ef47d852667fc73",
     }
 
     @pytest.mark.parametrize("case", list(GOLDEN_RECORDS))
@@ -813,11 +830,12 @@ class TestVerify:
         assert report["tolerance"] == 0.0
         assert code == (EXIT_OK if report["passed"] else EXIT_VERIFY)
 
-    def test_unsupported_combination(self, capsys):
-        code, _, err = run(capsys, "verify", "--seed", "path:4", "--m", "1",
-                           "--kind", "adjacency")
-        assert code == EXIT_CONFIG
-        assert "no closed form" in err
+    def test_a_path_seed_verifies(self, capsys):
+        for kind in ("adjacency", "signless"):
+            code, stdout, err = run(capsys, "verify", "--seed", "path:4", "--m", "1",
+                                    "--kind", kind)
+            assert (code, err) == (EXIT_OK, "")
+            assert json.loads(stdout)["passed"] is True
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -1048,6 +1066,28 @@ class TestSeedEigensolveCap:
         assert (code, stdout) == (EXIT_CAP, "")
         assert err == "error: seed eigensolve on 6000 nodes exceeds the oracle cap of 5000\n"
         assert peak < 2 ** 23
+
+
+class TestEigensolveWorkCap:
+    def test_a_seed_of_many_main_eigenvalues_is_refused_before_any_step(
+            self, capsys, monkeypatch, tmp_path):
+        def step(*args):
+            raise AssertionError("a corona step ran")
+
+        monkeypatch.setattr(spectral, "corona_step", step)
+        seed = tmp_path / "random.edges"
+        seed.write_text(reference.edge_list_text(
+            random_connected_graph(1000, random.Random(1000))))
+        out = tmp_path / "spec.json"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "spectrum", "--seed", f"file:{seed}", "--m", "1",
+                                "--kind", "adjacency", "--out", str(out))
+        assert time.perf_counter() - start < 2.0
+        assert (code, stdout) == (EXIT_CAP, "")
+        assert re.fullmatch(r"error: the closed form's (\d+)x\1 eigensolves may cost \d+ "
+                            r"\(entries times \1\^3\) by level 1, reaching the work cap "
+                            f"of {spectral.WORK_CAP}\n", err)
+        assert not out.exists()
 
 
 class TestClosedPipe:

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import algebraic_connectivity, moment, table_rows, zero_count
+from conftest import (
+    algebraic_connectivity,
+    assert_close_rows,
+    moment,
+    random_connected_graph,
+    random_graph,
+    table_rows,
+    zero_count,
+)
 from coronagraphs import oracle, spectral
 from coronagraphs.graph import (
     CapExceededError,
@@ -365,7 +373,7 @@ class TestStarCubics:
         reference.star_cubic_roots(0.0, 3, SIGNLESS, discrepancies=want, level=2)
         assert len(sink) == 1
         (row,) = table_rows(sink)
-        assert row == want[0].row()
+        assert_close_rows([row], [want[0].row()])
         kind, k, level, *_, max_delta, note = row
         assert (kind, k, level, note) == (SIGNLESS, 3, 2, "")
         assert max_delta > 1e-3
@@ -375,27 +383,17 @@ class TestStarCubics:
     # every root, so every row is a record
     MUS = np.linspace(0.0, 9.0, 7)
 
-    @pytest.mark.parametrize("fail_at", [0, 3, len(MUS) - 1])
-    def test_failing_row_keeps_the_records_before_it(self, fail_at, monkeypatch):
-        message = f"arccos argument {1.5 + fail_at} out of range"
-        solve = spectral._real_cubic_roots
-
-        def fail(b, c, d):
-            roots, error = solve(b, c, d)
-            assert error is None
-            return roots, (fail_at, message)
-
-        monkeypatch.setattr(spectral, "_real_cubic_roots", fail)
-        sink = Discrepancies()
-        with pytest.raises(ValueError) as caught:
-            star_cubic_roots(self.MUS, 4, SIGNLESS, discrepancies=sink, level=5)
-        assert str(caught.value) == message
-        want: list = []
-        for mu in self.MUS[:fail_at].tolist():
-            reference.star_cubic_roots(mu, 4, SIGNLESS, discrepancies=want, level=5)
-        assert len(want) == fail_at
-        assert len(sink) == fail_at
-        assert table_rows(sink) == [d.row() for d in want]
+    @pytest.mark.parametrize("kind", [ADJACENCY, SIGNLESS])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_arrowhead_roots_match_the_trig_cubic(self, k, kind):
+        # the eigenvalues of the star's arrowhead against the trigonometric
+        # roots of its secular cubic, one mu at a time
+        mus = np.concatenate((np.linspace(-3.0 * k, 3.0 * k, 61), [0.0, 2.0, k - 1.0]))
+        got = star_cubic_roots(mus, k, kind)
+        for mu, row in zip(mus.tolist(), got.tolist()):
+            want = reference.star_cubic_roots(mu, k, kind)
+            for a, b in zip(row, want):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (mu, row, want)
 
     def test_wide_rows_get_their_note(self, monkeypatch):
         # tripling the printed numerator pushes the arccos argument out of
@@ -421,7 +419,7 @@ class TestStarCubics:
         notes = [row[-1] for row in table_rows(sink)]
         assert "" in notes
         assert any(note.startswith("printed-form arccos argument") for note in notes)
-        assert table_rows(sink) == [d.row() for d in want]
+        assert_close_rows(table_rows(sink), [d.row() for d in want])
 
     def test_an_empty_table_has_twelve_empty_columns(self):
         assert [len(column) for column in Discrepancies().columns()] == [0] * 12
@@ -473,7 +471,7 @@ class TestStarSpectra:
         assert len(sink) > 0
         want: list = []
         reference.star_spectrum(k, m, SIGNLESS, want)
-        assert table_rows(sink) == [d.row() for d in want]
+        assert_close_rows(table_rows(sink), [d.row() for d in want])
 
     def test_signless_trace_identity(self):
         for k, m in [(3, 1), (4, 1), (4, 2)]:
@@ -534,11 +532,14 @@ class TestDispatch:
         assert closed_form_spectrum(g, SIGNLESS, 1) is not None
         assert closed_form_spectrum(g, LAPLACIAN, 1) is not None
 
-    def test_generic_seed_laplacian_only(self):
-        g = path_graph(4)
-        assert closed_form_spectrum(g, LAPLACIAN, 1) is not None
-        assert closed_form_spectrum(g, ADJACENCY, 1) is None
-        assert closed_form_spectrum(g, SIGNLESS, 1) is None
+    def test_generic_seed_supports_all_kinds(self):
+        for spec in ("path:4", "path:5"):
+            g = SeedDescriptor.from_spec(spec).graph
+            for kind in (ADJACENCY, LAPLACIAN, SIGNLESS):
+                for m in (1, 2):
+                    closed = closed_form_spectrum(g, kind, m)
+                    assert closed.total_multiplicity == \
+                        node_count_formula(g.node_count, m)
 
     def test_multiplicity_conservation(self):
         for spec in ["complete:3", "cycle:4", "star:4"]:
@@ -548,6 +549,62 @@ class TestDispatch:
                 for m in (1, 2, 3):
                     s = closed_form_spectrum(seed, kind, m)
                     assert s.total_multiplicity == n * (n + 1) ** m
+
+
+GRID_SEEDS = ([SeedDescriptor.from_spec(spec).graph for spec in
+               ("path:4", "path:5", "path:6", "star:5", "cycle:5", "complete:4")]
+              + [random_graph(seed, True) for seed in range(8)]
+              + [random_graph(100 + seed, False) for seed in range(8)])
+
+
+class TestArrowheadStep:
+    """Every seed and kind: p main eigenvalues, p + 1 roots per entry."""
+
+    @pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, SIGNLESS])
+    @pytest.mark.parametrize("index", range(len(GRID_SEEDS)))
+    def test_p_is_the_rank_of_the_walk_matrix(self, index, kind):
+        g = GRID_SEEDS[index]
+        seed, roots, tail = step_rule(g, kind)
+        p = seed.total_multiplicity - tail.total_multiplicity
+        assert p == reference.walk_matrix_rank(g, kind)
+        assert roots(seed.values, 1).shape == (len(seed.values), p + 1)
+
+    @pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN, SIGNLESS])
+    @pytest.mark.parametrize("index", range(len(GRID_SEEDS)))
+    def test_matches_the_oracle_on_a_grid(self, index, kind):
+        g = GRID_SEEDS[index]
+        level_g = g
+        for m in (1, 2):
+            level_g = corona_product(level_g, g)
+            if level_g.node_count > 600:
+                break
+            closed = closed_form_spectrum(g, kind, m)
+            rep = oracle.compare_spectra(closed, oracle_values(level_g, kind), tol=1e-10)
+            assert rep.passed, (m, rep)
+
+    def test_work_cap_refuses_before_the_first_step(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("a corona step ran")
+
+        # a random 200-node seed has about 200 main eigenvalues
+        g = random_connected_graph(200, random.Random(5))
+        seed, _, tail = step_rule(g, ADJACENCY)
+        width = seed.total_multiplicity + 1 - tail.total_multiplicity
+        monkeypatch.setattr(spectral, "corona_step", step)
+        with pytest.raises(CapExceededError, match=f"{width}x{width} eigensolves may "
+                           f"cost {len(seed.values) * width ** 3} "):
+            closed_form_spectrum(g, ADJACENCY, 1)
+        assert closed_form_spectrum(g, ADJACENCY, 0) == seed
+
+    def test_work_cap_refuses_at_the_cap_not_below(self, monkeypatch):
+        # path:5 A: p = 3, 5 entries at level 0 and 22 at level 1
+        work = (5 + 22) * 4 ** 3
+        monkeypatch.setattr(spectral, "WORK_CAP", work + 1)
+        assert closed_form_spectrum(path_graph(5), ADJACENCY, 2).level == 2
+        monkeypatch.setattr(spectral, "WORK_CAP", work)
+        with pytest.raises(CapExceededError, match=f"may cost {work} .* by level 2, "
+                           f"reaching the work cap of {work}"):
+            closed_form_spectrum(path_graph(5), ADJACENCY, 2)
 
 
 class TestEntryBound:

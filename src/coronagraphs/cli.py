@@ -125,38 +125,26 @@ def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
             zip(*[column[start:stop].tolist() for column in columns])))
 
 
-def _listing(template: str, columns, indent: str) -> Iterator[str]:
-    """``_rows`` laid out as a json.dumps list."""
-    if not len(columns[0]):
-        yield "[]"
-        return
-    yield "[\n"
-    yield from _rows(template, columns, ",\n")
-    yield "\n" + indent + "]"
+def _json_text(payload: dict, *lists) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` and a newline, in chunks, with each
+    (marker, template, columns, indent) of ``lists``, in the text's order,
+    writing its columns into the empty list after its marker.
 
-
-def _with_records(text: str, records) -> Iterator[str]:
-    """``text`` and a newline, in chunks, the record columns put in its
-    "discrepancies": []."""
-    head, _, tail = text.partition(_RECORDS_AT + "[]")
-    yield head + _RECORDS_AT
-    yield from _listing(_RECORD, records, "  ")
-    yield tail + "\n"
-
-
-def _spectrum_text(payload: dict, spectrum: spectral.Spectrum, records) -> Iterator[str]:
-    """``json.dumps(payload, indent=2)`` and a newline, in chunks, with the
-    spectrum's entries and the record columns in its empty lists of each.
-
-    The outer fields go through json.dumps.  The entries and the records,
-    nearly all of the bytes, go through ``_rows``, floats by
-    ``float.__repr__`` as json does (a spectrum holds no NaN or infinity),
-    so the text is never held whole.
+    The outer fields go through json.dumps.  The lists, nearly all of the
+    bytes, go through ``_rows``, floats by ``float.__repr__`` as json does
+    (a spectrum holds no NaN or infinity), so the text is never held whole.
     """
-    head, _, rest = json.dumps(payload, indent=2).partition(_ENTRIES_AT + "[]")
-    yield head + _ENTRIES_AT
-    yield from _listing(_ENTRY, (spectrum.values, spectrum.multiplicities), "    ")
-    yield from _with_records(rest, records)
+    rest = json.dumps(payload, indent=2)
+    for marker, template, columns, indent in lists:
+        head, _, rest = rest.partition(marker + "[]")
+        yield head + marker
+        if not len(columns[0]):
+            yield "[]"
+            continue
+        yield "[\n"
+        yield from _rows(template, columns, ",\n")
+        yield "\n" + indent + "]"
+    yield rest + "\n"
 
 
 def _plan(cfg: argparse.Namespace) -> CoronaPlan:
@@ -292,12 +280,14 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
             "closed_form": True,
             "notice": None,
             # the wire form of spectral.spectrum_to_json, with its entries
-            # written by _spectrum_text
+            # written by _json_text
             "spectrum": {"kind": spectrum.kind, "m": spectrum.level, "n": plan.n,
                          "entries": [], "provenance": "closed_form"},
             "discrepancies": [],
         }
-        chunks = _spectrum_text(payload, spectrum, discrepancies.columns())
+        entries = (spectrum.values, spectrum.multiplicities)
+        chunks = _json_text(payload, (_ENTRIES_AT, _ENTRY, entries, "    "),
+                            (_RECORDS_AT, _RECORD, discrepancies.columns(), "  "))
     for text in chunks:
         _emit(cfg, text)
     return EXIT_OK
@@ -337,7 +327,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "residual_max": residual_max,
         "discrepancies": [],
     }
-    for text in _with_records(json.dumps(report, indent=2), discrepancies.columns()):
+    for text in _json_text(report, (_RECORDS_AT, _RECORD, discrepancies.columns(), "  ")):
         _emit(cfg, text)
     return EXIT_OK if match.passed else EXIT_VERIFY
 

@@ -1,45 +1,44 @@
-"""Value/probability series and the log-space fits used on them.  No text is
+"""Exact count series and the log-space fits used on them.  No text is
 formatted here: ``stats`` prints a series through the one chunked row writer."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class DistributionSeries:
-    """Sorted (value, probability) points, plain or cumulative.
-
-    ``counts`` keeps the exact integer weights when the series came from
-    counting, so downstream comparisons can be exact instead of float-eyed.
-    """
+    """Sorted (value, count) points of exact integer counts: per value, or
+    cumulative (at or above each value).  The population and each
+    probability, count / population, are derived once, when first read."""
 
     values: tuple[float, ...]
-    probabilities: tuple[float, ...]
-    cumulative: bool
-    population: int
-    counts: tuple[int, ...] | None = None
+    counts: tuple[int, ...]
+    cumulative: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.probabilities):
-            raise ValueError("values and probabilities must align")
+        if len(self.values) != len(self.counts):
+            raise ValueError("values and counts must align")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must be strictly increasing")
-        if self.counts is not None and len(self.counts) != len(self.values):
-            raise ValueError("counts must align with values")
-        if self.cumulative:
-            if any(b > a + 1e-12 for a, b in zip(self.probabilities,
-                                                 self.probabilities[1:])):
-                raise ValueError("cumulative probabilities must be non-increasing")
-            if self.probabilities and abs(self.probabilities[0] - 1.0) > 1e-12:
-                raise ValueError("cumulative series must start at 1")
-        else:
-            # fsum is exact: the roundings of many c/pop terms do not add up
-            if self.probabilities and abs(math.fsum(self.probabilities) - 1.0) > 1e-12:
-                raise ValueError("plain series must sum to 1")
+        if min(self.counts, default=1) < 1:
+            raise ValueError("counts must be positive")
+        if self.cumulative and any(b > a for a, b in zip(self.counts, self.counts[1:])):
+            raise ValueError("cumulative counts must be non-increasing")
+
+    @cached_property
+    def population(self) -> int:
+        """The sum of a plain series' counts, the first of a cumulative one's."""
+        return self.counts[0] if self.cumulative and self.counts else sum(self.counts)
+
+    @cached_property
+    def probabilities(self) -> tuple[float, ...]:
+        # int / int rounds once, correctly
+        return tuple(c / self.population for c in self.counts)
 
     @property
     def points(self) -> list[tuple[float, float]]:
@@ -48,25 +47,16 @@ class DistributionSeries:
     @classmethod
     def from_counts(cls, values, counts) -> "DistributionSeries":
         pairs = sorted(zip(values, counts))
-        vals = tuple(float(v) for v, _ in pairs)
-        cnts = tuple(int(c) for _, c in pairs)
-        pop = sum(cnts)
-        probs = tuple(c / pop for c in cnts)
-        return cls(values=vals, probabilities=probs, cumulative=False,
-                   population=pop, counts=cnts)
+        return cls(values=tuple(float(v) for v, _ in pairs),
+                   counts=tuple(int(c) for _, c in pairs))
 
 
 def cumulative_series(d: DistributionSeries) -> DistributionSeries:
-    """Suffix-sum a plain series of exact counts into P(value >= v)."""
+    """Suffix-sum a plain series into the counts at or above each value."""
     if d.cumulative:
         return d
-    if d.counts is None:
-        raise ValueError("a plain series needs its counts to be cumulated")
-    suffix = np.cumsum(d.counts[::-1])[::-1]
-    probs = tuple(int(c) / d.population for c in suffix)
-    return DistributionSeries(values=d.values, probabilities=probs,
-                              cumulative=True, population=d.population,
-                              counts=tuple(int(c) for c in suffix))
+    suffix = tuple(accumulate(reversed(d.counts)))[::-1]
+    return DistributionSeries(values=d.values, counts=suffix, cumulative=True)
 
 
 @dataclass(frozen=True)
@@ -84,12 +74,11 @@ class PowerLawFit:
 
 
 def _select(d: DistributionSeries, positive_values: bool):
+    # every count is positive, so every probability has a logarithm
     vals = np.asarray(d.values)
     probs = np.asarray(d.probabilities)
-    keep = probs > 0
     if positive_values:
-        keep &= vals > 0
-    vals, probs = vals[keep], probs[keep]
+        vals, probs = vals[vals > 0], probs[vals > 0]
     if len(vals) < 3:  # a series' values are distinct
         raise ValueError("need at least 3 distinct values in the fit range")
     return vals, probs

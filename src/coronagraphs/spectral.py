@@ -14,16 +14,19 @@ lambda - x - top = sum_j w_j / (lambda - pole_j), pole_j = theta_j + shift:
 the eigenvalues of the arrowhead [[x + top, sqrt(w)^T], [sqrt(w), diag(pole)]].
 In L and Q the host gains n in degree (top) and every copy vertex 1 (shift);
 in A both are 0.  Every step appends the tail: the seed spectrum less one
-copy of each main value, shifted.  Where 1 is an eigenvector, p = 1 and the
-roots are (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2 for a seed on n nodes:
+copy of each main value, shifted.  Where 1 is an eigenvector, p = 1: the
+one pole is theta + shift, and x spawns the roots of (lambda - x - top)
+(lambda - pole) = n for a seed on n nodes, the one of larger magnitude by
+the formula and the other as the roots' product pole·x + top·pole - n over
+it, so that neither cancels:
 
-    seed      kind       roots                              main values
-    any       laplacian  quadratic, n+1, 1-n                0
-    regular   adjacency  quadratic, alpha=beta=r            r
-    regular   signless   quadratic, n+2r+1, 2r+1-n          2r
-    star      adjacency  arrowhead (star_cubic_roots)       -+sqrt(k-1)
-    star      signless   arrowhead (star_cubic_roots)       0, k
-    other     A or Q     arrowhead                          from the seed's eigh
+    seed     kind       roots                                        main values
+    any      laplacian  quadratic, pole 1, product x                 0
+    regular  adjacency  quadratic, pole r, product rx - n            r
+    regular  signless   quadratic, pole 2r+1, product (2r+1)x + 2rn  2r
+    star     adjacency  arrowhead (star_cubic_roots)                 -+sqrt(k-1)
+    star     signless   arrowhead (star_cubic_roots)                 0, k
+    other    A or Q     arrowhead                                    from the seed's eigh
 
 ``step_rule`` builds the tail once, as an exact level-0 ``Spectrum``, as is
 level 0: literals for a star, else the seed spectrum with the one main value
@@ -44,10 +47,11 @@ exact Python ints (object dtype) above it.  The command line writes the
 arrays and the table's columns through its one chunked row writer, so this
 module lays out no output text.  The arrays give the same bits as the
 formulas one entry at a time: +, -, *, / and sqrt round the same in numpy as
-in Python, LAPACK solves each arrowhead of a stack as it solves it alone, and
-every power, arccos and cosine goes through the same libm routine as
-Python's ``**``, ``math.acos`` and ``math.cos`` (``_libm``), since numpy's
-own differ from them in the last bit.
+in Python, and LAPACK solves each arrowhead of a stack as it solves it
+alone.  Only the star's printed trig form needs a power, an arccos and a
+cosine; they go through the same libm routine as Python's ``**``,
+``math.acos`` and ``math.cos`` (``_libm``), since numpy's own differ from
+them in the last bit.
 """
 
 from __future__ import annotations
@@ -195,11 +199,18 @@ def seed_spectrum(g: Graph, kind: str) -> Spectrum:
 # the roots an entry spawns
 
 
-def _quadratic_roots(n: int, alpha: int, beta: int):
-    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2 per row; the level is unused."""
+def _quadratic_roots(n: int, top: int, pole: int):
+    """x -> the roots of (lambda - x - top)(lambda - pole) = n per row, upper
+    first; the level is unused.  The root of larger magnitude comes from the
+    formula, the other as the roots' product pole·x + top·pole - n over it,
+    so neither cancels."""
     def roots(x: np.ndarray, level: int = 0) -> np.ndarray:
-        disc = np.sqrt(_libm(math.pow, x - beta, 2.0) + 4 * n)
-        return np.column_stack(((x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0))
+        s, d = x + (top + pole), x - (pole - top)
+        disc = np.sqrt(d * d + 4 * n)
+        up = s >= 0
+        big = np.where(up, s + disc, s - disc) / 2.0
+        small = (pole * x + (top * pole - n)) / big
+        return np.column_stack((np.where(up, big, small), np.where(up, small, big)))
     return roots
 
 
@@ -341,7 +352,7 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None 
         main = seed.values == theta
         if main.sum() != 1:
             raise ValueError(f"seed spectrum is missing the expected value {float(theta)}")
-        roots = _quadratic_roots(n, top + shift + theta, shift + theta - top)
+        roots = _quadratic_roots(n, top, shift + theta)
     else:
         _, vectors = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, kind))
         # eigh orders the values as eigvalsh: a coalesced run is consecutive columns
@@ -428,7 +439,7 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
     n = seed_graph.node_count
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
     perron = int(np.argmax(vals))
-    lams = _quadratic_roots(n, r, r)(np.asarray(vals, dtype=np.float64)).tolist()
+    lams = _quadratic_roots(n, 0, r)(np.asarray(vals, dtype=np.float64)).tolist()
     pairs: list[EigenPair] = []
     for i in range(n):
         mu = float(vals[i])

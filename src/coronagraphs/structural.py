@@ -303,6 +303,7 @@ def _block_table(g: Graph) -> _BlockTable | None:
 
 def _build_block_table(g: Graph) -> _BlockTable | None:
     n = g.node_count
+    # a call of its own: its return frees the spanning tree's arrays before the edge pass
     found = _decompose(g)
     if found is None:
         return None

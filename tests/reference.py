@@ -33,16 +33,17 @@ assert the same counts.
 
 The package runs each corona step over arrays: every entry's roots in one
 pass, the arrowhead eigenproblems of a level stacked into batched
-``eigvalsh`` calls, and a sorted split-and-merge for coalescing.  The
-per-entry step it replaces is kept below with its scalar coalescing, one
-arrowhead ``eigvalsh`` per entry, the printed star cubics and its seed
-rules; the tests assert equal entries and equal discrepancy records, with
-``==``.  The package keeps its records as a table of array columns; the
-reference keeps one ``CubicDiscrepancy`` object per record, whose ``row()``
-is laid out as one row of the table's ``columns()``.  The star's
-trigonometric solution of its secular cubic, which the arrowhead replaced,
-is kept too (``star_cubic_roots``, and the star driver built on it); the
-tests assert the arrowhead roots equal to it within 1e-12 relative.
+``eigvalsh`` calls, and one stable sort and vectorized join.  The
+per-entry step it replaces is kept below with the same join rule applied
+pair by pair (``join_exact``), one arrowhead ``eigvalsh`` per entry, the
+printed star cubics and its seed rules; the tests assert equal entries and
+equal discrepancy records, with ``==``.  The package keeps its records as
+a table of array columns; the reference keeps one ``CubicDiscrepancy``
+object per record, whose ``row()`` is laid out as one row of the table's
+``columns()``.  The star's trigonometric solution of its secular cubic,
+which the arrowhead replaced, is kept too (``star_cubic_roots``, and the
+star driver built on it); the tests assert the arrowhead roots equal to it
+within 1e-12 relative.
 
 The number of main eigenvalues, whose eigenspaces are not orthogonal to
 the all-ones vector, is the dimension of the Krylov space of M and 1, the
@@ -73,6 +74,7 @@ from coronagraphs.graph import Graph, _checked, bfs_distances
 from coronagraphs.spectral import (
     ADJACENCY,
     COALESCE_REL_TOL,
+    COINCIDE_ULPS,
     FORMULA_TOL,
     LAPLACIAN,
     SIGNLESS,
@@ -338,11 +340,16 @@ def star_cubic_roots(mu: float, k: int, kind: str, *,
     return secular
 
 
-def quadratic_roots(n: int, alpha: int, beta: int):
-    """x -> (x + alpha +- sqrt((x - beta)^2 + 4n)) / 2; the level is unused."""
+def quadratic_roots(n: int, top: int, pole: int):
+    """x -> the roots of (lambda - x - top)(lambda - pole) = n, upper first:
+    the one of larger magnitude by the formula, the other as the product
+    pole·x + top·pole - n over it; the level is unused."""
     def roots(x: float, level: int = 0) -> tuple[float, float]:
-        disc = math.sqrt((x - beta) ** 2 + 4 * n)
-        return (x + alpha + disc) / 2.0, (x + alpha - disc) / 2.0
+        s, d = x + (top + pole), x - (pole - top)
+        disc = math.sqrt(d * d + 4 * n)
+        big = (s + disc) / 2.0 if s >= 0 else (s - disc) / 2.0
+        small = (pole * x + (top * pole - n)) / big
+        return (big, small) if s >= 0 else (small, big)
     return roots
 
 
@@ -396,7 +403,7 @@ def scalar_step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = 
     seed = coalesce([(v, 1) for v in vals])
     if kind == LAPLACIAN or r is not None:
         theta = 0 if kind == LAPLACIAN else r if kind == ADJACENCY else 2 * r
-        return (seed, quadratic_roots(n, top + shift + theta, shift + theta - top),
+        return (seed, quadratic_roots(n, top, shift + theta),
                 (float(theta),))
     # one weight |P·1|^2 per coalesced value, from consecutive eigh columns
     ones = oracle.sym_eigensystem(mat)[1].sum(axis=0).tolist()
@@ -410,16 +417,49 @@ def scalar_step_rule(seed_graph: Graph, kind: str, discrepancies: list | None = 
     return seed, roots, tuple(v for v, _ in main)
 
 
+def join_exact(runs, tail) -> tuple[tuple[float, int], ...]:
+    """Sorted (value, multiplicity) entries of the ``runs``, one ascending
+    list of pairs per branch, and the ``tail`` pairs, joined pair by pair as
+    one eigenvalue where the corona step joins them: equal floats, and a
+    tail value within ``COINCIDE_ULPS`` ulps of max(1, |a|, |b|) of a
+    neighbour.  Equal values sort branch by branch, then the tail.  A joined
+    run takes its multiplicity-weighted mean, summed in order."""
+    items = [(v, w, False) for run in runs for v, w in run]
+    items += [(v, w, True) for v, w in tail]
+    # sorted is stable: equal values keep their order above
+    items = sorted(items, key=lambda item: item[0])
+    groups: list[list] = []
+    for i, (v, w, is_tail) in enumerate(items):
+        if i:
+            a, _, a_tail = items[i - 1]
+            ulps = COINCIDE_ULPS * math.ulp(max(1.0, abs(a), abs(v)))
+            if v == a or ((is_tail or a_tail) and v - a <= ulps):
+                groups[-1].append((v, w))
+                continue
+        groups.append([(v, w)])
+    out = []
+    for group in groups:
+        if len(group) == 1:
+            out.append(group[0])
+            continue
+        total, weight = group[0][0] * group[0][1], group[0][1]
+        for v, w in group[1:]:
+            total, weight = total + v * w, weight + w
+        out.append((total / weight, weight))
+    return tuple(out)
+
+
 def scalar_corona_step(entries, level: int, kind: str, seed, roots, drop):
     """Level ``level`` entries from the previous level's, one entry at a time."""
     total = sum(w for _, w in entries)
-    pairs = [(lam, w) for x, w in entries for lam in roots(x, level)]
+    spawned = [sorted(roots(x, level)) for x, _ in entries]
+    runs = [[(row[j], w) for row, (_, w) in zip(spawned, entries)]
+            for j in range(len(spawned[0]))]
     appended = seed
     for value in drop:
         appended = drop_one(appended, value)
     shift = 0.0 if kind == ADJACENCY else 1.0
-    pairs.extend((mu + shift, w * total) for mu, w in appended)
-    return coalesce(pairs)
+    return join_exact(runs, [(mu + shift, w * total) for mu, w in appended])
 
 
 def scalar_levels(seed_graph: Graph, kind: str, m: int,

@@ -44,6 +44,12 @@ CHECKS = [
     # 786k nodes in seconds, with no --force: the guards judge 4-node blocks
     Check("diameter law at m=9", "stats --seed complete:3 --m 9 --betweenness",
           fields={"diameter": {"measured": 19, "formula": 19}}, peak_mb=("<=", 300)),
+    # 1,020,100 nodes whose 100 seed-cycle blocks are over 64 nodes: the
+    # in-block farthest-pair search runs
+    Check("long blocks", "stats --seed cycle:100 --m 2",
+          stdout_sha256="cefb99474084742f4fd660c8cffed8e88c8c0b0e4095d1136e5f553344e1d838",
+          fields={"nodes": 1020100, "diameter": {"measured": 54, "formula": 54}},
+          peak_mb=("<=", 300)),
     # 199,999 blocks and a tree 199,999 levels deep: O(log n) array passes
     Check("long path", "stats --seed path:200000 --m 0 --betweenness",
           fields={"diameter": {"measured": 199999, "formula": 199999}}, timeout=60),
@@ -61,8 +67,8 @@ CHECKS = [
           out_sha256="caca405ba7072c258a2c0f7afe79dc49b44855b1f5b5594796c3b7f799bbd23e",
           peak_mb=("<=", 62)),
     Check("deep spectrum", "spectrum --seed complete:3 --m 18 --kind adjacency",
-          stdout_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",
-          out_sha256="f46fcff9be5e5cdb0a96cf4aff399c7f6f6f0a4216382ec353f913bfcde19e46",
+          stdout_sha256="76460a31ea16d80bc67383c4f773660c7fa0dd74fb1ccc43f19a518ead71e46d",
+          out_sha256="76460a31ea16d80bc67383c4f773660c7fa0dd74fb1ccc43f19a518ead71e46d",
           peak_mb=("<=", 160)),
     Check("star records", "spectrum --seed star:4 --m 9 --kind signless",
           stdout_sha256="6a95519522e17624a393631d05c55e0c84baa18d516441cfaf85267b7906333e",

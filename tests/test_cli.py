@@ -22,11 +22,14 @@ from coronagraphs.cli import (
     EXIT_OK,
     EXIT_PIPE,
     EXIT_VERIFY,
+    _ENTRIES_AT,
+    _ENTRY,
+    _RECORD,
+    _RECORDS_AT,
     _build_parser,
+    _json_text,
     _plan,
     _rows,
-    _spectrum_text,
-    _with_records,
     main,
 )
 from coronagraphs.graph import complete_graph, path_graph
@@ -537,9 +540,9 @@ class TestGoldenSpectrum:
         "spectrum star:5 2 adjacency":
             "7651d547ef565b8e37735061fcede6e1512d8dc3a3f2d5facd50550d3caa6c7f",
         "spectrum complete:3 6 laplacian":
-            "ec8a58e2e24263440d1964c8849ec19eac51c8af2a384e4f17dfe409d5c26e1f",
+            "f43ee725d3477dc4a6ee6bf2bab11b0f205719fb4d92e70e9982eb697c3cd55a",
         "verify complete:3 1 adjacency":
-            "78c64b9b1ef008b173b172e284fdc9dc1dc117eb3f70aec1aedf994b25f9546a",
+            "af978cc3abe9cf69ec3039eae88624ab3298e9bcf9574f8adc8045f3669cd02b",
     }
 
     @pytest.mark.parametrize("case", list(GOLDEN))
@@ -557,12 +560,12 @@ class TestGoldenSpectrum:
         "spectrum star:4 6 signless":
             "259000c99acf66da10d2c9803ce2b1c3d707defbe9e9be3c0d15e01c72642b0a",
         "spectrum complete:3 10 adjacency":
-            "8dff35675acfb8717b3a5ef7276382beab57a5b2d6b42c850f375d5d0b2f4068",
+            "9c4cac03971c16f691ab3df118ed21aa7f64c3a7866239756c4b3e7ffeb67839",
         "spectrum cycle:5 9 laplacian":
-            "4f4bd973feb758b3aea3031723628c299fd590fa497f70ed27efacc973e95f8a",
+            "dfd286b45adf80fbace13e9678ceafe60fead9620f33144e805265bbe905737d",
         # per-entry multiplicities above 2**63: an int64-only step would wrap
         "spectrum complete:50 11 adjacency":
-            "00d032c9ca502c729642e57784b1172dac587bccf59aca9fb1a5df6dc84f9068",
+            "c61aa07d32bd3898c252dc6ed146c1ef781d95c12d535816be1c72314728f037",
     }
 
     @pytest.mark.parametrize("case", list(GOLDEN_DEEP))
@@ -660,6 +663,19 @@ def writer_case(pairs, blocks=(), seed="complete:3", notice=None):
     return (head, spectrum, table), payload
 
 
+def spectrum_text(payload, spectrum, table):
+    """``_json_text`` with the two lists of a spectrum payload, as
+    ``cmd_spectrum`` gives them."""
+    return _json_text(payload, (_ENTRIES_AT, _ENTRY,
+                                (spectrum.values, spectrum.multiplicities), "    "),
+                      (_RECORDS_AT, _RECORD, table, "  "))
+
+
+def records_text(payload, table):
+    """``_json_text`` with the record list of a verify report."""
+    return _json_text(payload, (_RECORDS_AT, _RECORD, table, "  "))
+
+
 def distinct_pairs(count):
     """``count`` entries that make_spectrum keeps apart."""
     return [(i + 0.1 * (i % 7), i + 1) for i in range(count)]
@@ -705,7 +721,7 @@ class TestSpectrumWriter:
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_json_dumps(self, case):
         args, payload = self.CASES[case]
-        assert "".join(_spectrum_text(*args)) == json.dumps(payload, indent=2) + "\n"
+        assert "".join(spectrum_text(*args)) == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_verify_report_matches_json_dumps(self, case):
@@ -716,19 +732,20 @@ class TestSpectrumWriter:
                   "max_abs_delta": 5e-324, "mean_abs_delta": -0.0,
                   "count_mismatched": 0, "residual_max": 0.0,
                   "discrepancies": payload["discrepancies"]}
-        text = json.dumps({**report, "discrepancies": []}, indent=2)
-        assert "".join(_with_records(text, table)) == json.dumps(report, indent=2) + "\n"
+        head = {**report, "discrepancies": []}
+        assert "".join(records_text(head, table)) == json.dumps(report, indent=2) + "\n"
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_no_chunk_holds_more_than_chunk_rows(self, case):
         args, _ = self.CASES[case]
-        for chunk in _spectrum_text(*args):
+        for chunk in spectrum_text(*args):
             assert chunk.count('"value"') + chunk.count('"note"') <= CHUNK_ROWS
 
     def test_one_chunk_spans_level_blocks(self):
         (_, _, table), _ = self.CASES["levels across chunks"]
         levels = [{level for level in range(1, 6) if f'"level": {level},' in chunk}
-                  for chunk in _with_records("", table) if '"kind"' in chunk]
+                  for chunk in records_text({"discrepancies": []}, table)
+                  if '"kind"' in chunk]
         assert levels == [{1, 2, 4}, {4, 5}]
 
     @pytest.mark.parametrize("count", CHUNK_COUNTS)
@@ -747,8 +764,8 @@ class TestSpectrumWriter:
             spectrum = closed_form_spectrum(complete_graph(3), ADJACENCY, m)
             tracemalloc.start()
             try:
-                size = sum(map(len, _spectrum_text(payload, spectrum,
-                                                   Discrepancies().columns())))
+                size = sum(map(len, spectrum_text(payload, spectrum,
+                                                  Discrepancies().columns())))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -15,16 +15,7 @@ from coronagraphs.distributions import (
 )
 
 
-def plain(values, probs, population=100):
-    return DistributionSeries(values=tuple(values), probabilities=tuple(probs),
-                              cumulative=False, population=population)
-
-
 class TestSeriesInvariants:
-    def test_plain_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            plain([1.0, 2.0], [0.5, 0.4])
-
     def test_many_rounded_terms_sum_to_one(self):
         # 200,000 terms of 1/200000, each rounded: a plain sum drifts past 1e-12
         d = DistributionSeries.from_counts(range(200_000), [1] * 200_000)
@@ -33,18 +24,27 @@ class TestSeriesInvariants:
 
     def test_values_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            plain([2.0, 1.0], [0.5, 0.5])
+            DistributionSeries(values=(2.0, 1.0), counts=(1, 1))
 
-    def test_cumulative_head_is_one(self):
-        with pytest.raises(ValueError, match="start at 1"):
-            DistributionSeries(values=(1.0, 2.0), probabilities=(0.9, 0.4),
-                               cumulative=True, population=10)
+    def test_fields_align(self):
+        with pytest.raises(ValueError, match="align"):
+            DistributionSeries(values=(1.0, 2.0), counts=(1,))
+
+    def test_counts_are_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            DistributionSeries(values=(1.0, 2.0), counts=(3, 0))
 
     def test_cumulative_monotone(self):
         with pytest.raises(ValueError, match="non-increasing"):
-            DistributionSeries(values=(1.0, 2.0, 3.0),
-                               probabilities=(1.0, 0.2, 0.4),
-                               cumulative=True, population=10)
+            DistributionSeries(values=(1.0, 2.0, 3.0), counts=(5, 1, 2),
+                               cumulative=True)
+
+    def test_population_is_derived(self):
+        assert DistributionSeries(values=(1.0, 2.0), counts=(9, 3)).population == 12
+        c = DistributionSeries(values=(1.0, 2.0), counts=(12, 3), cumulative=True)
+        assert c.population == 12
+        assert c.probabilities == (1.0, 0.25)
+        assert DistributionSeries(values=(), counts=(), cumulative=True).population == 0
 
     def test_from_counts_sorts(self):
         d = DistributionSeries.from_counts([5, 3], [1, 3])
@@ -60,10 +60,6 @@ class TestCumulative:
         assert c.cumulative
         assert c.points == [(3.0, 1.0), (5.0, 0.25)]
 
-    def test_plain_series_without_counts_refused(self):
-        with pytest.raises(ValueError, match="counts"):
-            cumulative_series(plain([3.0, 5.0], [0.75, 0.25], population=12))
-
     def test_exact_with_counts(self):
         d = DistributionSeries.from_counts([3, 5], [9, 3])
         c = cumulative_series(d)
@@ -75,13 +71,15 @@ class TestCumulative:
         assert cumulative_series(c) is c
 
 
+# plain counts whose suffix sums halve: 32, 16, 8, 4, 2, 1
+COUNTS = (16, 8, 4, 2, 1, 1)
+
+
 class TestPowerLawFit:
     def test_recovers_exact_exponent(self):
-        # cumulative p = v^-1 corresponds to plain exponent 2
-        values = [2.0 ** i for i in range(6)]
-        probs = [1.0 / v for v in values]
-        d = DistributionSeries(values=tuple(values), probabilities=tuple(probs),
-                               cumulative=True, population=1000)
+        # cumulative counts 32, 16, ..., 1: p = v^-1 on v = 1, 2, ..., 32,
+        # which corresponds to plain exponent 2
+        d = DistributionSeries.from_counts([2 ** i for i in range(6)], COUNTS)
         fit = fit_power_law(d)
         assert abs(fit.gamma - 2.0) < 1e-12
         assert abs(fit.r_squared - 1.0) < 1e-12
@@ -100,14 +98,10 @@ class TestPowerLawFit:
 
 class TestExponentialFit:
     def test_recovers_exact_rate(self):
-        values = list(range(1, 7))
-        probs = [math.exp(-0.5 * v) for v in values]
-        head = probs[0]
-        d = DistributionSeries(values=tuple(float(v) for v in values),
-                               probabilities=tuple(p / head for p in probs),
-                               cumulative=True, population=100)
+        # cumulative counts 32, 16, ..., 1: p = 2^-(v-1) on v = 1, ..., 6
+        d = DistributionSeries.from_counts(range(1, 7), COUNTS)
         rate, r2 = fit_exponential(d)
-        assert abs(rate - 0.5) < 1e-12
+        assert abs(rate - math.log(2.0)) < 1e-12
         assert abs(r2 - 1.0) < 1e-12
 
     def test_plain_input_is_cumulated_first(self):

@@ -1,4 +1,5 @@
-"""The deep star recursion against a 50-digit mpmath reference.
+"""The deep star recursion, and the smallest nonzero Laplacian value of a
+deep complete corona, against 50-digit mpmath references.
 
 The dense oracle's 5,000-node cap stops its checks of star:4 at m = 3, so
 the deeper levels are checked here against the same recursion run at 50
@@ -9,8 +10,8 @@ vector are appended with the previous node count's multiplicity.
 
 import pytest
 
-from coronagraphs.graph import star_graph
-from coronagraphs.spectral import ADJACENCY, SIGNLESS, closed_form_spectrum
+from coronagraphs.graph import complete_graph, star_graph
+from coronagraphs.spectral import ADJACENCY, LAPLACIAN, SIGNLESS, closed_form_spectrum
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -93,3 +94,21 @@ def test_star4_recursion_matches_mpmath(kind):
         for (v, _), (ref, _) in zip(got.entries, want):
             ref = float(ref)
             assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (m, v, ref)
+
+
+def test_complete3_algebraic_connectivity_matches_mpmath():
+    """a(G), the smallest nonzero L value, follows the lower root of its
+    predecessor: 0 spawns 0 and n + 1, every other value spawns two roots
+    above it, and the tail is n + 1.  The lower root is about x / (n + 1),
+    so at m = 20 it is 12 orders below the roots' sum, where a difference
+    of the two would cancel."""
+    n, m = 3, 20
+    with mpmath.workdps(DIGITS):
+        a = mpmath.mpf(n)
+        for _ in range(m):
+            t = a + n + 1
+            a = (t - mpmath.sqrt(t * t - 4 * a)) / 2
+        want = float(a)
+    s = closed_form_spectrum(complete_graph(n), LAPLACIAN, m)
+    assert s.entries[0] == (0.0, 1)
+    assert abs(s.values[1] - want) <= 1e-14 * want

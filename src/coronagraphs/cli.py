@@ -28,6 +28,7 @@ from .graph import (
     SeedDescriptor,
     corona_iterate,
     edge_list_chunks,
+    stream_counts,
     write_edge_list,
 )
 
@@ -171,14 +172,17 @@ def _guard(plan: CoronaPlan, nodes: int, cap: int, work: str, hint: str = "") ->
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
     plan = _plan(cfg)
-    g = corona_iterate(plan)
-    print(f"seed={cfg.seed} m={cfg.m} "
-          f"predicted_nodes={plan.predicted_nodes} actual_nodes={g.node_count} "
-          f"predicted_edges={plan.predicted_edges} actual_edges={g.edge_count}")
+    nodes, edges = stream_counts(plan)
     if cfg.out is not None:
-        write_edge_list(g, cfg.out)
+        # a bad --out path fails here, before the counts line is printed
+        open(cfg.out, "w").close()
+    print(f"seed={cfg.seed} m={cfg.m} "
+          f"predicted_nodes={plan.predicted_nodes} actual_nodes={nodes} "
+          f"predicted_edges={plan.predicted_edges} actual_edges={edges}")
+    if cfg.out is not None:
+        write_edge_list(plan.seed.graph, plan.m, cfg.out)
     else:
-        sys.stdout.writelines(edge_list_chunks(g))
+        sys.stdout.writelines(edge_list_chunks(plan.seed.graph, plan.m))
     return EXIT_OK
 
 

@@ -1,9 +1,13 @@
-"""Seed graphs, the corona product, and exact node/edge count formulas.
+"""Seed graphs, the corona product, exact node/edge count formulas, and the
+level-m edge list.
 
 A corona step attaches one fresh copy of the seed to every existing node
 and joins that node to all vertices of its copy.  Iterating from a seed on
 n nodes yields n*(n+1)**m nodes after m steps, so materialization is capped
-while the count formulas stay exact at any depth.
+while the count formulas stay exact at any depth.  The index layout fixes
+where every node lands, so the level-m edge list is streamed from the seed
+and m alone, with no graph built; ``corona_product`` builds the CSR for the
+analyses that read one.
 """
 
 from __future__ import annotations
@@ -277,6 +281,9 @@ def corona_product(g: Graph, seed: Graph) -> Graph:
     row i is its old row followed by its copy block, and copy row (i, j) is
     host i followed by seed row j shifted by N+i*n.  So the final arrays are
     filled in place, a range of hosts at a time, with no edge list to sort.
+    ``edge_list_chunks`` reads the same contract a second way, streaming the
+    upper rows of every level from the seed alone; a byte-identity test
+    against the reference builder pins the two together.
     """
     n = seed.node_count
     if n < 1:
@@ -493,23 +500,115 @@ def _edge_lines(uv: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def edge_list_chunks(g: Graph):
-    """The edge-list text of g in pieces: the ``# n=`` header, then sorted edges.
+def _level_table(seed: Graph, m: int) -> list[tuple[int, int, int]]:
+    """(first block base, blocks, template arcs) of each birth step 0..m of level m.
 
-    Edges come from the sorted row of their smaller end, a node range of about
-    ``2 * EDGE_CHUNK_ROWS`` arcs at a time: what is held stays a chunk in size.
+    By the index layout contract, the nodes born at step t >= 1 are N_{t-1}
+    copy blocks of n nodes from N_{t-1} = n*(n+1)**(t-1), one per older
+    node, and step 0 is the seed's one block from 0.  Every block of a step
+    lists the same larger neighbours per row: its seed edges upward, then n
+    copy nodes for each later step, so a template of e + (m-t)*n*n arcs.
     """
-    yield f"# n={g.node_count}\n"
-    cuts = np.searchsorted(g.offsets, range(0, len(g.targets), 2 * EDGE_CHUNK_ROWS)).tolist()
-    for a, b in zip(cuts, cuts[1:] + [g.node_count]):
-        src = np.repeat(np.arange(a, b, dtype=g.targets.dtype), np.diff(g.offsets[a:b + 1]))
-        dst = g.targets[g.offsets[a]:g.offsets[b]]
-        keep = src < dst
-        if keep.any():
-            yield _edge_lines(np.column_stack((src[keep], dst[keep])))
+    n, e = seed.node_count, seed.edge_count
+    table, N = [(0, 1, e + m * n * n)], n
+    for t in range(1, m + 1):
+        table.append((N, N, e + (m - t) * n * n))
+        N += N * n
+    return table
 
 
-def write_edge_list(g: Graph, path) -> None:
-    """Write the same format back: n header plus lexicographically sorted edges."""
+def stream_counts(plan: CoronaPlan) -> tuple[int, int]:
+    """The node and edge counts of level m read off the stream's level
+    table, after the cap check; a table that disagrees with the plan's
+    count formulas raises before any edge is written."""
+    plan.check_cap()
+    table = _level_table(plan.seed.graph, plan.m)
+    first, blocks, _ = table[-1]
+    nodes = first + blocks * plan.n
+    edges = sum(blocks * arcs for _, blocks, arcs in table)
+    if (nodes, edges) != (plan.predicted_nodes, plan.predicted_edges):
+        raise RuntimeError(
+            f"the level table gives {nodes} nodes and {edges} edges; "
+            f"the plan predicts {plan.predicted_nodes} and {plan.predicted_edges}")
+    return nodes, edges
+
+
+def _template(seed: Graph, starts: list[int]):
+    """One block's rows of larger neighbours, the block based at 0: the row
+    offsets, then each arc's (row, constant, weight), whose target from a
+    block based at b is constant + weight*b.
+
+    Row j holds its seed neighbours above it (constant k, weight 1), then,
+    for each later step's first node S in ``starts``, its own copy at
+    S + (b+j)*n (constants S + j*n + 0..n-1, weight n).
+    """
+    n = seed.node_count
+    up_src, up_dst = edge_ends(seed)
+    up = np.bincount(up_src, minlength=n)
+    lengths = up + len(starts) * n
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    local = np.arange(n, dtype=np.uint32)
+    row = np.repeat(local, lengths)
+    is_seed = np.arange(len(row)) - offsets[row] < up[row]
+    const = np.empty(len(row), dtype=np.uint32)
+    const[is_seed] = up_dst
+    copies = np.add.outer(np.array(starts, dtype=np.uint32), local).ravel()
+    const[~is_seed] = (local[:, None] * n + copies).ravel()
+    weight = np.where(is_seed, np.uint32(1), np.uint32(n))
+    return offsets, row, const, weight
+
+
+def _spans(offsets: np.ndarray) -> list[tuple[int, int]]:
+    """Arc ranges of a template of about EDGE_CHUNK_ROWS arcs each, cut at
+    row starts; a row longer than a chunk is a range of its own."""
+    total = int(offsets[-1])
+    if total <= EDGE_CHUNK_ROWS:
+        return [(0, total)]
+    rows = np.concatenate((np.searchsorted(offsets, range(0, total, EDGE_CHUNK_ROWS)),
+                           np.flatnonzero(np.diff(offsets) > EDGE_CHUNK_ROWS)))
+    at = sorted(set(offsets[rows].tolist()) | {total})
+    return list(zip(at, at[1:]))
+
+
+def edge_list_chunks(seed: Graph, m: int):
+    """The edge-list text of the level-m corona of ``seed`` in pieces: the
+    ``# n=`` header, then sorted edges; m=0 writes ``seed`` itself.
+
+    No graph is built: by the index layout contract, row u of level m lists
+    its larger neighbours as its block's seed edges upward, then its own
+    copy at each later step, so each birth step's rows are one block
+    template tiled over the step's block bases.  A piece holds whole blocks
+    of about EDGE_CHUNK_ROWS edges, or one block's rows of about as many.
+    """
+    n = seed.node_count
+    table = _level_table(seed, m)
+    first, blocks, _ = table[-1]
+    yield f"# n={first + blocks * n}\n"
+    # glibc lifts its mmap threshold to the size of a freed mmap-ed block, and
+    # its heap trim threshold to twice that.  One untouched block of 64 bytes
+    # per chunk edge, freed here, lets a chunk's temporaries (about 100 bytes
+    # an edge) reuse the heap instead of faulting in fresh pages: complete:3
+    # m=9 takes about 1,000 minor faults, not 25,000
+    np.empty(64 * EDGE_CHUNK_ROWS, dtype=np.uint8)
+    for t, (first, blocks, arcs) in enumerate(table):
+        if not arcs:
+            continue
+        offsets, row, const, weight = _template(seed, [s for s, _, _ in table[t + 1:]])
+        per = max(1, EDGE_CHUNK_ROWS // arcs)
+        spans = _spans(offsets)
+        for a in range(0, blocks, per):
+            bases = first + n * np.arange(a, min(a + per, blocks), dtype=np.uint32)[:, None]
+            for lo, hi in spans:
+                uv = np.empty((len(bases), hi - lo, 2), dtype=np.uint32)
+                np.add(bases, row[lo:hi], out=uv[:, :, 0])
+                np.multiply(bases, weight[lo:hi], out=uv[:, :, 1])
+                uv[:, :, 1] += const[lo:hi]
+                yield _edge_lines(uv.reshape(-1, 2))
+
+
+def write_edge_list(seed: Graph, m: int, path) -> None:
+    """Write the level-m edge list to ``path``: n header plus lexicographically
+    sorted edges."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(edge_list_chunks(g))
+        fh.writelines(edge_list_chunks(seed, m))

@@ -56,16 +56,22 @@ CHECKS = [
     Check("betweenness csv", "stats --seed complete:3 --m 9 --betweenness --format csv",
           stdout_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234",
           out_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234"),
-    # 1,562,500 nodes: the CSR is filled in place, the edges written from its rows
+    # 1,562,500 nodes streamed from the index layout: no graph is built,
+    # and the process holds one chunk of edges at any size
     Check("edge list", "generate --seed star:4 --m 8",
           stdout_sha256="3c6f38bdd614886f4a1f9e273a03194488e4e329101d5d52a4c55bcc103c8a6b",
           out_sha256="1adb4b9e0ab560f549f0e7ba493735a0600168534ffb14f3c19e2a416ebe549a",
-          peak_mb=("<=", 85)),
-    # 786,432 nodes and 1,572,861 edges: int32 ids, 4 bytes an arc
+          peak_mb=("<=", 48)),
+    # 786,432 nodes and 1,572,861 edges
     Check("edge list at m=9", "generate --seed complete:3 --m 9",
           stdout_sha256="14313d73550073d9c578ee2f3deacee1ba9775da182eb2555c429651c1def28b",
           out_sha256="caca405ba7072c258a2c0f7afe79dc49b44855b1f5b5594796c3b7f799bbd23e",
-          peak_mb=("<=", 62)),
+          peak_mb=("<=", 48)),
+    # 1,048,576 nodes over 21 levels of one-node blocks
+    Check("edge list at m=20", "generate --seed complete:1 --m 20",
+          stdout_sha256="b0d2109325e441cdcf3dd9e597db0766b638d751a7231f2bdb4f2fe818aa66e2",
+          out_sha256="c6a7db13a12ac44cb384539fe7fcc0a0027857564237981ac37cb587f75c6c28",
+          peak_mb=("<=", 48)),
     Check("deep spectrum", "spectrum --seed complete:3 --m 18 --kind adjacency",
           stdout_sha256="76460a31ea16d80bc67383c4f773660c7fa0dd74fb1ccc43f19a518ead71e46d",
           out_sha256="76460a31ea16d80bc67383c4f773660c7fa0dd74fb1ccc43f19a518ead71e46d",
@@ -100,6 +106,10 @@ CHECKS = [
     Check("missing --out directory",
           "spectrum --seed complete:3 --m 1 --kind adjacency --out missing-dir/s.json",
           exit=2, stderr=ERROR, timeout=30),
+    # the --out path is opened before the counts line: nothing on stdout
+    Check("generate missing --out directory",
+          "generate --seed complete:3 --m 1 --out missing-dir/g.edges",
+          exit=2, stderr=ERROR, stdout_sha256=hashlib.sha256(b"").hexdigest(), timeout=30),
     Check("nan tolerance", "verify --seed complete:3 --m 1 --kind adjacency --tolerance nan",
           exit=2, stderr=ERROR, timeout=30),
 ]

@@ -86,6 +86,20 @@ class TestGenerate:
         assert code == EXIT_CAP
         assert "cap" in err
 
+    @pytest.mark.parametrize("case", ["missing dir", "directory", "over the cap"])
+    def test_a_refused_generate_prints_no_counts_line(self, case, capsys, tmp_path):
+        # guards, then --out, then the counts line: a refusal writes no stdout
+        out, m, expected = tmp_path / "missing" / "g.edges", "1", EXIT_CONFIG
+        if case == "directory":
+            out = tmp_path
+        elif case == "over the cap":
+            out, m, expected = tmp_path / "g.edges", "40", EXIT_CAP
+        code, stdout, err = run(capsys, "generate", "--seed", "complete:3", "--m", m,
+                                "--out", str(out))
+        assert (code, stdout) == (expected, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.is_dir() or not out.exists()
+
     @pytest.mark.parametrize("m, nodes, expected, message", [
         ("3", 192, EXIT_CAP, "error: level 3 has 192 nodes, over the cap of 100\n"),
         ("2", 48, EXIT_OK, ""),

@@ -1,5 +1,5 @@
-"""The direct corona builder and the chunked writer against their references,
-and the memory each holds."""
+"""The direct corona builder and the edge-list stream against their
+references, and the memory each holds."""
 
 import random
 import tracemalloc
@@ -40,9 +40,10 @@ def assert_same_graph(got: Graph, want: Graph) -> None:
     assert np.array_equal(got.targets, want.targets)
 
 
-def assert_same_bytes(g: Graph, path) -> None:
-    write_edge_list(g, path)
-    assert path.read_bytes() == reference.edge_list_text(g).encode("utf-8")
+def assert_same_bytes(seed: Graph, m: int, path) -> None:
+    write_edge_list(seed, m, path)
+    want = reference.edge_list_text(reference.corona_iterate(seed, m))
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def random_pairs():
@@ -66,7 +67,7 @@ class TestBuilderMatchesReference:
             g = corona_product(g, seed)
             want = reference.corona_product(want, seed)
             assert_same_graph(g, want)
-        assert_same_bytes(g, tmp_path / "g.edges")
+        assert_same_bytes(seed, 4, tmp_path / "g.edges")
 
     @pytest.mark.parametrize("host,seed", [
         (complete_graph(3), K1),
@@ -81,7 +82,7 @@ class TestBuilderMatchesReference:
     def test_edge_cases(self, host, seed, tmp_path):
         g = corona_product(host, seed)
         assert_same_graph(g, reference.corona_product(host, seed))
-        assert_same_bytes(g, tmp_path / "g.edges")
+        assert_same_bytes(g, 0, tmp_path / "g.edges")
 
     def test_disconnected_file_seed(self, tmp_path):
         p = tmp_path / "seed.edges"
@@ -91,13 +92,13 @@ class TestBuilderMatchesReference:
         for m in range(4):
             g = graph.corona_iterate(graph.CoronaPlan(seed=sd, m=m))
             assert_same_graph(g, reference.corona_iterate(sd.graph, m))
-            assert_same_bytes(g, tmp_path / "g.edges")
+            assert_same_bytes(sd.graph, m, tmp_path / "g.edges")
 
     def test_random_seeds(self, tmp_path):
         for host, seed in random_pairs():
             g = corona_product(host, seed)
             assert_same_graph(g, reference.corona_product(host, seed))
-            assert_same_bytes(g, tmp_path / "g.edges")
+            assert_same_bytes(g, 0, tmp_path / "g.edges")
 
     @pytest.mark.parametrize("hosts", [1, 2, 7])
     @pytest.mark.parametrize("seed", [star_graph(4), K1, WITH_ISOLATED],
@@ -113,40 +114,62 @@ class TestBuilderMatchesReference:
 
 
 class TestWriterMatchesReference:
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_streams_every_level_byte_for_byte(self, rows, monkeypatch, tmp_path):
+        # chunks of 1, 2 and 7 edges: pieces cut inside blocks and span several
+        monkeypatch.setattr(graph, "EDGE_CHUNK_ROWS", rows)
+        cases = [(SeedDescriptor.from_spec(spec).graph, m)
+                 for spec in BUILTIN_SEEDS for m in range(4)]
+        cases += [(seed, m) for _, seed in random_pairs() for m in range(3)]
+        cases += [(WITH_ISOLATED, m) for m in range(4)] + [(K1, 12)]
+        for seed, m in cases:
+            assert_same_bytes(seed, m, tmp_path / "g.edges")
+
     @pytest.mark.parametrize("k", [9, 10, 11, 99, 100, 101, 9999, 10000, 10001])
     def test_digit_width_changes(self, k, tmp_path):
         # node counts on both sides of a new decimal digit, and of a new
         # 4-digit group in the serializer
-        assert_same_bytes(path_graph(k), tmp_path / "g.edges")
+        assert_same_bytes(path_graph(k), 0, tmp_path / "g.edges")
 
     @pytest.mark.parametrize("node_count", [0, 1, 7])
     def test_zero_edges(self, node_count, tmp_path):
-        assert_same_bytes(Graph.from_edges(node_count, []), tmp_path / "g.edges")
+        assert_same_bytes(Graph.from_edges(node_count, []), 0, tmp_path / "g.edges")
 
     def test_spans_several_chunks(self, tmp_path):
         g = reference.corona_iterate(complete_graph(3), 7)
         assert g.edge_count > graph.EDGE_CHUNK_ROWS
-        assert_same_bytes(g, tmp_path / "g.edges")
+        assert_same_bytes(complete_graph(3), 7, tmp_path / "g.edges")
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_chunk_boundaries(self, rows, monkeypatch, tmp_path):
         monkeypatch.setattr(graph, "EDGE_CHUNK_ROWS", rows)
         seed = SeedDescriptor.from_spec("star:4").graph
-        for g in (seed, reference.corona_iterate(seed, 2)):
-            assert_same_bytes(g, tmp_path / "g.edges")
+        for m in (0, 2):
+            assert_same_bytes(seed, m, tmp_path / "g.edges")
 
     def test_row_longer_than_a_chunk(self, monkeypatch, tmp_path):
-        # a chunk is about 2 arcs here, and the hub's row alone holds 49:
+        # a chunk is 1 edge here, and the hub's row alone holds 49:
         # its edges come out whole, in one piece, and the leaves add none
         monkeypatch.setattr(graph, "EDGE_CHUNK_ROWS", 1)
         g = star_graph(50)
-        assert [piece.count("\n") for piece in edge_list_chunks(g)] == [1, 49]
-        assert_same_bytes(g, tmp_path / "g.edges")
+        assert [piece.count("\n") for piece in edge_list_chunks(g, 0)] == [1, 49]
+        assert_same_bytes(g, 0, tmp_path / "g.edges")
         g = reference.corona_product(path_graph(3), g)
         longest = int(g.degrees.max())
         assert longest > 2
-        assert max(piece.count("\n") for piece in edge_list_chunks(g)) <= 2 + longest
-        assert_same_bytes(g, tmp_path / "g.edges")
+        assert max(piece.count("\n") for piece in edge_list_chunks(g, 0)) <= 2 + longest
+        assert_same_bytes(g, 0, tmp_path / "g.edges")
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_a_long_row_is_a_piece_of_its_own(self, m, monkeypatch, tmp_path):
+        # row 0 holds 1 edge and row 1 holds 100: a chunk of 7 edges cut at
+        # row starts alone would put both rows in one piece
+        monkeypatch.setattr(graph, "EDGE_CHUNK_ROWS", 7)
+        g = Graph.from_edges(102, [(0, 1)] + [(1, k) for k in range(2, 102)])
+        for piece in list(edge_list_chunks(g, m))[1:]:
+            sources = {line.split()[0] for line in piece.splitlines()}
+            assert piece.count("\n") < 2 * 7 or len(sources) == 1
+        assert_same_bytes(g, m, tmp_path / "g.edges")
 
     def test_endpoints_past_two_digit_groups(self):
         # endpoints this large need a graph too big to build in a test, so
@@ -173,21 +196,22 @@ def level(spec: str, m: int) -> Graph:
 
 class TestBoundedMemory:
     def test_writer_does_not_grow_with_the_graph(self, tmp_path):
-        # m=8 has 4 times the edges of m=7; the writer holds one chunk of
-        # either.  A writer that gathers the whole edge array first holds
-        # twice as much at m=8 as at m=7
-        small, big = level("complete:3", 7), level("complete:3", 8)
-        write_edge_list(small, tmp_path / "warm.edges")  # the digit table is cached
-        peaks = [traced(lambda: write_edge_list(g, tmp_path / "g.edges"))[1]
-                 for g in (small, big)]
+        # m=8 has 4 times the edges of m=7; the stream builds neither level
+        # and holds one chunk of either.  A writer that gathers the whole
+        # edge array first holds twice as much at m=8 as at m=7
+        seed = complete_graph(3)
+        write_edge_list(seed, 7, tmp_path / "warm.edges")  # the digit table is cached
+        peaks = [traced(lambda: write_edge_list(seed, m, tmp_path / "g.edges"))[1]
+                 for m in (7, 8)]
         assert peaks[1] < 1.25 * peaks[0]
 
     def test_writer_holds_under_200_bytes_per_chunk_edge(self, tmp_path):
-        # about EDGE_CHUNK_ROWS edges at a time, formatted in uint32 from
-        # int32 ids: 173.5 bytes per edge; int64 ids and divisions held 249.5
-        g = level("complete:3", 8)
-        write_edge_list(g, tmp_path / "warm.edges")  # the digit table is cached
-        peak = traced(lambda: write_edge_list(g, tmp_path / "g.edges"))[1]
+        # about EDGE_CHUNK_ROWS edges at a time, tiled and formatted in
+        # uint32: 173.5 bytes per edge read from CSR rows, 249.5 with int64
+        # ids and divisions
+        seed = complete_graph(3)
+        write_edge_list(seed, 8, tmp_path / "warm.edges")  # the digit table is cached
+        peak = traced(lambda: write_edge_list(seed, 8, tmp_path / "g.edges"))[1]
         assert peak < 200 * graph.EDGE_CHUNK_ROWS
 
     def test_build_holds_little_beyond_its_result(self):

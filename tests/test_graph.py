@@ -403,7 +403,7 @@ class TestEdgeListIO:
     def test_roundtrip(self, tmp_path):
         g = corona_product(complete_graph(3), complete_graph(3))
         p = tmp_path / "g.edges"
-        write_edge_list(g, p)
+        write_edge_list(g, 0, p)
         back = read_edge_list(p)
         assert back.node_count == g.node_count
         assert np.array_equal(reference.edge_array(back), reference.edge_array(g))
@@ -436,5 +436,5 @@ class TestEdgeListIO:
     def test_writer_sorted(self, tmp_path):
         g = Graph.from_edges(4, [(3, 2), (1, 0), (2, 0)])
         p = tmp_path / "g.edges"
-        write_edge_list(g, p)
+        write_edge_list(g, 0, p)
         assert p.read_text().splitlines() == ["# n=4", "0 1", "0 2", "2 3"]

@@ -104,10 +104,17 @@ _RECORD = ('    {\n      "kind": "%s",\n      "k": %d,\n      "level": %d,\n'
            '      "mu": %r,\n      "printed_roots": [\n        %r,\n        %r,\n'
            '        %r\n      ],\n      "secular_roots": [\n        %r,\n        %r,\n'
            '        %r\n      ],\n      "max_delta": %r,\n      "note": "%s"\n    }')
-# where the two lists sit in the indented outer text: a raw newline only ever
+# and of a [value, probability] point of a stats series, at the report's top
+# level and inside its betweenness object
+_POINT = '    [\n      %r,\n      %r\n    ]'
+_SERIES_POINT = '      [\n        %r,\n        %r\n      ]'
+# where the lists sit in the indented outer text: a raw newline only ever
 # separates json.dumps's own lines, so each marker occurs once
 _ENTRIES_AT = '\n    "entries": '
 _RECORDS_AT = '\n  "discrepancies": '
+_DEGREES_AT = '\n  "degree_distribution": '
+_CUMULATIVE_AT = '\n  "cumulative_degree_distribution": '
+_SERIES_AT = '\n    "series": '
 
 
 def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
@@ -133,7 +140,7 @@ def _json_text(payload: dict, *lists) -> Iterator[str]:
 
     The outer fields go through json.dumps.  The lists, nearly all of the
     bytes, go through ``_rows``, floats by ``float.__repr__`` as json does
-    (a spectrum holds no NaN or infinity), so the text is never held whole.
+    (no list holds a NaN or infinity), so the text is never held whole.
     """
     rest = json.dumps(payload, indent=2)
     for marker, template, columns, indent in lists:
@@ -146,6 +153,11 @@ def _json_text(payload: dict, *lists) -> Iterator[str]:
         yield from _rows(template, columns, ",\n")
         yield "\n" + indent + "]"
     yield rest + "\n"
+
+
+def _points(d) -> tuple[np.ndarray, np.ndarray]:
+    """A distribution series' values and probabilities, as two row-writer columns."""
+    return np.array(d.values, dtype=np.float64), np.array(d.probabilities, dtype=np.float64)
 
 
 def _plan(cfg: argparse.Namespace) -> CoronaPlan:
@@ -206,53 +218,55 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
             _guard(plan, nodes, DIAMETER_CAP, "diameter over a 2-connected block",
                    "; pass --force to run anyway (its time grows as the nodes "
                    "times the edges times the depth of the largest 2-connected block)")
-    g = corona_iterate(plan)
+    # the plan stands for level m, measured from the seed and the layout of
+    # graph.level_table: no level-m graph is built
     if cfg.format == "csv":
         # the payload is one table: no report, diameter or power-law fit;
         # betweenness runs before the first _emit, so a refusal writes no --out
         if cfg.betweenness:
-            b = structural.betweenness_exact(g)
+            b = structural.betweenness_exact(plan)
             head, columns = "node,b\n", (np.arange(len(b)), b)
         else:
-            d = structural.degree_histogram(g)
+            d = structural.degree_histogram(plan)
             head = f"# cumulative=false population={d.population}\nvalue,probability\n"
-            columns = (np.array(d.values), np.array(d.probabilities))
+            columns = _points(d)
         for text in chain([head], _rows("%d,%r\n", columns)):
             _emit(cfg, text)
         return EXIT_OK
     seed_g = plan.seed.graph
 
-    degrees = structural.degree_histogram(g)
-    cumulative = cumulative_series(degrees)
+    degrees = structural.degree_histogram(plan)
     report = {
         "schema": 1,
         "command": "stats",
         "seed": cfg.seed,
         "m": cfg.m,
-        "nodes": g.node_count,
-        "edges": g.edge_count,
+        "nodes": plan.node_count,
+        "edges": plan.edge_count,
         "average_degree": {
-            "measured": structural.average_degree(g),
+            "measured": structural.average_degree(plan),
             "limit": structural.average_degree_limit(seed_g.node_count,
                                                      seed_g.edge_count),
         },
-        "density": structural.density(g) if g.node_count >= 2 else None,
+        "density": structural.density(plan) if plan.node_count >= 2 else None,
     }
     if plan.seed.connected:
         d0 = structural.diameter_measured(seed_g)
         report["diameter"] = {
-            # at m=0, g is the seed graph itself
-            "measured": d0 if g is seed_g else structural.diameter_measured(g),
+            # at m=0, the level is the seed graph itself
+            "measured": d0 if cfg.m == 0 else structural.diameter_measured(plan),
             "formula": structural.diameter_formula(d0, cfg.m),
         }
     else:
         report["diameter"] = {"measured": None, "formula": None,
                               "disconnected": True}
-    report["degree_distribution"] = [[v, p] for v, p in degrees.points]
-    report["cumulative_degree_distribution"] = [[v, p] for v, p in cumulative.points]
+    report["degree_distribution"] = []
+    report["cumulative_degree_distribution"] = []
+    lists = [(_DEGREES_AT, _POINT, _points(degrees), "  "),
+             (_CUMULATIVE_AT, _POINT, _points(cumulative_series(degrees)), "  ")]
 
     if cfg.betweenness:
-        series = structural.betweenness_series(structural.betweenness_exact(g))
+        series = structural.betweenness_series(structural.betweenness_exact(plan))
         try:
             fit = fit_power_law(series)
             fitted = {"gamma": fit.gamma, "intercept": fit.intercept,
@@ -260,9 +274,11 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
         except ValueError:
             # fewer than 3 distinct values: the series stands without a fit
             fitted = dict.fromkeys(("gamma", "intercept", "r_squared", "fit_range"))
-        report["betweenness"] = {**fitted, "series": [[v, p] for v, p in series.points]}
+        report["betweenness"] = {**fitted, "series": []}
+        lists.append((_SERIES_AT, _SERIES_POINT, _points(series), "    "))
 
-    _emit(cfg, json.dumps(report, indent=2) + "\n")
+    for text in _json_text(report, *lists):
+        _emit(cfg, text)
     return EXIT_OK
 
 

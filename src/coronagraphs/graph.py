@@ -1,13 +1,20 @@
-"""Seed graphs, the corona product, exact node/edge count formulas, and the
-level-m edge list.
+"""Seed graphs, the index layout of a corona level, exact node/edge count
+formulas, and the level-m edge list.
 
 A corona step attaches one fresh copy of the seed to every existing node
 and joins that node to all vertices of its copy.  Iterating from a seed on
 n nodes yields n*(n+1)**m nodes after m steps, so materialization is capped
-while the count formulas stay exact at any depth.  The index layout fixes
-where every node lands, so the level-m edge list is streamed from the seed
-and m alone, with no graph built; ``corona_product`` builds the CSR for the
-analyses that read one.
+while the count formulas stay exact at any depth.
+
+The index layout fixes where every node lands, and the ``BirthStep``s of
+``level_table`` are its one reader: the nodes of a level keep their ids at every later step,
+and the copy born at step t on host h is the n nodes from N_{t-1} + h*n,
+in seed order, joined to the rest only through h, where N_{t-1} =
+n*(n+1)**(t-1) is the node count before the step.  So level m is read off
+the seed and m alone: ``edge_list_chunks`` streams its edge list,
+``CoronaPlan`` gives its degrees, and ``structural`` its blocks, with no
+graph built.  ``corona_iterate`` builds the CSR, for the dense oracle and
+the tests, from the seed's edges and each step's.
 """
 
 from __future__ import annotations
@@ -15,13 +22,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 U128_MAX = (1 << 128) - 1
 DEFAULT_NODE_CAP = 2_000_000
 MAX_NODES = (1 << 31) - 1  # node ids are int32, and so is a node count (largest id + 1)
-CORONA_RANGE_HOSTS = 1 << 14  # corona_product fills its rows this many hosts at a time
 
 
 class CountOverflowError(OverflowError):
@@ -268,62 +275,99 @@ class CoronaPlan:
             )
         _check_ids(self.predicted_nodes, f"level {self.m}")
 
+    # the level's own sizes, so that a plan is measured wherever a Graph is
+    @property
+    def node_count(self) -> int:
+        return self.predicted_nodes
+
+    @property
+    def edge_count(self) -> int:
+        return self.predicted_edges
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Node degrees of level m in node order, after the cap check: a
+        node born at step t has its seed degree, 1 for its host if t >= 1,
+        and n for its copy at each of the m - t later steps."""
+        self.check_cap()
+        n, m, seed = self.n, self.m, self.seed.graph.degrees
+        degrees = np.empty(self.node_count, dtype=np.int64)
+        for t, step in enumerate(level_table(n, m)):
+            degrees[step.copies()] = seed + (n * (m - t) + (t > 0))
+        return degrees
+
+
+class BirthStep(NamedTuple):
+    """The nodes born at one step of a level: ``blocks`` copies of the
+    n-node seed from node ``first`` on.  The copy on host h is the nodes
+    first + h*n + 0..n-1 in seed order, joined to the rest only through h;
+    step 0 is the seed itself, one block with no host."""
+
+    first: int
+    blocks: int
+    n: int
+
+    @property
+    def stop(self) -> int:
+        """One past the step's last node."""
+        return self.first + self.blocks * self.n
+
+    def bases(self, hosts):
+        """The first node of the copy on each of ``hosts``."""
+        return self.first + self.n * hosts
+
+    def copies(self, hosts=None) -> np.ndarray:
+        """The nodes of the copy on each of ``hosts`` (every host by
+        default), one row per host in seed order."""
+        hosts = np.arange(self.blocks) if hosts is None else np.asarray(hosts)
+        return self.bases(hosts)[..., None] + np.arange(self.n)
+
+
+def level_table(n: int, m: int) -> list[BirthStep]:
+    """The birth steps 0..m of level m: the index layout.
+
+    Step 0 is the seed, nodes 0..n-1.  Step t >= 1 holds the N_{t-1} =
+    n*(n+1)**(t-1) copies born on the N_{t-1} older nodes, from N_{t-1} on.
+    """
+    table, N = [BirthStep(0, 1, n)], n
+    for _ in range(m):
+        table.append(BirthStep(N, N, n))
+        N += N * n
+    return table
+
+
+def _step_edges(seed: Graph, step: BirthStep) -> np.ndarray:
+    """The edges of one step's copies, as one (k, 2) array: each host to
+    its copy, and the copy's seed edges."""
+    su, sv = edge_ends(seed)
+    copies = step.copies()
+    return np.column_stack((
+        np.concatenate((np.repeat(np.arange(step.blocks), step.n), copies[:, su].ravel())),
+        np.concatenate((copies.ravel(), copies[:, sv].ravel()))))
+
 
 def corona_product(g: Graph, seed: Graph) -> Graph:
-    """One corona step: attach a seed copy to every node of g.
-
-    Index layout contract: nodes of g keep indices 0..N-1; the copy attached
-    to g-node i occupies the contiguous block N+i*n .. N+(i+1)*n-1 in seed
-    order.  Downstream eigenvector constructions and step-of-addition
-    bookkeeping rely on this.
-
-    The contract gives every CSR row in closed form, already sorted: host
-    row i is its old row followed by its copy block, and copy row (i, j) is
-    host i followed by seed row j shifted by N+i*n.  So the final arrays are
-    filled in place, a range of hosts at a time, with no edge list to sort.
-    ``edge_list_chunks`` reads the same contract a second way, streaming the
-    upper rows of every level from the seed alone; a byte-identity test
-    against the reference builder pins the two together.
-    """
+    """One corona step: attach a seed copy to every node of g, as the
+    ``BirthStep`` from g's node count N on, with N hosts."""
     n = seed.node_count
     if n < 1:
         raise ValueError("seed must be nonempty")
     N = g.node_count
-    width = len(seed.targets) + n  # the arcs of one host's copy rows
-    offsets = np.empty(_check_ids(N * (1 + n), "the corona product") + 1, dtype=np.int64)
-    np.add(g.offsets, n * np.arange(N + 1), out=offsets[:N + 1])
-    start = int(offsets[N])
-    np.add.outer(start + width * np.arange(N), np.cumsum(seed.degrees + 1),
-                 out=offsets[N + 1:].reshape(N, n))
-    # one host's copy rows, with a host slot (set per host) ahead of each seed row
-    host_slot = seed.offsets[:-1] + np.arange(n)
-    template = np.zeros(width, dtype=np.int32)
-    template[np.delete(np.arange(width), host_slot)] = seed.targets
-    targets = np.empty(start + N * width, dtype=np.int32)
-    tail = targets[start:].reshape(N, width)
-    for a in range(0, N, CORONA_RANGE_HOSTS):
-        b = min(a + CORONA_RANGE_HOSTS, N)
-        rows = targets[offsets[a]:offsets[b]]
-        is_old = np.ones(len(rows), dtype=bool)
-        is_old[(offsets[a + 1:b + 1] - offsets[a] - n)[:, None] + np.arange(n)] = False
-        rows[is_old] = g.targets[g.offsets[a]:g.offsets[b]]
-        rows[~is_old] = np.arange(N + a * n, N + b * n, dtype=np.int32)
-        hosts = np.arange(a, b, dtype=np.int32)[:, None]
-        np.add(template, N + hosts * n, out=tail[a:b])
-        tail[a:b, host_slot] = hosts
-    return Graph(offsets=offsets, targets=targets)
+    _check_ids(N * (1 + n), "the corona product")
+    return Graph.from_edges(N * (1 + n), np.concatenate(
+        (np.column_stack(edge_ends(g)), _step_edges(seed, BirthStep(N, N, n)))))
 
 
 def corona_iterate(plan: CoronaPlan) -> Graph:
-    """Materialize the level-m corona graph; m=0 returns the seed itself."""
-    plan.check_cap()
-    g = plan.seed.graph
-    for _ in range(plan.m):
-        g = corona_product(g, plan.seed.graph)
-    if (g.node_count, g.edge_count) != (plan.predicted_nodes, plan.predicted_edges):
-        raise RuntimeError(
-            f"corona build gave {g.node_count} nodes and {g.edge_count} edges; "
-            f"the plan predicts {plan.predicted_nodes} and {plan.predicted_edges}")
+    """Materialize the level-m corona graph: the seed's edges and every
+    step's, read off ``level_table``, in one ``Graph.from_edges``."""
+    nodes, edges = stream_counts(plan)
+    seed = plan.seed.graph
+    steps = level_table(plan.n, plan.m)[1:]
+    g = Graph.from_edges(nodes, np.concatenate(
+        [np.column_stack(edge_ends(seed)), *(_step_edges(seed, step) for step in steps)]))
+    if g.edge_count != edges:
+        raise RuntimeError(f"the steps gave {g.edge_count} edges; the plan predicts {edges}")
     return g
 
 
@@ -500,32 +544,16 @@ def _edge_lines(uv: np.ndarray) -> str:
     return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _level_table(seed: Graph, m: int) -> list[tuple[int, int, int]]:
-    """(first block base, blocks, template arcs) of each birth step 0..m of level m.
-
-    By the index layout contract, the nodes born at step t >= 1 are N_{t-1}
-    copy blocks of n nodes from N_{t-1} = n*(n+1)**(t-1), one per older
-    node, and step 0 is the seed's one block from 0.  Every block of a step
-    lists the same larger neighbours per row: its seed edges upward, then n
-    copy nodes for each later step, so a template of e + (m-t)*n*n arcs.
-    """
-    n, e = seed.node_count, seed.edge_count
-    table, N = [(0, 1, e + m * n * n)], n
-    for t in range(1, m + 1):
-        table.append((N, N, e + (m - t) * n * n))
-        N += N * n
-    return table
-
-
 def stream_counts(plan: CoronaPlan) -> tuple[int, int]:
-    """The node and edge counts of level m read off the stream's level
-    table, after the cap check; a table that disagrees with the plan's
-    count formulas raises before any edge is written."""
+    """The node and edge counts of level m read off ``level_table``, after
+    the cap check; a table that disagrees with the plan's count formulas
+    raises before any edge is written.  Every block of step t has e +
+    (m-t)*n*n larger neighbours: seed edges upward, n copy nodes per later step."""
     plan.check_cap()
-    table = _level_table(plan.seed.graph, plan.m)
-    first, blocks, _ = table[-1]
-    nodes = first + blocks * plan.n
-    edges = sum(blocks * arcs for _, blocks, arcs in table)
+    n, e, m = plan.n, plan.seed.graph.edge_count, plan.m
+    table = level_table(n, m)
+    nodes = table[-1].stop
+    edges = sum(step.blocks * (e + (m - t) * n * n) for t, step in enumerate(table))
     if (nodes, edges) != (plan.predicted_nodes, plan.predicted_edges):
         raise RuntimeError(
             f"the level table gives {nodes} nodes and {edges} edges; "
@@ -533,19 +561,19 @@ def stream_counts(plan: CoronaPlan) -> tuple[int, int]:
     return nodes, edges
 
 
-def _template(seed: Graph, starts: list[int]):
+def _template(seed: Graph, later: list[BirthStep]):
     """One block's rows of larger neighbours, the block based at 0: the row
     offsets, then each arc's (row, constant, weight), whose target from a
     block based at b is constant + weight*b.
 
-    Row j holds its seed neighbours above it (constant k, weight 1), then,
-    for each later step's first node S in ``starts``, its own copy at
-    S + (b+j)*n (constants S + j*n + 0..n-1, weight n).
+    Row j holds its seed neighbours above it (constant k, weight 1), then
+    its own copy at each step of ``later``, that on host b+j (constants the
+    copy on host j, weight n).
     """
     n = seed.node_count
     up_src, up_dst = edge_ends(seed)
     up = np.bincount(up_src, minlength=n)
-    lengths = up + len(starts) * n
+    lengths = up + len(later) * n
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     local = np.arange(n, dtype=np.uint32)
@@ -553,8 +581,8 @@ def _template(seed: Graph, starts: list[int]):
     is_seed = np.arange(len(row)) - offsets[row] < up[row]
     const = np.empty(len(row), dtype=np.uint32)
     const[is_seed] = up_dst
-    copies = np.add.outer(np.array(starts, dtype=np.uint32), local).ravel()
-    const[~is_seed] = (local[:, None] * n + copies).ravel()
+    if later:
+        const[~is_seed] = np.stack([step.copies(local) for step in later], axis=1).ravel()
     weight = np.where(is_seed, np.uint32(1), np.uint32(n))
     return offsets, row, const, weight
 
@@ -575,30 +603,30 @@ def edge_list_chunks(seed: Graph, m: int):
     """The edge-list text of the level-m corona of ``seed`` in pieces: the
     ``# n=`` header, then sorted edges; m=0 writes ``seed`` itself.
 
-    No graph is built: by the index layout contract, row u of level m lists
-    its larger neighbours as its block's seed edges upward, then its own
-    copy at each later step, so each birth step's rows are one block
+    No graph is built: by the layout of ``level_table``, row u of level m
+    lists its larger neighbours as its block's seed edges upward, then its
+    own copy at each later step, so each birth step's rows are one block
     template tiled over the step's block bases.  A piece holds whole blocks
     of about EDGE_CHUNK_ROWS edges, or one block's rows of about as many.
     """
     n = seed.node_count
-    table = _level_table(seed, m)
-    first, blocks, _ = table[-1]
-    yield f"# n={first + blocks * n}\n"
+    table = level_table(n, m)
+    yield f"# n={table[-1].stop}\n"
     # glibc lifts its mmap threshold to the size of a freed mmap-ed block, and
     # its heap trim threshold to twice that.  One untouched block of 64 bytes
     # per chunk edge, freed here, lets a chunk's temporaries (about 100 bytes
     # an edge) reuse the heap instead of faulting in fresh pages: complete:3
     # m=9 takes about 1,000 minor faults, not 25,000
     np.empty(64 * EDGE_CHUNK_ROWS, dtype=np.uint8)
-    for t, (first, blocks, arcs) in enumerate(table):
+    for t, step in enumerate(table):
+        offsets, row, const, weight = _template(seed, table[t + 1:])
+        arcs = int(offsets[-1])
         if not arcs:
             continue
-        offsets, row, const, weight = _template(seed, [s for s, _, _ in table[t + 1:]])
         per = max(1, EDGE_CHUNK_ROWS // arcs)
         spans = _spans(offsets)
-        for a in range(0, blocks, per):
-            bases = first + n * np.arange(a, min(a + per, blocks), dtype=np.uint32)[:, None]
+        for a in range(0, step.blocks, per):
+            bases = step.bases(np.arange(a, min(a + per, step.blocks), dtype=np.uint32)[:, None])
             for lo, hi in spans:
                 uv = np.empty((len(bases), hi - lo, 2), dtype=np.uint32)
                 np.add(bases, row[lo:hi], out=uv[:, :, 0])

@@ -63,7 +63,7 @@ from itertools import repeat
 import numpy as np
 
 from . import oracle
-from .graph import CapExceededError, Graph, connected_component_count
+from .graph import CapExceededError, Graph, connected_component_count, level_table
 
 ADJACENCY, LAPLACIAN, SIGNLESS = oracle.MATRIX_KINDS
 
@@ -319,6 +319,17 @@ def star_cubic_roots(mus: np.ndarray, k: int, kind: str, *,
 # the corona step
 
 
+def _level_zero(seed_graph: Graph, kind: str) -> Spectrum:
+    """The exact level-0 spectrum: literals for a star's A and Q, else
+    ``seed_spectrum``.  It reads no main weights, which only a step needs."""
+    k = star_size(seed_graph)
+    if k is not None and kind != LAPLACIAN:
+        root = math.sqrt(k - 1.0)
+        values = [-root, 0.0, root] if kind == ADJACENCY else [0.0, 1.0, float(k)]
+        return Spectrum(kind, np.array(values), np.array([1, k - 2, 1]))
+    return seed_spectrum(seed_graph, kind)
+
+
 def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None = None):
     """(level-0 spectrum, roots, tail) of the seed's step, as in the module table.
 
@@ -329,22 +340,16 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None 
     """
     n = seed_graph.node_count
     top, shift = (0, 0) if kind == ADJACENCY else (n, 1)
+    seed = _level_zero(seed_graph, kind)
     k = star_size(seed_graph)
     if k is not None and kind != LAPLACIAN:
-        if kind == ADJACENCY:
-            root = math.sqrt(k - 1.0)
-            values, tail_value = [-root, 0.0, root], 0.0
-        else:
-            values, tail_value = [0.0, 1.0, float(k)], 2.0
-
         # star_cubic_roots is looked up at each call, so a patched module
         # attribute (the bench tracer's) sees every star step
         def star(x: np.ndarray, level: int) -> np.ndarray:
             return star_cubic_roots(x, k, kind, discrepancies=discrepancies,
                                     level=level)
-        return (Spectrum(kind, np.array(values), np.array([1, k - 2, 1])), star,
-                Spectrum(kind, np.array([tail_value]), np.array([k - 2])))
-    seed = seed_spectrum(seed_graph, kind)
+        tail_value = 0.0 if kind == ADJACENCY else 2.0
+        return seed, star, Spectrum(kind, np.array([tail_value]), np.array([k - 2]))
     r = regular_degree(seed_graph)
     if kind == LAPLACIAN or r is not None:
         # 1 is an eigenvector, of the one main value, which seed_spectrum snaps
@@ -425,8 +430,8 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
 
     Quadratic-family vectors put 1/(lam - r) times the host's coordinate on
     every vertex of its copy; mu-family vectors place one seed eigenvector
-    inside a single copy and vanish elsewhere.  Layout matches
-    corona_product's copy-major index contract.  Connectivity makes r a
+    inside a single copy and vanish elsewhere, in the index layout read off
+    ``graph.level_table``: the seed, then host i's copy.  Connectivity makes r a
     simple eigenvalue, so every other seed eigenvector is orthogonal to the
     all-ones vector, as the mu family needs; lam - r is never 0, since
     |lam - r| >= n / (r + sqrt(r^2 + n)).
@@ -440,17 +445,20 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
     perron = int(np.argmax(vals))
     lams = _quadratic_roots(n, 0, r)(np.asarray(vals, dtype=np.float64)).tolist()
+    copies = level_table(n, 1)[1].copies()  # row j: the copy on host j
     pairs: list[EigenPair] = []
     for i in range(n):
         mu = float(vals[i])
         z = vecs[:, i]
         for lam in lams[i]:
-            vec = np.concatenate((z, np.repeat(z, n) / (lam - r)))
+            vec = np.empty(n + n * n)
+            vec[:n] = z
+            vec[copies] = z[:, None] / (lam - r)
             pairs.append(EigenPair(value=lam, vector=vec))
         if i != perron:
             for j in range(n):
                 vec = np.zeros(n + n * n)
-                vec[n + j * n: n + (j + 1) * n] = z
+                vec[copies[j]] = z
                 pairs.append(EigenPair(value=mu, vector=vec))
     return pairs
 
@@ -489,11 +497,14 @@ def entry_bound(seed: Spectrum, tail: Spectrum, m: int, stop: int) -> tuple[int,
 def closed_form_spectrum(seed_graph: Graph, kind: str, m: int,
                          discrepancies: Discrepancies | None = None) -> Spectrum:
     """The level-m spectrum: m ``corona_step``s of the seed's ``step_rule``.
+    Level 0 is the seed's own, and builds no rule.
 
     Raises CapExceededError before the first step when ``entry_bound``
     reaches ``ENTRY_CAP``, or when the steps' eigensolve work, the entries
     of levels 0 to m-1 times (p + 1)^3, reaches ``WORK_CAP``.
     """
+    if m == 0:
+        return _level_zero(seed_graph, kind)
     rule = step_rule(seed_graph, kind, discrepancies)
     s, _, tail = rule
     level, bound = entry_bound(s, tail, m, ENTRY_CAP)

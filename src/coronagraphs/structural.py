@@ -1,15 +1,21 @@
 """Degree, density, diameter, and betweenness: measured and closed-form.
 
-Measured quantities come from the CSR graph and its block-cut tree, found
-once per graph by the Tarjan & Vishkin (1985) decomposition in whole-array
-numpy passes: a spanning tree by hooking, its Euler tour ranked by pointer
-jumping, subtree extrema of the preorder from a doubling table, and the
-blocks as components of an auxiliary graph on the tree edges.  The count
-of passes grows as log n, not with the depth of the tree.  The diameter is
-a DP over the block-cut tree with in-block distances from a bit-parallel
-BFS, once per distinct block shape; betweenness is one small Brandes run
-per distinct block.  Every block of a corona graph is a block of the seed
-or a cone of n+1 nodes, so few distinct blocks remain.
+Each measure takes a ``Graph``, or a ``graph.CoronaPlan`` for its level m,
+a Graph being its own level 0.  Measured quantities read the degrees and
+the block-cut tree.  A plan reads both off the seed and the index layout
+of ``graph.level_table``: a node's degree is its seed degree plus 1 for
+its host plus n per later step, and every block of level m is a seed block
+or a cone K1∨seed, a copy with its host.  So no level-m graph is built, and
+only the seed is decomposed, once, by the Tarjan & Vishkin (1985)
+decomposition in whole-array numpy passes: a spanning tree by hooking, its
+Euler tour ranked by pointer jumping, subtree extrema of the preorder from
+a doubling table, and the blocks as components of an auxiliary graph on
+the tree edges.  The count of passes grows as log n, not with the depth of
+the tree.  The diameter is a DP over the block-cut tree with in-block
+distances from a bit-parallel BFS, once per distinct block shape;
+betweenness is one small Brandes run per distinct block, weighted by the
+nodes hanging off each block vertex (Puzis et al. 2012), so few distinct
+blocks remain on a corona level.
 Betweenness is summed exactly and rounded once: each value is the correctly
 rounded float of the true one, and exactly tied nodes get equal floats.
 The closed forms, the diameter law and the average degree limit, predict
@@ -30,7 +36,15 @@ import numpy as np
 
 from .distributions import DistributionSeries
 # expand_frontier is unused here, but the bench tracer patches this binding
-from .graph import Graph, edge_ends, expand_frontier, hook_forest  # noqa: F401
+from .graph import (  # noqa: F401
+    CoronaPlan,
+    Graph,
+    corona_product,
+    edge_ends,
+    expand_frontier,
+    hook_forest,
+    level_table,
+)
 
 
 class DisconnectedGraphError(ValueError):
@@ -41,7 +55,7 @@ class DisconnectedGraphError(ValueError):
 # degrees
 
 
-def degree_histogram(g: Graph) -> DistributionSeries:
+def degree_histogram(g: Graph | CoronaPlan) -> DistributionSeries:
     """Plain series over realized degrees; population is the node count."""
     if g.node_count == 0:
         raise ValueError("graph must be nonempty")
@@ -50,7 +64,7 @@ def degree_histogram(g: Graph) -> DistributionSeries:
     return DistributionSeries.from_counts(degs.tolist(), counts[degs].tolist())
 
 
-def average_degree(g: Graph) -> float:
+def average_degree(g: Graph | CoronaPlan) -> float:
     if g.node_count == 0:
         raise ValueError("graph must be nonempty")
     return 2.0 * g.edge_count / g.node_count
@@ -63,7 +77,7 @@ def average_degree_limit(n: int, e: int) -> float:
     return 2.0 * (1.0 + e / n)
 
 
-def density(g: Graph) -> float:
+def density(g: Graph | CoronaPlan) -> float:
     v = g.node_count
     if v < 2:
         raise ValueError("density needs at least 2 nodes")
@@ -74,6 +88,9 @@ def density(g: Graph) -> float:
 # the block-cut tree
 
 _WORD = 64   # sources per bit-parallel BFS chunk
+# blocks of one depth from which the diameter DP takes them in array passes:
+# on caterpillars, a depth of 17 went faster block by block, one of 33 at once
+_WIDE = 32
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
 
 
@@ -294,11 +311,49 @@ class _BlockTable(NamedTuple):
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _block_table(g: Graph) -> _BlockTable | None:
-    """g's block table, or None if g is disconnected; built once per graph."""
+def _block_table(g: Graph | CoronaPlan) -> _BlockTable | None:
+    """g's block table, or None if g is disconnected; built once per graph
+    or plan."""
     if g not in _TABLES:
-        _TABLES[g] = _build_block_table(g)
+        _TABLES[g] = (_build_block_table(g) if isinstance(g, Graph)
+                      else _level_block_table(g))
     return _TABLES[g]
+
+
+def _level_block_table(plan: CoronaPlan) -> _BlockTable | None:
+    """The block table of level m, from the seed's table and the layout.
+
+    The seed's blocks keep their shapes, each weight times (n+1)**m, as
+    every seed node roots (n+1)**m nodes.  Ahead of them, deepest step
+    first, come the N_{t-1} cones of each step t, of the one shape K1∨seed:
+    host h, then its copy in seed order.  Each copy node roots (n+1)**(m-t)
+    nodes, and the host reaches the cone for all N - n*(n+1)**(m-t) others.
+    """
+    seed = _block_table(plan.seed.graph)
+    if seed is None or plan.m == 0:
+        return seed
+    plan.check_cap()
+    n, m, total = plan.n, plan.m, plan.node_count
+    steps = level_table(n, m)[1:]
+    count = sum(step.blocks for step in steps)
+    members, weights = [], []
+    for t, step in reversed(list(enumerate(steps, 1))):
+        cones = np.empty((step.blocks, n + 1), dtype=np.int64)
+        cones[:, 0] = np.arange(step.blocks)
+        cones[:, 1:] = step.copies()
+        below = (n + 1) ** (m - t)
+        weight = np.full((step.blocks, n + 1), below, dtype=np.int64)
+        weight[:, 0] = total - n * below
+        members.append(cones.reshape(-1))
+        weights.append(weight.reshape(-1))
+    k1 = Graph.from_edges(1, [])
+    return _BlockTable(
+        members=np.concatenate((*members, seed.members)),
+        starts=np.concatenate(((n + 1) * np.arange(count), seed.starts + count * (n + 1))),
+        weights=np.concatenate((*weights, seed.weights * (n + 1) ** m)),
+        parent=np.concatenate((np.zeros(count, dtype=np.int64), seed.parent)),
+        shapes=[(corona_product(k1, plan.seed.graph), np.arange(count)),
+                *((shape, blocks + count) for shape, blocks in seed.shapes)])
 
 
 def _build_block_table(g: Graph) -> _BlockTable | None:
@@ -351,7 +406,7 @@ def _build_block_table(g: Graph) -> _BlockTable | None:
                        shapes=shapes)
 
 
-def largest_block(g: Graph) -> int:
+def largest_block(g: Graph | CoronaPlan) -> int:
     """Node count of the largest block of a connected g; a bridge counts 2."""
     if g.node_count < 2:
         return g.node_count
@@ -410,15 +465,40 @@ def _farthest_pair(shape: Graph, h: np.ndarray) -> int:
                 best = max(best, hs + level + int(h[words != 0].max()))
 
 
-def diameter_measured(g: Graph) -> int:
+def _block_depths(table: _BlockTable, n: int) -> np.ndarray:
+    """Each block's depth in the block-cut tree: the count of blocks above it.
+
+    A block's parent block is the one its parent cut vertex hangs below,
+    the one block holding that vertex other than as a parent cut vertex;
+    the root, node 0, hangs below none.  Depths come by pointer jumping
+    (Wyllie 1979), one pass per bit of the deepest.
+    """
+    nb = len(table.parent)
+    tops = table.starts[:-1] + table.parent
+    is_top = np.zeros(len(table.members), dtype=bool)
+    is_top[tops] = True
+    below = np.full(n, nb, dtype=np.int64)   # block nb stands above the root
+    below[table.members[~is_top]] = np.repeat(np.arange(nb), np.diff(table.starts))[~is_top]
+    up = np.append(below[table.members[tops]], nb)
+    depth = (up != nb).astype(np.int64)
+    while (up != nb).any():
+        depth += depth[up]
+        up = up[up]
+    return depth[:-1]
+
+
+def diameter_measured(g: Graph | CoronaPlan) -> int:
     """Exact diameter by a DP over the block-cut tree.
 
     down(x) is the length of the longest branch hanging below x through
     its child blocks; the blocks come children first, and each adds
     d_B(p, x) + down(x), at best over its vertices x, at its parent cut
-    vertex p.  A longest shortest path turns either in one block B,
-    between x != y for h(x) + d_B(x, y) + h(y) with h = down and h(p) = 0,
-    or at a cut vertex, through its two deepest child blocks.  In-block
+    vertex p.  The child blocks of a cut vertex share their depth in the
+    tree, so a depth of many blocks, as a corona step's cones, is one
+    array pass; the rest go one by one.  A longest shortest path turns
+    either in one block B, between x != y for h(x) + d_B(x, y) + h(y) with
+    h = down and h(p) = 0, or at a cut vertex, through its two deepest
+    child blocks.  In-block
     distances come from the bit-parallel BFS: once per shape for blocks of
     at most 64 nodes, and above that once per distinct row of h, 64
     sources of equal h at a time.
@@ -429,37 +509,91 @@ def diameter_measured(g: Graph) -> int:
     table = _block_table(g)
     if table is None:
         raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
-    # the sentinel -n sits where x == y: below any real sum, as down < n
-    parent = table.parent.tolist()
-    dist, rows = {}, [None] * len(parent)
+    # each block's distances from its parent cut vertex: row row_of[b] of
+    # prows[shape], with the sentinel -n where x == y, below any real sum
+    # as down < n
+    parent, nb = table.parent, len(table.parent)
+    dist, prows = {}, []
+    shape_of, row_of = np.empty(nb, dtype=np.int64), np.empty(nb, dtype=np.int64)
     for s, (shape, blocks) in enumerate(table.shapes):
-        blocks = blocks.tolist()
-        if shape.node_count <= _WORD:
-            dist[s] = _distances(shape, np.arange(shape.node_count))
+        k = shape.node_count
+        shape_of[blocks] = s
+        if k <= _WORD:
+            dist[s] = _distances(shape, np.arange(k))
             np.fill_diagonal(dist[s], -n)
-            from_parent = dist[s].tolist()
+            prows.append(dist[s])
+            row_of[blocks] = parent[blocks]
         else:
-            from_parent = {}
-            for i in {parent[b] for b in blocks}:
-                row = _distance_row(shape, i)
-                row[i] = -n
-                from_parent[i] = row.tolist()
-        for b in blocks:
-            rows[b] = from_parent[parent[b]]
+            at, row_of[blocks] = np.unique(parent[blocks], return_inverse=True)
+            rows = np.array([_distance_row(shape, i) for i in at.tolist()])
+            rows[np.arange(len(at)), at] = -n
+            prows.append(rows)
 
-    members, starts = table.members.tolist(), table.starts.tolist()
-    down, second = [0] * n, [0] * n
-    for b, row in enumerate(rows):
-        first = starts[b]
-        height = max(map(add, row, map(down.__getitem__, members[first:starts[b + 1]])))
-        p = members[first + parent[b]]
-        if height > down[p]:
-            down[p], second[p] = height, down[p]
-        elif height > second[p]:
-            second[p] = height
-    best = max(map(add, down, second))
+    lists = [rows.tolist() for rows in prows]
+    down, second = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    where = np.empty(n, dtype=np.int64)
 
-    down = np.array(down)
+    def one_by_one(blocks: np.ndarray) -> None:
+        # in order, on Python lists of the blocks' members: each vertex reads
+        # and writes the slot of its last place among them
+        if not len(blocks):
+            return
+        size = table.starts[blocks + 1] - table.starts[blocks]
+        end = np.cumsum(size)
+        shift = np.repeat(table.starts[blocks] - end + size, size)
+        vert = table.members[np.arange(end[-1]) + shift]
+        where[vert] = np.arange(len(vert))
+        slot = where[vert]
+        slots, near, nearer = slot.tolist(), down[vert].tolist(), second[vert].tolist()
+        shape_rows = map(lists.__getitem__, shape_of[blocks].tolist())
+        first = 0
+        for row, at, last, top in zip(shape_rows, row_of[blocks].tolist(), end.tolist(),
+                                      (end - size + parent[blocks]).tolist()):
+            height = max(map(add, row[at], map(near.__getitem__, slots[first:last])))
+            p, first = slots[top], last
+            if height > near[p]:
+                near[p], nearer[p] = height, near[p]
+            elif height > nearer[p]:
+                nearer[p] = height
+        own = np.flatnonzero(slot == np.arange(len(vert)))
+        down[vert[own]] = np.array(near)[own]
+        second[vert[own]] = np.array(nearer)[own]
+
+    def all_at_once(blocks: np.ndarray) -> None:
+        # the heights of the blocks of one depth, then the top two at each
+        # parent cut vertex, all of whose child blocks are among them
+        heights = np.empty(len(blocks), dtype=np.int64)
+        shapes = shape_of[blocks]
+        for s in np.flatnonzero(np.bincount(shapes)).tolist():
+            pick = np.flatnonzero(shapes == s)
+            same = blocks[pick]
+            near = down[table.members[table.local(same, table.shapes[s][0].node_count)]]
+            heights[pick] = (prows[s][row_of[same]] + near).max(axis=1)
+        p = table.members[table.starts[blocks] + parent[blocks]]
+        by = np.lexsort((-heights, p))
+        p, heights = p[by], heights[by]
+        lead = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+        down[p[lead]] = heights[lead]
+        two = lead[lead + 1 < len(p)]
+        two = two[p[two + 1] == p[two]]
+        second[p[two]] = heights[two + 1]
+
+    # the blocks come children first.  A depth of at least _WIDE blocks goes
+    # at once, as the child blocks of a cut vertex share their depth, and
+    # the blocks between two such depths one by one, deepest first
+    depth = _block_depths(table, n)
+    bounds = np.flatnonzero(np.diff(np.sort(depth)[::-1], prepend=-1, append=-1))
+    wide = np.flatnonzero(np.diff(bounds) >= _WIDE)
+    order = _stable_order(depth.max() - depth) if len(wide) else np.arange(nb)
+    del depth
+    done = 0
+    for lo, hi in zip(bounds[wide].tolist(), bounds[wide + 1].tolist()):
+        one_by_one(order[done:lo])
+        all_at_once(order[lo:hi])
+        done = hi
+    one_by_one(order[done:])
+    best = int((down + second).max())
+
     for s, (shape, blocks) in enumerate(table.shapes):
         k = shape.node_count
         h = down[table.members[table.local(blocks, k)]]
@@ -532,7 +666,7 @@ def _block_dependencies(adj: tuple, weights: tuple) -> tuple[list[int], int]:
     return num, 2 * den
 
 
-def betweenness_exact(g: Graph) -> np.ndarray:
+def betweenness_exact(g: Graph | CoronaPlan) -> np.ndarray:
     """Exact betweenness over the block-cut tree (Puzis et al. 2012),
     unordered pairs counted once.
 

@@ -24,6 +24,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ERROR = "error:"   # as a row's stderr: one line with this prefix
 BOUNDS = {"<": operator.lt, "<=": operator.le}
 RANDOM_SEED = "random1000.edges"   # written by main into the rows' directory
+# levels that main writes into the rows' directory with `generate --out`, for
+# the rows that read a level back as a file seed
+LEVEL_FILES = {"complete3-m9.edges": "complete:3 --m 9", "star4-m7.edges": "star:4 --m 7"}
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,11 @@ class Check:
 CHECKS = [
     # 786k nodes in seconds, with no --force: the guards judge 4-node blocks
     Check("diameter law at m=9", "stats --seed complete:3 --m 9 --betweenness",
-          fields={"diameter": {"measured": 19, "formula": 19}}, peak_mb=("<=", 300)),
+          fields={"diameter": {"measured": 19, "formula": 19}}, peak_mb=("<=", 180)),
+    # 1,562,500 nodes, measured from the seed and the index layout
+    Check("betweenness near the cap", "stats --seed star:4 --m 8 --betweenness",
+          fields={"nodes": 1562500, "diameter": {"measured": 18, "formula": 18}},
+          peak_mb=("<=", 300)),
     # 1,020,100 nodes whose 100 seed-cycle blocks are over 64 nodes: the
     # in-block farthest-pair search runs
     Check("long blocks", "stats --seed cycle:100 --m 2",
@@ -56,6 +63,24 @@ CHECKS = [
     Check("betweenness csv", "stats --seed complete:3 --m 9 --betweenness --format csv",
           stdout_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234",
           out_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234"),
+    # the same levels written by generate and read back as file seeds: their
+    # CSR decomposed whole gives the bytes of the layout's block table
+    Check("degree csv", "stats --seed complete:3 --m 9 --format csv",
+          stdout_sha256="fde12af719031022341eb3e30da5dc3a566997414273043f5216892a7a3d8648"),
+    Check("betweenness csv of the file", "stats --seed file:complete3-m9.edges --m 0 "
+          "--betweenness --format csv",
+          stdout_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234"),
+    Check("degree csv of the file", "stats --seed file:complete3-m9.edges --m 0 --format csv",
+          stdout_sha256="fde12af719031022341eb3e30da5dc3a566997414273043f5216892a7a3d8648"),
+    Check("star betweenness csv", "stats --seed star:4 --m 7 --betweenness --format csv",
+          stdout_sha256="60f7239ab4ec6747a9a278bf3014e530599cff08287485d871652a5160bded02"),
+    Check("star betweenness csv of the file", "stats --seed file:star4-m7.edges --m 0 "
+          "--betweenness --format csv",
+          stdout_sha256="60f7239ab4ec6747a9a278bf3014e530599cff08287485d871652a5160bded02"),
+    Check("star degree csv", "stats --seed star:4 --m 7 --format csv",
+          stdout_sha256="b4b262cbc6ab121d060770d486d57539ca75d6aa14b0238c7f5e007495ad4364"),
+    Check("star degree csv of the file", "stats --seed file:star4-m7.edges --m 0 --format csv",
+          stdout_sha256="b4b262cbc6ab121d060770d486d57539ca75d6aa14b0238c7f5e007495ad4364"),
     # 1,562,500 nodes streamed from the index layout: no graph is built,
     # and the process holds one chunk of edges at any size
     Check("edge list", "generate --seed star:4 --m 8",
@@ -193,6 +218,12 @@ def main(rows=CHECKS) -> int:
         work = Path(tmp)
         (work / "seed-dir").mkdir()
         (work / RANDOM_SEED).write_text(_random_seed_text())
+        for name, level in LEVEL_FILES.items():
+            if any(f"file:{name}" in row.argv for row in rows):
+                code, _ = _spawn(["generate", "--seed", *level.split(), "--out", name],
+                                 Path(os.devnull), work / "generate.stderr", work, 120.0)
+                if code:
+                    raise RuntimeError(f"generate --seed {level} --out {name} exited {code}")
         for i, row in enumerate(rows):
             start = time.monotonic()
             failed[row.name], peak = _measure(i, row, work)

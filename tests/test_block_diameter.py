@@ -1,7 +1,7 @@
 """The block table and the block-cut diameter against whole-graph
 references, on graphs with many cut vertices: trees, cactus graphs, two
-cycles joined by a path, pendant chains on a block of more than 64 nodes
-and random connected graphs.
+cycles joined by a path, pendant chains on a block of more than 64 nodes,
+many blocks at one depth of the block-cut tree and random connected graphs.
 
 Each graph is built by gluing blocks onto the nodes built so far, then its
 labels are shuffled, so that the root of the spanning tree, node 0, lands
@@ -99,6 +99,18 @@ def chains_on_a_big_block(draw):
 
 
 @st.composite
+def wide_depths(draw):
+    """70 to 100 cycles and bridges glued on a triangle, so that many blocks
+    share one depth in the block-cut tree, then a few glued anywhere."""
+    edges, n = cycle(3), 3
+    for size in draw(st.lists(st.integers(2, 5), min_size=70, max_size=100)):
+        n = glue(edges, n, draw(st.integers(0, 2)), cycle(size), size)
+    for size in draw(st.lists(st.integers(2, 5), max_size=30)):
+        n = glue(edges, n, draw(st.integers(0, n - 1)), cycle(size), size)
+    return draw(relabeled(n, edges))
+
+
+@st.composite
 def random_connected(draw):
     """A random tree with random chords, labels shuffled."""
     n = draw(st.integers(2, 40))
@@ -184,6 +196,13 @@ def test_block_table_against_networkx(g):
 @EXAMPLES
 @given(cacti())
 def test_cactus_graphs(g):
+    assert_references_agree(g)
+
+
+@EXAMPLES
+@given(wide_depths())
+def test_many_blocks_at_one_depth(g):
+    # the DP takes such a depth in one array pass, the rest block by block
     assert_references_agree(g)
 
 

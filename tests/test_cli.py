@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coronagraphs import cli, graph, spectral, structural
+from coronagraphs import cli, graph, oracle, spectral, structural
 from coronagraphs.cli import (
     CHUNK_ROWS,
     EXIT_CAP,
@@ -32,7 +32,7 @@ from coronagraphs.cli import (
     _rows,
     main,
 )
-from coronagraphs.graph import complete_graph, path_graph
+from coronagraphs.graph import SeedDescriptor, complete_graph, path_graph
 from coronagraphs.spectral import (
     ADJACENCY,
     Discrepancies,
@@ -307,8 +307,8 @@ class TestStats:
         assert not out.exists()
 
     def test_betweenness_report_runs_one_dfs_per_graph(self, capsys, monkeypatch):
-        # the seed's diameter needs its own decomposition; the level-3
-        # graph's diameter and betweenness share one block table
+        # the seed's one decomposition serves its diameter and, through the
+        # layout, the level-3 diameter and betweenness: no level is searched
         searched = []
         decompose = structural._decompose
 
@@ -321,7 +321,42 @@ class TestStats:
                               "--betweenness")
         assert code == EXIT_OK
         assert json.loads(stdout)["diameter"] == {"measured": 7, "formula": 7}
-        assert [g.node_count for g in searched] == [3, 192]
+        assert [g.node_count for g in searched] == [3]
+
+    @pytest.mark.parametrize("m", range(5))
+    @pytest.mark.parametrize("flags", [[], ["--betweenness"], ["--format", "csv"],
+                                       ["--betweenness", "--format", "csv"]])
+    def test_a_level_is_read_from_the_layout(self, m, flags, capsys, monkeypatch):
+        # no level is built, and only the seed is decomposed, once
+        def refuse(plan):
+            raise AssertionError("corona_iterate ran")
+
+        searched = []
+        decompose = structural._decompose
+
+        def counted(g):
+            searched.append(g)
+            return decompose(g)
+
+        monkeypatch.setattr(cli, "corona_iterate", refuse)
+        monkeypatch.setattr(structural, "_decompose", counted)
+        code, _, _ = run(capsys, "stats", "--seed", "star:4", "--m", str(m), *flags)
+        assert code == EXIT_OK
+        assert len(searched) <= 1
+        assert all(g.node_count == 4 and isinstance(g, graph.Graph) for g in searched)
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "complete:3", "--m", "3", "--betweenness"],
+        ["--seed", "cycle:4", "--m", "1", "--betweenness"],
+        ["--seed", "complete:1", "--m", "0", "--betweenness"],
+        ["--seed", "path:40", "--m", "1"],
+    ])
+    def test_json_lists_are_laid_out_as_json_dumps(self, argv, capsys):
+        # the series go through the row writer's templates, the rest through
+        # json.dumps: the text is json.dumps(indent=2) of the whole report
+        code, stdout, _ = run(capsys, "stats", *argv)
+        assert code == EXIT_OK
+        assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
     def test_disconnected_seed_diameter_null(self, capsys, tmp_path):
         seed_file = tmp_path / "two.edges"
@@ -434,6 +469,27 @@ class TestSpectrum:
         entries = {e["value"]: e["multiplicity"]
                    for e in payload["spectrum"]["entries"]}
         assert entries[4.0] == 7
+
+    @pytest.mark.parametrize("kind", ["adjacency", "laplacian", "signless"])
+    @pytest.mark.parametrize("spec", ["path:2", "path:3", "path:6", "file"])
+    def test_level_zero_reads_no_main_weights(self, spec, kind, capsys, monkeypatch,
+                                              tmp_path):
+        # level 0 is the seed's spectrum: no step, so no eigenvectors
+        if spec == "file":
+            seed_file = tmp_path / "house.edges"
+            seed_file.write_text("0 1\n0 2\n1 2\n1 3\n2 4\n3 4\n")
+            spec = f"file:{seed_file}"
+        want = spectral.step_rule(SeedDescriptor.from_spec(spec).graph, kind)[0]
+
+        def refuse(mat):
+            raise AssertionError("an eigenvector solve ran")
+
+        monkeypatch.setattr(oracle, "sym_eigensystem", refuse)
+        code, stdout, _ = run(capsys, "spectrum", "--seed", spec, "--m", "0",
+                              "--kind", kind)
+        assert code == EXIT_OK
+        entries = json.loads(stdout)["spectrum"]["entries"]
+        assert [(e["value"], e["multiplicity"]) for e in entries] == list(want.entries)
 
     def test_every_seed_takes_the_closed_form(self, capsys, tmp_path):
         out = tmp_path / "spec.json"
@@ -1006,11 +1062,13 @@ class TestNodeIdWidth:
 
     @pytest.fixture(autouse=True)
     def nothing_built(self, monkeypatch):
-        # a missing refusal fails here instead of allocating gigabytes
+        # a missing refusal fails here instead of allocating gigabytes: every
+        # level-m array, streamed edges, degrees or blocks, is read off the layout
         def refuse(*args):
-            raise AssertionError("a corona product was built")
+            raise AssertionError("the level's layout was read")
 
-        monkeypatch.setattr(graph, "corona_product", refuse)
+        monkeypatch.setattr(graph, "level_table", refuse)
+        monkeypatch.setattr(structural, "level_table", refuse)
 
     @pytest.mark.parametrize("command", ["generate", "stats"])
     def test_a_deep_level_exits_4(self, command, capsys, tmp_path):

@@ -61,12 +61,15 @@ def random_pairs():
 class TestBuilderMatchesReference:
     @pytest.mark.parametrize("spec", BUILTIN_SEEDS)
     def test_builtin_seeds_up_to_m4(self, spec, tmp_path):
-        seed = SeedDescriptor.from_spec(spec).graph
+        sd = SeedDescriptor.from_spec(spec)
+        seed = sd.graph
         g = want = seed
-        for _ in range(4):
+        for m in range(1, 5):
             g = corona_product(g, seed)
             want = reference.corona_product(want, seed)
             assert_same_graph(g, want)
+            # the CSR built from the stream's edge arrays
+            assert_same_graph(corona_iterate(CoronaPlan(seed=sd, m=m)), want)
         assert_same_bytes(seed, 4, tmp_path / "g.edges")
 
     @pytest.mark.parametrize("host,seed", [
@@ -103,10 +106,10 @@ class TestBuilderMatchesReference:
     @pytest.mark.parametrize("hosts", [1, 2, 7])
     @pytest.mark.parametrize("seed", [star_graph(4), K1, WITH_ISOLATED],
                              ids=["star", "k1", "disconnected"])
-    def test_host_range_boundaries(self, hosts, seed, monkeypatch):
-        # ranges of 1, 2 and 7 hosts: a level takes several, the last one short
-        monkeypatch.setattr(graph, "CORONA_RANGE_HOSTS", hosts)
-        g = want = seed
+    def test_host_range_boundaries(self, hosts, seed):
+        # host graphs of 1, 2 and 7 nodes: the first and last copy blocks of
+        # every step sit at both ends of the host id range
+        g = want = path_graph(hosts)
         for _ in range(3):
             g = corona_product(g, seed)
             want = reference.corona_product(want, seed)
@@ -190,10 +193,6 @@ def traced(run):
         tracemalloc.stop()
 
 
-def level(spec: str, m: int) -> Graph:
-    return corona_iterate(CoronaPlan(seed=SeedDescriptor.from_spec(spec), m=m))
-
-
 class TestBoundedMemory:
     def test_writer_does_not_grow_with_the_graph(self, tmp_path):
         # m=8 has 4 times the edges of m=7; the stream builds neither level
@@ -213,11 +212,3 @@ class TestBoundedMemory:
         write_edge_list(seed, 8, tmp_path / "warm.edges")  # the digit table is cached
         peak = traced(lambda: write_edge_list(seed, 8, tmp_path / "g.edges"))[1]
         assert peak < 200 * graph.EDGE_CHUNK_ROWS
-
-    def test_build_holds_little_beyond_its_result(self):
-        # the final arrays, the level before them (a quarter of their size
-        # on complete:3) and one host range's temporaries; a build that
-        # assembles its rows in temporaries and concatenates them holds 2.3
-        # times the result
-        g, peak = traced(lambda: level("complete:3", 8))
-        assert peak < 1.6 * (g.offsets.nbytes + g.targets.nbytes)

@@ -190,6 +190,22 @@ class TestCoronaIterate:
             assert np.array_equal(g.degrees[:prev.node_count],
                                   prev.degrees + n)
 
+    @pytest.mark.parametrize("spec", SEED_SPECS)
+    def test_birth_steps_are_the_reference_copies(self, spec):
+        # the layout's steps cover level 3 once, and each copy is joined to
+        # its host and to no other older node, in the reference build
+        plan = plan_for(spec, 3)
+        u, v = graph_module.edge_ends(reference.corona_iterate(plan.seed.graph, 3))
+        seen = np.zeros(plan.predicted_nodes, dtype=np.int64)
+        for t, step in enumerate(graph_module.level_table(plan.n, 3)):
+            copies = step.copies()
+            seen[copies] += 1
+            into = (v >= step.first) & (v < step.stop) & (u < step.first)
+            want = set() if t == 0 else {
+                (h, int(c)) for h in range(step.blocks) for c in copies[h]}
+            assert set(zip(u[into].tolist(), v[into].tolist())) == want
+        assert (seen == 1).all()
+
     def test_connectivity_preserved(self):
         g = corona_iterate(plan_for("path:3", 2))
         assert connected_component_count(g) == 1
@@ -202,13 +218,17 @@ class TestCoronaIterate:
         assert connected_component_count(g1) == 2
 
     def test_wrong_size_from_a_step_is_an_error(self, monkeypatch):
-        # an explicit raise, so python -O keeps the check on the direct builder
-        def short_by_one_node(g, seed):
-            return Graph.from_edges(g.node_count * (seed.node_count + 1) - 1,
-                                    reference.edge_array(g))
-
-        monkeypatch.setattr(graph_module, "corona_product", short_by_one_node)
-        with pytest.raises(RuntimeError, match="the plan predicts"):
+        # an explicit raise, so python -O keeps the check on the built CSR:
+        # a step one edge short, and a layout one step short
+        step_edges = graph_module._step_edges
+        monkeypatch.setattr(graph_module, "_step_edges",
+                            lambda *args: step_edges(*args)[:-1])
+        with pytest.raises(RuntimeError, match="the steps gave 91 edges; the plan predicts 93"):
+            corona_iterate(plan_for("complete:3", 2))
+        monkeypatch.undo()
+        table = graph_module.level_table
+        monkeypatch.setattr(graph_module, "level_table", lambda n, m: table(n, m)[:-1])
+        with pytest.raises(RuntimeError, match="the plan predicts 48 and"):
             corona_iterate(plan_for("complete:3", 2))
 
     def test_cap_enforced(self):

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import random_connected_graph
@@ -321,3 +323,47 @@ class TestSeriesHelpers:
     def test_betweenness_series(self):
         s = betweenness_series(np.array([0.0, 1.0, 1.0]))
         assert s.points == [(0.0, 1 / 3), (1.0, 2 / 3)]
+
+
+@st.composite
+def layouts(draw):
+    """A connected seed, a random one or a builtin family's, and a level m
+    in 0..4 of at most 6,000 nodes."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        g = random_connected_graph(n, random.Random(draw(st.integers(0, 2 ** 16))))
+        seed = SeedDescriptor(kind="file", param="-", graph=g, connected=True)
+    else:
+        family, low = draw(st.sampled_from([("complete", 1), ("path", 1), ("cycle", 3),
+                                            ("star", 3)]))
+        seed = SeedDescriptor.from_spec(f"{family}:{draw(st.integers(low, 6))}")
+    n = seed.graph.node_count
+    m = draw(st.integers(0, 4).filter(lambda m: n * (n + 1) ** m <= 6000))
+    return CoronaPlan(seed=seed, m=m)
+
+
+class TestLevelFromTheLayout:
+    """A plan measures level m from the seed and the index layout; the same
+    level materialized as a CSR, decomposed whole, gives the same numbers."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(layouts())
+    def test_plan_measures_equal_the_built_level(self, plan):
+        g = corona_iterate(plan)
+        assert (plan.node_count, plan.edge_count) == (g.node_count, g.edge_count)
+        assert np.array_equal(plan.degrees, g.degrees)
+        assert diameter_measured(plan) == diameter_measured(g)
+        assert betweenness_exact(plan).tobytes() == betweenness_exact(g).tobytes()
+
+    def test_a_plan_is_its_seed_at_m0(self):
+        seed = SeedDescriptor.from_spec("cycle:5")
+        plan = CoronaPlan(seed=seed, m=0)
+        assert structural._block_table(plan) is structural._block_table(seed.graph)
+
+    def test_a_disconnected_seed_has_no_level_blocks(self):
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        plan = CoronaPlan(seed=SeedDescriptor(kind="file", param="-", graph=g,
+                                              connected=False), m=2)
+        with pytest.raises(DisconnectedGraphError):
+            betweenness_exact(plan)
+        assert np.array_equal(plan.degrees, corona_iterate(plan).degrees)

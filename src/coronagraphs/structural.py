@@ -11,8 +11,10 @@ decomposition in whole-array numpy passes: a spanning tree by hooking, its
 Euler tour ranked by pointer jumping, subtree extrema of the preorder from
 a doubling table, and the blocks as components of an auxiliary graph on
 the tree edges.  The count of passes grows as log n, not with the depth of
-the tree.  The diameter is a DP over the block-cut tree with in-block
-distances from a bit-parallel BFS, once per distinct block shape;
+the tree.  The diameter is a DP over the block-cut tree in as few passes,
+each block's height lifted into the blocks above it by pointer jumping,
+with in-block distances from a bit-parallel BFS, once per distinct block
+shape;
 betweenness is one small Brandes run per distinct block, weighted by the
 nodes hanging off each block vertex (Puzis et al. 2012), so few distinct
 blocks remain on a corona level.
@@ -88,9 +90,6 @@ def density(g: Graph | CoronaPlan) -> float:
 # the block-cut tree
 
 _WORD = 64   # sources per bit-parallel BFS chunk
-# blocks of one depth from which the diameter DP takes them in array passes:
-# on caterpillars, a depth of 17 went faster block by block, one of 33 at once
-_WIDE = 32
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD, dtype=np.uint64))
 
 
@@ -269,20 +268,23 @@ def _decompose(g: Graph):
             hung.astype(np.int64))
 
 
-def _grouped_rows(rows: np.ndarray) -> list[np.ndarray]:
-    """Indices of each distinct row of a 2-d array, each in ascending order.
+def _grouped_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices of a 2-d array grouped by equal rows, and where in
+    that order each group starts.
 
-    Each row is compared as one opaque byte string: ``np.unique(axis=0)``
-    would build a structured dtype with a field per column, which costs
-    milliseconds on the one wide row of a large block.
+    Within a group the indices ascend, so ``order[starts]`` gives each
+    distinct row's first index, and ``np.split(order, starts)[1:]`` the
+    groups.  Each row is compared as one opaque byte string:
+    ``np.unique(axis=0)`` would build a structured dtype with a field per
+    column, which costs milliseconds on the one wide row of a large block.
     """
-    if not len(rows):
-        return []   # np.split would give one empty group
     rows = np.ascontiguousarray(rows)
-    blobs = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    labels = np.unique(blobs.reshape(-1), return_inverse=True)[1]
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    blobs = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).reshape(-1)
+    order = np.argsort(blobs, kind="stable")
+    blobs = blobs[order]
+    new = np.ones(len(blobs), dtype=bool)
+    new[1:] = blobs[1:] != blobs[:-1]
+    return order, np.flatnonzero(new)
 
 
 class _BlockTable(NamedTuple):
@@ -396,10 +398,10 @@ def _build_block_table(g: Graph) -> _BlockTable | None:
     efirst = np.cumsum(ecount) - ecount
 
     shapes = []
-    for same_size in _grouped_rows(np.column_stack((size, ecount))):
+    for same_size in np.split(*_grouped_rows(np.column_stack((size, ecount))))[1:]:
         k, e = size[same_size[0]], ecount[same_size[0]]
         codes = code[efirst[same_size, None] + np.arange(e)]
-        for blocks in _grouped_rows(codes):
+        for blocks in np.split(*_grouped_rows(codes))[1:]:
             edges = np.column_stack(np.divmod(codes[blocks[0]], k))
             shapes.append((Graph.from_edges(k, edges), same_size[blocks]))
     return _BlockTable(members=members, starts=starts, weights=weights, parent=top,
@@ -465,43 +467,24 @@ def _farthest_pair(shape: Graph, h: np.ndarray) -> int:
                 best = max(best, hs + level + int(h[words != 0].max()))
 
 
-def _block_depths(table: _BlockTable, n: int) -> np.ndarray:
-    """Each block's depth in the block-cut tree: the count of blocks above it.
-
-    A block's parent block is the one its parent cut vertex hangs below,
-    the one block holding that vertex other than as a parent cut vertex;
-    the root, node 0, hangs below none.  Depths come by pointer jumping
-    (Wyllie 1979), one pass per bit of the deepest.
-    """
-    nb = len(table.parent)
-    tops = table.starts[:-1] + table.parent
-    is_top = np.zeros(len(table.members), dtype=bool)
-    is_top[tops] = True
-    below = np.full(n, nb, dtype=np.int64)   # block nb stands above the root
-    below[table.members[~is_top]] = np.repeat(np.arange(nb), np.diff(table.starts))[~is_top]
-    up = np.append(below[table.members[tops]], nb)
-    depth = (up != nb).astype(np.int64)
-    while (up != nb).any():
-        depth += depth[up]
-        up = up[up]
-    return depth[:-1]
-
-
 def diameter_measured(g: Graph | CoronaPlan) -> int:
-    """Exact diameter by a DP over the block-cut tree.
+    """Exact diameter by a DP over the block-cut tree, in array passes.
 
-    down(x) is the length of the longest branch hanging below x through
-    its child blocks; the blocks come children first, and each adds
-    d_B(p, x) + down(x), at best over its vertices x, at its parent cut
-    vertex p.  The child blocks of a cut vertex share their depth in the
-    tree, so a depth of many blocks, as a corona step's cones, is one
-    array pass; the rest go one by one.  A longest shortest path turns
-    either in one block B, between x != y for h(x) + d_B(x, y) + h(y) with
-    h = down and h(p) = 0, or at a cut vertex, through its two deepest
-    child blocks.  In-block
-    distances come from the bit-parallel BFS: once per shape for blocks of
-    at most 64 nodes, and above that once per distinct row of h, 64
-    sources of equal h at a time.
+    Block b hangs from its parent cut vertex p_b, and below up(b), the
+    block that holds p_b other than as its parent cut vertex; the blocks at
+    the root, node 0, hang below none.  b reaches p_b from p_up(b) in
+    d(p_up(b), p_b).  b's height, the longest branch below p_b through b,
+    starts as the largest distance in b from p_b.  Each pass of pointer
+    jumping (Wyllie 1979) raises the height of up(b) to b's height plus its
+    reach, then adds the reach of up(b) to b's and sets up(b) to up(up(b)),
+    so a pass per bit of the tree's depth gives every height.  down(x), the
+    longest branch below x, is the greatest height of x's child blocks.  A
+    longest shortest path turns either at a cut vertex, through its two
+    highest child blocks, or in one block B, between x != y for
+    h(x) + d_B(x, y) + h(y) with h = down and h(p) = 0.  In-block distances
+    come from the bit-parallel BFS: once per shape for blocks of at most 64
+    nodes, and above that once per parent cut vertex and once per distinct
+    row of h, 64 sources of equal h at a time.
     """
     n = g.node_count
     if n <= 1:
@@ -509,97 +492,69 @@ def diameter_measured(g: Graph | CoronaPlan) -> int:
     table = _block_table(g)
     if table is None:
         raise DisconnectedGraphError("diameter of a disconnected graph is infinite")
-    # each block's distances from its parent cut vertex: row row_of[b] of
-    # prows[shape], with the sentinel -n where x == y, below any real sum
-    # as down < n
-    parent, nb = table.parent, len(table.parent)
-    dist, prows = {}, []
-    shape_of, row_of = np.empty(nb, dtype=np.int64), np.empty(nb, dtype=np.int64)
+    # each block's distances from its parent cut vertex: flat[rowstart[b]:][:k],
+    # with the sentinel -n where x == y, below any real sum as down < n
+    members, starts, parent = table.members, table.starts, table.parent
+    nb = len(parent)
+    dist, flat, used = {}, [], 0
+    rowstart, height = np.empty(nb, dtype=np.int64), np.empty(nb, dtype=np.int64)
     for s, (shape, blocks) in enumerate(table.shapes):
         k = shape.node_count
-        shape_of[blocks] = s
         if k <= _WORD:
-            dist[s] = _distances(shape, np.arange(k))
-            np.fill_diagonal(dist[s], -n)
-            prows.append(dist[s])
-            row_of[blocks] = parent[blocks]
+            rows = dist[s] = _distances(shape, np.arange(k))
+            np.fill_diagonal(rows, -n)
+            at = parent[blocks]
         else:
-            at, row_of[blocks] = np.unique(parent[blocks], return_inverse=True)
-            rows = np.array([_distance_row(shape, i) for i in at.tolist()])
-            rows[np.arange(len(at)), at] = -n
-            prows.append(rows)
+            sources, at = np.unique(parent[blocks], return_inverse=True)
+            rows = np.array([_distance_row(shape, i) for i in sources.tolist()])
+            rows[np.arange(len(sources)), sources] = -n
+        rowstart[blocks] = used + k * at
+        height[blocks] = rows.max(axis=1)[at]
+        flat.append(rows.reshape(-1))
+        used += rows.size
+    flat = np.concatenate(flat)
 
-    lists = [rows.tolist() for rows in prows]
-    down, second = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    where = np.empty(n, dtype=np.int64)
+    # a node's last place among the members is in the block it hangs below,
+    # as each block comes before the block above it; the places take 32
+    # bits where they fit, as they are the DP's one array over all members
+    tops = members[starts[:-1] + parent]
+    idx = np.int32 if len(members) < 1 << 31 else np.int64
+    place = np.zeros(n, dtype=idx)
+    np.maximum.at(place, members, np.arange(len(members), dtype=idx))
+    place = place[tops]
+    up = np.searchsorted(starts, place, side="right") - 1
+    up[tops == 0] = nb
+    live = np.flatnonzero(up < nb)
+    reach = np.zeros(nb, dtype=np.int64)
+    reach[live] = flat[rowstart[up[live]] + place[live] - starts[up[live]]]
+    del place, rowstart
+    while len(live):
+        above = up[live]
+        np.maximum.at(height, above, reach[live] + height[live])
+        reach[live] += reach[above]
+        up[live] = up[above]
+        live = live[up[live] < nb]
+    del up, reach
 
-    def one_by_one(blocks: np.ndarray) -> None:
-        # in order, on Python lists of the blocks' members: each vertex reads
-        # and writes the slot of its last place among them
-        if not len(blocks):
-            return
-        size = table.starts[blocks + 1] - table.starts[blocks]
-        end = np.cumsum(size)
-        shift = np.repeat(table.starts[blocks] - end + size, size)
-        vert = table.members[np.arange(end[-1]) + shift]
-        where[vert] = np.arange(len(vert))
-        slot = where[vert]
-        slots, near, nearer = slot.tolist(), down[vert].tolist(), second[vert].tolist()
-        shape_rows = map(lists.__getitem__, shape_of[blocks].tolist())
-        first = 0
-        for row, at, last, top in zip(shape_rows, row_of[blocks].tolist(), end.tolist(),
-                                      (end - size + parent[blocks]).tolist()):
-            height = max(map(add, row[at], map(near.__getitem__, slots[first:last])))
-            p, first = slots[top], last
-            if height > near[p]:
-                near[p], nearer[p] = height, near[p]
-            elif height > nearer[p]:
-                nearer[p] = height
-        own = np.flatnonzero(slot == np.arange(len(vert)))
-        down[vert[own]] = np.array(near)[own]
-        second[vert[own]] = np.array(nearer)[own]
-
-    def all_at_once(blocks: np.ndarray) -> None:
-        # the heights of the blocks of one depth, then the top two at each
-        # parent cut vertex, all of whose child blocks are among them
-        heights = np.empty(len(blocks), dtype=np.int64)
-        shapes = shape_of[blocks]
-        for s in np.flatnonzero(np.bincount(shapes)).tolist():
-            pick = np.flatnonzero(shapes == s)
-            same = blocks[pick]
-            near = down[table.members[table.local(same, table.shapes[s][0].node_count)]]
-            heights[pick] = (prows[s][row_of[same]] + near).max(axis=1)
-        p = table.members[table.starts[blocks] + parent[blocks]]
-        by = np.lexsort((-heights, p))
-        p, heights = p[by], heights[by]
-        lead = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
-        down[p[lead]] = heights[lead]
-        two = lead[lead + 1 < len(p)]
-        two = two[p[two + 1] == p[two]]
-        second[p[two]] = heights[two + 1]
-
-    # the blocks come children first.  A depth of at least _WIDE blocks goes
-    # at once, as the child blocks of a cut vertex share their depth, and
-    # the blocks between two such depths one by one, deepest first
-    depth = _block_depths(table, n)
-    bounds = np.flatnonzero(np.diff(np.sort(depth)[::-1], prepend=-1, append=-1))
-    wide = np.flatnonzero(np.diff(bounds) >= _WIDE)
-    order = _stable_order(depth.max() - depth) if len(wide) else np.arange(nb)
-    del depth
-    done = 0
-    for lo, hi in zip(bounds[wide].tolist(), bounds[wide + 1].tolist()):
-        one_by_one(order[done:lo])
-        all_at_once(order[lo:hi])
-        done = hi
-    one_by_one(order[done:])
-    best = int((down + second).max())
+    # each cut vertex's two highest child blocks
+    by = np.lexsort((-height, tops))
+    tops, height = tops[by], height[by]
+    lead = np.flatnonzero(np.concatenate(([True], tops[1:] != tops[:-1])))
+    down = np.zeros(n, dtype=np.int64)
+    down[tops[lead]] = height[lead]
+    two = lead[lead + 1 < nb]
+    two = two[tops[two + 1] == tops[two]]
+    best = max(int(height[lead].max()), int((height[two] + height[two + 1]).max(initial=0)))
+    del tops, height, by, lead, two
 
     for s, (shape, blocks) in enumerate(table.shapes):
         k = shape.node_count
-        h = down[table.members[table.local(blocks, k)]]
-        h[np.arange(len(blocks)), table.parent[blocks]] = 0
-        # blocks of one shape at one depth share their h, as corona cones do
-        h = h[[same[0] for same in _grouped_rows(h)]]
+        h = down[members[table.local(blocks, k)]]
+        h[np.arange(len(blocks)), parent[blocks]] = 0
+        # one row per distinct h: blocks of one shape at one depth share
+        # theirs, as corona cones do
+        order, first = _grouped_rows(h)
+        h = h[order[first]]
         if s in dist:
             for part in np.array_split(h, -(-len(h) * k * k // (1 << 20))):
                 best = max(best, int((part[:, :, None] + dist[s] + part[:, None, :]).max()))
@@ -697,7 +652,7 @@ def betweenness_exact(g: Graph | CoronaPlan) -> np.ndarray:
         local = table.local(blocks, k)
         weights = table.weights[local]
         adj = tuple(tuple(shape.neighbors(i).tolist()) for i in range(k))
-        for same in _grouped_rows(weights):
+        for same in np.split(*_grouped_rows(weights))[1:]:
             part = _block_dependencies(adj, tuple(weights[same[0]].tolist()))
             placed.append((table.members[local[same]].reshape(-1), part))
 

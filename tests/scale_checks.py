@@ -60,6 +60,10 @@ CHECKS = [
     # 199,999 blocks and a tree 199,999 levels deep: O(log n) array passes
     Check("long path", "stats --seed path:200000 --m 0 --betweenness",
           fields={"diameter": {"measured": 199999, "formula": 199999}}, timeout=60),
+    # 1,999,998 blocks in a chain: the block-cut tree DP in O(log n) array passes
+    Check("long path at the cap", "stats --seed path:1999999 --m 0",
+          fields={"diameter": {"measured": 1999998, "formula": 1999998}},
+          peak_mb=("<=", 600), timeout=60),
     Check("betweenness csv", "stats --seed complete:3 --m 9 --betweenness --format csv",
           stdout_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234",
           out_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234"),

@@ -9,6 +9,8 @@ anywhere in the block-cut tree, and the tree that hooking finds is not a
 DFS tree.
 """
 
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -110,6 +112,36 @@ def wide_depths(draw):
     return draw(relabeled(n, edges))
 
 
+def block_chain(depth: int, root: str) -> Graph:
+    """A chain of ``depth`` blocks, cycles and K2s, each glued at the far
+    node of the one before, with fans of 4 to 40 cones (a node joined to a
+    path of 2 to 4 nodes) glued at 3 of its nodes.
+
+    The labels are shuffled with node 0 at the chain's start, so that the
+    block-cut tree is as deep as the chain, or at its middle cut vertex.
+    """
+    rng = random.Random(depth)
+    edges, n, joints = [], 1, [0]
+    for _ in range(depth):
+        size = rng.choice([2, 2, 3, 4, 5])
+        far = n + size // 2 - 1   # its local node size // 2, farthest from the joint
+        n = glue(edges, n, joints[-1], cycle(size), size)
+        joints.append(far)
+    for at in rng.sample(range(n), min(n, 3)):
+        for _ in range(rng.randint(4, 40)):
+            k = rng.randint(2, 4)
+            n = glue(edges, n, at, [(0, i) for i in range(1, k + 1)]
+                     + [(i, i + 1) for i in range(1, k)], k + 1)
+    label = list(range(1, n))
+    rng.shuffle(label)
+    label.insert(joints[0 if root == "start" else depth // 2], 0)
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+# the chain depths on either side of each doubling of pointer jumping
+CHAIN_DEPTHS = sorted({(1 << k) + d for k in range(1, 7) for d in (-1, 0, 1)})
+
+
 @st.composite
 def random_connected(draw):
     """A random tree with random chords, labels shuffled."""
@@ -146,10 +178,7 @@ def test_trees(g):
     assert_references_agree(g)
 
 
-@settings(EXAMPLES, max_examples=100)
-@given(st.one_of(trees(), cacti(), two_cycles_and_a_path(), chains_on_a_big_block(),
-                 random_connected()))
-def test_block_table_against_networkx(g):
+def assert_block_table_agrees(g: Graph) -> None:
     # each block's members, branch weights, parent cut vertex and local
     # edges, against networkx's blocks and cut vertices of the whole graph
     n = g.node_count
@@ -193,6 +222,22 @@ def test_block_table_against_networkx(g):
         assert all(c > b for c in holders)
 
 
+@settings(EXAMPLES, max_examples=100)
+@given(st.one_of(trees(), cacti(), two_cycles_and_a_path(), chains_on_a_big_block(),
+                 random_connected()))
+def test_block_table_against_networkx(g):
+    assert_block_table_agrees(g)
+
+
+@pytest.mark.parametrize("root", ["start", "middle"])
+@pytest.mark.parametrize("depth", CHAIN_DEPTHS)
+def test_chains_of_blocks(depth, root):
+    # a wrong reach, summed over the jumps, shows at a doubling boundary
+    g = block_chain(depth, root)
+    assert_block_table_agrees(g)
+    assert diameter_measured(g) == nx.diameter(nx.Graph(reference.edge_array(g).tolist()))
+
+
 @EXAMPLES
 @given(cacti())
 def test_cactus_graphs(g):
@@ -202,7 +247,8 @@ def test_cactus_graphs(g):
 @EXAMPLES
 @given(wide_depths())
 def test_many_blocks_at_one_depth(g):
-    # the DP takes such a depth in one array pass, the rest block by block
+    # the blocks glued on the triangle all hang below it, so each pass of
+    # the DP lifts many heights into one block at once
     assert_references_agree(g)
 
 

@@ -155,11 +155,6 @@ def _json_text(payload: dict, *lists) -> Iterator[str]:
     yield rest + "\n"
 
 
-def _points(d) -> tuple[np.ndarray, np.ndarray]:
-    """A distribution series' values and probabilities, as two row-writer columns."""
-    return np.array(d.values, dtype=np.float64), np.array(d.probabilities, dtype=np.float64)
-
-
 def _plan(cfg: argparse.Namespace) -> CoronaPlan:
     # the plan validates the seed, so an invalid one gets no warning first
     seed = SeedDescriptor.from_spec(cfg.seed, cfg.node_cap)
@@ -229,7 +224,7 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
         else:
             d = structural.degree_histogram(plan)
             head = f"# cumulative=false population={d.population}\nvalue,probability\n"
-            columns = _points(d)
+            columns = d.values, d.probabilities
         for text in chain([head], _rows("%d,%r\n", columns)):
             _emit(cfg, text)
         return EXIT_OK
@@ -262,8 +257,9 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
                               "disconnected": True}
     report["degree_distribution"] = []
     report["cumulative_degree_distribution"] = []
-    lists = [(_DEGREES_AT, _POINT, _points(degrees), "  "),
-             (_CUMULATIVE_AT, _POINT, _points(cumulative_series(degrees)), "  ")]
+    cumulative = cumulative_series(degrees)
+    lists = [(_DEGREES_AT, _POINT, (degrees.values, degrees.probabilities), "  "),
+             (_CUMULATIVE_AT, _POINT, (cumulative.values, cumulative.probabilities), "  ")]
 
     if cfg.betweenness:
         series = structural.betweenness_series(structural.betweenness_exact(plan))
@@ -275,7 +271,8 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
             # fewer than 3 distinct values: the series stands without a fit
             fitted = dict.fromkeys(("gamma", "intercept", "r_squared", "fit_range"))
         report["betweenness"] = {**fitted, "series": []}
-        lists.append((_SERIES_AT, _SERIES_POINT, _points(series), "    "))
+        lists.append((_SERIES_AT, _SERIES_POINT, (series.values, series.probabilities),
+                      "    "))
 
     for text in _json_text(report, *lists):
         _emit(cfg, text)

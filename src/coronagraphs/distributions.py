@@ -1,61 +1,67 @@
-"""Exact count series and the log-space fits used on them.  No text is
-formatted here: ``stats`` prints a series through the one chunked row writer."""
+"""Exact count series, two numpy arrays from the measure to the row writer, and
+the log-space fits used on them.  No text is formatted here."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionSeries:
     """Sorted (value, count) points of exact integer counts: per value, or
-    cumulative (at or above each value).  The population and each
-    probability, count / population, are derived once, when first read."""
+    cumulative (at or above each value), as float64 values and int64 counts.
+    The population is below 2**53, so it and every count are exact float64s,
+    and each probability, count / population, rounds once, when first read."""
 
-    values: tuple[float, ...]
-    counts: tuple[int, ...]
+    values: np.ndarray
+    counts: np.ndarray
     cumulative: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.counts):
+        object.__setattr__(self, "values", np.asarray(self.values, np.float64))
+        object.__setattr__(self, "counts", np.asarray(self.counts, np.int64))
+        values, counts = self.values, self.counts
+        if values.shape != counts.shape or values.ndim != 1:
             raise ValueError("values and counts must align")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+        if np.any(values[1:] <= values[:-1]):
             raise ValueError("values must be strictly increasing")
-        if min(self.counts, default=1) < 1:
+        if np.any(counts < 1):
             raise ValueError("counts must be positive")
-        if self.cumulative and any(b > a for a, b in zip(self.counts, self.counts[1:])):
+        if self.cumulative and np.any(counts[1:] > counts[:-1]):
             raise ValueError("cumulative counts must be non-increasing")
+        if self.population >= 2 ** 53:
+            raise ValueError("counts must total below 2**53")
 
     @cached_property
     def population(self) -> int:
-        """The sum of a plain series' counts, the first of a cumulative one's."""
-        return self.counts[0] if self.cumulative and self.counts else sum(self.counts)
+        """The sum of a plain series' counts, the first of a cumulative one's, in
+        float64: exact below 2**53, and at least 2**53 if the sum is, with no wrap."""
+        return int(self.counts[:1 if self.cumulative else None].sum(dtype=np.float64))
 
     @cached_property
-    def probabilities(self) -> tuple[float, ...]:
-        # int / int rounds once, correctly
-        return tuple(c / self.population for c in self.counts)
+    def probabilities(self) -> np.ndarray:
+        # both sides are exact float64s, so the quotient rounds once, as int / int does
+        return self.counts / self.population
 
     @property
     def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.values, self.probabilities))
+        return list(zip(self.values.tolist(), self.probabilities.tolist()))
 
     @classmethod
     def from_counts(cls, values, counts) -> "DistributionSeries":
-        pairs = sorted(zip(values, counts))
-        return cls(values=tuple(float(v) for v, _ in pairs),
-                   counts=tuple(int(c) for _, c in pairs))
+        values = np.asarray(values, dtype=np.float64)
+        order = np.argsort(values, kind="stable")
+        return cls(values=values[order], counts=np.asarray(counts, dtype=np.int64)[order])
 
 
 def cumulative_series(d: DistributionSeries) -> DistributionSeries:
     """Suffix-sum a plain series into the counts at or above each value."""
     if d.cumulative:
         return d
-    suffix = tuple(accumulate(reversed(d.counts)))[::-1]
+    suffix = np.cumsum(d.counts[::-1])[::-1]
     return DistributionSeries(values=d.values, counts=suffix, cumulative=True)
 
 
@@ -75,8 +81,7 @@ class PowerLawFit:
 
 def _select(d: DistributionSeries, positive_values: bool):
     # every count is positive, so every probability has a logarithm
-    vals = np.asarray(d.values)
-    probs = np.asarray(d.probabilities)
+    vals, probs = d.values, d.probabilities
     if positive_values:
         vals, probs = vals[vals > 0], probs[vals > 0]
     if len(vals) < 3:  # a series' values are distinct
@@ -106,5 +111,5 @@ def fit_exponential(d: DistributionSeries) -> tuple[float, float]:
     """log p vs value regression; returns (decay rate, r_squared)."""
     series = cumulative_series(d)
     vals, probs = _select(series, positive_values=False)
-    slope, _, r2 = _least_squares(vals.astype(float), np.log(probs))
+    slope, _, r2 = _least_squares(vals, np.log(probs))
     return -slope, r2

@@ -81,6 +81,8 @@ ENTRY_CAP = 2 ** 22
 WORK_CAP = 2 ** 28
 # float64s per stack of arrowheads handed to one eigvalsh
 ARROWHEAD_CHUNK = 2 ** 20
+# eigenvector columns per matrix product of eigenpair_residual_max
+RESIDUAL_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,14 +421,10 @@ def corona_step(s: Spectrum, seed: Spectrum, roots, tail: Spectrum) -> Spectrum:
 # one-step eigenvectors (regular seeds)
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    value: float
-    vector: np.ndarray
-
-
-def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
-    """All n(n+1) adjacency eigenpairs of seed∘seed for a connected regular seed.
+def build_one_step_eigenpairs(seed_graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """All n(n+1) adjacency eigenpairs of seed∘seed for a connected regular
+    seed: the values, and the vectors as the columns of one square array, as
+    ``eigh`` returns them, but in family order and not normalized.
 
     Quadratic-family vectors put 1/(lam - r) times the host's coordinate on
     every vertex of its copy; mu-family vectors place one seed eigenvector
@@ -443,34 +441,33 @@ def build_one_step_eigenpairs(seed_graph: Graph) -> list[EigenPair]:
         raise ValueError("eigenpair construction needs a connected seed")
     n = seed_graph.node_count
     vals, vecs = oracle.sym_eigensystem(oracle.build_matrix(seed_graph, ADJACENCY))
-    perron = int(np.argmax(vals))
-    lams = _quadratic_roots(n, 0, r)(np.asarray(vals, dtype=np.float64)).tolist()
+    lams = _quadratic_roots(n, 0, r)(vals).ravel()  # 2i, 2i + 1: seed eigenvalue i's
+    others = np.flatnonzero(np.arange(n) != np.argmax(vals))
+    i, host = np.divmod(np.arange(len(others) * n), n)
     copies = level_table(n, 1)[1].copies()  # row j: the copy on host j
-    pairs: list[EigenPair] = []
-    for i in range(n):
-        mu = float(vals[i])
-        z = vecs[:, i]
-        for lam in lams[i]:
-            vec = np.empty(n + n * n)
-            vec[:n] = z
-            vec[copies] = z[:, None] / (lam - r)
-            pairs.append(EigenPair(value=lam, vector=vec))
-        if i != perron:
-            for j in range(n):
-                vec = np.zeros(n + n * n)
-                vec[copies[j]] = z
-                pairs.append(EigenPair(value=mu, vector=vec))
-    return pairs
+    values = np.concatenate([lams, vals[others[i]]])
+    vectors = np.zeros((n + n * n, len(values)))
+    # the quadratic family: column 2i + k lifts seed eigenvector i
+    z = np.repeat(vecs, 2, axis=1)
+    vectors[:n, :2 * n] = z
+    vectors[copies, :2 * n] = z[:, None, :] / (lams - r)
+    # the mu family: one column per non-Perron seed eigenvector and host
+    vectors[copies[host].T, np.arange(2 * n, len(values))] = vecs[:, others[i]]
+    return values, vectors
 
 
 def eigenpair_residual_max(seed_graph: Graph, a: np.ndarray) -> float:
     """Largest ||A v - lam v|| / ||v|| over the constructed one-step pairs,
-    with ``a`` the adjacency matrix of seed∘seed."""
+    with ``a`` the adjacency matrix of seed∘seed: one matrix product per
+    ``RESIDUAL_CHUNK`` columns."""
+    values, vectors = build_one_step_eigenpairs(seed_graph)
     worst = 0.0
-    for pair in build_one_step_eigenpairs(seed_graph):
-        v = pair.vector
-        res = float(np.linalg.norm(a @ v - pair.value * v) / np.linalg.norm(v))
-        worst = max(worst, res)
+    for start in range(0, len(values), RESIDUAL_CHUNK):
+        v = vectors[:, start:start + RESIDUAL_CHUNK]
+        res = a @ v
+        res -= v * values[start:start + RESIDUAL_CHUNK]
+        res = np.linalg.norm(res, axis=0) / np.linalg.norm(v, axis=0)
+        worst = max(worst, float(res.max()))
     return worst
 
 

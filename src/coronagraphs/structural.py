@@ -63,7 +63,7 @@ def degree_histogram(g: Graph | CoronaPlan) -> DistributionSeries:
         raise ValueError("graph must be nonempty")
     counts = np.bincount(g.degrees)
     degs = np.nonzero(counts)[0]
-    return DistributionSeries.from_counts(degs.tolist(), counts[degs].tolist())
+    return DistributionSeries(values=degs, counts=counts[degs])
 
 
 def average_degree(g: Graph | CoronaPlan) -> float:
@@ -667,5 +667,5 @@ def betweenness_exact(g: Graph | CoronaPlan) -> np.ndarray:
 
 def betweenness_series(b: np.ndarray) -> DistributionSeries:
     """Plain distribution over distinct betweenness values."""
-    vals, counts = np.unique(np.asarray(b, dtype=np.float64), return_counts=True)
-    return DistributionSeries.from_counts(vals.tolist(), counts.tolist())
+    return DistributionSeries(*np.unique(np.asarray(b, dtype=np.float64),
+                                         return_counts=True))

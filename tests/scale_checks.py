@@ -64,6 +64,11 @@ CHECKS = [
     Check("long path at the cap", "stats --seed path:1999999 --m 0",
           fields={"diameter": {"measured": 1999998, "formula": 1999998}},
           peak_mb=("<=", 600), timeout=60),
+    # a 1,000,000-point betweenness series from the measure to the row writer
+    # as arrays; pinned from the writer that took it through Python tuples
+    Check("betweenness series at the cap", "stats --seed path:1999999 --m 0 --betweenness",
+          stdout_sha256="f72c5cbbea20c3f636f21e35d146879e7192fd9b32ffbfa68540c3cbb8535141",
+          lengths={"betweenness.series": 1000000}, timeout=60),
     Check("betweenness csv", "stats --seed complete:3 --m 9 --betweenness --format csv",
           stdout_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234",
           out_sha256="83dad8603bb3e0196561f449ecb32d6ade3fb240626e36fe6659247eb51bf234"),
@@ -139,6 +144,10 @@ CHECKS = [
     Check("generate missing --out directory",
           "generate --seed complete:3 --m 1 --out missing-dir/g.edges",
           exit=2, stderr=ERROR, stdout_sha256=hashlib.sha256(b"").hexdigest(), timeout=30),
+    # 4,970 nodes, under the 5,000-node oracle cap: the eigensolve, then the
+    # residuals of 4,970 eigenpairs, one matrix product per column chunk
+    Check("eigenpairs at the oracle cap", "verify --seed cycle:70 --m 1 --kind adjacency",
+          fields={"passed": True}, timeout=60),
     Check("nan tolerance", "verify --seed complete:3 --m 1 --kind adjacency --tolerance nan",
           exit=2, stderr=ERROR, timeout=30),
 ]

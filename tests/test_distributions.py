@@ -43,13 +43,28 @@ class TestSeriesInvariants:
         assert DistributionSeries(values=(1.0, 2.0), counts=(9, 3)).population == 12
         c = DistributionSeries(values=(1.0, 2.0), counts=(12, 3), cumulative=True)
         assert c.population == 12
-        assert c.probabilities == (1.0, 0.25)
+        assert c.probabilities.tolist() == [1.0, 0.25]
         assert DistributionSeries(values=(), counts=(), cumulative=True).population == 0
+
+    def test_population_is_below_two_to_the_53(self):
+        # every count and the population are exact float64s, so each
+        # probability is the correctly rounded int / int
+        big = DistributionSeries(values=(1.0, 2.0), counts=(2 ** 52 + 1, 2 ** 52 - 2))
+        assert big.population == 2 ** 53 - 1
+        assert big.probabilities.tolist() == [(2 ** 52 + 1) / (2 ** 53 - 1),
+                                              (2 ** 52 - 2) / (2 ** 53 - 1)]
+        assert cumulative_series(big).counts.tolist() == [2 ** 53 - 1, 2 ** 52 - 2]
+        for counts, cumulative in [((2 ** 52, 2 ** 52), False),
+                                   ((2 ** 53, 1), True),
+                                   # an int64 sum wraps to a negative total
+                                   ((2 ** 62, 2 ** 62), False)]:
+            with pytest.raises(ValueError, match=r"below 2\*\*53"):
+                DistributionSeries(values=(1.0, 2.0), counts=counts, cumulative=cumulative)
 
     def test_from_counts_sorts(self):
         d = DistributionSeries.from_counts([5, 3], [1, 3])
-        assert d.values == (3.0, 5.0)
-        assert d.counts == (3, 1)
+        assert d.values.tolist() == [3.0, 5.0]
+        assert d.counts.tolist() == [3, 1]
         assert abs(sum(d.probabilities) - 1.0) < 1e-15
 
 
@@ -63,7 +78,7 @@ class TestCumulative:
     def test_exact_with_counts(self):
         d = DistributionSeries.from_counts([3, 5], [9, 3])
         c = cumulative_series(d)
-        assert c.counts == (12, 3)
+        assert c.counts.tolist() == [12, 3]
         assert c.probabilities[0] == 1.0
 
     def test_idempotent(self):
@@ -115,8 +130,7 @@ class TestCsv:
         # the degree series as stats --format csv writes it, by the one row writer
         d = DistributionSeries.from_counts([3, 5], [9, 3])
         head = f"# cumulative=false population={d.population}\nvalue,probability\n"
-        text = head + "".join(_rows("%d,%r\n", (np.array(d.values),
-                                                 np.array(d.probabilities))))
+        text = head + "".join(_rows("%d,%r\n", (d.values, d.probabilities)))
         lines = text.splitlines()
         assert lines[0] == "# cumulative=false population=12"
         assert lines[1] == "value,probability"

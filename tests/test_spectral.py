@@ -36,6 +36,7 @@ from coronagraphs.graph import (
 from coronagraphs.spectral import (
     ADJACENCY,
     LAPLACIAN,
+    RESIDUAL_CHUNK,
     SIGNLESS,
     Discrepancies,
     Spectrum,
@@ -488,25 +489,47 @@ class TestEigenpairs:
     @pytest.mark.parametrize("seed_fn,n", [(complete_graph, 3), (cycle_graph, 4)])
     def test_residuals(self, seed_fn, n):
         seed = seed_fn(n)
-        pairs = build_one_step_eigenpairs(seed)
-        assert len(pairs) == n * (n + 1)
+        values, vectors = build_one_step_eigenpairs(seed)
+        assert values.shape == (n * (n + 1),)
+        assert vectors.shape == (n * (n + 1), n * (n + 1))
+        assert np.linalg.matrix_rank(vectors) == n * (n + 1)  # an eigenbasis
         a = oracle.build_matrix(corona_product(seed, seed), ADJACENCY)
-        for p in pairs:
-            res = np.linalg.norm(a @ p.vector - p.value * p.vector)
-            assert res <= 1e-8 * np.linalg.norm(p.vector)
+        for value, vector in zip(values, vectors.T):
+            res = np.linalg.norm(a @ vector - value * vector)
+            assert res <= 1e-8 * np.linalg.norm(vector)
 
     def test_mu_family_orthogonal_to_ones(self):
         seed = complete_graph(3)
-        pairs = build_one_step_eigenpairs(seed)
-        mu_family = [p for p in pairs if np.linalg.norm(p.vector[:3]) <= 1e-12]
+        _, vectors = build_one_step_eigenpairs(seed)
+        mu_family = [v for v in vectors.T if np.linalg.norm(v[:3]) <= 1e-12]
         assert len(mu_family) == 6
-        for p in mu_family:
-            assert abs(p.vector.sum()) < 1e-10
+        for v in mu_family:
+            assert abs(v.sum()) < 1e-10
 
     def test_residual_max_helper(self):
-        a = oracle.build_matrix(corona_product(complete_graph(3), complete_graph(3)),
-                                ADJACENCY)
-        assert eigenpair_residual_max(complete_graph(3), a) < 1e-12
+        # cycle:16 at m=1 has 272 pairs, more than one product's columns; the
+        # reference is one matvec per pair, so only the sums' order differs
+        for seed in (complete_graph(3), cycle_graph(16)):
+            a = oracle.build_matrix(corona_product(seed, seed), ADJACENCY)
+            values, vectors = build_one_step_eigenpairs(seed)
+            per_pair = max(np.linalg.norm(a @ v - lam * v) / np.linalg.norm(v)
+                           for lam, v in zip(values, vectors.T))
+            got = eigenpair_residual_max(seed, a)
+            assert got < 1e-12
+            assert abs(got - per_pair) <= 1e-14
+
+    def test_residual_max_reads_every_column(self):
+        # A + u w^T, with w row c of the inverse of the vectors, moves column
+        # c's residual alone, to 1e3 here: the first and last of each product
+        seed = cycle_graph(16)
+        a = oracle.build_matrix(corona_product(seed, seed), ADJACENCY)
+        _, vectors = build_one_step_eigenpairs(seed)
+        dual = np.linalg.inv(vectors)
+        for c in (0, RESIDUAL_CHUNK - 1, RESIDUAL_CHUNK, len(vectors) - 1):
+            u = np.zeros(len(a))
+            u[0] = 1e3 * np.linalg.norm(vectors[:, c])
+            got = eigenpair_residual_max(seed, a + np.outer(u, dual[c]))
+            assert got == pytest.approx(1e3, rel=1e-9)
 
     def test_irregular_seed_rejected(self):
         with pytest.raises(ValueError, match="regular"):

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import oracle, spectral, structural
 from .distributions import cumulative_series, fit_power_law
+from .floattext import float_cells
 from .graph import (
     CapExceededError,
     CoronaPlan,
@@ -27,6 +28,8 @@ from .graph import (
     DEFAULT_NODE_CAP,
     SeedDescriptor,
     corona_iterate,
+    cells_text,
+    digit_groups,
     edge_list_chunks,
     stream_counts,
     write_edge_list,
@@ -41,8 +44,13 @@ EXIT_PIPE = 141
 BETWEENNESS_CAP = 10_000
 # on 2 CPUs the diameter of a 2,000-node cycle takes 1.0 s, of a 3,000-node one 2.4 s
 DIAMETER_CAP = 2_000
-# rows per chunk of every table a command writes
+# rows per chunk of every table a command writes, and floats per block of
+# a chunk's array passes
 CHUNK_ROWS = 4096
+CHUNK_FLOATS = 8192
+# below this many rows, one % pass writes a table faster than the array
+# passes, whose fixed cost is 0.3-0.55 ms a call (2 CPUs, numpy 2.4)
+ARRAY_ROWS = 256
 
 
 @functools.cache
@@ -121,16 +129,77 @@ def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
     """Rows of ``template`` over equal-length array columns, joined by ``sep``,
     CHUNK_ROWS at a time.
 
-    Each chunk is one ``%`` over the ``.tolist()`` slices of the columns,
-    taken row by row: no string per row.  ``.tolist()`` gives Python
-    floats and ints, so ``%r`` writes a float as json and csv both do.
+    ``template`` holds ``%r`` (float64 columns, written as ``float.__repr__``
+    writes them), ``%d`` (int columns, or float64 ones truncated as ``%d``
+    truncates them) and ``%s`` (object columns of str).  A table of fewer
+    than ARRAY_ROWS rows is one ``%`` over the ``.tolist()`` of its columns.
+    Larger ones are written in blocks of about CHUNK_FLOATS floats, each one
+    uint8 matrix with a row of NUL-padded cells per row of the table: ``sep``
+    and the template's literal pieces broadcast, every ``%r`` cell from one
+    ``floattext.float_cells`` call over the block's float columns, and the
+    ``%d`` cells in 4-digit groups as ``generate`` writes its edge list.
+    Deleting the NULs gives the block's text.
     """
     count = len(columns[0])
+    if count < ARRAY_ROWS:
+        if count:
+            yield sep.join([template] * count) % tuple(chain.from_iterable(
+                zip(*[column.tolist() for column in columns])))
+        return
+    pieces = template.split("%")
+    kinds = [piece[0] for piece in pieces[1:]]
+    literals = [(sep + pieces[0]).encode()] + [piece[1:].encode() for piece in pieces[1:]]
+    rows = max(1, CHUNK_FLOATS // max(1, kinds.count("r")))
+    # a block's temporaries reuse the heap (see graph.edge_list_chunks)
+    np.empty(256 * CHUNK_FLOATS, dtype=np.uint8)
     for start in range(0, count, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, count)
-        text = (sep if start else "") + sep.join([template] * (stop - start))
-        yield text % tuple(chain.from_iterable(
-            zip(*[column[start:stop].tolist() for column in columns])))
+        yield "".join(_block_text(kinds, literals, [column[at:min(at + rows, stop)]
+                                                    for column in columns], len(sep) * (at == 0))
+                      for at in range(start, stop, rows))
+
+
+def _block_text(kinds, literals, columns, blank: int) -> str:
+    """The rows of one block of ``_rows``, less the first ``blank`` bytes of
+    the first (the separator before a table's first row)."""
+    floats = [column for kind, column in zip(kinds, columns) if kind == "r"]
+    if floats:
+        floats = iter(np.split(float_cells(np.concatenate(floats)), len(floats)))
+    cells = [next(floats) if kind == "r" else _int_cells(column) if kind == "d"
+             else _str_cells(column) for kind, column in zip(kinds, columns)]
+    # one row of the literals with room for the cells, then the cells
+    widths = [cell.shape[1] for cell in cells]
+    row = b"".join(literal + bytes(width) for literal, width in zip(literals, widths + [0]))
+    matrix = np.empty((len(columns[0]), len(row)), np.uint8)
+    matrix[:] = np.frombuffer(row, np.uint8)
+    at = 0
+    for literal, cell, width in zip(literals, cells, widths):
+        at += len(literal)
+        matrix[:, at:at + width] = cell
+        at += width
+    matrix[0, :blank] = 0
+    return cells_text(matrix)
+
+
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """``%d`` cells: 4-digit groups for a non-negative int64 or float64 column,
+    ``str`` of each value for an object one (2**63 and above) or a negative."""
+    if column.dtype != object:
+        column = column.astype(np.int64, copy=False)
+        if column.min() >= 0:
+            groups = -(-len(str(int(column.max()))) // 4)
+            return np.stack(digit_groups(column, groups), axis=1).view(np.uint8)
+    return _str_cells(column)
+
+
+def _str_cells(column: np.ndarray) -> np.ndarray:
+    """NUL-padded UTF-8 cells of ``str`` of each value, each distinct value
+    encoded once."""
+    values = column.tolist()
+    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    text = np.array([str(value).encode() for value in index])
+    at = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return text.view(np.uint8).reshape(len(index), -1).take(at, axis=0)
 
 
 def _json_text(payload: dict, *lists) -> Iterator[str]:
@@ -139,8 +208,9 @@ def _json_text(payload: dict, *lists) -> Iterator[str]:
     writing its columns into the empty list after its marker.
 
     The outer fields go through json.dumps.  The lists, nearly all of the
-    bytes, go through ``_rows``, floats by ``float.__repr__`` as json does
-    (no list holds a NaN or infinity), so the text is never held whole.
+    bytes, go through ``_rows``, whose floats are byte for byte the
+    ``float.__repr__`` text that json writes (no list holds a NaN or
+    infinity), so the text is never held whole.
     """
     rest = json.dumps(payload, indent=2)
     for marker, template, columns, indent in lists:

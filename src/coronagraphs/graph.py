@@ -516,10 +516,33 @@ def _group_ascii() -> np.ndarray:
     the units (value 0 is all NUL, a group wholly above the number) and
     rows 20000-29999 the units group (value 0 prints as "0").
     """
-    text = [f"{i:04d}" for i in range(_GROUP)]
-    text += [str(i).rjust(4, "\0") if i else "\0" * 4 for i in range(_GROUP)]
-    text += [str(i).rjust(4, "\0") for i in range(_GROUP)]
-    return np.frombuffer("".join(text).encode("ascii"), dtype=np.uint32)
+    value = np.arange(_GROUP)[:, None]
+    padded = (value // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    width = 1 + (value >= 10) + (value >= 100) + (value >= 1000)
+    units = np.where(np.arange(4) >= 4 - width, padded, 0)
+    above = np.concatenate((np.zeros((1, 4), np.uint8), units[1:]))
+    return np.concatenate((padded, above, units)).view(np.uint32).ravel()
+
+
+def digit_groups(values: np.ndarray, groups: int) -> list[np.ndarray]:
+    """The decimal digits of non-negative integer ``values`` below
+    10**(4 * groups), 4 ASCII bytes to a uint32 cell, one array per group,
+    the leading group first; a group above a value's leading digit is NUL."""
+    table = _group_ascii()
+    cells = []
+    rest = values
+    for i in range(groups):   # the units group first
+        quot = rest // _GROUP
+        low = rest - quot * _GROUP
+        low += (quot == 0) * np.uint32(_GROUP * (2 if i == 0 else 1))
+        cells.append(table.take(low))
+        rest = quot
+    return cells[::-1]
+
+
+def cells_text(cells: np.ndarray) -> str:
+    """The text of a NUL-padded byte array: its bytes in order, NULs deleted."""
+    return cells.tobytes().translate(None, b"\0").decode()
 
 
 _SEPARATORS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)
@@ -532,16 +555,12 @@ def _edge_lines(uv: np.ndarray) -> str:
     groups in one uint32 matrix, followed by its separator; one
     ``translate`` then deletes the padding.
     """
-    table = _group_ascii()
     groups = -(-len(str(int(uv.max()))) // 4)
     cells = np.empty(uv.shape + (groups + 1,), dtype=np.uint32)
-    rest = uv.astype(np.uint32, copy=False)
-    for i in range(groups - 1, -1, -1):  # the units group first
-        rest, low = np.divmod(rest, _GROUP)
-        low += (rest == 0) * np.uint32(_GROUP * (2 if i == groups - 1 else 1))
-        cells[:, :, i] = table[low]
+    for i, group in enumerate(digit_groups(uv.astype(np.uint32, copy=False), groups)):
+        cells[:, :, i] = group
     cells[:, :, groups] = _SEPARATORS
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    return cells_text(cells)
 
 
 def stream_counts(plan: CoronaPlan) -> tuple[int, int]:

@@ -44,8 +44,9 @@ calls over stacks of arrowheads, one star call per level, whose discrepancy
 records form one block of array columns in a ``Discrepancies`` table.
 Multiplicities are int64 while the level's total n(n+1)^m is below 2**63 and
 exact Python ints (object dtype) above it.  The command line writes the
-arrays and the table's columns through its one chunked row writer, so this
-module lays out no output text.  The arrays give the same bits as the
+arrays and the table's columns through its one chunked row writer, in
+array passes with ``floattext`` for the floats, so this module lays out no
+output text.  The arrays give the same bits as the
 formulas one entry at a time: +, -, *, / and sqrt round the same in numpy as
 in Python, and LAPACK solves each arrowhead of a stack as it solves it
 alone.  Only the star's printed trig form needs a power, an arccos and a

@@ -110,10 +110,17 @@ CHECKS = [
           stdout_sha256="76460a31ea16d80bc67383c4f773660c7fa0dd74fb1ccc43f19a518ead71e46d",
           out_sha256="76460a31ea16d80bc67383c4f773660c7fa0dd74fb1ccc43f19a518ead71e46d",
           peak_mb=("<=", 160)),
+    # the peak bounds of the two rows below are the % writer's own peak
+    # (48.7-49.0 and 203.7-203.8 MB) plus 3 to 6 MB: the array writer may not raise it
     Check("star records", "spectrum --seed star:4 --m 9 --kind signless",
           stdout_sha256="6a95519522e17624a393631d05c55e0c84baa18d516441cfaf85267b7906333e",
           out_sha256="6a95519522e17624a393631d05c55e0c84baa18d516441cfaf85267b7906333e",
-          lengths={"discrepancies": 34439, "spectrum.entries": 68890}),
+          lengths={"discrepancies": 34439, "spectrum.entries": 68890}, peak_mb=("<=", 52)),
+    # 3,145,727 entries, pinned from the writer that took them through % and .tolist()
+    Check("spectrum at the entry cap", "spectrum --seed complete:3 --m 20 --kind adjacency",
+          stdout_sha256="e5a6e3cb771b02fca3a07714e76eee5b45ec2edee5555a85195cba16308c37f8",
+          out_sha256="e5a6e3cb771b02fca3a07714e76eee5b45ec2edee5555a85195cba16308c37f8",
+          peak_mb=("<=", 210)),
     # p = 3 main eigenvalues: 349,524 entries from stacks of 4x4 arrowheads
     Check("arrowhead spectrum", "spectrum --seed path:5 --m 8 --kind adjacency",
           stdout_sha256="54fd4d17b28acc95cdc52b0faefe1a5e7b78a4211619a3150f6ae3f54dfd906d",

@@ -16,16 +16,21 @@ import pytest
 
 from coronagraphs import cli, graph, oracle, spectral, structural
 from coronagraphs.cli import (
+    ARRAY_ROWS,
     CHUNK_ROWS,
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PIPE,
     EXIT_VERIFY,
+    _DEGREES_AT,
     _ENTRIES_AT,
     _ENTRY,
+    _POINT,
     _RECORD,
     _RECORDS_AT,
+    _SERIES_AT,
+    _SERIES_POINT,
     _build_parser,
     _json_text,
     _plan,
@@ -36,6 +41,7 @@ from coronagraphs.graph import SeedDescriptor, complete_graph, path_graph
 from coronagraphs.spectral import (
     ADJACENCY,
     Discrepancies,
+    Spectrum,
     closed_form_spectrum,
     make_spectrum,
     spectrum_to_json,
@@ -45,8 +51,8 @@ from coronagraphs.structural import betweenness_exact, degree_histogram
 import reference
 from conftest import random_connected_graph
 
-# entry and record counts around the writer's chunk boundaries
-CHUNK_COUNTS = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
+# entry and record counts around the array writer's threshold and its chunk boundaries
+CHUNK_COUNTS = (0, 1, ARRAY_ROWS - 1, ARRAY_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
 
 
 def run(capsys, *argv):
@@ -715,8 +721,10 @@ def record_table(*blocks):
 
 
 def writer_case(pairs, blocks=(), seed="complete:3", notice=None):
-    """(the writer's arguments, the payload json.dumps would be given)."""
-    spectrum = make_spectrum("adjacency", pairs, level=2)
+    """(the writer's arguments, the payload json.dumps would be given), for
+    (value, multiplicity) pairs or a Spectrum."""
+    spectrum = pairs if isinstance(pairs, Spectrum) else make_spectrum("adjacency", pairs,
+                                                                         level=2)
     table, records = record_table(*blocks)
     payload = {
         "schema": 1,
@@ -752,6 +760,28 @@ def distinct_pairs(count):
     return [(i + 0.1 * (i % 7), i + 1) for i in range(count)]
 
 
+# the exponent-form switches of repr, 17-digit values and a subnormal
+AWKWARD = [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.1 + 0.2, 1 / 3,
+           -2 / 3, 5e-324, 2.0 ** 53 + 2, -1.7976931348623157e308]
+
+
+def awkward_values(count):
+    """``count`` distinct ascending floats: AWKWARD, then seeded ones of 1e-8
+    to 1e20 in size, of either sign."""
+    rng = np.random.default_rng(count)
+    values = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 21, count)
+    return np.unique(np.concatenate([AWKWARD, values]))[:count]
+
+
+def awkward_spectrum(count, object_multiplicities=False):
+    """``count`` awkward values with int64 multiplicities, or with Python
+    ints of 2**63 and above, which the closed form holds as object."""
+    mults = np.arange(1, count + 1)
+    if object_multiplicities:
+        mults = np.array([2 ** 63 + int(w) for w in mults], dtype=object)
+    return Spectrum("adjacency", awkward_values(count), mults, level=2)
+
+
 # a signless record with awkward floats, and a wide adjacency one
 RECORD = (-0.0, (0.1 + 0.2, 1e16, 5e-324), (-1.5, 2.0, 3.25), 1e-09, "")
 WIDE = (2.0, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0), 0.0,
@@ -782,6 +812,12 @@ class TestSpectrumWriter:
            for count in CHUNK_COUNTS},
         **{f"{count} records": writer_case([(1.0, 2)], level_blocks(count))
            for count in CHUNK_COUNTS},
+        **{f"{count} awkward entries": writer_case(awkward_spectrum(count))
+           for count in CHUNK_COUNTS},
+        **{f"{count} entries of 2**63 and above": writer_case(awkward_spectrum(count, True))
+           for count in CHUNK_COUNTS},
+        **{f"{count} records with notes": writer_case(
+            [(1.0, 2)], [("adjacency", 5, 1, [WIDE] * count)]) for count in CHUNK_COUNTS},
         # one chunk holds all of levels 1 and 2, the empty level 3 and the
         # start of level 4; the next chunk holds the rest of level 4
         "levels across chunks": writer_case(
@@ -821,10 +857,34 @@ class TestSpectrumWriter:
 
     @pytest.mark.parametrize("count", CHUNK_COUNTS)
     def test_csv_matches_one_line_per_entry(self, count):
-        spectrum = make_spectrum("adjacency", distinct_pairs(count), level=2)
-        lines = ["value,multiplicity"] + [f"{v!r},{w}" for v, w in spectrum.entries]
-        text = "".join(_rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
-        assert "value,multiplicity\n" + text == "\n".join(lines) + "\n"
+        # entries with int64 multiplicities, awkward values, and multiplicities
+        # of 2**63 and above (object)
+        for spectrum in (make_spectrum("adjacency", distinct_pairs(count), level=2),
+                         awkward_spectrum(count), awkward_spectrum(count, True)):
+            lines = ["value,multiplicity"] + [f"{v!r},{w}" for v, w in spectrum.entries]
+            text = "".join(_rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
+            assert "value,multiplicity\n" + text == "\n".join(lines) + "\n"
+        # stats --format csv: %d over float64 values, truncated as %d truncates
+        values, probabilities = np.arange(count) * 1.5, awkward_values(count)
+        lines = ["value,probability"] + [f"{int(v)},{p!r}" for v, p in
+                                         zip(values.tolist(), probabilities.tolist())]
+        text = "".join(_rows("%d,%r\n", (values, probabilities)))
+        assert "value,probability\n" + text == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("count", CHUNK_COUNTS)
+    def test_stats_points_match_json_dumps(self, count):
+        # the [value, probability] lists of a stats report, at its top level
+        # and in its betweenness object
+        values, probabilities = awkward_values(count), awkward_values(count)[::-1].copy()
+        points = [list(point) for point in zip(values.tolist(), probabilities.tolist())]
+        report = {"schema": 1, "degree_distribution": points,
+                  "betweenness": {"gamma": None, "series": points}}
+        head = {"schema": 1, "degree_distribution": [],
+                "betweenness": {"gamma": None, "series": []}}
+        columns = (values, probabilities)
+        text = "".join(_json_text(head, (_DEGREES_AT, _POINT, columns, "  "),
+                                  (_SERIES_AT, _SERIES_POINT, columns, "    ")))
+        assert text == json.dumps(report, indent=2) + "\n"
 
     def test_peak_allocation_does_not_grow_with_the_payload(self):
         # a whole-text writer's peak grows 4x from m=14 to m=16, with the

@@ -45,12 +45,14 @@ BETWEENNESS_CAP = 10_000
 # on 2 CPUs the diameter of a 2,000-node cycle takes 1.0 s, of a 3,000-node one 2.4 s
 DIAMETER_CAP = 2_000
 # rows per chunk of every table a command writes, and floats per block of
-# a chunk's array passes
+# a chunk's array passes: blocks of 4,096 or 16,384 floats cost 5-15% more a
+# float than 8,192 (2 CPUs, numpy 2.4)
 CHUNK_ROWS = 4096
 CHUNK_FLOATS = 8192
 # below this many rows, one % pass writes a table faster than the array
-# passes, whose fixed cost is 0.3-0.55 ms a call (2 CPUs, numpy 2.4)
-ARRAY_ROWS = 256
+# passes, whose fixed cost is about 0.15 ms a call: they break even at about
+# 128 rows of two floats, 256 of one float and 50 of a discrepancy record
+ARRAY_ROWS = 128
 
 
 @functools.cache

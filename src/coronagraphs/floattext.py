@@ -1,4 +1,4 @@
-"""``float.__repr__`` text of float64 arrays, as NUL-padded byte cells.
+"""``float.__repr__`` text of float64 arrays, as NUL-padded 32-byte cells.
 
 Digits by Schubfach (Giulietti 2020, "The Schubfach way to render doubles";
 Ryu, Adams 2018, PLDI, finds the same): the rounding interval of c * 2**q
@@ -6,6 +6,8 @@ holds at most one multiple of 10**(k+1), k = floor(log10 of its width), the
 answer if there; else the closest multiple of 10**k.  Value and bounds times
 4 * 10**-k are c times a 126-bit constant per exponent (exact Python ints,
 for the exponents present), in 30-bit limbs of int64 arrays, rounded to odd.
+The 17 digits are ASCII in bytes 7-23 of a cell, and a byte lower in a copy
+kept before the point; masks by layout keep the digits after it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,11 @@ import functools
 
 import numpy as np
 
-from .graph import _group_ascii, digit_groups
+from .graph import _group_ascii
 
-CELL = 56   # bytes of a float's cell
-_LIMB = (1 << 30) - 1
-_HIGH = (1 << 63) - 1
-_ONE = 0x3FF0000000000000   # the bits of 1.0, computed in place of 0, inf and nan
+CELL = 32   # bytes of a float's cell; the longest repr, -2.2250738585072014e-308, is 24
+_LIMB, _HIGH, _INF = (1 << 30) - 1, (1 << 63) - 1, 0x7FF0000000000000
+_TENS = 10 ** np.arange(18)
 
 
 @functools.cache
@@ -27,13 +28,14 @@ def _scale(biased: int, asym: int) -> tuple[int, ...]:
     """For a biased exponent (of a power of 2 if ``asym``): k, the 30-bit
     limbs of G, lowest first, with G * 4c / 2**127 = 4 * 10**-k * c * 2**q;
     then, for the gaps D to the lower and upper bounds, D >> 127, bits 64 to
-    126 of D and a signed threshold on bits 0 to 63.  G is at most 2**5 over
-    exact: g = floor(10**-k * 2**shift) + 1, times 2**h, h in [2, 5]."""
+    126 of D and a signed threshold on bits 0 to 63.  G is g = floor(10**-k *
+    2**shift) + 1 times 2**h, h in [2, 5], at most 2**5 over exact; or exact,
+    where that is whole and 2**62 divides it, leaving 4c * G no bit below 64."""
     q = max(biased, 1) - 1075
     k = (q * 661971961083 - asym * 274743187321) >> 41
     shift = 125 - ((-k * 913124641741) >> 38)   # 125 - floor(-k * log2(10))
     g = (10 ** max(-k, 0) << max(shift, 0)) // (10 ** max(k, 0) << max(-shift, 0))
-    big = (g + 1) << (q + 127 - shift)
+    big = (g + (k > 0 or q - k < -65)) << (q + 127 - shift)
     lower, upper = big * (2 - asym), big * 2   # 4c less 2 (1 below a power of 2), plus 2
     return (k, *((big >> (30 * i)) & _LIMB for i in range(5)),
             lower >> 127, (lower >> 64) & _HIGH, lower % (1 << 64) - (1 << 63),
@@ -41,110 +43,108 @@ def _scale(biased: int, asym: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=64)
-def _table(low: int, high: int) -> np.ndarray:
-    """_scale of biased exponents low to high, sym and asym, one a column."""
-    rows = [_scale(b, a) for b in range(low, high + 1) for a in (0, 1)]
-    return np.ascontiguousarray(np.array(rows).T)
+def _table(low: int, high: int) -> tuple[np.ndarray, int]:
+    """_scale of biased exponents low to high, sym and asym (as sym at 1), a
+    column each, less the low limbs of G that are all 0; and their count."""
+    table = np.array([_scale(b, a and b > 1) for b in range(low, high + 1) for a in (0, 1)]).T
+    zero = next(i for i in range(5) if table[1 + i].any())
+    return np.delete(table, range(1, 1 + zero), axis=0), zero
 
 
 @functools.cache
-def _words() -> tuple[np.ndarray, ...]:
-    """Words of bytes: the first j set, for j = 0 to 8; ".000"; "-", a lone
-    "0" and ".0"'s "0"; "e+" and "e-"; an exponent's 2 and 3 digits kept."""
-    masks = b"".join(b"\xff" * j + b"\0" * (8 - j) for j in range(9))
-    return (np.frombuffer(masks, np.uint64), np.frombuffer(b".000\0\0\0\0", np.uint64)[0],
-            *np.frombuffer(b"-\0\0\0\0" b"0\0\0" b"0\0\0\0", np.uint32),
-            np.frombuffer(b"e+\0\0e-\0\0", np.uint32),
-            np.frombuffer(b"\0\0\xff\xff\0\xff\xff\xff", np.uint32))
-
-
-def _bounds(scale: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(vbl, vb, vbr): G * (cb - 2, or - 1), G * cb and G * (cb + 2) over
-    2**127, rounded to odd; as a product exceeds the exact one by less than
-    2**60, it is whole where bits 64 to 126 are 0.  One product serves all."""
-    g = scale[1:6]
-    c0, c1 = cb & _LIMB, cb >> 30
-    acc = g[0] * c0
-    limbs = [acc & _LIMB]
-    for i in range(1, 5):   # bits 30i .. 30i + 29 of the product
-        acc = (acc >> 30) + g[i] * c0 + g[i - 1] * c1
-        limbs.append(acc & _LIMB)
-    v = (limbs[4] >> 7) | (((acc >> 30) + g[4] * c1) << 23)
-    high = (limbs[2] >> 4) | (limbs[3] << 26) | ((limbs[4] & 127) << 56)
-    low = (limbs[0] | (limbs[1] << 30) | (limbs[2] << 60)) ^ (-1 << 63)   # signed order
-    below = high - scale[7] - (low < scale[8])
-    above = high + scale[10] + (low > scale[11])   # from 2**63 it wraps, a carry
-    return ((v - scale[6] - (below < 0)) | ((below & _HIGH) != 0), v | (high != 0),
-            (v + scale[9] + (above < 0)) | ((above & _HIGH) != 0))
+def _tables() -> tuple[np.ndarray, ...]:
+    """By key 18 * (head + 3) + kept, for the digits before the point (20 for
+    the exponent form, as 1) and those kept: the masks of the digits and of
+    the copy, then the point, "0." and its zeros, and ".0"'s 0, in 10 words.
+    By p + 323 (the value is 0.d * 10**p): the key's head part, the exponent
+    word.  4-digit groups in ASCII, and 4 bytes up.  0.0, -0.0, inf, -inf, nan."""
+    rows = bytearray()
+    for form in range(-3, 18):
+        head = 1 if form == 17 else form
+        for kept in range(18):
+            upper, lower, text = bytearray(24), bytearray(24), bytearray(32)
+            lower[6:6 + head] = b"\xff" * max(head, 0)
+            upper[7 + head:7 + max(kept, head)] = b"\xff" * max(kept - head, 0)
+            text[6 + head] = ord(".") * (form < 17 or kept > 1)
+            if head <= 0:
+                text[5 + head:7] = b"0." + b"0" * -head
+            text[24] = ord("0") * (form < 17 and kept <= head)
+            rows += upper + lower + text
+    fixed = [(p, -4 < p < 17) for p in range(-323, 310)]   # every double's p
+    exps = b"".join((b"" if f else b"e%+03d" % (p - 1)).ljust(8, b"\0") for p, f in fixed)
+    groups = _group_ascii()[:10_000].astype(np.int64)
+    texts = b"".join(t.ljust(CELL, b"\0") for t in b"0.0 -0.0 inf -inf nan nan".split())
+    return (np.frombuffer(bytes(rows), np.int64).reshape(-1, 10).T.copy(),
+            np.array([18 * (p + 3 if f else 20) for p, f in fixed]), np.frombuffer(exps, np.int64),
+            groups, groups << 32, np.frombuffer(texts, np.int64).reshape(-1, 4))
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f, k): the shortest decimal f * 10**k that reads back as each
-    positive finite double of ``bits``, the closest to it of those."""
-    biased = (bits >> 52) & 0x7FF
+    positive finite double of ``bits``, the closest to it of those.  vbl, vb
+    and vbr, G * (4c - 2, or - 1), G * 4c and G * (4c + 2) over 2**127, are
+    rounded to odd; as a product exceeds the exact one by less than 2**60, it
+    is whole where bits 64 to 126 are 0.  One product serves all three."""
+    biased = bits >> 52
     c = bits & ((1 << 52) - 1)
-    asym = (c == 0) & (biased > 1)   # a power of 2, whose lower gap is half
-    c |= (biased > 0) << 52
-    low = int(biased.min())
-    scale = np.take(_table(low, int(biased.max())), 2 * (biased - low) + asym, axis=1)
-    vbl, vb, vbr = _bounds(scale, c << 2)
-    vbl += c & 1   # an odd c's bounds read back as its neighbours
-    vbr -= c & 1
+    least = int(biased.min())
+    table, zero = _table(least, int(biased.max()))
+    scale = np.take(table, (biased - least) * 2 + (c == 0), axis=1)   # a power of 2: asym
+    g, d = scale[1:6 - zero], scale[6 - zero:]
+    c |= (biased > 0) << 52 if least == 0 else 1 << 52
+    acc = g * (c0 := (c << 2) & _LIMB)   # 4c in two limbs
+    acc[1:] += g[:-1] * (c1 := c >> 28)
+    for i in range(1, len(acc)):   # carry into the limb above
+        acc[i] += acc[i - 1] >> 30
+    v = (((acc[-1] >> 30) + g[-1] * c1) << 23) | ((acc[-1] & _LIMB) >> 7)
+    acc &= _LIMB
+    limbs = [0] * zero + list(acc)
+    high = (limbs[2] >> 4) | (limbs[3] << 26) | ((limbs[4] & 127) << 56)
+    low = (limbs[0] | (limbs[1] << 30) | (limbs[2] << 60)) ^ (-1 << 63)   # signed order
+    below = high - d[1] - (low < d[2])
+    above = high + d[4] + (low > d[5])   # from 2**63 it wraps, a carry
+    vbl = ((v - d[0] + (below >> 63)) | ((below & _HIGH) != 0)) + (out := c & 1)
+    vbr = ((v + d[3] - (above >> 63)) | ((above & _HIGH) != 0)) - out   # odd c: open bounds
+    vb = v | (high != 0)
     s4 = (s := vb >> 2) << 2
     t_in = s4 + 4 <= vbr
-    one_in = (vbl <= s4) != t_in
     # s and s + 1 both in: the closer, and the even one at a tie
-    closer = vb + (s & 1) > s4 + 2
-    f = s + ((one_in & t_in) | (~one_in & closer))
-    tens = s // 10 * 10
-    tens_up = (tens << 2) + 40 <= vbr
-    np.copyto(f, tens + 10 * tens_up, where=(vbl <= tens << 2) != tens_up)
-    return f, scale[0]
+    f = s + np.where((vbl <= s4) != t_in, t_in, vb + (s & 1) > s4 + 2)
+    tens4 = (tens := s // 10) * 40
+    up = tens4 + 40 <= vbr
+    return np.where((vbl <= tens4) != up, (tens + up) * 10, f), scale[0]
 
 
 def float_cells(x: np.ndarray) -> np.ndarray:
-    """A (len(x), CELL) uint8 array: the ``repr`` of each float64 of ``x``,
-    NUL-padded."""
-    masks, dot, minus, lone, zero, exp_signs, exp_keep = _words()
-    real = np.isfinite(x) & (x != 0)
-    f, k = _shortest(np.where(real, x.view(np.int64), _ONE))
-    length = 16 + (f >= 10 ** 16)   # a normal double's f; a subnormal's may be shorter
-    short = np.flatnonzero(f < 10 ** 15)
-    length[short] = np.searchsorted(10 ** np.arange(18), f[short], side="right")
-    zeros, at = np.zeros_like(f), np.flatnonzero(f // 10 * 10 == f)   # trailing
-    rest, count = f[at], np.zeros(len(at), np.int64)
-    for p in (16, 8, 4, 2, 1):
-        quot = rest // 10 ** p
-        count += (whole := quot * 10 ** p == rest) * p
-        np.copyto(rest, quot, where=whole)
-    zeros[at] = count
-    point = length + k   # the value is 0.f * 10**point
-    other = np.flatnonzero(~real)
-    f[other], point[other], length[other] = 0, 1, 1   # 0 prints as "0.0"
-    fixed = (point > -4) & (point <= 16)
-    head = 1 + (point - 1) * fixed   # digits before the point
-    # 7 words: the sign, "0" below 1 and the digits before the point; the
-    # point, zeros after it and the rest of the digits; ".0"'s 0 or exponent
-    words = np.empty((3, len(x), 2), np.uint32)
-    words[0, :, 0] = np.signbit(x) * minus + (head <= 0) * lone
-    (words[0, :, 1], words[1, :, 0], words[1, :, 1],
-     words[2, :, 0], words[2, :, 1]) = digit_groups(f, 5)
-    words = words.view(np.uint64).reshape(3, -1)
-    cells = np.empty((len(x), 7), np.uint64)
-    split, end = 24 - length + head, 24 - zeros   # in bytes from the cell's start
-    for w in range(3):
-        np.bitwise_and(words[w], np.take(masks, split - 8 * w, mode="clip"), out=cells[:, w])
-        np.bitwise_xor(words[w], cells[:, w], out=cells[:, 3 + w])
-        cells[:, 3 + w] &= np.take(masks, end - 8 * w, mode="clip")
-    cells[:, 3] |= dot & masks.take((1 + np.maximum(-head, 0)) * (fixed | (length - zeros > 1)))
-    tail = cells[:, 6:].view(np.uint32)
-    tail[:, 0], tail[:, 1] = (head >= length - zeros) * zero, 0
-    if len(rows := np.flatnonzero(~fixed)):
-        exp = point[rows] - 1
-        tail[rows, 0] = exp_signs[(exp < 0) * 1]
-        tail[rows, 1] = _group_ascii()[np.abs(exp)] & exp_keep[(np.abs(exp) >= 100) * 1]
-    cells = cells.view(np.uint8)
-    for rows, text in ((np.isinf(x), b"inf"), (np.isnan(x), b"nan")):   # after any "-"
-        cells[rows, 1:] = np.frombuffer(text.ljust(CELL - 1, b"\0"), np.uint8)
-    cells[np.isnan(x), 0] = 0
-    return cells
+    """A (len(x), CELL) uint8 array: each float64's ``repr``, NUL-padded."""
+    layouts, heads, exps, groups, shifted, specials = _tables()
+    bits = x.view(np.int64) & _HIGH
+    odd = np.flatnonzero((bits == 0) | (bits >= _INF)) if (
+        bits.min() == 0 or bits.max() >= _INF) else []
+    bits[odd] = 0x3FF0000000000000   # 1.0, in place of 0, inf and nan
+    f, k = _shortest(bits)
+    length = np.searchsorted(_TENS, f, "right") if f.min() < 10 ** 15 else 16 + (f >= 10 ** 16)
+    f *= _TENS.take(17 - length)   # to 17 digits: a normal double has 16 or 17
+    point = k + length + 323   # the value is 0.f * 10**(point - 323)
+    digits, parts = np.empty((3, len(x)), np.int64), np.empty((2, len(x)), np.int64)
+    np.subtract(f, (high := f // 10 ** 8) * 10 ** 8, out=parts[1])
+    np.subtract(high, (lead := high // 10 ** 8) * 10 ** 8, out=parts[0])
+    np.left_shift(lead + ord("0"), 56, out=digits[0])
+    tops = parts // 10 ** 4
+    np.bitwise_or(groups.take(tops), shifted.take(parts - tops * 10 ** 4), out=digits[1:])
+    top = ((digits[1:] ^ 0x3030303030303030).astype(np.float64).view(np.int64) + (1 << 52)) >> 55
+    kept = np.maximum(np.maximum(top[0] - 126, top[1] - 118), 1)   # top bytes not "0"
+    mask = layouts.take(heads.take(point) + kept, axis=1)
+    lower = digits >> 8
+    lower[:2] |= digits[1:] << 56
+    digits &= mask[:3]
+    lower &= mask[3:6]
+    digits |= lower
+    digits[0] |= x.view(np.int64) >> 63 & ord("-")
+    cells = np.empty((len(x), 4), np.int64)
+    np.bitwise_or(digits, mask[6:9], out=cells.T[:3])
+    np.bitwise_or(mask[9], exps.take(point), out=cells[:, 3])
+    if len(odd):   # 0.0, -0.0, inf, -inf, nan
+        magnitude = (odd_bits := x.view(np.int64)[odd]) & _HIGH
+        cells[odd] = specials[2 * (magnitude > 0) + 2 * (magnitude > _INF) + (odd_bits < 0)]
+    return cells.view(np.uint8)

@@ -455,6 +455,41 @@ def connected_component_count(g: Graph) -> int:
 # edge-list files
 
 
+_LINE_ENDS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"   # str.splitlines' line ends besides "\n"
+# a file of fewer bytes is read line by line as text, which is faster than
+# the array passes below about 80 lines (0.07 ms against 0.13 ms at 10 lines)
+TEXT_BYTES = 512
+
+
+def _edge_file_lines(text: str) -> tuple[list[tuple[int, str]], np.ndarray, bytes]:
+    """The lines of an edge-list file's ``text``: those read as text, as
+    (line number, line); the 0-based numbers of the others, each of spaces,
+    tabs and two runs of at most 18 digits, found in array passes over the
+    bytes; and the bytes with the lines read as text blanked out."""
+    if len(text) < TEXT_BYTES:
+        return list(enumerate(text.splitlines(), start=1)), np.zeros(0, np.int64), b""
+    if any(end in text for end in _LINE_ENDS):
+        text = "\n".join(text.splitlines())
+    data = np.frombuffer(bytearray(text.encode() + b"\n"), np.uint8)   # each line ends in "\n"
+    del text
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digit = (data - ord("0")) < 10
+    runs = np.flatnonzero(np.diff(digit, prepend=False)).reshape(-1, 2)   # [start, end)
+    per_line = np.diff(np.searchsorted(runs[:, 0], ends), prepend=0)
+    # as text: a line with other bytes, one run or three or more, or a long run
+    as_text = (per_line != 0) & (per_line != 2)
+    other = ~digit & (data != ord(" ")) & (data != ord("\t")) & (data != ord("\n"))
+    as_text[np.searchsorted(ends, np.flatnonzero(other))] = True
+    as_text[np.searchsorted(ends, runs[runs[:, 1] - runs[:, 0] > 18, 0])] = True
+    del digit, other, runs
+    lines = []
+    for i in np.flatnonzero(as_text).tolist():
+        lines.append((i + 1, data[starts[i]:ends[i]].tobytes().decode()))
+        data[starts[i]:ends[i]] = ord(" ")
+    return lines, np.flatnonzero((per_line == 2) & ~as_text), data.tobytes()
+
+
 def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     """Read the plain edge-list format.
 
@@ -463,27 +498,35 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     ``u v`` with 0-based endpoints, u != v, and no repeated undirected pair.
     More data lines than ``node_cap`` are refused before any is parsed, a
     header count over it as soon as it is read, and a largest endpoint
-    over it before the graph is built.
+    over it before the graph is built; past those, the first line at fault
+    is named.  A file of TEXT_BYTES or more is read in array passes, save
+    the lines that ``_edge_file_lines`` leaves as text.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    _check_seed(node_cap, 0, sum(1 for raw in lines
-                                 if (line := raw.strip()) and not line.startswith("#")))
+    lines, paired, clean = _edge_file_lines(Path(path).read_text(encoding="utf-8"))
+    data_lines = [(lineno, raw) for lineno, raw in lines
+                  if (line := raw.strip()) and not line.startswith("#")]
+    _check_seed(node_cap, 0, len(paired) + len(data_lines))
+    first = min(paired[:1].tolist() + [lineno - 1 for lineno, _ in data_lines[:1]], default=None)
     node_count = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("n=") and node_count is None and not edges:
-                try:
-                    node_count = int(body[2:])
-                except ValueError:
-                    raise EdgeListError(f"line {lineno}: bad node count {body!r}")
-                _check_seed(node_cap, node_count)
-            continue
-        parts = line.split()
+    for lineno, raw in lines:
+        if first is not None and lineno > first:
+            break
+        body = raw.strip()[1:].strip()   # of a comment or blank line, above every data line
+        if body.startswith("n=") and node_count is None:
+            try:
+                node_count = int(body[2:])
+            except ValueError:
+                raise EdgeListError(f"line {lineno}: bad node count {body!r}")
+            _check_seed(node_cap, node_count)
+    # (np.fromstring reads bytes of whitespace alone as one 0)
+    pairs = np.fromstring(clean, np.int64, sep=" ") if len(paired) else np.zeros(0, np.int64)
+    pairs = pairs.reshape(len(paired), 2)
+    loops = paired[pairs[:, 0] == pairs[:, 1]]
+    edges = []
+    for lineno, raw in data_lines:
+        if len(loops) and loops[0] < lineno:
+            break
+        parts = raw.split()
         if len(parts) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
@@ -493,11 +536,14 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop at node {u}")
         edges.append((u, v))
+    if len(loops):
+        u = pairs[np.searchsorted(paired, loops[0]), 0]
+        raise EdgeListError(f"line {loops[0] + 1}: self-loop at node {u}")
     if node_count is None:
-        node_count = 1 + max((max(u, v) for u, v in edges), default=-1)
+        node_count = 1 + max(-1, int(pairs.max(initial=-1)), *(max(u, v) for u, v in edges))
         _check_seed(node_cap, node_count)
     try:
-        return Graph.from_edges(node_count, edges)
+        return Graph.from_edges(node_count, [*pairs.tolist(), *edges] if edges else pairs)
     except ValueError as exc:
         raise EdgeListError(str(exc)) from exc
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronagraphs.floattext import CELL, float_cells
 from coronagraphs.graph import cells_text
@@ -58,5 +60,34 @@ def test_random_bit_patterns_match_repr():
 @pytest.mark.parametrize("count", [1, 2, 7])
 def test_cells_are_nul_padded_and_fixed_width(count):
     cells = float_cells(np.linspace(-1.5, 2.25, count))
-    assert cells.shape == (count, CELL) and cells.dtype == np.uint8
+    assert cells.shape == (count, 32) and CELL == 32 and cells.dtype == np.uint8
     assert all(set(row.tobytes()) <= set(b"\0-0123456789.e+") for row in cells)
+
+
+def test_the_longest_reprs_fit():
+    x = np.array([-2.2250738585072014e-308, -1.7976931348623157e+308, -5e-324])
+    assert texts(x) == ["-2.2250738585072014e-308", "-1.7976931348623157e+308", "-5e-324"]
+
+
+def ulps_from(x: float, steps: int) -> float:
+    """The double ``steps`` units in the last place above positive ``x``."""
+    return float((np.array([x]).view(np.int64) + steps).view(np.float64)[0])
+
+
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.integers(-(2 ** 62), 2 ** 62).map(float),
+    # repr switches to exponent form below 1e-4 and from 1e16 up
+    st.builds(lambda switch, steps, sign: sign * ulps_from(switch, steps),
+              st.sampled_from([1e-4, 1e16]), st.integers(-40, 40), st.sampled_from([1.0, -1.0])),
+    # short decimals, most of whose digits are trailing zeros
+    st.builds(lambda digits, exp: float(f"{digits}e{exp}"),
+              st.integers(1, 10 ** 17), st.integers(-22, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VALUES, min_size=1, max_size=400))
+def test_random_arrays_match_repr(values):
+    x = np.array(values, dtype=np.float64)
+    assert texts(x) == list(map(repr, x.tolist()))

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coronagraphs import graph as graph_module
 from coronagraphs.graph import (
@@ -458,3 +460,56 @@ class TestEdgeListIO:
         p = tmp_path / "g.edges"
         write_edge_list(g, 0, p)
         assert p.read_text().splitlines() == ["# n=4", "0 1", "0 2", "2 3"]
+
+
+BLANK = st.sampled_from(["", "  ", "\t", " \t "])
+PAD = st.sampled_from(["", " ", "\t", "  "])
+EDGE = st.builds(lambda a, u, b, v, c, zeros: f"{a}{'0' * zeros}{u}{b or ' '}{v}{c}",
+                 PAD, st.integers(0, 12), PAD, st.integers(0, 12), PAD, st.integers(0, 2))
+COMMENT = st.sampled_from(["# a comment", "#", "# n=9", "  # n=4", "#n=13", "# n=abc",
+                           "# n= 11", "# n=-2", "# n=1e3", "# n=40 extra"])
+ODD = st.sampled_from(["+3 4", "1_0 2", "1 2 3", "5", "a b", "1 -2", "\u0663 4", "1\x1f2",
+                       "99999999999999999999 1", "0000000000000000000003 4", "1 2 # c",
+                       "7 7", "3\u00a05", "- 1"])
+LINE_END = st.sampled_from(["\n"] * 8 + ["\r\n", "\r", "\x0c", "\u2028", "\x1c"])
+
+
+def reading(read, path, cap):
+    """A graph's arrays, or the type and text of the error ``read`` raises."""
+    try:
+        g = read(path, cap)
+    except (EdgeListError, CapExceededError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return g.node_count, g.offsets.tolist(), g.targets.tolist()
+
+
+class TestEdgeListReader:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.one_of(EDGE, EDGE, EDGE, BLANK, COMMENT, ODD), LINE_END),
+                    max_size=40),
+           st.sampled_from([3, 25, 2_000_000]))
+    def test_matches_the_line_reader(self, tmp_path, lines, cap):
+        """Both the text reading of a small file and the array passes of a
+        large one give the line reader's graph, or its error."""
+        path = tmp_path / "g.edges"
+        path.write_bytes("".join(line + end for line, end in lines).encode())
+        want = reading(reference.read_edge_list, path, cap)
+        text_bytes = graph_module.TEXT_BYTES
+        try:
+            for graph_module.TEXT_BYTES in (text_bytes, 0):
+                assert reading(read_edge_list, path, cap) == want
+        finally:
+            graph_module.TEXT_BYTES = text_bytes
+
+    def test_a_large_file_names_its_first_bad_line(self, tmp_path):
+        lines = [f"{u} {u + 1}" for u in range(200)]
+        lines[150], lines[120] = "4 x", "9 9"
+        path = tmp_path / "g.edges"
+        path.write_text("\n".join(lines))
+        with pytest.raises(EdgeListError, match="^line 121: self-loop at node 9$"):
+            read_edge_list(path)
+        lines[120] = "9 10 11"
+        path.write_text("\n".join(lines))
+        with pytest.raises(EdgeListError, match="^line 121: expected 'u v', got '9 10 11'$"):
+            read_edge_list(path)

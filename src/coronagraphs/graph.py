@@ -470,23 +470,37 @@ def _edge_file_lines(text: str) -> tuple[list[tuple[int, str]], np.ndarray, byte
         return list(enumerate(text.splitlines(), start=1)), np.zeros(0, np.int64), b""
     if any(end in text for end in _LINE_ENDS):
         text = "\n".join(text.splitlines())
-    data = np.frombuffer(bytearray(text.encode() + b"\n"), np.uint8)   # each line ends in "\n"
+    buffer = bytearray(text, "utf-8")
+    buffer += b"\n"   # each line ends in "\n"
     del text
+    data = np.frombuffer(buffer, np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    # as text: a line with other bytes, one digit run or three or more, or a long run
     digit = (data - ord("0")) < 10
-    runs = np.flatnonzero(np.diff(digit, prepend=False)).reshape(-1, 2)   # [start, end)
-    per_line = np.diff(np.searchsorted(runs[:, 0], ends), prepend=0)
-    # as text: a line with other bytes, one run or three or more, or a long run
-    as_text = (per_line != 0) & (per_line != 2)
-    other = ~digit & (data != ord(" ")) & (data != ord("\t")) & (data != ord("\n"))
+    other = data != ord(" ")
+    other &= data != ord("\t")
+    other &= data != ord("\n")
+    other &= ~digit
+    as_text = np.zeros(len(ends), bool)
     as_text[np.searchsorted(ends, np.flatnonzero(other))] = True
+    del other
+    lead, change = digit[0], digit[1:] != digit[:-1]
+    del digit
+    runs = np.flatnonzero(change)
+    del change
+    runs += 1
+    if lead:
+        runs = np.concatenate(([0], runs))
+    runs = runs.reshape(-1, 2)   # [start, end) of each digit run
+    per_line = np.diff(np.searchsorted(runs[:, 0], ends), prepend=0)
+    as_text |= (per_line != 0) & (per_line != 2)
     as_text[np.searchsorted(ends, runs[runs[:, 1] - runs[:, 0] > 18, 0])] = True
-    del digit, other, runs
+    del runs
     lines = []
     for i in np.flatnonzero(as_text).tolist():
-        lines.append((i + 1, data[starts[i]:ends[i]].tobytes().decode()))
-        data[starts[i]:ends[i]] = ord(" ")
+        start = ends[i - 1] + 1 if i else 0
+        lines.append((i + 1, data[start:ends[i]].tobytes().decode()))
+        data[start:ends[i]] = ord(" ")
     return lines, np.flatnonzero((per_line == 2) & ~as_text), data.tobytes()
 
 
@@ -521,6 +535,7 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     # (np.fromstring reads bytes of whitespace alone as one 0)
     pairs = np.fromstring(clean, np.int64, sep=" ") if len(paired) else np.zeros(0, np.int64)
     pairs = pairs.reshape(len(paired), 2)
+    del clean
     loops = paired[pairs[:, 0] == pairs[:, 1]]
     edges = []
     for lineno, raw in data_lines:

@@ -39,7 +39,7 @@ def main(count: int, seed: int) -> int:
                 got = text.split("\n")
                 at = next(i for i, value in enumerate(x.tolist()) if got[i] != repr(value))
                 print(f"mismatch at pattern {done + at}: bits {x[at:at + 1].view(np.uint64)[0]:#018x}"
-                      f" writes {got[at]!r}, repr {x[at]!r}")
+                      f" writes {got[at]!r}, repr {float(x[at])!r}")
                 print(json.dumps({"correct": False, "patterns": done + at + 1, "seed": seed}))
                 return 1
             done += len(x)

@@ -520,12 +520,13 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
     data_lines = [(lineno, raw) for lineno, raw in lines
                   if (line := raw.strip()) and not line.startswith("#")]
     _check_seed(node_cap, 0, len(paired) + len(data_lines))
+    # the header is a comment above every data line: the first is line ``first`` + 1
     first = min(paired[:1].tolist() + [lineno - 1 for lineno, _ in data_lines[:1]], default=None)
     node_count = None
     for lineno, raw in lines:
         if first is not None and lineno > first:
             break
-        body = raw.strip()[1:].strip()   # of a comment or blank line, above every data line
+        body = raw.strip()[1:].strip()
         if body.startswith("n=") and node_count is None:
             try:
                 node_count = int(body[2:])

@@ -495,12 +495,13 @@ class TestEdgeListReader:
         path = tmp_path / "g.edges"
         path.write_bytes("".join(line + end for line, end in lines).encode())
         want = reading(reference.read_edge_list, path, cap)
-        text_bytes = graph_module.TEXT_BYTES
+        saved = graph_module.TEXT_BYTES
         try:
-            for graph_module.TEXT_BYTES in (text_bytes, 0):
+            for text_bytes in (saved, 0):
+                graph_module.TEXT_BYTES = text_bytes
                 assert reading(read_edge_list, path, cap) == want
         finally:
-            graph_module.TEXT_BYTES = text_bytes
+            graph_module.TEXT_BYTES = saved
 
     def test_a_large_file_names_its_first_bad_line(self, tmp_path):
         lines = [f"{u} {u + 1}" for u in range(200)]

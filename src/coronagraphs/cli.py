@@ -51,8 +51,8 @@ CHUNK_ROWS = 4096
 CHUNK_FLOATS = 8192
 # below this many rows, one % pass writes a table faster than the array
 # passes, whose fixed cost is about 0.15 ms a call: they break even at about
-# 128 rows of two floats, 256 of one float and 50 of a discrepancy record
-ARRAY_ROWS = 128
+# 256 rows of one float (entries, csv), 128 of two and 50 discrepancy records
+ARRAY_ROWS = 256
 
 
 @functools.cache

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronagraphs.floattext import CELL, float_cells
+from coronagraphs.floattext import CELL, _table, float_cells
 from coronagraphs.graph import cells_text
+from floattext_soak import EXACT, exact_constants
 
 
 def texts(x: np.ndarray) -> list[str]:
@@ -55,6 +56,21 @@ def test_random_bit_patterns_match_repr():
     x = bits.view(np.float64)
     for part in np.array_split(x, 8):
         assert texts(part) == list(map(repr, part.tolist()))
+
+
+def test_exact_exponents_are_those_whose_low_limbs_are_left_out():
+    assert [b for b in range(1, 2047) if _table(b, b)[1]] == list(EXACT)
+
+
+def test_random_exact_constant_patterns_match_repr():
+    # blocks whose exponents all have exact constants skip G's low limbs;
+    # full-range patterns never do
+    rng = np.random.default_rng(20240521)
+    for _ in range(64):
+        x = exact_constants(rng, 8192)
+        biased = x.view(np.int64) >> 52 & 2047
+        assert _table(int(biased.min()), int(biased.max()))[1] >= 2
+        assert texts(x) == list(map(repr, x.tolist()))
 
 
 @pytest.mark.parametrize("count", [1, 2, 7])

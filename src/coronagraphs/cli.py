@@ -49,10 +49,11 @@ DIAMETER_CAP = 2_000
 # float than 8,192 (2 CPUs, numpy 2.4)
 CHUNK_ROWS = 4096
 CHUNK_FLOATS = 8192
-# below this many rows, one % pass writes a table faster than the array
-# passes, whose fixed cost is about 0.15 ms a call: they break even at about
-# 256 rows of one float (entries, csv), 128 of two and 50 discrepancy records
-ARRAY_ROWS = 256
+# below this many floats, one % pass writes a table faster than the array
+# passes, whose float_cells call alone costs about 0.11 ms: they break even
+# at about 270 floats in rows of one (entries, csv), 300 in rows of two
+# (points) and 360 in discrepancy records of eight
+ARRAY_FLOATS = 256
 
 
 @functools.cache
@@ -134,7 +135,8 @@ def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
     ``template`` holds ``%r`` (float64 columns, written as ``float.__repr__``
     writes them), ``%d`` (int columns, or float64 ones truncated as ``%d``
     truncates them) and ``%s`` (object columns of str).  A table of fewer
-    than ARRAY_ROWS rows is one ``%`` over the ``.tolist()`` of its columns.
+    than ARRAY_FLOATS floats (or rows, if it has no ``%r``) is one ``%`` over
+    the ``.tolist()`` of its columns.
     Larger ones are written in blocks of about CHUNK_FLOATS floats, each one
     uint8 matrix with a row of NUL-padded cells per row of the table: ``sep``
     and the template's literal pieces broadcast, every ``%r`` cell from one
@@ -143,15 +145,16 @@ def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
     Deleting the NULs gives the block's text.
     """
     count = len(columns[0])
-    if count < ARRAY_ROWS:
+    pieces = template.split("%")
+    kinds = [piece[0] for piece in pieces[1:]]
+    floats = max(1, kinds.count("r"))
+    if count * floats < ARRAY_FLOATS:
         if count:
             yield sep.join([template] * count) % tuple(chain.from_iterable(
                 zip(*[column.tolist() for column in columns])))
         return
-    pieces = template.split("%")
-    kinds = [piece[0] for piece in pieces[1:]]
     literals = [(sep + pieces[0]).encode()] + [piece[1:].encode() for piece in pieces[1:]]
-    rows = max(1, CHUNK_FLOATS // max(1, kinds.count("r")))
+    rows = CHUNK_FLOATS // floats
     # a block's temporaries reuse the heap (see graph.edge_list_chunks)
     np.empty(256 * CHUNK_FLOATS, dtype=np.uint8)
     for start in range(0, count, CHUNK_ROWS):

@@ -16,7 +16,7 @@ import pytest
 
 from coronagraphs import cli, graph, oracle, spectral, structural
 from coronagraphs.cli import (
-    ARRAY_ROWS,
+    ARRAY_FLOATS,
     CHUNK_ROWS,
     EXIT_CAP,
     EXIT_CONFIG,
@@ -51,8 +51,17 @@ from coronagraphs.structural import betweenness_exact, degree_histogram
 import reference
 from conftest import random_connected_graph
 
-# entry and record counts around the array writer's threshold and its chunk boundaries
-CHUNK_COUNTS = (0, 1, ARRAY_ROWS - 1, ARRAY_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1)
+
+def chunk_counts(floats: int) -> tuple[int, ...]:
+    """Row counts of a table of ``floats`` floats a row: around the array
+    writer's threshold, at 255 and 256 rows, and around a chunk's boundaries."""
+    rows = -(-ARRAY_FLOATS // floats)
+    return tuple(sorted({0, 1, rows - 1, rows, 255, 256,
+                         CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1}))
+
+
+# of spectrum entries and csv rows (one float), and of discrepancy records (eight)
+CHUNK_COUNTS, RECORD_COUNTS = chunk_counts(1), chunk_counts(8)
 
 
 def run(capsys, *argv):
@@ -811,13 +820,13 @@ class TestSpectrumWriter:
         **{f"{count} entries": writer_case(distinct_pairs(count))
            for count in CHUNK_COUNTS},
         **{f"{count} records": writer_case([(1.0, 2)], level_blocks(count))
-           for count in CHUNK_COUNTS},
+           for count in RECORD_COUNTS},
         **{f"{count} awkward entries": writer_case(awkward_spectrum(count))
            for count in CHUNK_COUNTS},
         **{f"{count} entries of 2**63 and above": writer_case(awkward_spectrum(count, True))
            for count in CHUNK_COUNTS},
         **{f"{count} records with notes": writer_case(
-            [(1.0, 2)], [("adjacency", 5, 1, [WIDE] * count)]) for count in CHUNK_COUNTS},
+            [(1.0, 2)], [("adjacency", 5, 1, [WIDE] * count)]) for count in RECORD_COUNTS},
         # one chunk holds all of levels 1 and 2, the empty level 3 and the
         # start of level 4; the next chunk holds the rest of level 4
         "levels across chunks": writer_case(
@@ -871,7 +880,7 @@ class TestSpectrumWriter:
         text = "".join(_rows("%d,%r\n", (values, probabilities)))
         assert "value,probability\n" + text == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("count", CHUNK_COUNTS)
+    @pytest.mark.parametrize("count", chunk_counts(2))
     def test_stats_points_match_json_dumps(self, count):
         # the [value, probability] lists of a stats report, at its top level
         # and in its betweenness object

@@ -44,10 +44,8 @@ EXIT_PIPE = 141
 BETWEENNESS_CAP = 10_000
 # on 2 CPUs the diameter of a 2,000-node cycle takes 1.0 s, of a 3,000-node one 2.4 s
 DIAMETER_CAP = 2_000
-# rows per chunk of every table a command writes, and floats per block of
-# a chunk's array passes: blocks of 4,096 or 16,384 floats cost 5-15% more a
-# float than 8,192 (2 CPUs, numpy 2.4)
-CHUNK_ROWS = 4096
+# floats per chunk of a table written in array passes (rows, if it has no
+# %r): 4,096 or 16,384 cost 5-15% more a float than 8,192 (2 CPUs, numpy 2.4)
 CHUNK_FLOATS = 8192
 # below this many floats, one % pass writes a table faster than the array
 # passes, whose float_cells call alone costs about 0.11 ms: they break even
@@ -130,19 +128,19 @@ _SERIES_AT = '\n    "series": '
 
 def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
     """Rows of ``template`` over equal-length array columns, joined by ``sep``,
-    CHUNK_ROWS at a time.
+    in chunks of CHUNK_FLOATS floats (or rows, if it has no ``%r``).
 
     ``template`` holds ``%r`` (float64 columns, written as ``float.__repr__``
     writes them), ``%d`` (int columns, or float64 ones truncated as ``%d``
     truncates them) and ``%s`` (object columns of str).  A table of fewer
     than ARRAY_FLOATS floats (or rows, if it has no ``%r``) is one ``%`` over
     the ``.tolist()`` of its columns.
-    Larger ones are written in blocks of about CHUNK_FLOATS floats, each one
-    uint8 matrix with a row of NUL-padded cells per row of the table: ``sep``
-    and the template's literal pieces broadcast, every ``%r`` cell from one
-    ``floattext.float_cells`` call over the block's float columns, and the
+    Larger ones are written a chunk at a time, each one uint8 matrix with a
+    row of NUL-padded cells per row of the table: ``sep`` and the template's
+    literal pieces broadcast, every ``%r`` cell from one
+    ``floattext.float_cells`` call over the chunk's float columns, and the
     ``%d`` cells in 4-digit groups as ``generate`` writes its edge list.
-    Deleting the NULs gives the block's text.
+    Deleting the NULs gives the chunk's text.
     """
     count = len(columns[0])
     pieces = template.split("%")
@@ -155,17 +153,15 @@ def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
         return
     literals = [(sep + pieces[0]).encode()] + [piece[1:].encode() for piece in pieces[1:]]
     rows = CHUNK_FLOATS // floats
-    # a block's temporaries reuse the heap (see graph.edge_list_chunks)
+    # a chunk's temporaries reuse the heap (see graph.edge_list_chunks)
     np.empty(256 * CHUNK_FLOATS, dtype=np.uint8)
-    for start in range(0, count, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, count)
-        yield "".join(_block_text(kinds, literals, [column[at:min(at + rows, stop)]
-                                                    for column in columns], len(sep) * (at == 0))
-                      for at in range(start, stop, rows))
+    for at in range(0, count, rows):
+        yield _chunk_text(kinds, literals, [column[at:at + rows] for column in columns],
+                          len(sep) * (at == 0))
 
 
-def _block_text(kinds, literals, columns, blank: int) -> str:
-    """The rows of one block of ``_rows``, less the first ``blank`` bytes of
+def _chunk_text(kinds, literals, columns, blank: int) -> str:
+    """The rows of one chunk of ``_rows``, less the first ``blank`` bytes of
     the first (the separator before a table's first row)."""
     floats = [column for kind, column in zip(kinds, columns) if kind == "r"]
     if floats:

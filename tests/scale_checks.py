@@ -12,6 +12,7 @@ import json
 import operator
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,9 @@ RANDOM_SEED = "random1000.edges"   # written by main into the rows' directory
 # levels that main writes into the rows' directory with `generate --out`, for
 # the rows that read a level back as a file seed
 LEVEL_FILES = {"complete3-m9.edges": "complete:3 --m 9", "star4-m7.edges": "star:4 --m 7"}
+# the prefix of a level file's copy whose first data line is written "+0 1",
+# the same edge, which the reader reads as text
+ODD = "odd-"
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,12 @@ CHECKS = [
     Check("degree csv of the file", "stats --seed file:complete3-m9.edges --m 0 --format csv",
           stdout_sha256="fde12af719031022341eb3e30da5dc3a566997414273043f5216892a7a3d8648",
           peak_mb=("<=", 210)),
+    # its one line read as text joins the other lines' pairs as an array: 195 MB
+    # and 0.6 s, as the file above, against 372 MB and 1.9 s as Python lists
+    Check("degree csv of the file with an odd line",
+          f"stats --seed file:{ODD}complete3-m9.edges --m 0 --format csv",
+          stdout_sha256="fde12af719031022341eb3e30da5dc3a566997414273043f5216892a7a3d8648",
+          peak_mb=("<=", 205), timeout=30),
     Check("star betweenness csv", "stats --seed star:4 --m 7 --betweenness --format csv",
           stdout_sha256="60f7239ab4ec6747a9a278bf3014e530599cff08287485d871652a5160bded02"),
     Check("star betweenness csv of the file", "stats --seed file:star4-m7.edges --m 0 "
@@ -179,6 +189,17 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
+def _odd_copy(level: Path) -> None:
+    """Copy ``level`` (a ``# n=`` line, then ``0 1``) with ``0 1`` written ``+0 1``,
+    in 1 MB blocks."""
+    with open(level, "rb") as src, open(level.with_name(ODD + level.name), "wb") as dst:
+        head = src.readline() + src.readline()
+        if not head.endswith(b"\n0 1\n"):
+            raise RuntimeError(f"{level.name} does not start with a header and 0 1")
+        dst.write(head.replace(b"\n0 1\n", b"\n+0 1\n"))
+        shutil.copyfileobj(src, dst, 1 << 20)
+
+
 def _spawn(argv: list[str], stdout: Path, stderr: Path, cwd: Path, timeout: float):
     """The cli's exit code on argv (-9 if killed at the timeout) and its own peak in MB."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -241,11 +262,13 @@ def main(rows=CHECKS) -> int:
         (work / "seed-dir").mkdir()
         (work / RANDOM_SEED).write_text(_random_seed_text())
         for name, level in LEVEL_FILES.items():
-            if any(f"file:{name}" in row.argv for row in rows):
+            if any(name in row.argv for row in rows):
                 code, _ = _spawn(["generate", "--seed", *level.split(), "--out", name],
                                  Path(os.devnull), work / "generate.stderr", work, 120.0)
                 if code:
                     raise RuntimeError(f"generate --seed {level} --out {name} exited {code}")
+            if any(f"file:{ODD}{name}" in row.argv for row in rows):
+                _odd_copy(work / name)
         for i, row in enumerate(rows):
             start = time.monotonic()
             failed[row.name], peak = _measure(i, row, work)

@@ -17,7 +17,7 @@ import pytest
 from coronagraphs import cli, graph, oracle, spectral, structural
 from coronagraphs.cli import (
     ARRAY_FLOATS,
-    CHUNK_ROWS,
+    CHUNK_FLOATS,
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
@@ -52,15 +52,21 @@ import reference
 from conftest import random_connected_graph
 
 
+# rows per chunk of spectrum entries and csv rows (one float), and of
+# discrepancy records (eight)
+ENTRY_ROWS, RECORD_ROWS = CHUNK_FLOATS, CHUNK_FLOATS // _RECORD.count("%r")
+
+
 def chunk_counts(floats: int) -> tuple[int, ...]:
     """Row counts of a table of ``floats`` floats a row: around the array
-    writer's threshold, at 255 and 256 rows, and around a chunk's boundaries."""
+    writer's threshold, at 255 and 256 rows, and around the chunk boundary of
+    every table width the commands write (one, two and eight floats a row)."""
     rows = -(-ARRAY_FLOATS // floats)
-    return tuple(sorted({0, 1, rows - 1, rows, 255, 256,
-                         CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1}))
+    return tuple(sorted({0, 1, rows - 1, rows, 255, 256} |
+                        {CHUNK_FLOATS // width + step for width in (1, 2, 8)
+                         for step in (-1, 0, 1)}))
 
 
-# of spectrum entries and csv rows (one float), and of discrepancy records (eight)
 CHUNK_COUNTS, RECORD_COUNTS = chunk_counts(1), chunk_counts(8)
 
 
@@ -276,7 +282,7 @@ class TestStats:
         assert stdout.splitlines() == ["node,b", "0,0.0", "1,1.5", "2,1.5",
                                        "3,0.5", "4,0.5"]
 
-    @pytest.mark.parametrize("k", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("k", [1, ENTRY_ROWS - 1, ENTRY_ROWS, ENTRY_ROWS + 1])
     def test_betweenness_csv_across_chunks(self, k, capsys, tmp_path):
         argv = ["stats", "--seed", f"path:{k}", "--m", "0", "--betweenness",
                 "--format", "csv"]
@@ -573,14 +579,14 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_multi_chunk_out_file_equals_stdout(self, capsys, tmp_path, fmt):
-        # 12,287 entries: three chunks, so an --out reopened per chunk
+        # 24,575 entries: three chunks, so an --out reopened per chunk
         # would keep only the last
-        argv = ["spectrum", "--seed", "complete:3", "--m", "12", "--kind", "adjacency",
+        argv = ["spectrum", "--seed", "complete:3", "--m", "13", "--kind", "adjacency",
                 "--format", fmt]
         out = tmp_path / "spec.out"
         code, stdout, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        assert stdout.count("\n") > 2 * CHUNK_ROWS
+        assert stdout.count("\n") > 2 * ENTRY_ROWS
         assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, "", "")
         assert out.read_bytes() == stdout.encode("utf-8")
 
@@ -830,7 +836,7 @@ class TestSpectrumWriter:
         # one chunk holds all of levels 1 and 2, the empty level 3 and the
         # start of level 4; the next chunk holds the rest of level 4
         "levels across chunks": writer_case(
-            [(1.0, 2)], level_blocks(3, 5, 0, CHUNK_ROWS) + [
+            [(1.0, 2)], level_blocks(3, 5, 0, RECORD_ROWS) + [
                 ("adjacency", 5, 5, [WIDE, RECORD, WIDE])]),
     }
 
@@ -855,7 +861,8 @@ class TestSpectrumWriter:
     def test_no_chunk_holds_more_than_chunk_rows(self, case):
         args, _ = self.CASES[case]
         for chunk in spectrum_text(*args):
-            assert chunk.count('"value"') + chunk.count('"note"') <= CHUNK_ROWS
+            assert chunk.count('"value"') <= ENTRY_ROWS
+            assert chunk.count('"note"') <= RECORD_ROWS
 
     def test_one_chunk_spans_level_blocks(self):
         (_, _, table), _ = self.CASES["levels across chunks"]
@@ -909,7 +916,7 @@ class TestSpectrumWriter:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            chunk_bytes.append(CHUNK_ROWS * size / len(spectrum.values))
+            chunk_bytes.append(ENTRY_ROWS * size / len(spectrum.values))
         assert abs(peaks[1] - peaks[0]) < 2 * min(chunk_bytes)
 
 
@@ -1040,6 +1047,16 @@ class TestConfig:
         bad.write_text("# n=abc\n0 1\n")
         code, _, err = run(capsys, "generate", "--seed", f"file:{bad}", "--m", "1")
         assert (code, err) == (EXIT_CONFIG, "error: line 1: bad node count 'n=abc'\n")
+
+    @pytest.mark.parametrize("endpoint", ["9999999999", "99999999999999999999",
+                                          "-99999999999999999999"])
+    def test_an_endpoint_past_the_node_count(self, capsys, tmp_path, endpoint):
+        # the last two do not fit in int64
+        bad = tmp_path / "bad.edges"
+        bad.write_text(f"# n=5\n{endpoint} 1\n")
+        code, stdout, err = run(capsys, "spectrum", "--seed", f"file:{bad}", "--m", "0",
+                                "--kind", "adjacency")
+        assert (code, stdout, err) == (EXIT_CONFIG, "", "error: edge endpoint out of range\n")
 
     def test_bad_edge_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.edges"

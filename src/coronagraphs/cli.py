@@ -3,18 +3,18 @@
 Outputs are deterministic: rerunning an invocation produces byte-identical
 files.  Exit codes: 0 success, 2 config error or bad path, 3 verification
 failure, 4 resource cap or overflow, 141 stdout closed by its reader (what a
-shell reports for a writer that SIGPIPE ended).
+shell reports for a writer that SIGPIPE ended).  The command line is read
+from one table of options, ``_COMMANDS``, in argparse's syntax and words.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
 from collections.abc import Iterator
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,48 +54,7 @@ CHUNK_FLOATS = 8192
 ARRAY_FLOATS = 256
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coronagraphs",
-        description="Generate corona graphs and analyze their structure and spectra.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run, sink=None)
-        p.add_argument("--seed", required=True,
-                       help="seed spec kind:param, e.g. complete:3 or file:g.edges")
-        p.add_argument("--m", type=int, required=True,
-                       help="number of corona iterations")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--node-cap", dest="node_cap", type=int,
-                       default=DEFAULT_NODE_CAP)
-        return p
-
-    p = command("generate", cmd_generate, "materialize the edge list of G^(m)")
-    p.add_argument("--format", choices=["edges"], default="edges")
-
-    p = command("stats", cmd_stats, "structural report: counts, degrees, diameter")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--betweenness", action="store_true",
-                   help="include exact betweenness and its power-law fit")
-    p.add_argument("--force", action="store_true",
-                   help="override the betweenness and diameter size guards")
-
-    p = command("spectrum", cmd_spectrum, "closed-form spectrum")
-    p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p = command("verify", cmd_verify, "closed form vs dense eigensolver")
-    p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--tolerance", type=float, default=1e-8)
-
-    return parser
-
-
-def _emit(cfg: argparse.Namespace, text: str) -> None:
+def _emit(cfg: SimpleNamespace, text: str) -> None:
     """Write ``text`` to stdout, or to --out, which the command's first call
     opens and truncates; ``main`` closes it."""
     if cfg.out is None:
@@ -226,7 +185,7 @@ def _json_text(payload: dict, *lists) -> Iterator[str]:
     yield rest + "\n"
 
 
-def _plan(cfg: argparse.Namespace) -> CoronaPlan:
+def _plan(cfg: SimpleNamespace) -> CoronaPlan:
     # the plan validates the seed, so an invalid one gets no warning first
     seed = SeedDescriptor.from_spec(cfg.seed, cfg.node_cap)
     plan = CoronaPlan(seed=seed, m=cfg.m, node_cap=cfg.node_cap)
@@ -248,7 +207,7 @@ def _guard(plan: CoronaPlan, nodes: int, cap: int, work: str, hint: str = "") ->
             f"{work} on {nodes} nodes exceeds the guard of {cap}{hint}")
 
 
-def cmd_generate(cfg: argparse.Namespace) -> int:
+def cmd_generate(cfg: SimpleNamespace) -> int:
     plan = _plan(cfg)
     nodes, edges = stream_counts(plan)
     if cfg.out is not None:
@@ -264,7 +223,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stats(cfg: argparse.Namespace) -> int:
+def cmd_stats(cfg: SimpleNamespace) -> int:
     plan = _plan(cfg)
     # only the json report of a connected seed measures the diameter
     diameter = cfg.format == "json" and plan.seed.connected
@@ -350,7 +309,7 @@ def cmd_stats(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: argparse.Namespace) -> int:
+def cmd_spectrum(cfg: SimpleNamespace) -> int:
     plan = _plan(cfg)
     discrepancies = spectral.Discrepancies()
     spectrum = spectral.closed_form_spectrum(plan.seed.graph, cfg.kind, cfg.m,
@@ -381,7 +340,7 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: argparse.Namespace) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     # a NaN or infinite tolerance would pass every input, a negative one fail it
     if not 0 <= cfg.tolerance < float("inf"):
         raise ValueError(f"--tolerance must be finite and >= 0, got {cfg.tolerance}")
@@ -420,11 +379,113 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return EXIT_OK if match.passed else EXIT_VERIFY
 
 
+# each command's options, as name: (type, default, choices, required, help);
+# a flag's type is None
+_HELP = dict.fromkeys(("-h", "--help"), (None, None, None, False, "show this help and exit"))
+_FORMAT = (str, "json", ("json", "csv"), False, "payload format")
+_KIND = (str, None, oracle.MATRIX_KINDS, True, "matrix whose spectrum is taken")
+_COMMON = {
+    "--seed": (str, None, None, True, "seed spec kind:param, e.g. complete:3 or file:g.edges"),
+    "--m": (int, None, None, True, "number of corona iterations"),
+    "--out": (str, None, None, False, "output path (default stdout)"),
+    "--node-cap": (int, DEFAULT_NODE_CAP, None, False, "most nodes a level may have")}
+_COMMANDS = {  # name: (run, options, help)
+    "generate": (cmd_generate, {"--format": (str, "edges", ("edges",), False, "payload format")},
+                 "materialize the edge list of G^(m)"),
+    "stats": (cmd_stats, {
+        "--format": _FORMAT,
+        "--betweenness": (None, False, None, False, "include exact betweenness and its fit"),
+        "--force": (None, False, None, False, "override the betweenness and diameter guards")},
+        "structural report: counts, degrees, diameter"),
+    "spectrum": (cmd_spectrum, {"--kind": _KIND, "--format": _FORMAT}, "closed-form spectrum"),
+    "verify": (cmd_verify, {
+        "--kind": _KIND, "--format": (str, "json", ("json",), False, "payload format"),
+        "--tolerance": (float, 1e-8, None, False, "largest eigenvalue difference that passes")},
+        "closed form vs dense eigensolver")}
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The fields of ``argv`` (``sys.argv[1:]`` if None), read as argparse read
+    them: ``--name value`` or ``--name=value``, a name's unique prefix, the last
+    of a repeated option.  Help and usage errors exit through ``_exit``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is None:  # the top level takes help, then a command
+        name = _token(argv[0], None, _HELP)[1] if argv else ""
+        _exit(None, None if name in _HELP else "the following arguments are required: command"
+              if name is not None else f"argument command: invalid choice: {argv[0]!r} "
+              f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    own = {**_COMMON, **_COMMANDS[command][1]}
+    options = {**_HELP, **own}
+    # as in argparse, every token is told apart before any is read
+    tokens = iter([_token(arg, command, options) for arg in argv[1:]])
+    values, extras = {name: spec[1] for name, spec in own.items() if not spec[3]}, []
+    for arg, name, value in tokens:
+        if name in _HELP:
+            _exit(command)
+        if not name:
+            extras.append(arg)
+            continue
+        kind, _, choices, _, _ = own[name]
+        if kind is not None and value is None:
+            value, follower, _ = next(tokens, (None, "", None))
+            if follower is not None:
+                _exit(command, f"argument {name}: expected one argument")
+        try:
+            values[name] = True if kind is None else kind(value)
+        except ValueError:
+            _exit(command, f"argument {name}: invalid {kind.__name__} value: {value!r}")
+        if choices and values[name] not in choices:
+            _exit(command, f"argument {name}: invalid choice: {values[name]!r} "
+                  f"(choose from {', '.join(map(repr, choices))})")
+    missing = [name for name, spec in own.items() if spec[3] and name not in values]
+    if missing or extras:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}"
+              if missing else f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, run=_COMMANDS[command][0], sink=None, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
+
+
+def _token(arg: str, command: str | None, options: dict) -> tuple:
+    """(arg, name, value after "="), told apart as argparse does: the name is
+    None for a value, which starts with "-" only as a negative number or if it
+    holds a space, and "" for an unknown option or a flag given a value."""
+    head, eq, value = arg.partition("=")
+    names = [head] if head in options else [
+        name for name in options if head[:2] == "--" != head and name.startswith(head)]
+    if len(names) > 1:
+        _exit(command, f"ambiguous option: {arg} could match {', '.join(names)}")
+    if names and (not eq or options[names[0]][0] is not None):
+        return arg, names[0], value if eq else None
+    whole, dot, part = arg[1:].partition(".")
+    number = (whole.isdecimal() or dot and not whole) and (not dot or part.isdecimal())
+    return arg, None if arg[:1] != "-" or arg == "-" or number or " " in arg else "", None
+
+
+def _exit(command: str | None, error: str | None = None):
+    """Print the help of ``command`` (of the top level if None) to stdout and
+    exit 0, or its usage line and ``error`` to stderr and exit 2."""
+    prog, table, words = "coronagraphs", _COMMANDS, ["{%s} ..." % ",".join(_COMMANDS)]
+    if command:
+        prog, table, words = f"{prog} {command}", {**_COMMON, **_COMMANDS[command][1]}, []
+        for name, (kind, _, choices, required, _) in table.items():
+            word = name if kind is None else f"{name} " + (
+                "{%s}" % ",".join(choices) if choices else name[2:].upper().replace("-", "_"))
+            words.append(word if required else f"[{word}]")
+    usage = " ".join([f"usage: {prog} [-h]", *words])
+    if error is not None:
+        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
+        raise SystemExit(EXIT_CONFIG)
+    sys.stdout.write(f"{usage}\n\n" + "".join(
+        f"  {name:16}{spec[-1]}\n" for name, spec in {**_HELP, **table}.items()))
+    raise SystemExit(EXIT_OK)
+
+
 def main(argv=None) -> int:
     try:
-        # one cached parser, a fresh Namespace (and sink) per call; each
-        # command reads only the dests its own subparser defines
-        cfg = _build_parser().parse_args(argv)
+        # a fresh namespace (and sink) per call; each command reads only
+        # the fields of its own options
+        cfg = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -64,8 +64,14 @@ The package reads an edge-list file in array passes over its bytes, and
 only its odd lines one by one.  The reader it replaces, one line at a time,
 is kept below; the tests assert the same graph, or the same error, on
 generated files.
+
+The package parses its command line from one table of options.  The
+argparse parser it replaces is kept below (``argparse_parser``); the tests
+assert the same fields for every argv of a corpus, and argparse's wording
+for each usage error.
 """
 
+import argparse
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -74,12 +80,11 @@ from pathlib import Path
 
 import numpy as np
 
-from coronagraphs import oracle
+from coronagraphs import cli, oracle
 from coronagraphs.distributions import DistributionSeries
 from coronagraphs.graph import EdgeListError, Graph, _check_seed, _checked, bfs_distances
 from coronagraphs.spectral import (
     ADJACENCY,
-    COALESCE_REL_TOL,
     COINCIDE_ULPS,
     FORMULA_TOL,
     LAPLACIAN,
@@ -220,6 +225,10 @@ def star_spectrum(k: int, m: int, kind: str,
                               appended=0.0, discrepancies=discrepancies)
     return _star_spectrum(k, m, SIGNLESS, star_signless_seed_spectrum(k),
                           appended=2.0, discrepancies=discrepancies)
+
+
+# the relative tolerance of ``coalesce``
+COALESCE_REL_TOL = 1e-9
 
 
 def coalesce(pairs) -> tuple[tuple[float, int], ...]:
@@ -792,3 +801,45 @@ def read_edge_list(path, node_cap: int) -> Graph:
         return Graph.from_edges(node_count, edges)
     except ValueError as exc:
         raise EdgeListError(str(exc)) from exc
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The command line as argparse parsed it: five parsers, whose Namespace
+    holds the fields ``cli._parse`` fills."""
+    parser = argparse.ArgumentParser(
+        prog="coronagraphs",
+        description="Generate corona graphs and analyze their structure and spectra.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run, sink=None)
+        p.add_argument("--seed", required=True,
+                       help="seed spec kind:param, e.g. complete:3 or file:g.edges")
+        p.add_argument("--m", type=int, required=True,
+                       help="number of corona iterations")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--node-cap", dest="node_cap", type=int,
+                       default=cli.DEFAULT_NODE_CAP)
+        return p
+
+    p = command("generate", cli.cmd_generate, "materialize the edge list of G^(m)")
+    p.add_argument("--format", choices=["edges"], default="edges")
+
+    p = command("stats", cli.cmd_stats, "structural report: counts, degrees, diameter")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--betweenness", action="store_true",
+                   help="include exact betweenness and its power-law fit")
+    p.add_argument("--force", action="store_true",
+                   help="override the betweenness and diameter size guards")
+
+    p = command("spectrum", cli.cmd_spectrum, "closed-form spectrum")
+    p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+    p = command("verify", cli.cmd_verify, "closed form vs dense eigensolver")
+    p.add_argument("--kind", choices=oracle.MATRIX_KINDS, required=True)
+    p.add_argument("--format", choices=["json"], default="json")
+    p.add_argument("--tolerance", type=float, default=1e-8)
+
+    return parser

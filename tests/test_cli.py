@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coronagraphs import cli, graph, oracle, spectral, structural
 from coronagraphs.cli import (
@@ -31,8 +35,8 @@ from coronagraphs.cli import (
     _RECORDS_AT,
     _SERIES_AT,
     _SERIES_POINT,
-    _build_parser,
     _json_text,
+    _parse,
     _plan,
     _rows,
     main,
@@ -127,7 +131,7 @@ class TestGenerate:
     ], ids=["over", "under"])
     def test_node_cap_flag(self, capsys, m, nodes, expected, message):
         argv = ["generate", "--seed", "complete:3", "--m", m, "--node-cap", "100"]
-        plan = _plan(_build_parser().parse_args(argv))
+        plan = _plan(_parse(argv))
         assert (plan.node_cap, plan.predicted_nodes) == (100, nodes)
         code, _, err = run(capsys, *argv)
         assert (code, err) == (expected, message)
@@ -297,7 +301,7 @@ class TestStats:
         argv = ["stats", "--seed", "star:5", "--m", "2", "--format", "csv"]
         code, stdout, _ = run(capsys, *argv)
         assert code == EXIT_OK
-        g = cli.corona_iterate(_plan(_build_parser().parse_args(argv)))
+        g = cli.corona_iterate(_plan(_parse(argv)))
         assert stdout == reference.series_to_csv(degree_histogram(g))
         out = tmp_path / "d.csv"
         assert run(capsys, *argv, "--out", str(out)) == (EXIT_OK, "", "")
@@ -1295,25 +1299,37 @@ class TestImportCost:
               "before = set(sys.modules)\n"
               "code = coronagraphs.cli.main(sys.argv[1:])\n"
               "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
-
-    @pytest.mark.parametrize("argv", [
+    COMMANDS = [
         ["generate", "--seed", "complete:3", "--m", "2"],
         ["stats", "--seed", "complete:3", "--m", "3", "--betweenness"],
         ["spectrum", "--seed", "cycle:5", "--m", "2", "--kind", "laplacian"],
         ["verify", "--seed", "complete:3", "--m", "1", "--kind", "adjacency"],
-    ])
-    def test_a_command_does_not_import_numpy_ma(self, argv, tmp_path):
+    ]
+
+    def added_modules(self, script: str, argv: list, tmp_path) -> list:
         child = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, *argv, "--out", str(tmp_path / "out")],
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=package_env(), timeout=120, check=True)
         code, added = json.loads(child.stdout.splitlines()[-1])
         assert code == EXIT_OK
-        assert "numpy.ma" not in added
+        return added
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_a_command_does_not_import_numpy_ma(self, argv, tmp_path):
+        assert "numpy.ma" not in self.added_modules(self.SCRIPT, argv, tmp_path)
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_parsing_imports_no_argparse_gettext_or_locale(self, argv, tmp_path):
+        # argparse's first message lookup imports gettext, and gettext locale
+        script = self.SCRIPT.replace("import coronagraphs.cli\nbefore = set(sys.modules)\n",
+                                     "before = set(sys.modules)\nimport coronagraphs.cli\n")
+        added = self.added_modules(script, argv, tmp_path)
+        assert {"argparse", "gettext", "locale"}.isdisjoint(added)
 
 
 class TestParserReuse:
-    """One parser serves every ``main`` call of a process; each call still
-    parses into its own Namespace, with its own --out sink."""
+    """Every ``main`` call of a process parses into its own namespace, with
+    its own --out sink."""
 
     SPECTRUM = ["spectrum", "--seed", "complete:3", "--m", "3", "--kind", "adjacency"]
 
@@ -1346,3 +1362,156 @@ class TestParserReuse:
         assert code == EXIT_CONFIG and "invalid choice" in err
         assert not bad.exists()
         assert run(capsys, *self.SPECTRUM) == (EXIT_OK, want, "")
+
+
+class TestParser:
+    """The option table parses every argv as the argparse parser it replaced
+    (``reference.argparse_parser``) did, and fails with argparse's words."""
+
+    VALID = [
+        "generate --seed complete:3 --m 2",
+        "generate --seed=complete:3 --m=2 --out=x --node-cap=100 --format=edges",
+        "generate --se complete:3 --m -1",
+        "generate --m 0 --seed path:3 --node 50 --node-cap 60 --m 1",
+        "generate --seed -1 --m 1_0 --out - --n=+7",
+        "stats --seed cycle:4 --m 1 --bet --forc",
+        "stats --seed cycle:4 --m 1 --format csv --form json --format csv",
+        "stats --m 3 --seed star:4 --betweenness --force --betweenness",
+        "stats --seed= --m 2",
+        "spectrum --seed complete:3 --m 3 --kind adjacency",
+        "spectrum --kind=signless --seed complete:3 --m -5 --k laplacian",
+        "spectrum --seed complete:3 --m 3 --kind adjacency --f csv",
+        "verify --seed complete:3 --m 1 --kind adjacency --tolerance 1e-6",
+        "verify --seed complete:3 --m 1 --k laplacian --t -0.5 --f json",
+        "verify --seed complete:3 --m 1 --kind signless --tol -.5 --tol=-1e-3",
+        "verify --seed complete:3 --m 1 --kind signless --tolerance nan",
+    ]
+
+    @staticmethod
+    def fields(argv: list, parse) -> dict:
+        # repr, so that a NaN tolerance equals itself
+        return {key: repr(value) for key, value in vars(parse(argv)).items()}
+
+    @pytest.mark.parametrize("argv", [*VALID, "spectrum --seed -a␣b --m 1 --kind adjacency"])
+    def test_the_fields_match_argparse(self, argv):
+        # ␣ is a space inside a value: one that starts with "-" is a value too
+        argv = [arg.replace("␣", " ") for arg in argv.split(" ")]
+        assert (self.fields(argv, _parse) ==
+                self.fields(argv, reference.argparse_parser().parse_args))
+
+    # option names, prefixes and values, and tokens argparse tells apart by
+    # their shape: negative numbers or not, a space inside, "--", "-" and ""
+    TOKENS = [
+        "--seed", "--se", "--s=x", "--m", "--m=2", "--out", "--o", "--node-cap", "--n", "--no=9",
+        "--format", "--fo", "--form", "--format=csv", "--betweenness", "--bet", "--force",
+        "--force=1", "--kind", "--k", "--kind=signless", "--tolerance", "--t", "--t=-1e-3",
+        "-h", "--help", "--he", "-hx", "-x", "--bogus", "--", "-", "", "=", "complete:3", "3",
+        "-1", "-1.", "-.5", "1.5", "1e-6", "nan", "json", "csv", "edges", "adjacency",
+        "laplacian", "-a b", "--a b", "x"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([*cli._COMMANDS, "bogus", "-h"]),
+           st.lists(st.sampled_from(TOKENS), max_size=8))
+    def test_any_argv_parses_or_exits_as_argparse(self, first, rest):
+        # the same fields, or the same exit code: 0 for help, 2 for an error;
+        # argparse also stopped at a flag given a value, at "-hx" and at
+        # "--" before a later help token, which the table reports only at
+        # the end, so there that help token still prints help
+        argv = [first, *rest]
+
+        def outcome(parse):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return self.fields(argv, parse)
+                except SystemExit as exc:
+                    return exc.code
+        got, want = outcome(_parse), outcome(reference.argparse_parser().parse_args)
+        helps = any(cli._token(arg, None, cli._HELP)[1] in cli._HELP for arg in rest)
+        assert got == want or (got, want) == (EXIT_OK, EXIT_CONFIG) and helps
+
+    @pytest.mark.parametrize("argv,code,argparse_code", [
+        # reported at the end, so the later help token wins
+        ("stats --seed x --m 1 --force=1 -h", EXIT_OK, EXIT_CONFIG),
+        ("stats --seed x --m 1 -hx -h", EXIT_OK, EXIT_CONFIG),
+        ("stats --seed x --m 1 -- -h", EXIT_OK, EXIT_CONFIG),
+        # argparse read -hh as -h twice; here it is an unknown option
+        ("stats --seed x --m 1 -hh", EXIT_CONFIG, EXIT_OK),
+    ])
+    def test_the_differences_from_argparse(self, argv, code, argparse_code, capsys):
+        assert run(capsys, *argv.split())[0] == code
+        with pytest.raises(SystemExit) as exc:
+            reference.argparse_parser().parse_args(argv.split())
+        assert exc.value.code == argparse_code
+
+    SPEC = "--seed complete:3 --m 3"
+    ERRORS = [
+        ("spectrum", f"{SPEC} --kind bogus", "argument --kind: invalid choice: 'bogus' "
+         "(choose from 'adjacency', 'laplacian', 'signless')"),
+        ("stats", "", "the following arguments are required: --seed, --m"),
+        ("stats", "--m 1", "the following arguments are required: --seed"),
+        ("verify", "--out x", "the following arguments are required: --seed, --m, --kind"),
+        ("spectrum", f"{SPEC} --kind adjacency --force", "unrecognized arguments: --force"),
+        ("stats", f"{SPEC} x --bogus y --z=1", "unrecognized arguments: x --bogus y --z=1"),
+        ("stats", "--seed complete:3 --m", "argument --m: expected one argument"),
+        ("stats", "--seed --m 3", "argument --seed: expected one argument"),
+        ("stats", "--seed complete:3 --m x", "argument --m: invalid int value: 'x'"),
+        ("stats", "--seed complete:3 --m 1.0", "argument --m: invalid int value: '1.0'"),
+        ("verify", f"{SPEC} --kind adjacency --tolerance tight",
+         "argument --tolerance: invalid float value: 'tight'"),
+        # "-1." is no negative number to argparse, so --tolerance gets no value
+        ("verify", f"{SPEC} --kind adjacency --tolerance -1.",
+         "argument --tolerance: expected one argument"),
+        ("stats", f"{SPEC} --fo", "ambiguous option: --fo could match --format, --force"),
+        ("stats", f"{SPEC} --for=csv",
+         "ambiguous option: --for=csv could match --format, --force"),
+        ("generate", f"{SPEC} --format json",
+         "argument --format: invalid choice: 'json' (choose from 'edges')"),
+    ]
+
+    @pytest.mark.parametrize("command,rest,message", ERRORS)
+    def test_a_usage_error_exits_2_with_argparse_words(self, command, rest, message,
+                                                       capsys):
+        argv = [command, *rest.split()]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err.count("\n")) == (EXIT_CONFIG, "", 2)
+        usage, error = err.splitlines()
+        assert usage.startswith(f"usage: coronagraphs {command} [-h] --seed SEED --m M")
+        assert error == f"coronagraphs {command}: error: {message}"
+        with pytest.raises(SystemExit) as exc:
+            reference.argparse_parser().parse_args(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' "
+                    "(choose from 'generate', 'stats', 'spectrum', 'verify')"),
+    ])
+    def test_a_top_level_usage_error_exits_2(self, argv, message, capsys):
+        assert run(capsys, *argv) == (EXIT_CONFIG, "", (
+            "usage: coronagraphs [-h] {generate,stats,spectrum,verify} ...\n"
+            f"coronagraphs: error: {message}\n"))
+        with pytest.raises(SystemExit):
+            reference.argparse_parser().parse_args(argv)
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "-h", "--help", "--he", "stats -h", "verify --he", "generate --seed x -h --m y",
+        "spectrum --kind adjacency --help --kind bogus",
+    ])
+    def test_help_goes_to_stdout_and_exits_0(self, argv, capsys):
+        command = None if argv.startswith("-") else argv.split()[0]
+        code, stdout, err = run(capsys, *argv.split())
+        assert (code, err) == (EXIT_OK, "")
+        assert stdout.startswith(" ".join(filter(None, ["usage: coronagraphs", command])))
+        # one row per option (or command), with its help from the same table
+        table = cli._COMMANDS if command is None else {**cli._COMMON, **cli._COMMANDS[command][1]}
+        for name, spec in {**cli._HELP, **table}.items():
+            assert f"\n  {name} " in stdout and spec[-1] in stdout
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["spectrum", "--seed", "complete:3", "--m", "2", "--kind", "laplacian"]
+        want = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["coronagraphs", *argv])
+        assert (main(), *capsys.readouterr()) == want

@@ -79,7 +79,8 @@ def step(s: Spectrum, g: Graph) -> Spectrum:
 
 class TestSpectrumType:
     def test_coalescing_merges_close_values(self):
-        s = make_spectrum(ADJACENCY, [(1.0, 2), (1.0 + 1e-12, 3), (2.0, 1)], level=0)
+        # within the bound 64·n·ε·max|λ| = 64·6·ε·2, about 1.7e-13
+        s = make_spectrum(ADJACENCY, [(1.0, 2), (1.0 + 1e-14, 3), (2.0, 1)], level=0)
         assert len(s.entries) == 2
         assert s.entries[0][1] == 5
         assert s.total_multiplicity == 6
@@ -108,17 +109,17 @@ class TestSpectrumType:
         assert below.total_multiplicity == node_count_formula(50, 10)
 
     def test_coalescing_follows_the_scalar_rule_near_the_split_width(self):
-        # the tolerance is 1e-9 * max(1, |a|, |b|), and runs split only at
-        # gaps wider than twice that: 1 and 1+1e-12 merge, 1+3e-9 stays apart;
-        # 2 and 2+1.5e-9 merge, within the tolerance but beyond half of it;
-        # 3 and 3+4e-9 share a run yet stay apart, beyond the tolerance
-        s = make_spectrum(ADJACENCY, [(5.0, 2), (1.0 + 3e-9, 1), (1.0, 1),
-                                      (1.0 + 1e-12, 3), (5.0, 1), (2.0 + 1.5e-9, 1),
-                                      (2.0, 1), (3.0 + 4e-9, 1), (3.0, 1)], level=0)
-        assert s.entries == (((1.0 * 1 + (1.0 + 1e-12) * 3) / 4, 4),
-                             (1.0 + 3e-9, 1),
-                             ((2.0 * 1 + (2.0 + 1.5e-9) * 1) / 2, 2),
-                             (3.0, 1), (3.0 + 4e-9, 1), (5.0, 3))
+        # the bound is 64·n·ε·max|λ|, n the multiplicities' sum (12) and max|λ|
+        # 5: 1 and 1+b/4 merge, 1+3b stays apart; 2 and 2+0.75b merge, within
+        # the bound but beyond half of it; 3 and 3+1.5b stay apart, beyond it
+        b = 64 * 12 * math.ulp(1.0) * 5
+        s = make_spectrum(ADJACENCY, [(5.0, 2), (1.0 + 3 * b, 1), (1.0, 1),
+                                      (1.0 + b / 4, 3), (5.0, 1), (2.0 + 0.75 * b, 1),
+                                      (2.0, 1), (3.0 + 1.5 * b, 1), (3.0, 1)], level=0)
+        assert s.entries == (((1.0 * 1 + (1.0 + b / 4) * 3) / 4, 4),
+                             (1.0 + 3 * b, 1),
+                             ((2.0 * 1 + (2.0 + 0.75 * b) * 1) / 2, 2),
+                             (3.0, 1), (3.0 + 1.5 * b, 1), (5.0, 3))
 
     def test_json_shape(self):
         s = make_spectrum(ADJACENCY, [(-1.0, 2), (2.0, 1)], level=0)
@@ -150,6 +151,29 @@ class TestSeedHelpers:
         triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert seed_spectrum(triangles, ADJACENCY).entries[-1] == (2.0, 2)
         assert seed_spectrum(triangles, SIGNLESS).entries[-1] == (4.0, 2)
+
+    @pytest.mark.parametrize("k", [3, 4, 10, 57, 300])
+    def test_true_multiples_of_a_complete_seed_stay_joined(self, k):
+        # A: -1 (k-1 times) and k-1; L: 0 and k (k-1 times); Q: k-2 (k-1 times)
+        # and 2k-2, each within the merge bound 64·n·ε·max|λ|
+        for kind, want in [(ADJACENCY, [(-1, k - 1), (k - 1, 1)]),
+                           (LAPLACIAN, [(0, 1), (k, k - 1)]),
+                           (SIGNLESS, [(k - 2, k - 1), (2 * k - 2, 1)])]:
+            s = seed_spectrum(complete_graph(k), kind)
+            bound = 64 * k * math.ulp(1.0) * want[-1][0]
+            assert s.multiplicities.tolist() == [w for _, w in want]
+            assert np.abs(s.values - [v for v, _ in want]).max() <= bound
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 99, 100, 1000])
+    def test_the_pairs_of_a_cycle_seed_stay_joined(self, n):
+        # 2cos(2πj/n) for j and n - j is one value of multiplicity 2
+        cosines = 2 * np.cos(2 * np.pi * np.arange(n // 2 + 1) / n)
+        mults = [1] + [2] * ((n - 1) // 2) + [1] * (n % 2 == 0)
+        for kind, values in [(ADJACENCY, cosines[::-1]), (LAPLACIAN, 2 - cosines),
+                             (SIGNLESS, (2 + cosines)[::-1])]:
+            s = seed_spectrum(cycle_graph(n), kind)
+            assert s.multiplicities.tolist() == (mults[::-1] if kind != LAPLACIAN else mults)
+            assert np.abs(s.values - values).max() <= 64 * n * math.ulp(1.0) * 4
 
 
 class TestAdjacencyStep:

@@ -1,10 +1,9 @@
-"""Command-line surface: generate, stats, spectrum, verify.
+"""Command-line surface: generate, stats, spectrum, verify, read as argparse read them.
 
 Outputs are deterministic: rerunning an invocation produces byte-identical
 files.  Exit codes: 0 success, 2 config error or bad path, 3 verification
 failure, 4 resource cap or overflow, 141 stdout closed by its reader (what a
-shell reports for a writer that SIGPIPE ended).  The command line is read
-from one table of options, ``_COMMANDS``, in argparse's syntax and words.
+shell reports for a writer that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -379,54 +378,53 @@ def cmd_verify(cfg: SimpleNamespace) -> int:
     return EXIT_OK if match.passed else EXIT_VERIFY
 
 
-# each command's options, as name: (type, default, choices, required, help);
-# a flag's type is None
-_HELP = dict.fromkeys(("-h", "--help"), (None, None, None, False, "show this help and exit"))
-_FORMAT = (str, "json", ("json", "csv"), False, "payload format")
-_KIND = (str, None, oracle.MATRIX_KINDS, True, "matrix whose spectrum is taken")
+# command: (run, options, help); option: (type, default, choices, required, help), flag type None
 _COMMON = {
     "--seed": (str, None, None, True, "seed spec kind:param, e.g. complete:3 or file:g.edges"),
     "--m": (int, None, None, True, "number of corona iterations"),
     "--out": (str, None, None, False, "output path (default stdout)"),
-    "--node-cap": (int, DEFAULT_NODE_CAP, None, False, "most nodes a level may have")}
-_COMMANDS = {  # name: (run, options, help)
-    "generate": (cmd_generate, {"--format": (str, "edges", ("edges",), False, "payload format")},
+    "--node-cap": (int, DEFAULT_NODE_CAP, None, False, ""),
+    "--format": (str, "json", ("json", "csv"), False, "")}
+_KIND = (str, None, oracle.MATRIX_KINDS, True, "")
+_COMMANDS = {
+    "generate": (cmd_generate, {**_COMMON, "--format": (str, "edges", ("edges",), False, "")},
                  "materialize the edge list of G^(m)"),
-    "stats": (cmd_stats, {
-        "--format": _FORMAT,
-        "--betweenness": (None, False, None, False, "include exact betweenness and its fit"),
-        "--force": (None, False, None, False, "override the betweenness and diameter guards")},
+    "stats": (cmd_stats, {**_COMMON, "--betweenness": (
+        None, False, None, False, "include exact betweenness and its power-law fit"), "--force": (
+        None, False, None, False, "override the betweenness and diameter size guards")},
         "structural report: counts, degrees, diameter"),
-    "spectrum": (cmd_spectrum, {"--kind": _KIND, "--format": _FORMAT}, "closed-form spectrum"),
-    "verify": (cmd_verify, {
-        "--kind": _KIND, "--format": (str, "json", ("json",), False, "payload format"),
-        "--tolerance": (float, 1e-8, None, False, "largest eigenvalue difference that passes")},
+    "spectrum": (cmd_spectrum, {**_COMMON, "--kind": _KIND}, "closed-form spectrum"),
+    "verify": (cmd_verify, {**_COMMON, "--kind": _KIND, "--tolerance": (
+        float, 1e-8, None, False, ""), "--format": (str, "json", ("json",), False, "")},
         "closed form vs dense eigensolver")}
 
 
 def _parse(argv) -> SimpleNamespace:
-    """The fields of ``argv`` (``sys.argv[1:]`` if None), read as argparse read
-    them: ``--name value`` or ``--name=value``, a name's unique prefix, the last
-    of a repeated option.  Help and usage errors exit through ``_exit``."""
+    """The fields of ``argv`` (``sys.argv[1:]`` if None) as argparse read them."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is None:  # the top level takes help, then a command
-        name = _token(argv[0], None, _HELP)[1] if argv else ""
-        _exit(None, None if name in _HELP else "the following arguments are required: command"
-              if name is not None else f"argument command: invalid choice: {argv[0]!r} "
-              f"(choose from {', '.join(map(repr, _COMMANDS))})")
-    own = {**_COMMON, **_COMMANDS[command][1]}
-    options = {**_HELP, **own}
-    # as in argparse, every token is told apart before any is read
-    tokens = iter([_token(arg, command, options) for arg in argv[1:]])
-    values, extras = {name: spec[1] for name, spec in own.items() if not spec[3]}, []
+    run, options, _ = _COMMANDS.get(command, (None, {}, None))
+    every = ("-h", "--help", *options)
+    def told(arg):  # (arg, name, value after "="), name None for a value and "" if unknown
+        head, eq, value = arg.partition("=")
+        names = [head] if head in every else [
+            name for name in every if head[:2] == "--" != head and name.startswith(head)]
+        if len(names) > 1:
+            _exit(command, f"ambiguous option: {arg} could match {', '.join(names)}")
+        if names and not (eq and options.get(names[0], (None,))[0] is None):  # no flag takes "="
+            return arg, names[0], value if eq else None
+        number = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+        return arg, None if arg[:1] != "-" or arg == "-" or number or " " in arg else "", None
+    tokens = iter([told(arg) for arg in argv[bool(command):]])  # all told first, as argparse
+    values, extras = {name: spec[1] for name, spec in options.items() if not spec[3]}, []
     for arg, name, value in tokens:
-        if name in _HELP:
-            _exit(command)
+        if name in every[:2] or name is None and command is None:  # the top level's value
+            _exit(command, None if name else f"argument command: invalid choice: {arg!r} "
+                  f"(choose from {', '.join(map(repr, _COMMANDS))})")
         if not name:
             extras.append(arg)
             continue
-        kind, _, choices, _, _ = own[name]
+        kind, _, choices, _, _ = options[name]
         if kind is not None and value is None:
             value, follower, _ = next(tokens, (None, "", None))
             if follower is not None:
@@ -438,53 +436,29 @@ def _parse(argv) -> SimpleNamespace:
         if choices and values[name] not in choices:
             _exit(command, f"argument {name}: invalid choice: {values[name]!r} "
                   f"(choose from {', '.join(map(repr, choices))})")
-    missing = [name for name, spec in own.items() if spec[3] and name not in values]
-    if missing or extras:
-        _exit(command, f"the following arguments are required: {', '.join(missing)}"
-              if missing else f"unrecognized arguments: {' '.join(extras)}")
-    return SimpleNamespace(command=command, run=_COMMANDS[command][0], sink=None, **{
+    missing = [name for name, spec in options.items() if spec[3] and name not in values]
+    if missing or extras or command is None:
+        _exit(command, f"unrecognized arguments: {' '.join(extras)}" if command and not missing
+              else f"the following arguments are required: {', '.join(missing or ['command'])}")
+    return SimpleNamespace(command=command, run=run, sink=None, **{
         name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
-def _token(arg: str, command: str | None, options: dict) -> tuple:
-    """(arg, name, value after "="), told apart as argparse does: the name is
-    None for a value, which starts with "-" only as a negative number or if it
-    holds a space, and "" for an unknown option or a flag given a value."""
-    head, eq, value = arg.partition("=")
-    names = [head] if head in options else [
-        name for name in options if head[:2] == "--" != head and name.startswith(head)]
-    if len(names) > 1:
-        _exit(command, f"ambiguous option: {arg} could match {', '.join(names)}")
-    if names and (not eq or options[names[0]][0] is not None):
-        return arg, names[0], value if eq else None
-    whole, dot, part = arg[1:].partition(".")
-    number = (whole.isdecimal() or dot and not whole) and (not dot or part.isdecimal())
-    return arg, None if arg[:1] != "-" or arg == "-" or number or " " in arg else "", None
-
-
 def _exit(command: str | None, error: str | None = None):
-    """Print the help of ``command`` (of the top level if None) to stdout and
-    exit 0, or its usage line and ``error`` to stderr and exit 2."""
-    prog, table, words = "coronagraphs", _COMMANDS, ["{%s} ..." % ",".join(_COMMANDS)]
-    if command:
-        prog, table, words = f"{prog} {command}", {**_COMMON, **_COMMANDS[command][1]}, []
-        for name, (kind, _, choices, required, _) in table.items():
-            word = name if kind is None else f"{name} " + (
-                "{%s}" % ",".join(choices) if choices else name[2:].upper().replace("-", "_"))
-            words.append(word if required else f"[{word}]")
+    """Help of ``command`` (rows of help, else choices) and exit 0, or ``error`` and exit 2."""
+    prog = f"coronagraphs {command}" if command else "coronagraphs"
+    table = _COMMANDS[command][1] if command else _COMMANDS
+    words = [("%s" if s[3] else "[%s]") % (f"{n} {n[2:].upper()}" if s[0] else n)
+             for n, s in table.items()] if command else ["{%s} ..." % ",".join(_COMMANDS)]
     usage = " ".join([f"usage: {prog} [-h]", *words])
-    if error is not None:
-        sys.stderr.write(f"{usage}\n{prog}: error: {error}\n")
-        raise SystemExit(EXIT_CONFIG)
-    sys.stdout.write(f"{usage}\n\n" + "".join(
-        f"  {name:16}{spec[-1]}\n" for name, spec in {**_HELP, **table}.items()))
-    raise SystemExit(EXIT_OK)
+    rows = (f"  {n:16}{s[-1] or ','.join(s[2] or '')}".rstrip() for n, s in table.items())
+    print(usage, *["", *rows] if error is None else [f"{prog}: error: {error}"], sep="\n",
+          file=sys.stdout if error is None else sys.stderr)
+    raise SystemExit(EXIT_OK if error is None else EXIT_CONFIG)
 
 
 def main(argv=None) -> int:
     try:
-        # a fresh namespace (and sink) per call; each command reads only
-        # the fields of its own options
         cfg = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK

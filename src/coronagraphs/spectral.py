@@ -139,16 +139,13 @@ def _libm(fn, *args) -> np.ndarray:
 
 
 def make_spectrum(kind: str, pairs, level: int) -> Spectrum:
-    """Spectrum of (value, multiplicity) pairs, coalesced in one scalar pass:
-    sorted by (value, multiplicity), each value joins the running
-    multiplicity-weighted mean when within b = 64·n·ε·max|λ| of it, n the
-    multiplicities' sum.  Only for LAPACK output (``seed_spectrum``), whose
-    values lie within a small multiple of n·ε·max|λ| of the true ones."""
-    pairs = sorted((float(v), int(w)) for v, w in pairs)
-    bound = 64 * sum(w for _, w in pairs) * math.ulp(1.0) * max([0.0] + [abs(v) for v, _ in pairs])
+    """Spectrum of a list of (value, multiplicity) pairs, coalesced in one sorted scalar pass:
+    a value joins the running multiplicity-weighted mean within b = 64·n·ε·max|λ|, n the
+    pairs' multiplicity.  Only for LAPACK output (``seed_spectrum``), off by some n·ε·max|λ|."""
+    bound = 64 * math.ulp(1) * sum(w for _, w in pairs) * max([0] + [abs(v) for v, _ in pairs])
     values: list = []
     mults: list = []
-    for v, w in pairs:
+    for v, w in sorted((float(v), int(w)) for v, w in pairs):
         if values and abs(v - values[-1]) <= bound:
             values[-1] = (values[-1] * mults[-1] + v * w) / (mults[-1] + w)
             mults[-1] += w
@@ -367,12 +364,13 @@ def step_rule(seed_graph: Graph, kind: str, discrepancies: Discrepancies | None 
         # eigh orders the values as eigvalsh: a coalesced run is consecutive columns
         starts = np.cumsum(seed.multiplicities) - seed.multiplicities
         weights = np.add.reduceat(vectors.sum(axis=0) ** 2, starts)
-        # eigh's vectors of values g apart mix by up to b/g (b as in make_spectrum),
-        # so a run of values closer than b/sqrt(MAIN_TOL) keeps its weight on its heaviest
+        # eigh mixes vectors of values g apart by b/g: weight under (b/g)^2 of its run's is leak
         b = 64 * n * math.ulp(1.0) * np.abs(seed.values).max(initial=0.0)
         run = np.cumsum(np.diff(seed.values, prepend=seed.values[:1]) > b / math.sqrt(MAIN_TOL))
-        heaviest = np.lexsort((-weights, run))[np.flatnonzero(np.diff(run, prepend=-1))]
-        weights = np.bincount(heaviest, np.bincount(run, weights), len(weights))
+        heaviest = np.lexsort((-weights, run))[np.flatnonzero(np.diff(run, prepend=-1))][run]
+        leak = np.where(weights * (seed.values - seed.values[heaviest]) ** 2
+                        <= b * b * np.bincount(run, weights)[run], weights, 0.0)
+        weights = weights - leak + np.bincount(heaviest, leak, len(weights))
         main = weights > MAIN_TOL * n
         roots = _arrowhead_roots(top, seed.values[main] + shift, weights[main])
     mults = seed.multiplicities - main

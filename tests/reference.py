@@ -90,7 +90,6 @@ from coronagraphs.spectral import (
     LAPLACIAN,
     SIGNLESS,
     Spectrum,
-    make_spectrum,
     regular_degree,
     star_size,
 )
@@ -147,7 +146,7 @@ def adjacency_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spect
         pairs.append(((lam + r - disc) / 2.0, w))
     for mu, w in drop_one(seed.entries, float(r)):
         pairs.append((mu, w * total))
-    return make_spectrum(ADJACENCY, pairs, level=s.level + 1)
+    return coalesced(ADJACENCY, pairs, level=s.level + 1)
 
 
 def laplacian_step(s: Spectrum, seed: Spectrum, n: int) -> Spectrum:
@@ -160,7 +159,7 @@ def laplacian_step(s: Spectrum, seed: Spectrum, n: int) -> Spectrum:
         pairs.append(((nu + n + 1 - disc) / 2.0, w))
     for nu, w in drop_one(seed.entries, 0.0):
         pairs.append((nu + 1.0, w * total))
-    return make_spectrum(LAPLACIAN, pairs, level=s.level + 1)
+    return coalesced(LAPLACIAN, pairs, level=s.level + 1)
 
 
 def signless_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spectrum:
@@ -173,7 +172,7 @@ def signless_step_regular(s: Spectrum, seed: Spectrum, n: int, r: int) -> Spectr
         pairs.append(((q + n + 2 * r + 1 - disc) / 2.0, w))
     for q, w in drop_one(seed.entries, float(2 * r)):
         pairs.append((q + 1.0, w * total))
-    return make_spectrum(SIGNLESS, pairs, level=s.level + 1)
+    return coalesced(SIGNLESS, pairs, level=s.level + 1)
 
 
 def quadratic_step(s: Spectrum, seed: Spectrum, n: int, r: int | None) -> Spectrum:
@@ -189,13 +188,13 @@ def star_adjacency_seed_spectrum(k: int) -> Spectrum:
     if k < 3:
         raise ValueError("star seeds need k >= 3")
     root = math.sqrt(k - 1.0)
-    return make_spectrum(ADJACENCY, [(-root, 1), (0.0, k - 2), (root, 1)], level=0)
+    return coalesced(ADJACENCY, [(-root, 1), (0.0, k - 2), (root, 1)], level=0)
 
 
 def star_signless_seed_spectrum(k: int) -> Spectrum:
     if k < 3:
         raise ValueError("star seeds need k >= 3")
-    return make_spectrum(SIGNLESS, [(0.0, 1), (1.0, k - 2), (float(k), 1)], level=0)
+    return coalesced(SIGNLESS, [(0.0, 1), (1.0, k - 2), (float(k), 1)], level=0)
 
 
 def _star_spectrum(k: int, m: int, kind: str, seed: Spectrum, appended: float,
@@ -210,7 +209,7 @@ def _star_spectrum(k: int, m: int, kind: str, seed: Spectrum, appended: float,
                                          level=level):
                 pairs.append((root, w))
         pairs.append((appended, (k - 2) * total))
-        s = make_spectrum(kind, pairs, level=level)
+        s = coalesced(kind, pairs, level=level)
         total *= k + 1
     return s
 
@@ -227,7 +226,8 @@ def star_spectrum(k: int, m: int, kind: str,
                           appended=2.0, discrepancies=discrepancies)
 
 
-# the relative tolerance of ``coalesce``
+# the relative tolerance of ``coalesce``, by which every reference spectrum joins
+# its values, apart from the package's ``make_spectrum`` and its error bound
 COALESCE_REL_TOL = 1e-9
 
 
@@ -242,6 +242,13 @@ def coalesce(pairs) -> tuple[tuple[float, int], ...]:
                 continue
         out.append([float(v), int(w)])
     return tuple((float(v), int(w)) for v, w in out)
+
+
+def coalesced(kind: str, pairs, level: int) -> Spectrum:
+    """The Spectrum of ``coalesce(pairs)``."""
+    values, mults = zip(*coalesce((float(v), int(w)) for v, w in pairs))
+    return Spectrum(kind, np.array(values, dtype=np.float64),
+                    np.array(mults, dtype=np.int64 if sum(mults) < 2 ** 63 else object), level)
 
 
 def drop_one(entries, value: float) -> list[tuple[float, int]]:

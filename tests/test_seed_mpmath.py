@@ -3,8 +3,12 @@
 ``make_spectrum`` joins LAPACK's seed values only within the eigensolve's
 error, 64·n·ε·max|λ|.  Two K5s joined through a path of 12 to 18 nodes have
 a top adjacency pair 4.4e-8 to 1.6e-11 apart, which LAPACK resolves, so it
-must print as two values at m=0 and carry two lineages into m=1.  The
-reference groups mpmath's eigenvalues that agree to 30 digits.
+must print as two values at m=0 and carry two lineages into m=1.  Only the
+barbell's top value is main: eigh's vectors of the pair mix, and the weight
+that leaks onto the other value must not make it main.  Two K5s with pendant
+paths of 5 to 8 nodes have a top pair 8e-8 to 3.9e-10 apart whose values are
+both main, so each keeps its own weight.  The reference groups mpmath's
+eigenvalues that agree to 30 digits.
 """
 
 import json
@@ -30,6 +34,16 @@ def barbell(path: int) -> Graph:
     edges += [(i, i + 1) for i in range(4, path + 5)]
     edges += [(path + 5 + i, path + 5 + j) for i in range(5) for j in range(i + 1, 5)]
     return Graph.from_edges(path + 10, edges)
+
+
+def lollipops(a: int, b: int) -> Graph:
+    """A K5 with a pendant path of ``a`` nodes beside a K5 with one of ``b``."""
+    edges, start = [], 0
+    for path in (a, b):
+        edges += [(start + i, start + j) for i in range(5) for j in range(i + 1, 5)]
+        edges += [(start + i, start + i + 1) for i in range(4, path + 4)]
+        start += path + 5
+    return Graph.from_edges(start, edges)
 
 
 def mp_groups(g: Graph) -> list:
@@ -139,3 +153,14 @@ def test_the_cli_prints_both_top_values(tmp_path, capsys):
     assert [entry["multiplicity"] for entry in entries[-2:]] == [1, 1]
     assert all(abs(entry["value"] - want) <= math.ulp(want)
                for entry, want in zip(entries[-2:], top))
+
+
+@pytest.mark.parametrize("paths", [(5, 6), (6, 7), (7, 8)])
+def test_two_close_main_values_keep_their_weights(paths):
+    g = lollipops(*paths)
+    n = g.node_count
+    groups = mp_groups(g)
+    assert 1e-10 < groups[-1][0] - groups[-2][0] < 1e-7
+    assert min(groups[-1][2], groups[-2][2]) > 1
+    assert_matches(seed_spectrum(g, ADJACENCY), [(value, k) for value, k, _ in groups], n)
+    assert_matches(closed_form_spectrum(g, ADJACENCY, 1), mp_level_one(groups, n), n)

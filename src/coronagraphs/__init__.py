@@ -2,7 +2,7 @@
 the numeric oracle that cross-checks them.
 
 The submodules are the API: ``graph``, ``structural``, ``distributions``,
-``spectral``, ``oracle`` and ``cli``.
+``spectral``, ``oracle``, ``floattext`` and ``cli``.
 """
 
 __version__ = "0.1.0"

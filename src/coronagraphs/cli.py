@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle, spectral, structural
 from .distributions import cumulative_series, fit_power_law
-from .floattext import float_cells
+from .floattext import rows
 from .graph import (
     CapExceededError,
     CoronaPlan,
@@ -27,8 +27,6 @@ from .graph import (
     DEFAULT_NODE_CAP,
     SeedDescriptor,
     corona_iterate,
-    cells_text,
-    digit_groups,
     edge_list_chunks,
     stream_counts,
     write_edge_list,
@@ -43,14 +41,6 @@ EXIT_PIPE = 141
 BETWEENNESS_CAP = 10_000
 # on 2 CPUs the diameter of a 2,000-node cycle takes 1.0 s, of a 3,000-node one 2.4 s
 DIAMETER_CAP = 2_000
-# floats per chunk of a table written in array passes (rows, if it has no
-# %r): 4,096 or 16,384 cost 5-15% more a float than 8,192 (2 CPUs, numpy 2.4)
-CHUNK_FLOATS = 8192
-# below this many floats, one % pass writes a table faster than the array
-# passes, whose float_cells call alone costs about 0.11 ms: they break even
-# at about 270 floats in rows of one (entries, csv), 300 in rows of two
-# (points) and 360 in discrepancy records of eight
-ARRAY_FLOATS = 256
 
 
 def _emit(cfg: SimpleNamespace, text: str) -> None:
@@ -84,90 +74,13 @@ _CUMULATIVE_AT = '\n  "cumulative_degree_distribution": '
 _SERIES_AT = '\n    "series": '
 
 
-def _rows(template: str, columns, sep: str = "") -> Iterator[str]:
-    """Rows of ``template`` over equal-length array columns, joined by ``sep``,
-    in chunks of CHUNK_FLOATS floats (or rows, if it has no ``%r``).
-
-    ``template`` holds ``%r`` (float64 columns, written as ``float.__repr__``
-    writes them), ``%d`` (int columns, or float64 ones truncated as ``%d``
-    truncates them) and ``%s`` (object columns of str).  A table of fewer
-    than ARRAY_FLOATS floats (or rows, if it has no ``%r``) is one ``%`` over
-    the ``.tolist()`` of its columns.
-    Larger ones are written a chunk at a time, each one uint8 matrix with a
-    row of NUL-padded cells per row of the table: ``sep`` and the template's
-    literal pieces broadcast, every ``%r`` cell from one
-    ``floattext.float_cells`` call over the chunk's float columns, and the
-    ``%d`` cells in 4-digit groups as ``generate`` writes its edge list.
-    Deleting the NULs gives the chunk's text.
-    """
-    count = len(columns[0])
-    pieces = template.split("%")
-    kinds = [piece[0] for piece in pieces[1:]]
-    floats = max(1, kinds.count("r"))
-    if count * floats < ARRAY_FLOATS:
-        if count:
-            yield sep.join([template] * count) % tuple(chain.from_iterable(
-                zip(*[column.tolist() for column in columns])))
-        return
-    literals = [(sep + pieces[0]).encode()] + [piece[1:].encode() for piece in pieces[1:]]
-    rows = CHUNK_FLOATS // floats
-    # a chunk's temporaries reuse the heap (see graph.edge_list_chunks)
-    np.empty(256 * CHUNK_FLOATS, dtype=np.uint8)
-    for at in range(0, count, rows):
-        yield _chunk_text(kinds, literals, [column[at:at + rows] for column in columns],
-                          len(sep) * (at == 0))
-
-
-def _chunk_text(kinds, literals, columns, blank: int) -> str:
-    """The rows of one chunk of ``_rows``, less the first ``blank`` bytes of
-    the first (the separator before a table's first row)."""
-    floats = [column for kind, column in zip(kinds, columns) if kind == "r"]
-    if floats:
-        floats = iter(np.split(float_cells(np.concatenate(floats)), len(floats)))
-    cells = [next(floats) if kind == "r" else _int_cells(column) if kind == "d"
-             else _str_cells(column) for kind, column in zip(kinds, columns)]
-    # one row of the literals with room for the cells, then the cells
-    widths = [cell.shape[1] for cell in cells]
-    row = b"".join(literal + bytes(width) for literal, width in zip(literals, widths + [0]))
-    matrix = np.empty((len(columns[0]), len(row)), np.uint8)
-    matrix[:] = np.frombuffer(row, np.uint8)
-    at = 0
-    for literal, cell, width in zip(literals, cells, widths):
-        at += len(literal)
-        matrix[:, at:at + width] = cell
-        at += width
-    matrix[0, :blank] = 0
-    return cells_text(matrix)
-
-
-def _int_cells(column: np.ndarray) -> np.ndarray:
-    """``%d`` cells: 4-digit groups for a non-negative int64 or float64 column,
-    ``str`` of each value for an object one (2**63 and above) or a negative."""
-    if column.dtype != object:
-        column = column.astype(np.int64, copy=False)
-        if column.min() >= 0:
-            groups = -(-len(str(int(column.max()))) // 4)
-            return np.stack(digit_groups(column, groups), axis=1).view(np.uint8)
-    return _str_cells(column)
-
-
-def _str_cells(column: np.ndarray) -> np.ndarray:
-    """NUL-padded UTF-8 cells of ``str`` of each value, each distinct value
-    encoded once."""
-    values = column.tolist()
-    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
-    text = np.array([str(value).encode() for value in index])
-    at = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-    return text.view(np.uint8).reshape(len(index), -1).take(at, axis=0)
-
-
 def _json_text(payload: dict, *lists) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` and a newline, in chunks, with each
     (marker, template, columns, indent) of ``lists``, in the text's order,
     writing its columns into the empty list after its marker.
 
     The outer fields go through json.dumps.  The lists, nearly all of the
-    bytes, go through ``_rows``, whose floats are byte for byte the
+    bytes, go through ``floattext.rows``, whose floats are byte for byte the
     ``float.__repr__`` text that json writes (no list holds a NaN or
     infinity), so the text is never held whole.
     """
@@ -179,7 +92,7 @@ def _json_text(payload: dict, *lists) -> Iterator[str]:
             yield "[]"
             continue
         yield "[\n"
-        yield from _rows(template, columns, ",\n")
+        yield from rows(template, columns, ",\n")
         yield "\n" + indent + "]"
     yield rest + "\n"
 
@@ -254,7 +167,7 @@ def cmd_stats(cfg: SimpleNamespace) -> int:
             d = structural.degree_histogram(plan)
             head = f"# cumulative=false population={d.population}\nvalue,probability\n"
             columns = d.values, d.probabilities
-        for text in chain([head], _rows("%d,%r\n", columns)):
+        for text in chain([head], rows("%d,%r\n", columns)):
             _emit(cfg, text)
         return EXIT_OK
     seed_g = plan.seed.graph
@@ -315,7 +228,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
                                              discrepancies)
     if cfg.format == "csv":
         chunks = chain(["value,multiplicity\n"],
-                       _rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
+                       rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
     else:
         payload = {
             "schema": 1,
@@ -451,8 +364,8 @@ def _exit(command: str | None, error: str | None = None):
     words = [("%s" if s[3] else "[%s]") % (f"{n} {n[2:].upper()}" if s[0] else n)
              for n, s in table.items()] if command else ["{%s} ..." % ",".join(_COMMANDS)]
     usage = " ".join([f"usage: {prog} [-h]", *words])
-    rows = (f"  {n:16}{s[-1] or ','.join(s[2] or '')}".rstrip() for n, s in table.items())
-    print(usage, *["", *rows] if error is None else [f"{prog}: error: {error}"], sep="\n",
+    lines = (f"  {n:16}{s[-1] or ','.join(s[2] or '')}".rstrip() for n, s in table.items())
+    print(usage, *["", *lines] if error is None else [f"{prog}: error: {error}"], sep="\n",
           file=sys.stdout if error is None else sys.stderr)
     raise SystemExit(EXIT_OK if error is None else EXIT_CONFIG)
 

@@ -1,6 +1,9 @@
-"""``float.__repr__`` text of float64 arrays, as NUL-padded 32-byte cells.
+"""The text of every number a command prints, as rows of NUL-padded ASCII
+cells: 4-digit groups of an integer (``digit_groups``, as ``edge_lines``
+writes the edge list), a float's ``repr`` in 32 bytes (``float_cells``) and
+tables (``rows``); ``cells_text`` deletes the NULs.
 
-Digits by Schubfach (Giulietti 2020, "The Schubfach way to render doubles";
+Float digits by Schubfach (Giulietti 2020, "The Schubfach way to render doubles";
 Ryu, Adams 2018, PLDI, finds the same): the rounding interval of c * 2**q
 holds at most one multiple of 10**(k+1), k = floor(log10 of its width), the
 answer if there; else the closest multiple of 10**k.  Value and bounds times
@@ -13,14 +16,24 @@ kept before the point; masks by layout keep the digits after it.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
-
-from .graph import _group_ascii
 
 CELL = 32   # bytes of a float's cell; the longest repr, -2.2250738585072014e-308, is 24
 _LIMB, _HIGH, _INF = (1 << 30) - 1, (1 << 63) - 1, 0x7FF0000000000000
 _TENS = 10 ** np.arange(18)
+_GROUP = 10_000  # integers are printed 4 decimal digits at a time
+_SEPARATORS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)   # after u, after v
+# floats per chunk of a table written in array passes (rows, if it has no
+# %r): 4,096 or 16,384 cost 5-15% more a float than 8,192 (2 CPUs, numpy 2.4)
+CHUNK_FLOATS = 8192
+# below this many floats, one % pass writes a table faster than the array
+# passes, whose float_cells call alone costs about 0.11 ms: they break even
+# at about 270 floats in rows of one (entries, csv), 300 in rows of two
+# (points) and 360 in discrepancy records of eight
+ARRAY_FLOATS = 256
 
 
 @functools.cache
@@ -72,7 +85,7 @@ def _tables() -> tuple[np.ndarray, ...]:
             rows += upper + lower + text
     fixed = [(p, -4 < p < 17) for p in range(-323, 310)]   # every double's p
     exps = b"".join((b"" if f else b"e%+03d" % (p - 1)).ljust(8, b"\0") for p, f in fixed)
-    groups = _group_ascii()[:10_000].astype(np.int64)
+    groups = _group_ascii()[:_GROUP].astype(np.int64)
     texts = b"".join(t.ljust(CELL, b"\0") for t in b"0.0 -0.0 inf -inf nan nan".split())
     return (np.frombuffer(bytes(rows), np.int64).reshape(-1, 10).T.copy(),
             np.array([18 * (p + 3 if f else 20) for p, f in fixed]), np.frombuffer(exps, np.int64),
@@ -148,3 +161,133 @@ def float_cells(x: np.ndarray) -> np.ndarray:
         magnitude = (odd_bits := x.view(np.int64)[odd]) & _HIGH
         cells[odd] = specials[2 * (magnitude > 0) + 2 * (magnitude > _INF) + (odd_bits < 0)]
     return cells.view(np.uint8)
+
+
+@functools.cache
+def _group_ascii() -> np.ndarray:
+    """The 4 ASCII bytes of every 4-digit group, one uint32 per group value.
+
+    Rows 0-9999 are zero-padded ("0042"), for groups below a number's
+    leading group.  A leading group is NUL-padded instead, and the NULs are
+    deleted once a chunk is laid out: rows 10000-19999 serve groups above
+    the units (value 0 is all NUL, a group wholly above the number) and
+    rows 20000-29999 the units group (value 0 prints as "0").
+    """
+    value = np.arange(_GROUP)[:, None]
+    padded = (value // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    width = 1 + (value >= 10) + (value >= 100) + (value >= 1000)
+    units = np.where(np.arange(4) >= 4 - width, padded, 0)
+    above = np.concatenate((np.zeros((1, 4), np.uint8), units[1:]))
+    return np.concatenate((padded, above, units)).view(np.uint32).ravel()
+
+
+def digit_groups(values: np.ndarray) -> list[np.ndarray]:
+    """The decimal digits of nonempty non-negative integer ``values``, 4
+    ASCII bytes to a uint32 cell, one array per group of the largest, the
+    leading group first; a group above a value's leading digit is NUL."""
+    table = _group_ascii()
+    cells = []
+    rest = values
+    for i in range(-(-len(str(int(values.max()))) // 4)):   # the units group first
+        quot = rest // _GROUP
+        low = rest - quot * _GROUP
+        low += (quot == 0) * np.uint32(_GROUP * (2 if i == 0 else 1))
+        cells.append(table.take(low))
+        rest = quot
+    return cells[::-1]
+
+
+def cells_text(cells: np.ndarray) -> str:
+    """The text of a NUL-padded byte array: its bytes in order, NULs deleted."""
+    return cells.tobytes().translate(None, b"\0").decode()
+
+
+def edge_lines(uv: np.ndarray) -> str:
+    """``u v`` lines for a nonempty (k, 2) block of endpoints in [0, 2**32).
+
+    Each endpoint, divided in uint32, becomes a row of NUL-padded 4-digit
+    groups in one uint32 matrix, followed by its separator; one
+    ``translate`` then deletes the padding.
+    """
+    groups = digit_groups(uv.astype(np.uint32, copy=False))
+    cells = np.empty(uv.shape + (len(groups) + 1,), dtype=np.uint32)
+    for i, group in enumerate(groups):
+        cells[:, :, i] = group
+    cells[:, :, -1] = _SEPARATORS
+    return cells_text(cells)
+
+
+def rows(template: str, columns, sep: str = "") -> Iterator[str]:
+    """Rows of ``template`` over equal-length array columns, joined by ``sep``,
+    in chunks of CHUNK_FLOATS floats (or rows, if it has no ``%r``).
+
+    ``template`` holds ``%r`` (float64 columns, written as ``float.__repr__``
+    writes them), ``%d`` (int columns, or float64 ones truncated as ``%d``
+    truncates them) and ``%s`` (object columns of str).  A table of fewer
+    than ARRAY_FLOATS floats (or rows, if it has no ``%r``) is one ``%`` over
+    the ``.tolist()`` of its columns.
+    Larger ones are written a chunk at a time, each one uint8 matrix with a
+    row of NUL-padded cells per row of the table: ``sep`` and the template's
+    literal pieces broadcast, every ``%r`` cell from one ``float_cells``
+    call over the chunk's float columns, and the ``%d`` cells in 4-digit
+    groups as ``edge_lines`` writes them.  Deleting the NULs gives the
+    chunk's text.
+    """
+    count = len(columns[0])
+    pieces = template.split("%")
+    kinds = [piece[0] for piece in pieces[1:]]
+    floats = max(1, kinds.count("r"))
+    if count * floats < ARRAY_FLOATS:
+        if count:
+            yield sep.join([template] * count) % tuple(chain.from_iterable(
+                zip(*[column.tolist() for column in columns])))
+        return
+    literals = [(sep + pieces[0]).encode()] + [piece[1:].encode() for piece in pieces[1:]]
+    per_chunk = CHUNK_FLOATS // floats
+    # a chunk's temporaries reuse the heap (see graph.edge_list_chunks)
+    np.empty(256 * CHUNK_FLOATS, dtype=np.uint8)
+    for at in range(0, count, per_chunk):
+        yield _chunk_text(kinds, literals, [column[at:at + per_chunk] for column in columns],
+                          len(sep) * (at == 0))
+
+
+def _chunk_text(kinds, literals, columns, blank: int) -> str:
+    """The rows of one chunk of ``rows``, less the first ``blank`` bytes of
+    the first (the separator before a table's first row)."""
+    floats = [column for kind, column in zip(kinds, columns) if kind == "r"]
+    if floats:
+        floats = iter(np.split(float_cells(np.concatenate(floats)), len(floats)))
+    cells = [next(floats) if kind == "r" else _int_cells(column) if kind == "d"
+             else _str_cells(column) for kind, column in zip(kinds, columns)]
+    # one row of the literals with room for the cells, then the cells
+    widths = [cell.shape[1] for cell in cells]
+    row = b"".join(literal + bytes(width) for literal, width in zip(literals, widths + [0]))
+    matrix = np.empty((len(columns[0]), len(row)), np.uint8)
+    matrix[:] = np.frombuffer(row, np.uint8)
+    at = 0
+    for literal, cell, width in zip(literals, cells, widths):
+        at += len(literal)
+        matrix[:, at:at + width] = cell
+        at += width
+    matrix[0, :blank] = 0
+    return cells_text(matrix)
+
+
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """``%d`` cells: 4-digit groups for a non-negative int64 or float64 column,
+    ``str`` of each value for an object one (2**63 and above) or a negative."""
+    if column.dtype != object:
+        column = column.astype(np.int64, copy=False)
+        if column.min() >= 0:
+            return np.stack(digit_groups(column), axis=1).view(np.uint8)
+    return _str_cells(column)
+
+
+def _str_cells(column: np.ndarray) -> np.ndarray:
+    """NUL-padded UTF-8 cells of ``str`` of each value, each distinct value
+    encoded once."""
+    values = column.tolist()
+    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    text = np.array([str(value).encode() for value in index])
+    at = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return text.view(np.uint8).reshape(len(index), -1).take(at, axis=0)

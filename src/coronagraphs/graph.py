@@ -14,21 +14,23 @@ n*(n+1)**(t-1) is the node count before the step.  So level m is read off
 the seed and m alone: ``edge_list_chunks`` streams its edge list,
 ``CoronaPlan`` gives its degrees, and ``structural`` its blocks, with no
 graph built.  ``corona_iterate`` builds the CSR, for the dense oracle and
-the tests, from the seed's edges and each step's.
+the tests, as m ``corona_product``s of the seed.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .floattext import edge_lines
+
 U128_MAX = (1 << 128) - 1
 DEFAULT_NODE_CAP = 2_000_000
 MAX_NODES = (1 << 31) - 1  # node ids are int32, and so is a node count (largest id + 1)
+EDGE_CHUNK_ROWS = 1 << 14   # edges in a piece of edge_list_chunks
 
 
 class CountOverflowError(OverflowError):
@@ -339,38 +341,31 @@ def level_table(n: int, m: int) -> list[BirthStep]:
     return table
 
 
-def _step_edges(seed: Graph, step: BirthStep) -> np.ndarray:
-    """The edges of one step's copies, as one (k, 2) array: each host to
-    its copy, and the copy's seed edges."""
-    su, sv = edge_ends(seed)
-    copies = step.copies()
-    return np.column_stack((
-        np.concatenate((np.repeat(np.arange(step.blocks), step.n), copies[:, su].ravel())),
-        np.concatenate((copies.ravel(), copies[:, sv].ravel()))))
-
-
 def corona_product(g: Graph, seed: Graph) -> Graph:
-    """One corona step: attach a seed copy to every node of g, as the
-    ``BirthStep`` from g's node count N on, with N hosts."""
+    """One corona step: attach a seed copy to every node of g, joined to
+    it, as the ``BirthStep`` from g's node count N on, with N hosts."""
     n = seed.node_count
     if n < 1:
         raise ValueError("seed must be nonempty")
     N = g.node_count
     _check_ids(N * (1 + n), "the corona product")
-    return Graph.from_edges(N * (1 + n), np.concatenate(
-        (np.column_stack(edge_ends(g)), _step_edges(seed, BirthStep(N, N, n)))))
+    (gu, gv), (su, sv) = edge_ends(g), edge_ends(seed)
+    copies = BirthStep(N, N, n).copies()
+    return Graph.from_edges(N * (1 + n), np.column_stack((
+        np.concatenate((gu, np.repeat(np.arange(N), n), copies[:, su].ravel())),
+        np.concatenate((gv, copies.ravel(), copies[:, sv].ravel())))))
 
 
 def corona_iterate(plan: CoronaPlan) -> Graph:
-    """Materialize the level-m corona graph: the seed's edges and every
-    step's, read off ``level_table``, in one ``Graph.from_edges``."""
+    """Materialize the level-m corona graph: m ``corona_product``s of the
+    seed, checked against the counts of ``stream_counts``."""
     nodes, edges = stream_counts(plan)
-    seed = plan.seed.graph
-    steps = level_table(plan.n, plan.m)[1:]
-    g = Graph.from_edges(nodes, np.concatenate(
-        [np.column_stack(edge_ends(seed)), *(_step_edges(seed, step) for step in steps)]))
-    if g.edge_count != edges:
-        raise RuntimeError(f"the steps gave {g.edge_count} edges; the plan predicts {edges}")
+    g = seed = plan.seed.graph
+    for _ in range(plan.m):
+        g = corona_product(g, seed)
+    if (g.node_count, g.edge_count) != (nodes, edges):
+        raise RuntimeError(f"the steps gave {g.node_count} nodes and {g.edge_count} edges; "
+                           f"the plan predicts {nodes} and {edges}")
     return g
 
 
@@ -567,67 +562,6 @@ def read_edge_list(path, node_cap: int = DEFAULT_NODE_CAP) -> Graph:
         raise EdgeListError(str(exc)) from exc
 
 
-EDGE_CHUNK_ROWS = 1 << 14
-_GROUP = 10_000  # endpoints are printed 4 decimal digits at a time
-
-
-@functools.cache
-def _group_ascii() -> np.ndarray:
-    """The 4 ASCII bytes of every 4-digit group, one uint32 per group value.
-
-    Rows 0-9999 are zero-padded ("0042"), for groups below a number's
-    leading group.  A leading group is NUL-padded instead, and the NULs are
-    deleted once a chunk is laid out: rows 10000-19999 serve groups above
-    the units (value 0 is all NUL, a group wholly above the number) and
-    rows 20000-29999 the units group (value 0 prints as "0").
-    """
-    value = np.arange(_GROUP)[:, None]
-    padded = (value // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    width = 1 + (value >= 10) + (value >= 100) + (value >= 1000)
-    units = np.where(np.arange(4) >= 4 - width, padded, 0)
-    above = np.concatenate((np.zeros((1, 4), np.uint8), units[1:]))
-    return np.concatenate((padded, above, units)).view(np.uint32).ravel()
-
-
-def digit_groups(values: np.ndarray, groups: int) -> list[np.ndarray]:
-    """The decimal digits of non-negative integer ``values`` below
-    10**(4 * groups), 4 ASCII bytes to a uint32 cell, one array per group,
-    the leading group first; a group above a value's leading digit is NUL."""
-    table = _group_ascii()
-    cells = []
-    rest = values
-    for i in range(groups):   # the units group first
-        quot = rest // _GROUP
-        low = rest - quot * _GROUP
-        low += (quot == 0) * np.uint32(_GROUP * (2 if i == 0 else 1))
-        cells.append(table.take(low))
-        rest = quot
-    return cells[::-1]
-
-
-def cells_text(cells: np.ndarray) -> str:
-    """The text of a NUL-padded byte array: its bytes in order, NULs deleted."""
-    return cells.tobytes().translate(None, b"\0").decode()
-
-
-_SEPARATORS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)
-
-
-def _edge_lines(uv: np.ndarray) -> str:
-    """``u v`` lines for a nonempty (k, 2) block of endpoints in [0, 2**32).
-
-    Each endpoint, divided in uint32, becomes a row of NUL-padded 4-digit
-    groups in one uint32 matrix, followed by its separator; one
-    ``translate`` then deletes the padding.
-    """
-    groups = -(-len(str(int(uv.max()))) // 4)
-    cells = np.empty(uv.shape + (groups + 1,), dtype=np.uint32)
-    for i, group in enumerate(digit_groups(uv.astype(np.uint32, copy=False), groups)):
-        cells[:, :, i] = group
-    cells[:, :, groups] = _SEPARATORS
-    return cells_text(cells)
-
-
 def stream_counts(plan: CoronaPlan) -> tuple[int, int]:
     """The node and edge counts of level m read off ``level_table``, after
     the cap check; a table that disagrees with the plan's count formulas
@@ -716,7 +650,7 @@ def edge_list_chunks(seed: Graph, m: int):
                 np.add(bases, row[lo:hi], out=uv[:, :, 0])
                 np.multiply(bases, weight[lo:hi], out=uv[:, :, 1])
                 uv[:, :, 1] += const[lo:hi]
-                yield _edge_lines(uv.reshape(-1, 2))
+                yield edge_lines(uv.reshape(-1, 2))
 
 
 def write_edge_list(seed: Graph, m: int, path) -> None:

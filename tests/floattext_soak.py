@@ -1,8 +1,8 @@
 """Random bit patterns against ``float.__repr__``: ``python tests/floattext_soak.py [COUNT] [SEED]``.
 
 Writes two seeded streams of COUNT (default 10**7) random doubles each, in
-blocks of ``cli.CHUNK_FLOATS`` floats, through ``floattext.float_cells`` and
-``graph.cells_text``, as the table writer does:
+blocks of ``floattext.CHUNK_FLOATS`` floats, through ``floattext.float_cells``
+and ``floattext.cells_text``, as the table writer ``floattext.rows`` does:
 
 - every double: random 64-bit patterns, subnormals, infinities and NaNs too.
   A block spans nearly every exponent, so its table keeps all 5 limbs of G;
@@ -29,8 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from coronagraphs import floattext  # noqa: E402
-from coronagraphs.cli import CHUNK_FLOATS  # noqa: E402
-from coronagraphs.graph import cells_text  # noqa: E402
+from coronagraphs.floattext import CHUNK_FLOATS, cells_text  # noqa: E402
 
 EXACT = range(981, 1079)   # biased exponents whose G is exact
 WINDOW = 32

@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 from coronagraphs import cli, graph, oracle, spectral, structural
 from coronagraphs.cli import (
-    ARRAY_FLOATS,
-    CHUNK_FLOATS,
     EXIT_CAP,
     EXIT_CONFIG,
     EXIT_OK,
@@ -38,9 +36,9 @@ from coronagraphs.cli import (
     _json_text,
     _parse,
     _plan,
-    _rows,
     main,
 )
+from coronagraphs.floattext import ARRAY_FLOATS, CHUNK_FLOATS, rows
 from coronagraphs.graph import SeedDescriptor, complete_graph, path_graph
 from coronagraphs.spectral import (
     ADJACENCY,
@@ -882,13 +880,13 @@ class TestSpectrumWriter:
         for spectrum in (make_spectrum("adjacency", distinct_pairs(count), level=2),
                          awkward_spectrum(count), awkward_spectrum(count, True)):
             lines = ["value,multiplicity"] + [f"{v!r},{w}" for v, w in spectrum.entries]
-            text = "".join(_rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
+            text = "".join(rows("%r,%d\n", (spectrum.values, spectrum.multiplicities)))
             assert "value,multiplicity\n" + text == "\n".join(lines) + "\n"
         # stats --format csv: %d over float64 values, truncated as %d truncates
         values, probabilities = np.arange(count) * 1.5, awkward_values(count)
         lines = ["value,probability"] + [f"{int(v)},{p!r}" for v, p in
                                          zip(values.tolist(), probabilities.tolist())]
-        text = "".join(_rows("%d,%r\n", (values, probabilities)))
+        text = "".join(rows("%d,%r\n", (values, probabilities)))
         assert "value,probability\n" + text == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("count", chunk_counts(2))
@@ -1325,6 +1323,19 @@ class TestImportCost:
                                      "before = set(sys.modules)\nimport coronagraphs.cli\n")
         added = self.added_modules(script, argv, tmp_path)
         assert {"argparse", "gettext", "locale"}.isdisjoint(added)
+
+    def test_floattext_imports_no_other_package_module(self):
+        # the number-to-text layer is a leaf: graph and cli import it
+        script = ("import json, sys\n"
+                  "import coronagraphs\n"
+                  "before = set(sys.modules)\n"
+                  "import coronagraphs.floattext\n"
+                  "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=package_env(), timeout=120, check=True)
+        added = json.loads(child.stdout.splitlines()[-1])
+        assert [name for name in added if name.startswith("coronagraphs.")] == [
+            "coronagraphs.floattext"]
 
 
 class TestParserReuse:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coronagraphs import graph
+from coronagraphs.floattext import edge_lines
 from coronagraphs.graph import (
     CoronaPlan,
     Graph,
@@ -180,7 +181,7 @@ class TestWriterMatchesReference:
         uv = np.array([[0, 1], [0, 123456789], [9999, 10000],
                        [10000, 99999999], [99999999, 100000000]])
         want = "".join(f"{u} {v}\n" for u, v in uv.tolist())
-        assert graph._edge_lines(uv) == want
+        assert edge_lines(uv) == want
 
 
 def traced(run):

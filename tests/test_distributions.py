@@ -5,13 +5,13 @@ import math
 import pytest
 
 import reference
-from coronagraphs.cli import _rows
 from coronagraphs.distributions import (
     DistributionSeries,
     cumulative_series,
     fit_exponential,
     fit_power_law,
 )
+from coronagraphs.floattext import rows
 
 
 class TestSeriesInvariants:
@@ -129,7 +129,7 @@ class TestCsv:
         # the degree series as stats --format csv writes it, by the one row writer
         d = DistributionSeries.from_counts([3, 5], [9, 3])
         head = f"# cumulative=false population={d.population}\nvalue,probability\n"
-        text = head + "".join(_rows("%d,%r\n", (d.values, d.probabilities)))
+        text = head + "".join(rows("%d,%r\n", (d.values, d.probabilities)))
         lines = text.splitlines()
         assert lines[0] == "# cumulative=false population=12"
         assert lines[1] == "value,probability"

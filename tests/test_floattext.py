@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coronagraphs.floattext import CELL, _table, float_cells
-from coronagraphs.graph import cells_text
+from coronagraphs.floattext import CELL, _table, cells_text, float_cells
 from floattext_soak import EXACT, exact_constants
 
 

@@ -221,12 +221,18 @@ class TestCoronaIterate:
 
     def test_wrong_size_from_a_step_is_an_error(self, monkeypatch):
         # an explicit raise, so python -O keeps the check on the built CSR:
-        # a step one edge short, and a layout one step short
-        step_edges = graph_module._step_edges
-        monkeypatch.setattr(graph_module, "_step_edges",
-                            lambda *args: step_edges(*args)[:-1])
-        with pytest.raises(RuntimeError, match="the steps gave 91 edges; the plan predicts 93"):
-            corona_iterate(plan_for("complete:3", 2))
+        # a product one edge short, and a layout one step short
+        product = graph_module.corona_product
+
+        def one_edge_short(g, seed):
+            built = product(g, seed)
+            return Graph.from_edges(built.node_count,
+                                    np.column_stack(graph_module.edge_ends(built))[:-1])
+
+        monkeypatch.setattr(graph_module, "corona_product", one_edge_short)
+        with pytest.raises(RuntimeError, match="the steps gave 12 nodes and 20 edges; "
+                                               "the plan predicts 12 and 21"):
+            corona_iterate(plan_for("complete:3", 1))
         monkeypatch.undo()
         table = graph_module.level_table
         monkeypatch.setattr(graph_module, "level_table", lambda n, m: table(n, m)[:-1])
